@@ -159,6 +159,16 @@ def _int_or(conf, section, key, default):
     return default if value is None else value
 
 
+def _positive(conf, section, key, default, read=_req_float):
+    """A value > 0, or ``default`` when the key is empty; zero or less is a ConfigError."""
+    value = read(conf, section, key)
+    if value is None:
+        return default
+    if not value > 0:
+        raise ConfigError(f"[{section}] {key}: must be > 0, got {value!r}")
+    return value
+
+
 def _req_bool(conf, section, key):
     raw = conf[section].get(key, "false").strip().lower()
     if raw in ("1", "true", "yes", "on"):
@@ -293,8 +303,8 @@ def _assemble(conf):
     family_name = conf["experiment"]["family"]
     rho = _req_float(conf, "hyper", "rho")
     gamma = _req_float(conf, "hyper", "gamma")
-    tau = _req_float(conf, "hyper", "tau") or 1.0
-    delta = _req_float(conf, "hyper", "delta") or 1.0
+    tau = _positive(conf, "hyper", "tau", 1.0)
+    delta = _positive(conf, "hyper", "delta", 1.0)
     alpha = _req_float(conf, "hyper", "alpha")
     if train.n_classes:
         losses = classification_losses(shards, train.n_classes)
@@ -309,10 +319,10 @@ def _assemble(conf):
         method,
         inner=inner,
         delta_method=_req_bool(conf, "experiment", "delta_method"),
-        damping=_req_float(conf, "hyper", "damping") or 1.0,
+        damping=_positive(conf, "hyper", "damping", 1.0),
         local_steps=_int_or(conf, "inner", "local_steps", 10),
-        lr=_req_float(conf, "inner", "lr") or 0.1,
-        workers=_req_int(conf, "experiment", "workers") or 1,
+        lr=_positive(conf, "inner", "lr", 0.1),
+        workers=_positive(conf, "experiment", "workers", 1, read=_req_int),
     )
     if method in ("admm", "fedavg"):
         server, clients = init_point_states(dim, losses, ns, rho, delta=delta)
@@ -512,7 +522,7 @@ def cmd_oracle(args) -> int:
         if explicit is not None
         else split(train, _build_plan(conf, train))
     )
-    delta = _req_float(conf, "hyper", "delta") or 1.0
+    delta = _positive(conf, "hyper", "delta", 1.0)
     oracle = conjugate_oracle(delta, shards)
     out = {
         "kind": oracle.kind,

@@ -22,7 +22,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -80,7 +80,11 @@ def chol_spd(mat: Array, jitter: float = 1e-10, retries: int = 3) -> Array:
 
 def spd_solve(mat: Array, rhs: Array) -> Array:
     """Solve ``mat @ x = rhs`` for symmetric positive-definite ``mat``."""
-    low = chol_spd(mat)
+    return _chol_solve(chol_spd(mat), rhs)
+
+
+def _chol_solve(low: Array, rhs: Array) -> Array:
+    """Solve ``(low @ low.T) @ x = rhs`` given the lower Cholesky factor."""
     half = solve_triangular(low, rhs, lower=True)
     return solve_triangular(low.T, half, lower=False)
 
@@ -177,12 +181,16 @@ class NatParam:
 
     ``prec`` is the precision vector (``diag``) or matrix (``full``); it is
     ``None`` for the fixed-covariance families.  The constructor enforces
-    strict positivity of the encoded precision.
+    strict positivity of the encoded precision.  A full precision keeps its
+    lower Cholesky factor in ``_chol``; :meth:`from_dual` hands over the one it
+    already made, so each step factors once.  A caller passing ``_chol``
+    vouches that it factors ``prec``.
     """
 
     fam: Family
     m: Array
     prec: Array | None = None
+    _chol: Array | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         m = _frozen(self.m)
@@ -203,7 +211,8 @@ class NatParam:
                 raise NonPositivePrecision("diag precision has entries <= 0")
         else:  # FULL
             prec = _symmetrize(self.prec)
-            chol_spd(prec)
+            low = chol_spd(prec) if self._chol is None else self._chol
+            object.__setattr__(self, "_chol", _frozen(low))
             prec = _frozen(prec)
         object.__setattr__(self, "prec", prec)
 
@@ -242,7 +251,8 @@ class NatParam:
             if not np.all(prec > 0.0):
                 raise NonPositivePrecision("coordinate block encodes nonpositive precision")
             return cls(fam, dual.b1 / prec, prec)
-        return cls(fam, spd_solve(prec, dual.b1), prec)
+        low = chol_spd(prec)
+        return cls(fam, _chol_solve(low, dual.b1), prec, _chol=low)
 
     # -- family views --------------------------------------------------------
 
@@ -529,8 +539,7 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
         return lam.m + z
     if kind == DIAG:
         return lam.m + z / np.sqrt(lam.prec)
-    prec = lam.fam.fixed_precision if kind == FIXED else lam.prec
-    low = chol_spd(prec)
+    low = chol_spd(lam.fam.fixed_precision) if kind == FIXED else lam._chol
     # theta = m + L^-T z  gives covariance (L L^T)^-1 = S^-1.
     return lam.m + solve_triangular(low.T, z.T, lower=False).T
 

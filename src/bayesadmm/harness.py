@@ -38,6 +38,7 @@ from .families import (
     spd_solve,
 )
 from .losses import (
+    DRAW_CHUNK,
     Delta,
     Estimator,
     Logistic,
@@ -387,14 +388,22 @@ def reference_solution(
 
 def predict_proba(theta: Array, ds: Dataset) -> Array:
     """Class probabilities (n, C) for a flat parameter vector."""
+    return _batch_proba(np.asarray(theta, dtype=float)[None], ds)[0].T
+
+
+def _batch_proba(thetas: Array, ds: Dataset) -> Array:
+    """Class probabilities (S, C, n) at each row of ``thetas``, from one product with X.
+
+    Works in place: fresh temporaries of this size cost more than the arithmetic.
+    """
     if ds.n_classes == 2:
-        p1 = expit(ds.X @ theta)
+        p1 = expit(thetas @ ds.X.T)
         return np.stack([1.0 - p1, p1], axis=1)
-    weights = theta.reshape(ds.n_classes, ds.d)
-    logits = ds.X @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    probs = (thetas.reshape(-1, ds.d) @ ds.X.T).reshape(len(thetas), ds.n_classes, ds.n)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def nll_accuracy(probs: Array, ds: Dataset) -> tuple[float, float]:
@@ -413,7 +422,10 @@ def nll_accuracy(probs: Array, ds: Dataset) -> tuple[float, float]:
 
 def posterior_average_proba(lam: NatParam, ds: Dataset, count: int = 32, seed: int = 0) -> Array:
     thetas = sample(lam, count, seed)
-    return np.mean([predict_proba(t, ds) for t in thetas], axis=0)
+    total = 0.0
+    for start in range(0, count, DRAW_CHUNK):
+        total = total + _batch_proba(thetas[start : start + DRAW_CHUNK], ds).sum(axis=0)
+    return total.T / count
 
 
 def metrics(

@@ -30,6 +30,10 @@ from .families import (
     sample,
 )
 
+# Draws per batch in the sampled estimators: bounds their temporaries to a
+# few DRAW_CHUNK * n * C floats.
+DRAW_CHUNK = 4096
+
 # ---------------------------------------------------------------------------
 # loss specifications
 # ---------------------------------------------------------------------------
@@ -167,29 +171,14 @@ def loss_value(loss: LossSpec, theta: Array) -> float:
         z = loss.X @ theta
         # -y log sigma(z) - (1-y) log sigma(-z), summed, stable via log_expit.
         return float(-np.sum(loss.y * log_expit(z) + (1.0 - loss.y) * log_expit(-z))) / loss.scale
-    logits = _mc_logits(loss, theta)
-    logz = logsumexp(logits, axis=1)
+    logits = _logits(loss, theta[None])[0]
+    logz = logsumexp(logits, axis=0)
     n = np.arange(loss.n_examples)
-    return float(np.sum(logz - logits[n, loss.y])) / loss.scale
+    return float(np.sum(logz - logits[loss.y, n])) / loss.scale
 
 
 def loss_grad(loss: LossSpec, theta: Array) -> Array:
-    theta = _check_theta(loss, theta)
-    if isinstance(loss, Quadratic):
-        return loss.A @ theta + loss.b
-    if isinstance(loss, LinearInT):
-        c = loss.c
-        grad = -c.b1.copy()
-        if c.b2 is not None:
-            grad -= 2.0 * (c.b2 * theta if c.fam.kind == DIAG else c.b2 @ theta)
-        return grad
-    if isinstance(loss, Logistic):
-        p = expit(loss.X @ theta)
-        return loss.X.T @ (p - loss.y) / loss.scale
-    probs = _mc_probs(loss, theta)
-    resid = probs.copy()
-    resid[np.arange(loss.n_examples), loss.y] -= 1.0
-    return (resid.T @ loss.X).ravel() / loss.scale
+    return _grads(loss, _check_theta(loss, theta)[None])[0]
 
 
 def loss_hess(loss: LossSpec, theta: Array, diag_only: bool = False) -> Array:
@@ -208,35 +197,87 @@ def loss_hess(loss: LossSpec, theta: Array, diag_only: bool = False) -> Array:
         if c.fam.kind == DIAG:
             return hess_diag_or_full if diag_only else np.diag(hess_diag_or_full)
         return np.diag(hess_diag_or_full).copy() if diag_only else hess_diag_or_full
+    probs = _probs(loss, theta[None])
+    return _hess(loss, _weight_sum(loss, probs, diag_only), diag_only)
+
+
+# The logistic kernels below work on a batch of S parameter rows at once, so
+# the sampled estimators make one product with X per chunk of draws instead of
+# one per draw.  A single point is the batch of one.
+
+
+def _logits(loss: Logistic | MulticlassLogistic, thetas: Array) -> Array:
+    """Logits at each row of ``thetas``: (S, n) binary, (S, C, n) multiclass."""
     if isinstance(loss, Logistic):
-        p = expit(loss.X @ theta)
-        w = p * (1.0 - p) / loss.scale
-        if diag_only:
-            return (loss.X * loss.X).T @ w
-        return loss.X.T @ (loss.X * w[:, None])
-    probs = _mc_probs(loss, theta)
-    if diag_only:
-        w = probs * (1.0 - probs) / loss.scale  # (n, C)
-        return ((loss.X * loss.X).T @ w).T.ravel()
-    # blocks[(c,e),(c',f)] = sum_i (p_ic d_cc' - p_ic p_ic') x_ie x_if / scale
+        return thetas @ loss.X.T
     n, d = loss.X.shape
-    blocks = -np.einsum("ia,ib->iab", probs, probs)
-    idx = np.arange(loss.n_classes)
-    blocks[:, idx, idx] += probs
-    hess = np.einsum("iab,ie,if->aebf", blocks, loss.X, loss.X) / loss.scale
-    return hess.reshape(loss.dim, loss.dim)
+    return (thetas.reshape(-1, d) @ loss.X.T).reshape(len(thetas), loss.n_classes, n)
 
 
-def _mc_logits(loss: MulticlassLogistic, theta: Array) -> Array:
-    weights = theta.reshape(loss.n_classes, loss.X.shape[1])
-    return loss.X @ weights.T
+def _probs(loss: Logistic | MulticlassLogistic, thetas: Array) -> Array:
+    """Predicted probabilities, shaped like :func:`_logits`.
 
-
-def _mc_probs(loss: MulticlassLogistic, theta: Array) -> Array:
-    logits = _mc_logits(loss, theta)
+    Works in place: fresh temporaries of this size cost more than the arithmetic.
+    """
+    logits = _logits(loss, thetas)
+    if isinstance(loss, Logistic):
+        return expit(logits, out=logits)
     logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _grads(loss: LossSpec, thetas: Array) -> Array:
+    """Gradients (S, dim) at each row of ``thetas``."""
+    if isinstance(loss, Quadratic):
+        return thetas @ loss.A + loss.b
+    if isinstance(loss, LinearInT):
+        c = loss.c
+        if c.b2 is None:
+            return np.tile(-c.b1, (len(thetas), 1))
+        return -c.b1 - 2.0 * (thetas * c.b2 if c.fam.kind == DIAG else thetas @ c.b2)
+    return _prob_grads(loss, _probs(loss, thetas))
+
+
+def _prob_grads(loss: Logistic | MulticlassLogistic, probs: Array) -> Array:
+    """Gradients (S, dim) from predicted probabilities; linear in ``probs``."""
+    if isinstance(loss, Logistic):
+        return (probs - loss.y) @ loss.X / loss.scale
+    resid = probs.copy()
+    resid[:, loss.y, np.arange(loss.n_examples)] -= 1.0
+    grads = resid.reshape(-1, loss.n_examples) @ loss.X  # (S*C, d), class-major
+    return grads.reshape(len(probs), loss.dim) / loss.scale
+
+
+def _weight_sum(loss: Logistic | MulticlassLogistic, probs: Array, diag_only: bool) -> Array:
+    """Per-example Hessian weights summed over the S rows of ``probs``.
+
+    Binary: p(1-p), shape (n,).  Multiclass: diag(p) - p p^T, shape (C, C, n),
+    or only its diagonal p(1-p), shape (C, n), when ``diag_only``.
+    """
+    if isinstance(loss, Logistic) or diag_only:
+        return np.sum(probs * (1.0 - probs), axis=0)
+    weights = -np.einsum("sai,sbi->abi", probs, probs)
+    idx = np.arange(loss.n_classes)
+    weights[idx, idx] += probs.sum(axis=0)
+    return weights
+
+
+def _hess(loss: Logistic | MulticlassLogistic, weights: Array, diag_only: bool) -> Array:
+    """Hessian sum_i weights_i (x) x_i x_i^T / scale from :func:`_weight_sum`'s weights."""
+    x = loss.X
+    if isinstance(loss, Logistic):
+        hess = (x * x).T @ weights if diag_only else x.T @ (x * weights[:, None])
+        return hess / loss.scale
+    if diag_only:
+        return (weights @ (x * x)).ravel() / loss.scale
+    # H[(a,e),(b,f)] = sum_i w[a,b,i] x[i,e] x[i,f]: one (C^2, n) @ (n, d^2) product.
+    n, d = x.shape
+    c = loss.n_classes
+    outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+    hess = (weights.reshape(c * c, n) @ outer).reshape(c, c, d, d).transpose(0, 2, 1, 3)
+    return hess.reshape(loss.dim, loss.dim) / loss.scale
 
 
 # ---------------------------------------------------------------------------
@@ -285,37 +326,48 @@ class MomentEstimate:
     estimator: Estimator
 
 
-def _hess_shape_is_diag(fam: Family) -> bool:
-    return fam.kind == DIAG
-
-
 def expected_moments(loss: LossSpec, lam: NatParam, estimator: Estimator) -> MomentEstimate:
     """E_q[grad l] and E_q[hess l] (full matrix, or its diagonal for diag families)."""
     if lam.fam.dim != loss.dim:
         raise DimensionMismatch(f"loss dim {loss.dim} != family dim {lam.fam.dim}")
-    diag = _hess_shape_is_diag(lam.fam)
+    diag = lam.fam.kind == DIAG
     if isinstance(estimator, Analytic):
         return _analytic_moments(loss, lam, diag, estimator)
     if isinstance(estimator, Delta):
-        return MomentEstimate(
-            loss_grad(loss, lam.m), loss_hess(loss, lam.m, diag_only=diag), estimator
-        )
+        return MomentEstimate(*_mean_moments(loss, lam.m[None], diag), estimator)
     if isinstance(estimator, MonteCarlo):
         if estimator.count < 1:
             raise EstimatorUnsupported("MonteCarlo needs count >= 1")
         thetas = sample(lam, estimator.count, estimator.seed)
-        if isinstance(loss, (Quadratic, LinearInT)):
-            # Per-sample grad is affine in theta and the Hessian is constant,
-            # so the sample average collapses onto the mean draw.
-            g = loss_grad(loss, thetas.mean(axis=0))
-            h = loss_hess(loss, thetas[0], diag_only=diag)
-            return MomentEstimate(g, h, estimator)
-        g = np.mean([loss_grad(loss, t) for t in thetas], axis=0)
-        h = np.mean([loss_hess(loss, t, diag_only=diag) for t in thetas], axis=0)
-        return MomentEstimate(g, h, estimator)
+        return MomentEstimate(*_mean_moments(loss, thetas, diag), estimator)
     if isinstance(estimator, Reparam):
         return _reparam_moments(loss, lam, estimator)
     raise EstimatorUnsupported(f"unknown estimator {estimator!r}")
+
+
+def _chunks(thetas: Array):
+    """Consecutive row blocks of at most ``DRAW_CHUNK`` draws."""
+    return (thetas[i : i + DRAW_CHUNK] for i in range(0, len(thetas), DRAW_CHUNK))
+
+
+def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Array]:
+    """Mean gradient and Hessian over the rows of ``thetas``.
+
+    The logistic gradient is linear in the predicted probabilities and the
+    Hessian in the per-example weights, so both come from the sums of those:
+    one softmax per draw, one Hessian product in all.
+    """
+    if isinstance(loss, (Quadratic, LinearInT)):
+        # Per-sample grad is affine in theta and the Hessian is constant,
+        # so the sample average collapses onto the mean draw.
+        return loss_grad(loss, thetas.mean(axis=0)), loss_hess(loss, thetas[0], diag_only=diag)
+    prob_sum = weight_sum = 0.0
+    for chunk in _chunks(thetas):
+        probs = _probs(loss, chunk)
+        prob_sum = prob_sum + probs.sum(axis=0)
+        weight_sum = weight_sum + _weight_sum(loss, probs, diag)
+    count = len(thetas)
+    return _prob_grads(loss, prob_sum[None] / count)[0], _hess(loss, weight_sum / count, diag)
 
 
 def _analytic_moments(loss, lam, diag, estimator) -> MomentEstimate:
@@ -349,24 +401,23 @@ def _reparam_moments(loss, lam, estimator) -> MomentEstimate:
     if lam.fam.kind not in (ISOTROPIC, DIAG):
         raise EstimatorUnsupported("Reparam Hessian estimate needs a diagonal covariance")
     var = np.ones(lam.fam.dim) if lam.fam.kind == ISOTROPIC else 1.0 / lam.prec
-    thetas = sample(lam, estimator.count, estimator.seed)
-    grads = np.stack([loss_grad(loss, t) for t in thetas])
-    h = np.mean(grads * (thetas - lam.m) / var, axis=0)
-    return MomentEstimate(np.mean(grads, axis=0), h, estimator)
+    grad_sum = hess_sum = 0.0
+    for chunk in _chunks(sample(lam, estimator.count, estimator.seed)):
+        grads = _grads(loss, chunk)
+        grad_sum = grad_sum + grads.sum(axis=0)
+        hess_sum = hess_sum + np.sum(grads * (chunk - lam.m) / var, axis=0)
+    return MomentEstimate(grad_sum / estimator.count, hess_sum / estimator.count, estimator)
 
 
 def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> DualVec:
     """Gradient of E_q[l] in expectation coordinates (ambient dual layout)."""
+    mom = expected_moments(loss, lam, estimator)
     kind = lam.fam.kind
     if kind in (ISOTROPIC, FIXED):
-        mom = expected_moments(loss, lam, estimator)
         return DualVec(lam.fam, mom.g)
-    mom = expected_moments(loss, lam, estimator)
     if kind == DIAG:
-        h = mom.h if mom.h.ndim == 1 else np.diag(mom.h)
-        return DualVec(lam.fam, mom.g - h * lam.m, 0.5 * h)
-    h = np.diag(mom.h) if mom.h.ndim == 1 else mom.h
-    return DualVec(lam.fam, mom.g - h @ lam.m, 0.5 * h)
+        return DualVec(lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
+    return DualVec(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
 
 
 def loss_to_jsonable(loss: LossSpec) -> dict:

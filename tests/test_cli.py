@@ -113,6 +113,37 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "wombat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("hyper", "tau", "0"),
+        ("hyper", "tau", "-1.0"),
+        ("hyper", "delta", "0"),
+        ("hyper", "damping", "0.0"),
+        ("inner", "lr", "0"),
+        ("experiment", "workers", "0"),
+    ],
+)
+def test_nonpositive_config_value_rejected(tmp_path, capsys, section, key, value):
+    # Each of these once fell back to its default through ``x or default``.
+    text = PROP2_INI.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    if key == "delta":
+        text = text.replace("delta = 1.0\n", "")
+    cfg = write(tmp_path, "bad.ini", text)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
+
+
+def test_nonpositive_flag_and_oracle_delta_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, "prop2.ini", PROP2_INI)
+    assert main(["run", "--config", cfg, "--tau", "0", "--out", str(tmp_path / "out")]) == 1
+    assert "[hyper] tau" in capsys.readouterr().err
+    assert main(["oracle", "--config", cfg, "--delta", "0"]) == 1
+    assert "[hyper] delta" in capsys.readouterr().err
+
+
 def test_sweep_single_cell_matches_run(tmp_path):
     cfg = write(tmp_path, "prop2.ini", PROP2_INI + "\n[sweep]\nrho = 0.5\ntau = 1.0\n")
     out = tmp_path / "sweep"

@@ -1,8 +1,13 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from bayesadmm import families
 from bayesadmm.errors import (
     DegenerateMoment,
     FamilyMismatch,
@@ -28,7 +33,9 @@ from bayesadmm.families import (
     nat_sub,
     nat_to_jsonable,
     pair_with_stat,
+    chol_spd,
     sample,
+    spd_solve,
     to_expectation,
     to_natural,
 )
@@ -430,3 +437,54 @@ def test_dual_sum_kahan_order():
     fam = Family.isotropic(1)
     vals = [DualVec(fam, np.array([x])) for x in (1e16, 1.0, 1.0, -1e16)]
     assert dual_sum(vals).b1[0] == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the cached Cholesky factor of a full precision
+# ---------------------------------------------------------------------------
+
+
+def full_duals():
+    rng = np.random.default_rng(41)
+    fam = Family.full(4)
+    yield DualVec(fam, rng.standard_normal(4), -0.5 * random_spd(rng, 4))
+    # Singular PSD precision: the plain factorization fails, a jitter retry passes.
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    yield DualVec(Family.full(2), np.array([0.3, -0.2]), -0.5 * singular)
+
+
+@pytest.mark.parametrize("dual", list(full_duals()))
+def test_full_from_dual_factors_once_and_matches_two_factor_path(monkeypatch, dual):
+    calls = []
+    real = families.chol_spd
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(families, "chol_spd", counting)
+    lam = NatParam.from_dual(dual)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # The path that factored twice: spd_solve for the mean, the constructor again.
+    prec = -2.0 * dual.b2
+    assert np.array_equal(lam.m, spd_solve(prec, dual.b1))
+    assert np.array_equal(lam.prec, 0.5 * (prec + prec.T))
+    assert np.array_equal(lam._chol, chol_spd(lam.prec))
+    z = np.random.default_rng(3).standard_normal((5, lam.fam.dim))
+    want = lam.m + solve_triangular(chol_spd(lam.prec).T, z.T, lower=False).T
+    assert np.array_equal(sample(lam, 5, 3), want)
+
+
+def test_cached_factor_is_outside_equality_repr_and_json():
+    lam = NatParam.from_dual(next(full_duals()))
+    other = copy.copy(lam)
+    object.__setattr__(other, "_chol", None)
+    assert lam == other
+    assert "_chol" not in repr(lam)
+    data = nat_to_jsonable(lam)
+    assert set(data) == {"m", "S"}
+    back = nat_from_jsonable(lam.fam, json.loads(json.dumps(data)))
+    assert np.array_equal(back._chol, lam._chol)

@@ -12,7 +12,8 @@ from bayesadmm.errors import (
     SingularSystem,
     TruncatedFile,
 )
-from bayesadmm.families import Family, NatParam, dual_inf_norm, nat_sub
+from bayesadmm import harness
+from bayesadmm.families import Family, NatParam, dual_inf_norm, nat_sub, sample
 from bayesadmm.federation import (
     ClientState,
     ServerState,
@@ -31,6 +32,7 @@ from bayesadmm.harness import (
     load_idx,
     metrics,
     nll_accuracy,
+    posterior_average_proba,
     predict_proba,
     reference_solution,
     ridge_losses,
@@ -303,3 +305,17 @@ def test_posterior_average_recorded_alongside_point_nll():
     server.lam_g = ref.lam
     record = metrics(server, test=ds, pred_samples=32, seed=0)
     assert np.isfinite(record["nll_mean"]) and np.isfinite(record["nll_post"])
+
+
+@pytest.mark.parametrize("classes,count", [(2, 1), (2, 19), (4, 8), (4, 19)])
+def test_batched_posterior_average_matches_per_draw_loop(monkeypatch, classes, count):
+    monkeypatch.setattr(harness, "DRAW_CHUNK", 8)
+    ds = gen_blobs(6, classes, d=2, seed=3)
+    dim = ds.d if classes == 2 else classes * ds.d
+    rng = np.random.default_rng(classes + count)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = NatParam(Family.full(dim), rng.standard_normal(dim), q @ np.diag(rng.uniform(0.5, 2.0, dim)) @ q.T)
+    got = posterior_average_proba(lam, ds, count, seed=5)
+    want = np.mean([predict_proba(t, ds) for t in sample(lam, count, 5)], axis=0)
+    assert got.shape == (ds.n, classes)
+    assert np.max(np.abs(got - want)) <= 1e-12

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import expit, softmax
 
+from bayesadmm import losses as losses_mod
 from bayesadmm.errors import DimensionMismatch, EstimatorUnsupported
-from bayesadmm.families import DualVec, Family, NatParam, dual_inf_norm, to_expectation, to_natural
+from bayesadmm.families import DualVec, Family, NatParam, dual_inf_norm, sample, to_expectation, to_natural
 from bayesadmm.losses import (
     Analytic,
     Delta,
@@ -207,6 +209,115 @@ def test_reparam_hessian_estimate_on_quadratic():
     assert np.allclose(mom.h, np.diag(a), atol=0.02)
     with pytest.raises(EstimatorUnsupported):
         expected_moments(loss, NatParam(Family.full(2), np.zeros(2), np.eye(2)), Reparam(8, 0))
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against per-point oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_grad(loss, theta):
+    """Per-point logistic gradient, written out independently of the kernels."""
+    if isinstance(loss, Logistic):
+        return loss.X.T @ (expit(loss.X @ theta) - loss.y) / loss.scale
+    probs = softmax(loss.X @ theta.reshape(loss.n_classes, -1).T, axis=1)
+    probs[np.arange(loss.n_examples), loss.y] -= 1.0
+    return (probs.T @ loss.X).ravel() / loss.scale
+
+
+def oracle_hess(loss, theta, diag_only=False):
+    """Per-point logistic Hessian; the multiclass one is the 3-operand einsum."""
+    if isinstance(loss, Logistic):
+        p = expit(loss.X @ theta)
+        hess = loss.X.T @ (loss.X * (p * (1.0 - p) / loss.scale)[:, None])
+    else:
+        probs = softmax(loss.X @ theta.reshape(loss.n_classes, -1).T, axis=1)
+        blocks = -np.einsum("ia,ib->iab", probs, probs)
+        idx = np.arange(loss.n_classes)
+        blocks[:, idx, idx] += probs
+        hess = np.einsum("iab,ie,if->aebf", blocks, loss.X, loss.X) / loss.scale
+        hess = hess.reshape(loss.dim, loss.dim)
+    return np.diag(hess).copy() if diag_only else hess
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+def random_multiclass(rng, n, c, d, scale=1.0):
+    x = rng.standard_normal((n, d))
+    return MulticlassLogistic(x, rng.integers(0, c, n), c, scale=scale)
+
+
+@pytest.mark.parametrize(
+    "n,c,d,scale",
+    [(1, 2, 1, 1.0), (1, 10, 3, 1.0), (9, 2, 1, 0.4), (200, 10, 3, 1.0), (200, 10, 3, 3.7), (40, 4, 7, 2.5)],
+)
+def test_multiclass_hessian_matches_einsum(n, c, d, scale):
+    rng = np.random.default_rng(n * 100 + c * 10 + d)
+    loss = random_multiclass(rng, n, c, d, scale)
+    theta = rng.standard_normal(loss.dim)
+    assert_rel_close(loss_hess(loss, theta), oracle_hess(loss, theta))
+    assert_rel_close(loss_grad(loss, theta), oracle_grad(loss, theta))
+
+
+def test_diag_only_is_the_diagonal_of_the_full_hessian():
+    rng = np.random.default_rng(31)
+    binary, multi = make_losses(rng)[0][2], random_multiclass(rng, 50, 4, 3, scale=1.9)
+    for loss in (binary, multi):
+        theta = rng.standard_normal(loss.dim)
+        assert_rel_close(loss_hess(loss, theta, diag_only=True), np.diag(loss_hess(loss, theta)))
+
+
+def sampled_cases(rng):
+    binary = make_losses(rng)[0][2]
+    multi = random_multiclass(rng, 12, 3, 2, scale=1.3)
+    cases = []
+    for loss in (binary, multi):
+        d = loss.dim
+        cases.append((loss, NatParam(Family.full(d), rng.standard_normal(d), random_spd(rng, d))))
+        cases.append((loss, NatParam(Family.diag(d), rng.standard_normal(d), rng.uniform(0.5, 3.0, d))))
+    return cases
+
+
+def assert_mc_matches_per_draw_loop(loss, lam, count):
+    diag = lam.fam.kind == "diag"
+    mom = expected_moments(loss, lam, MonteCarlo(count, seed=9))
+    thetas = sample(lam, count, 9)
+    assert_rel_close(mom.g, np.mean([oracle_grad(loss, t) for t in thetas], axis=0))
+    assert_rel_close(mom.h, np.mean([oracle_hess(loss, t, diag_only=diag) for t in thetas], axis=0))
+
+
+@pytest.mark.parametrize("count", [1, 8, 37])
+def test_batched_monte_carlo_matches_per_draw_loop(monkeypatch, count):
+    monkeypatch.setattr(losses_mod, "DRAW_CHUNK", 8)
+    for loss, lam in sampled_cases(np.random.default_rng(17)):
+        assert_mc_matches_per_draw_loop(loss, lam, count)
+
+
+def test_monte_carlo_one_draw_past_the_chunk_size():
+    loss, lam = sampled_cases(np.random.default_rng(17))[0]
+    assert_mc_matches_per_draw_loop(loss, lam, losses_mod.DRAW_CHUNK + 1)
+
+
+@pytest.mark.parametrize("count", [1, 8, 37])
+def test_batched_reparam_matches_per_draw_loop(monkeypatch, count):
+    monkeypatch.setattr(losses_mod, "DRAW_CHUNK", 8)
+    rng = np.random.default_rng(23)
+    d = 2
+    quad = Quadratic(random_spd(rng, d), rng.standard_normal(d))
+    for loss, lam in [case for case in sampled_cases(rng) if case[1].fam.kind == "diag"] + [
+        (quad, NatParam(Family.diag(d), rng.standard_normal(d), rng.uniform(0.5, 3.0, d)))
+    ]:
+        mom = expected_moments(loss, lam, Reparam(count, seed=4))
+        thetas = sample(lam, count, 4)
+        if isinstance(loss, Quadratic):
+            grads = np.stack([loss.A @ t + loss.b for t in thetas])
+        else:
+            grads = np.stack([oracle_grad(loss, t) for t in thetas])
+        assert_rel_close(mom.g, grads.mean(axis=0))
+        assert_rel_close(mom.h, np.mean(grads * (thetas - lam.m) * lam.prec, axis=0))
 
 
 # ---------------------------------------------------------------------------
