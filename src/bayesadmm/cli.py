@@ -204,7 +204,7 @@ def _build_data(conf) -> tuple[Dataset, Dataset | None, list | None]:
     if kind == "blobs":
         kw = dict(
             n_classes=_req_int(conf, "data", "classes"),
-            d=_req_int(conf, "data", "d") or 2,
+            d=_positive(conf, "data", "d", 2, read=_req_int),
             spread=_req_float(conf, "data", "spread"),
             radius=_req_float(conf, "data", "radius"),
             center=_req_float(conf, "data", "center"),
@@ -399,7 +399,7 @@ def cmd_run(args) -> int:
     _override(conf, args)
     seed = _int_or(conf, "experiment", "seed", 0)
     rounds = _int_or(conf, "experiment", "rounds", 20)
-    tol_dist = _req_float(conf, "experiment", "tol_dist") or 1e-8
+    tol_dist = _positive(conf, "experiment", "tol_dist", 1e-8)
     server, clients, cfg, oracle, test = _assemble(conf)
 
     def metrics_fn(s, c):

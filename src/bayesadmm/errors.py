@@ -55,13 +55,6 @@ class NonFiniteUpdate(BayesAdmmError):
         self.precision = precision
 
 
-# ---- federation ----
-
-
-class NonPositiveServerPrecision(BayesAdmmError):
-    """The server combine yielded a nonpositive precision entry."""
-
-
 # ---- harness ----
 
 

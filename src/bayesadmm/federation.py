@@ -1,20 +1,24 @@
 """Round engines for six federated methods, plus fixed-point verifiers.
 
-All the distribution-valued engines share one server combine,
+Every engine runs one round skeleton: independent client steps, which may run
+on parallel workers and are reduced in client-id order so the outcome does not
+depend on the worker count; a server combine over the clients' new fields; a
+finiteness check; then one commit, so a failing round changes no state.
+
+The distribution-valued engines share one client step and one server combine,
 
     lam_g <- (1 - alpha) * mean(lam_k) + alpha * (eta_0 + sum_k eta_k),
 
 with alpha = 1/(1 + rho K); PVI is the alpha = 1 case with no proximal pull.
-They differ in the client subproblem's KL weight and in which coordinates the
-dual update uses: natural-parameter differences (the Bayesian engines),
-expectation-parameter differences (the Bregman variant), or a damped
-natural-parameter step (PVI).  Client steps within a round are independent and
-may run on parallel workers; results are reduced in client-id order so the
-outcome does not depend on the worker count.
+They differ in the client subproblem's KL weight, in the inner solver (IVON
+is the Bayesian round with the stochastic diagonal solver) and in which
+coordinates the dual update uses: natural-parameter differences (the Bayesian
+engines), expectation-parameter differences (the Bregman variant), or a
+damped natural-parameter step (PVI).
 
 Divergence is a reportable outcome, never silently repaired: engines raise on
-family-invalid states and :func:`run_rounds` converts that into a structured
-trace event.
+family-invalid or non-finite states and :func:`run_rounds` converts that into
+a structured trace event.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import (
     FamilyMismatch,
     NonFiniteUpdate,
     NonPositivePrecision,
-    NonPositiveServerPrecision,
     PrecisionEscape,
     ResultNotInFamily,
 )
@@ -41,6 +44,7 @@ from .families import (
     DualVec,
     Family,
     NatParam,
+    _kahan,
     dual_axpy,
     dual_from_jsonable,
     dual_inf_norm,
@@ -254,7 +258,60 @@ def server_combine(
 
 
 # ---------------------------------------------------------------------------
-# Bayesian client step (shared by bayes/bregman/pvi)
+# the round skeleton
+# ---------------------------------------------------------------------------
+
+# What a non-finite new state field is called in NonFiniteUpdate messages.
+_FIELD_NAMES = {
+    "lam_g": "natural parameter",
+    "theta_g": "point estimate",
+    "lam": "natural parameter",
+    "eta": "dual",
+    "theta": "point state",
+    "v": "point state",
+}
+
+
+def _finite(value) -> bool:
+    if isinstance(value, NatParam):
+        parts = (value.m, value.prec)
+    elif isinstance(value, DualVec):
+        parts = (value.b1, value.b2)
+    else:
+        parts = (value,)
+    return all(p is None or bool(np.all(np.isfinite(p))) for p in parts)
+
+
+def _round(
+    server: ServerState, clients: list[ClientState], cfg: MethodConfig, rnd: int, step, combine
+) -> dict:
+    """The one round every engine runs: client steps, combine, checks, then commit.
+
+    ``step(client)`` returns the client's new fields and an info dict;
+    ``combine(new_fields)`` builds the server's new fields from the clients'
+    new fields.  Nothing is written until the combine has succeeded and every
+    new field is finite, so a failing round leaves every state as it was.
+    """
+    results = _map_clients(step, clients, cfg.workers)
+    new_fields = [fields for fields, _ in results]
+    try:
+        server_fields = combine(new_fields)
+    except NonPositivePrecision as exc:
+        raise ResultNotInFamily(f"server combine left the family at round {rnd}: {exc}") from exc
+    updates = [(server, "server", server_fields)]
+    updates += [(c, f"client {c.id}", fields) for c, fields in zip(clients, new_fields)]
+    for _, owner, fields in updates:
+        for key, value in fields.items():
+            if not _finite(value):
+                raise NonFiniteUpdate(f"{owner} {_FIELD_NAMES[key]} is non-finite")
+    for state, _, fields in updates:
+        for key, value in fields.items():
+            setattr(state, key, value)
+    return {"inner_converged": all(info.get("converged", True) for _, info in results)}
+
+
+# ---------------------------------------------------------------------------
+# distribution rounds: one client step, the solver picked per engine
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +324,7 @@ def _effective_inner(cfg: MethodConfig) -> InnerConfig:
 
 
 def _solve_client(
-    spec: SubproblemSpec, inner: InnerConfig, cfg: MethodConfig, seed: int
+    spec: SubproblemSpec, inner: InnerConfig, cfg: MethodConfig, seed: int, n_examples: int
 ) -> tuple[NatParam, dict]:
     solver = inner.solver
     loss = spec.loss
@@ -302,6 +359,20 @@ def _solve_client(
         est = resolve_estimator(inner, loss, seed)
         res = solve_von(spec, steps=inner.steps, beta=inner.beta, estimator=est, tol=inner.tol)
         return res.lam, {"converged": res.converged, "grad_norm": res.grad_norm}
+    if solver == "ivon":
+        # The stochastic solver works on the mean per-example loss, so the
+        # subproblem's weights move into its loss scale and multipliers.
+        n = max(n_examples, 1)
+        tau = spec.tau
+        res = solve_ivon(
+            scale_loss(loss, n),
+            spec.lam_g,
+            n / (spec.rho * tau),
+            (tau / n) * spec.eta.v,
+            (tau / n) * spec.eta.u,
+            replace(inner.ivon, seed=seed),
+        )
+        return NatParam(spec.lam_g.fam, res.m, res.s), {"converged": True}
     raise ValueError(f"unknown inner solver {inner.solver!r}")
 
 
@@ -315,11 +386,17 @@ def _distribution_round(
     dual_step: float,
     dual_in_mu: bool,
     alpha: float,
+    solver: str | None = None,
 ) -> dict:
-    """One generic round: client solves, dual updates, shared server combine."""
+    """Client solves, dual updates and the shared server combine.
+
+    ``solver``, when given, overrides the configured inner solver.
+    """
     lam_g = server.lam_g
     mu_g = to_expectation(lam_g) if dual_in_mu else None
     inner = _effective_inner(cfg)
+    if solver is not None:
+        inner = replace(inner, solver=solver)
 
     def step(client: ClientState):
         seed = seed_for(base_seed, rnd, client.id)
@@ -328,7 +405,7 @@ def _distribution_round(
         info: dict = {}
         for _ in range(cfg.client_repeats):
             spec = SubproblemSpec(client.loss, eta, lam_g, rho=kl_weight, tau=server.tau)
-            lam, info = _solve_client(spec, inner, cfg, seed)
+            lam, info = _solve_client(spec, inner, cfg, seed, client.n_examples)
             if dual_in_mu:
                 direction = exp_sub(to_expectation(lam), mu_g)
             else:
@@ -338,20 +415,13 @@ def _distribution_round(
             eta = new_eta
             if cfg.repeat_tol > 0 and moved <= cfg.repeat_tol:
                 break
-        return lam, eta, info
+        return {"lam": lam, "eta": eta}, info
 
-    results = _map_clients(step, clients, cfg.workers)
-    converged = all(r[2].get("converged", True) for r in results)
-    for client, (lam, eta, _) in zip(clients, results):
-        client.lam = lam
-        client.eta = eta
-    try:
-        server.lam_g = server_combine(
-            [c.lam for c in clients], [c.eta for c in clients], server.eta0, alpha
-        )
-    except NonPositivePrecision as exc:
-        raise ResultNotInFamily(f"server combine left the family at round {rnd}: {exc}") from exc
-    return {"inner_converged": converged}
+    def combine(new: list[dict]) -> dict:
+        lam_ks, eta_ks = [f["lam"] for f in new], [f["eta"] for f in new]
+        return {"lam_g": server_combine(lam_ks, eta_ks, server.eta0, alpha)}
+
+    return _round(server, clients, cfg, rnd, step, combine)
 
 
 def bayes_admm_round(
@@ -387,15 +457,10 @@ def pvi_round(
     )
 
 
-# ---------------------------------------------------------------------------
-# IVON round (diagonal family)
-# ---------------------------------------------------------------------------
-
-
 def ivon_admm_round(
     server: ServerState, clients: list[ClientState], cfg: MethodConfig, rnd: int = 0, base_seed: int = 0
 ) -> dict:
-    """Adam-like round: stochastic diagonal solver with temperature rescaling.
+    """Adam-like round: the Bayesian round with the stochastic diagonal solver.
 
     Each client calls the stochastic solver on its mean per-example loss with
     loss scale N_k/(rho tau) and multipliers (tau/N_k) v_k, (tau/N_k) u_k; the
@@ -406,45 +471,11 @@ def ivon_admm_round(
     """
     if server.fam.kind != DIAG:
         raise FamilyMismatch("ivon_admm requires the diagonal-precision family")
-    lam_g = server.lam_g
-    rho, tau, gamma = server.rho, server.tau, server.dual_step
-
-    def step(client: ClientState):
-        seed = seed_for(base_seed, rnd, client.id)
-        n = max(client.n_examples, 1)
-        mean_loss = scale_loss(client.loss, n)
-        lscale = n / (rho * tau)
-        base = cfg.inner.ivon
-        ivon_cfg = IvonConfig(
-            steps=base.steps,
-            lr=base.lr,
-            lr_schedule=base.lr_schedule,
-            beta1=base.beta1,
-            beta2=base.beta2,
-            h0=base.h0,
-            batch_size=base.batch_size,
-            seed=seed,
-        )
-        res = solve_ivon(
-            mean_loss, lam_g, lscale, (tau / n) * client.eta.v, (tau / n) * client.eta.u, ivon_cfg
-        )
-        lam = NatParam(lam_g.fam, res.m, res.s)
-        eta = dual_axpy(gamma, nat_sub(lam, lam_g), client.eta)
-        return lam, eta, {"converged": True}
-
-    results = _map_clients(step, clients, cfg.workers)
-    for client, (lam, eta, _) in zip(clients, results):
-        client.lam = lam
-        client.eta = eta
-    try:
-        server.lam_g = server_combine(
-            [c.lam for c in clients], [c.eta for c in clients], server.eta0, server.alpha
-        )
-    except NonPositivePrecision as exc:
-        raise NonPositiveServerPrecision(
-            f"server precision became nonpositive at round {rnd}: {exc}"
-        ) from exc
-    return {"inner_converged": True}
+    return _distribution_round(
+        server, clients, cfg, rnd, base_seed,
+        kl_weight=server.rho, dual_step=server.dual_step, dual_in_mu=False,
+        alpha=server.alpha, solver="ivon",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +496,18 @@ def admm_round(
             client.loss, client.v, theta_g, rho, steps=inner.steps, lr=inner.lr, tol=inner.tol
         )
         v = client.v + rho * (res.theta - theta_g)
-        return res.theta, v, {"converged": res.converged}
+        return {"theta": res.theta, "v": v}, {"converged": res.converged}
 
-    results = _map_clients(step, clients, cfg.workers)
-    converged = all(r[2]["converged"] for r in results)
-    for client, (theta, v, _) in zip(clients, results):
-        client.theta = theta
-        client.v = v
-    server.theta_g = _admm_server(server, clients, inner)
-    return {"inner_converged": converged}
+    def combine(new: list[dict]) -> dict:
+        thetas, vs = [f["theta"] for f in new], [f["v"] for f in new]
+        return {"theta_g": _admm_server(server, thetas, vs, inner)}
+
+    return _round(server, clients, cfg, rnd, step, combine)
 
 
-def _admm_server(server: ServerState, clients: list[ClientState], inner: InnerConfig) -> Array:
-    thetas = [c.theta for c in clients]
-    vs = [c.v for c in clients]
+def _admm_server(
+    server: ServerState, thetas: list[Array], vs: list[Array], inner: InnerConfig
+) -> Array:
     if server.l0 is not None:
         # Generic regularizer: solve the server objective with its own proximal step.
         res = solve_admm_client(
@@ -491,8 +520,8 @@ def _admm_server(server: ServerState, clients: list[ClientState], inner: InnerCo
             tol=inner.tol,
         )
         return res.theta
-    sum_v = _kahan_vec(vs)
-    sum_t = _kahan_vec(thetas)
+    sum_v = _kahan(vs)
+    sum_t = _kahan(thetas)
     if server.delta == 1.0:
         # Mirrors the distribution-side combine so the two recovery paths agree
         # to rounding.
@@ -501,36 +530,24 @@ def _admm_server(server: ServerState, clients: list[ClientState], inner: InnerCo
     return (sum_v + server.rho * sum_t) / (server.delta + server.rho * server.K)
 
 
-def _kahan_vec(arrays: list[Array]) -> Array:
-    total = np.zeros_like(arrays[0])
-    carry = np.zeros_like(arrays[0])
-    for a in arrays:
-        y = a - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def fedavg_round(
     server: ServerState, clients: list[ClientState], cfg: MethodConfig, rnd: int = 0, base_seed: int = 0
 ) -> dict:
     """Local gradient steps from the broadcast point, then an N_k-weighted average."""
     theta_g = server.theta_g
+    weights = np.array([max(c.n_examples, 1) for c in clients], dtype=float)
+    weights /= weights.sum()
 
     def step(client: ClientState):
         theta = theta_g.copy()
         for _ in range(cfg.local_steps):
             theta = theta - cfg.lr * loss_grad(client.loss, theta)
-        return theta, client.v, {"converged": True}
+        return {"theta": theta}, {}
 
-    results = _map_clients(step, clients, cfg.workers)
-    for client, (theta, _, _) in zip(clients, results):
-        client.theta = theta
-    weights = np.array([max(c.n_examples, 1) for c in clients], dtype=float)
-    weights /= weights.sum()
-    server.theta_g = _kahan_vec([w * c.theta for w, c in zip(weights, clients)])
-    return {"inner_converged": True}
+    def combine(new: list[dict]) -> dict:
+        return {"theta_g": _kahan([w * f["theta"] for w, f in zip(weights, new)])}
+
+    return _round(server, clients, cfg, rnd, step, combine)
 
 
 ROUND_ENGINES = {
@@ -629,25 +646,6 @@ class RunResult:
         return len(self.records)
 
 
-def _check_finite_states(server: ServerState, clients: list[ClientState]) -> None:
-    def finite(arr) -> bool:
-        return arr is None or bool(np.all(np.isfinite(arr)))
-
-    if server.lam_g is not None and not (
-        finite(server.lam_g.m) and finite(server.lam_g.prec)
-    ):
-        raise NonFiniteUpdate("server natural parameter is non-finite")
-    if not finite(server.theta_g):
-        raise NonFiniteUpdate("server point estimate is non-finite")
-    for c in clients:
-        if c.lam is not None and not (finite(c.lam.m) and finite(c.lam.prec)):
-            raise NonFiniteUpdate(f"client {c.id} natural parameter is non-finite")
-        if c.eta is not None and not (finite(c.eta.b1) and finite(c.eta.b2)):
-            raise NonFiniteUpdate(f"client {c.id} dual is non-finite")
-        if not (finite(c.theta) and finite(c.v)):
-            raise NonFiniteUpdate(f"client {c.id} point state is non-finite")
-
-
 def run_rounds(
     server: ServerState,
     clients: list[ClientState],
@@ -664,15 +662,16 @@ def run_rounds(
     for rnd in range(n_rounds):
         try:
             info = engine(server, clients, cfg, rnd, base_seed)
-            _check_finite_states(server, clients)
-        except (ResultNotInFamily, NonPositiveServerPrecision, NonFiniteUpdate, PrecisionEscape) as exc:
-            event = first_event or {
+        except (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape) as exc:
+            event = {
                 "type": "divergence",
                 "round": rnd,
                 "method": cfg.method,
                 "reason": type(exc).__name__,
                 "detail": str(exc),
             }
+            if first_event is not None:
+                event["preceded_by"] = first_event
             return RunResult(records, True, event, server, clients)
         record = {"round": rnd, "method": cfg.method, **info}
         if metrics_fn is not None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,37 @@ delta = 1.0
 
 [inner]
 solver = conjugate
+"""
+
+
+BLOBS_INI = """
+[experiment]
+method = bayes_admm
+family = diag
+rounds = 2
+seed = 1
+
+[data]
+kind = blobs
+n_per_class = 30
+classes = 3
+d = 2
+test_seed = 9
+test_n = 20
+
+[split]
+kind = homogeneous
+k = 2
+seed = 1
+
+[hyper]
+rho = 1.0
+delta = 1.0
+
+[inner]
+ivon_steps = 20
+ivon_lr = 0.05
+ivon_batch = 8
 """
 
 
@@ -105,6 +137,23 @@ steps = 200
     assert summary["diverged"] and summary["event"]["type"] == "divergence"
 
 
+def test_ivon_admm_run_is_deterministic_across_worker_counts(tmp_path):
+    ivon = BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm")
+    parallel = ivon.replace("[experiment]\n", "[experiment]\nworkers = 2\n")
+    traces = {}
+    for name, text in (("a", ivon), ("b", ivon), ("workers2", parallel)):
+        out = tmp_path / name
+        cfg = write(tmp_path, f"{name}.ini", text)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        traces[name] = (out / "trace.jsonl").read_bytes()
+    assert traces["a"] == traces["b"]
+    rounds = {
+        name: [rec for rec in map(json.loads, trace.splitlines()) if rec["type"] == "round"]
+        for name, trace in traces.items()
+    }
+    assert len(rounds["a"]) == 2 and rounds["workers2"] == rounds["a"]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     bad = PROP2_INI.replace("rho = 0.5", "rho = 0.5\nwombat = 3")
     cfg = write(tmp_path, "bad.ini", bad)
@@ -122,13 +171,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("hyper", "damping", "0.0"),
         ("inner", "lr", "0"),
         ("experiment", "workers", "0"),
+        ("experiment", "tol_dist", "0"),
+        ("data", "d", "0"),
     ],
 )
 def test_nonpositive_config_value_rejected(tmp_path, capsys, section, key, value):
-    # Each of these once fell back to its default through ``x or default``.
-    text = PROP2_INI.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
-    if key == "delta":
-        text = text.replace("delta = 1.0\n", "")
+    # Each of these once fell back to its default through ``x or default``;
+    # ``d`` had that fallback only for blobs data.
+    text = BLOBS_INI if key == "d" else PROP2_INI
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     cfg = write(tmp_path, "bad.ini", text)
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 1

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bayesadmm.errors import PrecisionEscape
 from bayesadmm.families import (
     DualVec,
     Family,
@@ -19,6 +20,7 @@ from bayesadmm.families import (
     to_expectation,
 )
 from bayesadmm.federation import (
+    ROUND_ENGINES,
     ClientState,
     InnerConfig,
     MethodConfig,
@@ -523,6 +525,59 @@ def test_run_rounds_reports_divergence_event():
     assert result.diverged
     assert result.event["type"] == "divergence"
     assert result.event["reason"] in ("ResultNotInFamily", "PrecisionEscape")
+
+
+def test_failed_round_leaves_every_state_as_it_was():
+    # Each conjugate client solve stays in the family (precision 1 - 0.6), but
+    # with alpha = 1 the combine's precision is 1 - 2 * 0.6 < 0.
+    fam = Family.full(2)
+    c = DualVec(fam, np.array([0.1, -0.2]), 0.5 * 0.6 * np.eye(2))
+    prior = NatParam(fam, np.zeros(2), np.eye(2))
+    server, clients = init_bayes_states(
+        prior, [LinearInT(c), LinearInT(c)], [1, 1], rho=1.0, alpha_override=1.0
+    )
+    before = [(client.lam, client.eta) for client in clients]
+    result = run_rounds(server, clients, MethodConfig("bayes_admm"), 3)
+    assert result.event["reason"] == "ResultNotInFamily" and result.event["round"] == 0
+    for client, (lam, eta) in zip(clients, before):
+        assert client.lam is lam and client.eta is eta
+    assert server.lam_g is prior
+
+
+def test_non_finite_round_is_reported_and_not_committed():
+    losses = [Quadratic(np.eye(2), np.array([1.0, -1.0]), 4)] * 2
+    server, clients = init_point_states(2, losses, [4, 4], rho=1.0)
+    before = [client.theta for client in clients]
+    theta_g = server.theta_g
+    cfg = MethodConfig("fedavg", local_steps=5, lr=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_rounds(server, clients, cfg, 2)
+    assert result.event["reason"] == "NonFiniteUpdate"
+    assert result.event["detail"] == "server point estimate is non-finite"
+    assert server.theta_g is theta_g
+    assert all(client.theta is theta for client, theta in zip(clients, before))
+
+
+def test_terminal_divergence_keeps_the_earlier_metric_event(monkeypatch):
+    rng = np.random.default_rng(21)
+    losses, _ = ridge_problem(rng, 2, 2, 6)
+    prior = NatParam(Family.full(2), np.zeros(2), np.eye(2))
+    server, clients = init_bayes_states(prior, losses, [6, 6], rho=0.5)
+    engine = ROUND_ENGINES["bayes_admm"]
+
+    def failing_engine(server, clients, cfg, rnd, base_seed):
+        if rnd == 1:
+            raise PrecisionEscape("forced at round 1")
+        return engine(server, clients, cfg, rnd, base_seed)
+
+    monkeypatch.setitem(ROUND_ENGINES, "bayes_admm", failing_engine)
+    metrics_fn = lambda s, c: {"score": float("nan")}  # noqa: E731
+    result = run_rounds(server, clients, MethodConfig("bayes_admm"), 4, metrics_fn=metrics_fn)
+    assert result.diverged and result.rounds_completed == 1
+    assert result.event["reason"] == "PrecisionEscape" and result.event["round"] == 1
+    assert result.event["detail"] == "forced at round 1"
+    metric_event = result.event["preceded_by"]
+    assert metric_event["reason"] == "NonFiniteMetric" and metric_event["round"] == 0
 
 
 def test_checkpoint_roundtrip():
