@@ -188,8 +188,29 @@ def _config_hash(conf: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _data_dir() -> str:
-    return os.environ.get("BAYES_ADMM_DATA", ".")
+def _data_files(conf) -> dict[str, str]:
+    """The input files a config reads, by ``[data]`` key; generated data reads none."""
+    d = conf["data"]
+    kind = d.get("kind", "ridge")
+    if kind == "mnist":
+        data_dir = os.environ.get("BAYES_ADMM_DATA", ".")
+        return {
+            "images": d.get("images") or os.path.join(data_dir, "train-images-idx3-ubyte"),
+            "labels": d.get("labels") or os.path.join(data_dir, "train-labels-idx1-ubyte"),
+        }
+    if kind == "csv":
+        if not d.get("path"):
+            raise ConfigError("[data] csv kind needs a path")
+        return {"path": d["path"]}
+    return {}
+
+
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _build_data(conf) -> tuple[Dataset, Dataset | None, list | None]:
@@ -223,17 +244,13 @@ def _build_data(conf) -> tuple[Dataset, Dataset | None, list | None]:
         test = toy.data.subset(toy.test_indices())
         return toy.data, test, [np.asarray(i) for i in toy.client_indices]
     if kind == "mnist":
-        images = d.get("images") or os.path.join(_data_dir(), "train-images-idx3-ubyte")
-        labels = d.get("labels") or os.path.join(_data_dir(), "train-labels-idx1-ubyte")
-        train = load_idx(images, labels, _req_int(conf, "data", "limit"))
+        files = _data_files(conf)
+        train = load_idx(files["images"], files["labels"], _req_int(conf, "data", "limit"))
         if _req_bool(conf, "data", "bias"):
             train = append_bias(train)
         return train, None, None
     if kind == "csv":
-        path = d.get("path")
-        if not path:
-            raise ConfigError("[data] csv kind needs a path")
-        table = np.genfromtxt(path, delimiter=",", skip_header=1)
+        table = np.genfromtxt(_data_files(conf)["path"], delimiter=",", skip_header=1)
         x, y = table[:, :-1], table[:, -1]
         classes = int(y.max()) + 1 if np.allclose(y, y.astype(int)) and y.min() >= 0 else 0
         return Dataset(x, y, classes), None, None
@@ -401,6 +418,7 @@ def cmd_run(args) -> int:
     rounds = _int_or(conf, "experiment", "rounds", 20)
     tol_dist = _positive(conf, "experiment", "tol_dist", 1e-8)
     server, clients, cfg, oracle, test = _assemble(conf)
+    data_sha256 = {key: _file_sha256(path) for key, path in _data_files(conf).items()}
 
     def metrics_fn(s, c):
         record = metrics(s, oracle=oracle, test=test, seed=seed)
@@ -437,7 +455,9 @@ def cmd_run(args) -> int:
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     with open(os.path.join(out_dir, "checkpoint.json"), "w") as fh:
-        json.dump(checkpoint_to_jsonable(server, clients, cfg.method), fh, sort_keys=True)
+        checkpoint = checkpoint_to_jsonable(server, clients, cfg.method)
+        checkpoint.update(config=conf, config_hash=header["config_hash"], data_sha256=data_sha256)
+        json.dump(checkpoint, fh, sort_keys=True)
     if args.svg:
         metric = "dist_to_oracle" if oracle is not None else ("nll_mean" if test is not None else None)
         if metric:
@@ -494,11 +514,32 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Rebuild the losses from the checkpoint's config and data files, then check the state."""
     try:
         with open(args.checkpoint) as fh:
             data = json.load(fh)
-        server, clients, _ = checkpoint_from_jsonable(data)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {args.checkpoint!r}: {exc}") from exc
+    if not isinstance(data, dict) or "config" not in data:
+        raise CheckpointError(
+            f"checkpoint {args.checkpoint!r} has no resolved config; it predates "
+            "lean checkpoints, so rerun `bayesadmm run` to write a new one"
+        )
+    recorded = data.get("data_sha256", {})
+    for key, path in _data_files(data["config"]).items():
+        try:
+            digest = _file_sha256(path)
+        except OSError as exc:
+            raise CheckpointError(f"data file [data] {key} = {path!r}: {exc.strerror}") from exc
+        if digest != recorded.get(key):
+            raise CheckpointError(
+                f"data file [data] {key} = {path!r} has SHA-256 {digest}, "
+                f"the checkpoint recorded {recorded.get(key)}"
+            )
+    _, rebuilt, _, _, _ = _assemble(data["config"])
+    try:
+        server, clients, _ = checkpoint_from_jsonable(data, [c.loss for c in rebuilt])
+    except (ValueError, KeyError) as exc:
         raise CheckpointError(f"cannot read checkpoint {args.checkpoint!r}: {exc}") from exc
     if server.lam_g is None:
         raise CheckpointError("checkpoint has no distribution-valued server state to verify")

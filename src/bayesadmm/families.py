@@ -90,12 +90,21 @@ def _chol_solve(low: Array, rhs: Array) -> Array:
 
 
 def spd_inverse(mat: Array) -> Array:
-    inv = spd_solve(mat, np.eye(mat.shape[0]))
-    return 0.5 * (inv + inv.T)
+    return _chol_inverse(chol_spd(mat))
 
 
 def spd_logdet(mat: Array) -> float:
-    low = chol_spd(mat)
+    return _chol_logdet(chol_spd(mat))
+
+
+def _chol_inverse(low: Array) -> Array:
+    """Symmetric inverse of ``low @ low.T`` given its lower Cholesky factor."""
+    inv = _chol_solve(low, np.eye(low.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+def _chol_logdet(low: Array) -> float:
+    """``log det(low @ low.T)`` given its lower Cholesky factor."""
     return 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
@@ -444,7 +453,7 @@ def to_expectation(lam: NatParam) -> ExpParam:
         return ExpParam(lam.fam, lam.m)
     if kind == DIAG:
         return ExpParam(lam.fam, lam.m, lam.m * lam.m + 1.0 / lam.prec)
-    cov = spd_inverse(lam.prec)
+    cov = _chol_inverse(lam._chol)
     return ExpParam(lam.fam, lam.m, np.outer(lam.m, lam.m) + cov)
 
 
@@ -483,7 +492,7 @@ def log_partition(lam: NatParam) -> float:
         )
     return (
         0.5 * float(lam.m @ lam.prec @ lam.m)
-        - 0.5 * spd_logdet(lam.prec)
+        - 0.5 * _chol_logdet(lam._chol)
         + 0.5 * d * LOG_2PI
     )
 
@@ -508,14 +517,14 @@ def kl(lam_a: NatParam, lam_b: NatParam) -> float:
         return 0.5 * float(
             np.sum(ratio - np.log(ratio) - 1.0) + (lam_b.prec * dm) @ dm
         )
-    cov_a = spd_inverse(lam_a.prec)
+    cov_a = _chol_inverse(lam_a._chol)
     trace = float(np.sum(lam_b.prec * cov_a))
     return 0.5 * (
         trace
         + float(dm @ lam_b.prec @ dm)
         - d
-        + spd_logdet(lam_a.prec)
-        - spd_logdet(lam_b.prec)
+        + _chol_logdet(lam_a._chol)
+        - _chol_logdet(lam_b._chol)
     )
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    CheckpointError,
     EstimatorUnsupported,
     FamilyMismatch,
     NonFiniteUpdate,
@@ -71,9 +72,7 @@ from .losses import (
     Quadratic,
     Reparam,
     conjugate_coefficient,
-    loss_from_jsonable,
     loss_grad,
-    loss_to_jsonable,
     natural_gradient,
     scale_loss,
 )
@@ -705,6 +704,7 @@ def run_rounds(
 
 
 def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], method: str) -> dict:
+    """Server and client state; the losses are not stored, the caller rebuilds them."""
     out: dict = {"method": method, "rho": server.rho, "gamma": server.gamma, "tau": server.tau,
                  "K": server.K, "delta": server.delta}
     if server.alpha_override is not None:
@@ -717,7 +717,7 @@ def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], meth
         out["theta_g"] = server.theta_g.tolist()
     records = []
     for c in clients:
-        rec: dict = {"id": c.id, "n_examples": c.n_examples, "loss": loss_to_jsonable(c.loss)}
+        rec: dict = {"id": c.id, "n_examples": c.n_examples}
         if c.lam is not None:
             rec["lam"] = nat_to_jsonable(c.lam)
             rec["eta"] = dual_to_jsonable(c.eta)
@@ -729,7 +729,13 @@ def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], meth
     return out
 
 
-def checkpoint_from_jsonable(data: dict) -> tuple[ServerState, list[ClientState], str]:
+def checkpoint_from_jsonable(
+    data: dict, losses: list[LossSpec]
+) -> tuple[ServerState, list[ClientState], str]:
+    """Inverse of :func:`checkpoint_to_jsonable`; ``losses[i]`` is client ``i``'s loss."""
+    ids = [int(rec["id"]) for rec in data["clients"]]
+    if ids != list(range(len(losses))):
+        raise CheckpointError(f"checkpoint client ids {ids} are not the {len(losses)} rebuilt clients")
     fam = family_from_jsonable(data["family"]) if "family" in data else None
     server = ServerState(
         rho=float(data["rho"]),
@@ -744,9 +750,8 @@ def checkpoint_from_jsonable(data: dict) -> tuple[ServerState, list[ClientState]
         alpha_override=data.get("alpha_override"),
     )
     clients = []
-    for rec in data["clients"]:
-        loss = loss_from_jsonable(rec["loss"])
-        client = ClientState(int(rec["id"]), loss, int(rec["n_examples"]))
+    for i, (rec, loss) in enumerate(zip(data["clients"], losses, strict=True)):
+        client = ClientState(i, loss, int(rec["n_examples"]))
         if "lam" in rec:
             client.lam = nat_from_jsonable(fam, rec["lam"])
             client.eta = dual_from_jsonable(fam, rec["eta"])

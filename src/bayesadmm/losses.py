@@ -420,68 +420,6 @@ def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> Dua
     return DualVec(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
 
 
-def loss_to_jsonable(loss: LossSpec) -> dict:
-    if isinstance(loss, Quadratic):
-        return {
-            "kind": "quadratic",
-            "A": loss.A.tolist(),
-            "b": loss.b.tolist(),
-            "n_examples": loss.n_examples,
-        }
-    if isinstance(loss, LinearInT):
-        from .families import dual_to_jsonable, family_to_jsonable
-
-        return {
-            "kind": "linear_in_t",
-            "family": family_to_jsonable(loss.c.fam),
-            "c": dual_to_jsonable(loss.c),
-            "n_examples": loss.n_examples,
-        }
-    if isinstance(loss, Logistic):
-        return {
-            "kind": "logistic",
-            "X": loss.X.tolist(),
-            "y": loss.y.tolist(),
-            "scale": loss.scale,
-        }
-    return {
-        "kind": "multiclass_logistic",
-        "X": loss.X.tolist(),
-        "y": loss.y.tolist(),
-        "n_classes": loss.n_classes,
-        "scale": loss.scale,
-    }
-
-
-def loss_from_jsonable(data: dict) -> LossSpec:
-    kind = data["kind"]
-    if kind == "quadratic":
-        return Quadratic(
-            np.asarray(data["A"], dtype=float),
-            np.asarray(data["b"], dtype=float),
-            int(data.get("n_examples", 0)),
-        )
-    if kind == "linear_in_t":
-        from .families import dual_from_jsonable, family_from_jsonable
-
-        fam = family_from_jsonable(data["family"])
-        return LinearInT(dual_from_jsonable(fam, data["c"]), int(data.get("n_examples", 0)))
-    if kind == "logistic":
-        return Logistic(
-            np.asarray(data["X"], dtype=float),
-            np.asarray(data["y"], dtype=float),
-            float(data.get("scale", 1.0)),
-        )
-    if kind == "multiclass_logistic":
-        return MulticlassLogistic(
-            np.asarray(data["X"], dtype=float),
-            np.asarray(data["y"], dtype=int),
-            int(data["n_classes"]),
-            float(data.get("scale", 1.0)),
-        )
-    raise DimensionMismatch(f"unknown loss kind {kind!r}")
-
-
 def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:
     """Represent a T-linear loss as l = -<c, T>; raises when not representable."""
     if isinstance(loss, LinearInT):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +73,42 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def write_idx(directory, n=24, rows=2, cols=2, seed=0):
+    """An MNIST-shaped IDX image/label pair under the names the mnist kind defaults to."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(n, rows * cols), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+    with open(directory / "train-images-idx3-ubyte", "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
+        fh.write(pixels.tobytes())
+    with open(directory / "train-labels-idx1-ubyte", "wb") as fh:
+        fh.write(struct.pack(">II", 0x00000801, n))
+        fh.write(labels.tobytes())
+
+
+MNIST_BAYES_INI = """
+[experiment]
+method = bayes_admm
+family = diag
+rounds = 2
+seed = 0
+
+[data]
+kind = mnist
+limit = 20
+
+[split]
+kind = homogeneous
+k = 2
+
+[hyper]
+rho = 1.0
+
+[inner]
+steps = 50
+"""
 
 
 def test_run_prop2_reaches_tolerance_in_one_round(tmp_path, capsys):
@@ -275,8 +312,8 @@ seed = 0
 kind = outlier_toy
 
 [hyper]
-rho = 0.2
-delta = 0.2
+rho = 0.5
+delta = 1.0
 """
     cfg = write(tmp_path, "toy.ini", toy_ini)
     out = tmp_path / "out"
@@ -296,18 +333,7 @@ def test_flag_overrides_config(tmp_path):
 
 
 def test_mnist_kind_reads_idx_from_data_dir(tmp_path, monkeypatch):
-    import struct
-
-    rng = np.random.default_rng(0)
-    n, rows, cols = 24, 2, 2
-    pixels = rng.integers(0, 256, size=(n, rows * cols), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-    with open(tmp_path / "train-images-idx3-ubyte", "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-        fh.write(pixels.tobytes())
-    with open(tmp_path / "train-labels-idx1-ubyte", "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, n))
-        fh.write(labels.tobytes())
+    write_idx(tmp_path)
     monkeypatch.setenv("BAYES_ADMM_DATA", str(tmp_path))
     ini = """
 [experiment]
@@ -335,3 +361,141 @@ lr = 0.05
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rounds_completed"] == 2
+
+
+# ---------------------------------------------------------------------------
+# lean checkpoints: verify rebuilds the losses from the config and data files
+# ---------------------------------------------------------------------------
+
+
+OUTLIER_BAYES_INI = """
+[experiment]
+method = bayes_admm
+family = diag
+rounds = 2
+seed = 0
+
+[data]
+kind = outlier_toy
+
+[hyper]
+rho = 0.5
+delta = 1.0
+"""
+
+
+CSV_INI = """
+[experiment]
+method = bayes_admm
+family = full
+rounds = 2
+seed = 0
+
+[data]
+kind = csv
+path = {path}
+
+[split]
+kind = homogeneous
+k = 2
+seed = 1
+
+[hyper]
+rho = 0.5
+
+[inner]
+solver = conjugate
+"""
+
+
+def write_csv(tmp_path):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((30, 3))
+    y = x @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(30)
+    rows = ["x0,x1,x2,y"] + [",".join(f"{v:.17g}" for v in (*xi, yi)) for xi, yi in zip(x, y)]
+    return write(tmp_path, "table.csv", "\n".join(rows) + "\n")
+
+
+def run_for_verify(tmp_path, monkeypatch, kind):
+    """Run a small Bayesian config of one data kind; returns the output directory."""
+    if kind == "ridge":
+        text = PROP2_INI
+    elif kind == "blobs":
+        text = BLOBS_INI.replace("family = diag", "family = full")
+    elif kind == "outlier_toy":
+        text = OUTLIER_BAYES_INI
+    elif kind == "mnist":
+        write_idx(tmp_path)
+        monkeypatch.setenv("BAYES_ADMM_DATA", str(tmp_path))
+        text = MNIST_BAYES_INI
+    else:
+        text = CSV_INI.format(path=write_csv(tmp_path))
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, f"{kind}.ini", text), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ridge", "blobs", "outlier_toy", "mnist", "csv"])
+def test_verify_rebuilds_the_run_residuals(tmp_path, monkeypatch, capsys, kind):
+    out = run_for_verify(tmp_path, monkeypatch, kind)
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["clients"] and not any("loss" in rec for rec in checkpoint["clients"])
+    assert checkpoint["config"]["data"]["kind"] == kind
+    last = json.loads((out / "trace.jsonl").read_text().splitlines()[-1])
+    capsys.readouterr()
+    assert main(["verify", str(out / "checkpoint.json"), "--tol", "inf"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert lines
+    for line in lines:
+        name, value = line.split(": ")
+        assert value == f"{last['residual_' + name]:.3e}"
+
+
+def verify_error(capsys, out) -> str:
+    capsys.readouterr()
+    assert main(["verify", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err
+    return err
+
+
+def test_verify_rejects_a_checkpoint_without_config(tmp_path, monkeypatch, capsys):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    for key in ("config", "config_hash", "data_sha256"):
+        del data[key]
+    path.write_text(json.dumps(data))
+    assert "no resolved config" in verify_error(capsys, out)
+
+
+def test_verify_names_a_missing_data_file(tmp_path, monkeypatch, capsys):
+    out = run_for_verify(tmp_path, monkeypatch, "mnist")
+    os.remove(tmp_path / "train-labels-idx1-ubyte")
+    err = verify_error(capsys, out)
+    assert "[data] labels" in err and "No such file" in err
+
+
+def test_verify_names_a_changed_data_file(tmp_path, monkeypatch, capsys):
+    out = run_for_verify(tmp_path, monkeypatch, "mnist")
+    images = tmp_path / "train-images-idx3-ubyte"
+    raw = bytearray(images.read_bytes())
+    raw[-1] ^= 1
+    images.write_bytes(bytes(raw))
+    err = verify_error(capsys, out)
+    assert "[data] images" in err and "SHA-256" in err
+
+
+@pytest.mark.parametrize("edit", ["drop", "renumber"])
+def test_verify_rejects_client_records_that_do_not_match(tmp_path, monkeypatch, capsys, edit):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    if edit == "drop":
+        data["clients"].pop()
+        want = "checkpoint client ids [0] are not the 2 rebuilt clients"
+    else:
+        data["clients"][0]["id"] = 7
+        want = "checkpoint client ids [7, 1] are not the 2 rebuilt clients"
+    path.write_text(json.dumps(data))
+    assert want in verify_error(capsys, out)

@@ -35,6 +35,8 @@ from bayesadmm.families import (
     pair_with_stat,
     chol_spd,
     sample,
+    spd_inverse,
+    spd_logdet,
     spd_solve,
     to_expectation,
     to_natural,
@@ -476,6 +478,45 @@ def test_full_from_dual_factors_once_and_matches_two_factor_path(monkeypatch, du
     z = np.random.default_rng(3).standard_normal((5, lam.fam.dim))
     want = lam.m + solve_triangular(chol_spd(lam.prec).T, z.T, lower=False).T
     assert np.array_equal(sample(lam, 5, 3), want)
+
+
+@pytest.mark.parametrize("dual", list(full_duals()))
+def test_dual_maps_reuse_the_factor_and_match_refactoring(monkeypatch, dual):
+    lam = NatParam.from_dual(dual)
+    d = lam.fam.dim
+    other = NatParam(lam.fam, np.linspace(-1.0, 1.0, d), np.eye(d) + 0.1 * np.ones((d, d)))
+    calls = []
+    real = families.chol_spd
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(families, "chol_spd", counting)
+    kl_ab, kl_ba = kl(lam, other), kl(other, lam)
+    log_z = log_partition(lam)
+    assert calls == []
+    mu = to_expectation(lam)
+    # The one factorization left is ExpParam's moment-cone check on the covariance.
+    assert len(calls) == 1 and not np.array_equal(calls[0], lam.prec)
+    monkeypatch.undo()
+    # The expressions that factored each precision again.
+    want_m2 = ExpParam(lam.fam, lam.m, np.outer(lam.m, lam.m) + spd_inverse(lam.prec)).m2
+    assert np.array_equal(mu.m2, want_m2)
+    want_log_z = (
+        0.5 * float(lam.m @ lam.prec @ lam.m) - 0.5 * spd_logdet(lam.prec) + 0.5 * d * LOG_2PI
+    )
+    assert log_z == want_log_z
+
+    def old_kl(a, b):
+        dm = a.m - b.m
+        trace = float(np.sum(b.prec * spd_inverse(a.prec)))
+        return 0.5 * (
+            trace + float(dm @ b.prec @ dm) - d + spd_logdet(a.prec) - spd_logdet(b.prec)
+        )
+
+    assert kl_ab == old_kl(lam, other)
+    assert kl_ba == old_kl(other, lam)
 
 
 def test_cached_factor_is_outside_equality_repr_and_json():

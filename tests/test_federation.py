@@ -593,7 +593,7 @@ def test_checkpoint_roundtrip():
     cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver="von", estimator="delta"))
     bayes_admm_round(server, clients, cfg, 0)
     blob = json.dumps(checkpoint_to_jsonable(server, clients, "bayes_admm"))
-    server2, clients2, method = checkpoint_from_jsonable(json.loads(blob))
+    server2, clients2, method = checkpoint_from_jsonable(json.loads(blob), losses)
     assert method == "bayes_admm"
     assert server2.tau == pytest.approx(1.5)
     assert dual_inf_norm(nat_sub(server2.lam_g, server.lam_g)) == 0.0

@@ -16,10 +16,8 @@ from bayesadmm.losses import (
     Reparam,
     conjugate_coefficient,
     expected_moments,
-    loss_from_jsonable,
     loss_grad,
     loss_hess,
-    loss_to_jsonable,
     loss_value,
     natural_gradient,
     scale_loss,
@@ -410,12 +408,3 @@ def test_conjugate_coefficient_round_trips_quadratic():
         conjugate_coefficient(loss, Family.diag(2))  # off-diagonal A
     diag_ok = conjugate_coefficient(Quadratic(np.diag([1.0, 2.0]), b), Family.diag(2))
     assert np.allclose(diag_ok.u, [1.0, 2.0])
-
-
-def test_loss_json_roundtrip():
-    rng = np.random.default_rng(11)
-    simple, multi = make_losses(rng)
-    for loss in simple + [multi]:
-        theta = rng.standard_normal(loss.dim)
-        back = loss_from_jsonable(loss_to_jsonable(loss))
-        assert loss_value(back, theta) == pytest.approx(loss_value(loss, theta))
