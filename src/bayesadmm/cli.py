@@ -513,34 +513,44 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _server_settings(method: str, s) -> tuple:
+    """What a config fixes about a server; a checkpoint must agree with its config on it."""
+    return (method, s.rho, s.gamma, s.tau, s.K, s.delta, s.alpha_override,
+            s.fam and (s.fam.kind, s.fam.dim))
+
+
 def cmd_verify(args) -> int:
     """Rebuild the losses from the checkpoint's config and data files, then check the state."""
+    where = f"checkpoint {args.checkpoint!r}"
     try:
         with open(args.checkpoint) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {args.checkpoint!r}: {exc}") from exc
+        raise CheckpointError(f"cannot read {where}: {exc}") from exc
     if not isinstance(data, dict) or "config" not in data:
-        raise CheckpointError(
-            f"checkpoint {args.checkpoint!r} has no resolved config; it predates "
-            "lean checkpoints, so rerun `bayesadmm run` to write a new one"
-        )
-    recorded = data.get("data_sha256", {})
-    for key, path in _data_files(data["config"]).items():
-        try:
-            digest = _file_sha256(path)
-        except OSError as exc:
-            raise CheckpointError(f"data file [data] {key} = {path!r}: {exc.strerror}") from exc
-        if digest != recorded.get(key):
-            raise CheckpointError(
-                f"data file [data] {key} = {path!r} has SHA-256 {digest}, "
-                f"the checkpoint recorded {recorded.get(key)}"
-            )
-    _, rebuilt, _, _, _ = _assemble(data["config"])
+        raise CheckpointError(f"{where} has no resolved config; it predates lean checkpoints, "
+                              "so rerun `bayesadmm run` to write a new one")
+    conf = data["config"]
+    if not isinstance(conf, dict) or _config_hash(conf) != data.get("config_hash"):
+        raise CheckpointError(f"{where}: its config does not match its config_hash")
     try:
-        server, clients, _ = checkpoint_from_jsonable(data, [c.loss for c in rebuilt])
-    except (ValueError, KeyError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {args.checkpoint!r}: {exc}") from exc
+        for key, path in _data_files(conf).items():
+            try:
+                digest = _file_sha256(path)
+            except OSError as exc:
+                raise CheckpointError(f"data file [data] {key} = {path!r}: {exc.strerror}") from exc
+            if digest != data["data_sha256"].get(key):
+                raise CheckpointError(f"data file [data] {key} = {path!r} has SHA-256 {digest}, "
+                                      f"the checkpoint recorded {data['data_sha256'].get(key)}")
+        built, rebuilt, _, _, _ = _assemble(conf)
+        server, clients, method = checkpoint_from_jsonable(data, [c.loss for c in rebuilt])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"cannot read {where}: {exc!r}") from exc
+    stored = _server_settings(method, server)
+    expected = _server_settings(conf["experiment"]["method"], built)
+    if stored != expected:
+        raise CheckpointError(f"{where}: server settings {stored} disagree "
+                              f"with the ones its config builds, {expected}")
     if server.lam_g is None:
         raise CheckpointError("checkpoint has no distribution-valued server state to verify")
     report = verify_fixed_point(server, clients)

@@ -263,19 +263,6 @@ class NatParam:
         low = chol_spd(prec)
         return cls(fam, _chol_solve(low, dual.b1), prec, _chol=low)
 
-    # -- family views --------------------------------------------------------
-
-    def precision_matrix(self) -> Array:
-        """Dense precision, whatever the family."""
-        kind = self.fam.kind
-        if kind == ISOTROPIC:
-            return np.eye(self.fam.dim)
-        if kind == FIXED:
-            return np.asarray(self.fam.fixed_precision)
-        if kind == DIAG:
-            return np.diag(self.prec)
-        return np.asarray(self.prec)
-
 
 @dataclass(frozen=True)
 class ExpParam:

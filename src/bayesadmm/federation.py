@@ -750,8 +750,8 @@ def checkpoint_from_jsonable(
         alpha_override=data.get("alpha_override"),
     )
     clients = []
-    for i, (rec, loss) in enumerate(zip(data["clients"], losses, strict=True)):
-        client = ClientState(i, loss, int(rec["n_examples"]))
+    for cid, rec, loss in zip(ids, data["clients"], losses):
+        client = ClientState(cid, loss, int(rec["n_examples"]))
         if "lam" in rec:
             client.lam = nat_from_jsonable(fam, rec["lam"])
             client.eta = dual_from_jsonable(fam, rec["eta"])

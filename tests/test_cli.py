@@ -312,8 +312,8 @@ seed = 0
 kind = outlier_toy
 
 [hyper]
-rho = 0.5
-delta = 1.0
+rho = 0.2
+delta = 0.2
 """
     cfg = write(tmp_path, "toy.ini", toy_ini)
     out = tmp_path / "out"
@@ -499,3 +499,29 @@ def test_verify_rejects_client_records_that_do_not_match(tmp_path, monkeypatch, 
         want = "checkpoint client ids [7, 1] are not the 2 rebuilt clients"
     path.write_text(json.dumps(data))
     assert want in verify_error(capsys, out)
+
+
+@pytest.mark.parametrize("rehash", [False, True])
+def test_verify_rejects_a_truncated_config(tmp_path, monkeypatch, capsys, rehash):
+    from bayesadmm.cli import _config_hash
+
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    del data["config"]["experiment"]
+    if rehash:
+        data["config_hash"] = _config_hash(data["config"])
+        want = "KeyError('experiment')"
+    else:
+        want = "its config does not match its config_hash"
+    path.write_text(json.dumps(data))
+    assert want in verify_error(capsys, out)
+
+
+def test_verify_rejects_server_settings_the_config_does_not_build(tmp_path, monkeypatch, capsys):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    data["rho"] *= 2
+    path.write_text(json.dumps(data))
+    assert "disagree with the ones its config builds" in verify_error(capsys, out)
