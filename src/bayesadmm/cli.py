@@ -41,6 +41,7 @@ from .federation import (
     checkpoint_to_jsonable,
     init_bayes_states,
     init_point_states,
+    require_checkpoint_format,
     run_rounds,
     verify_fixed_point,
 )
@@ -358,12 +359,10 @@ def _sanitize(value):
     return value
 
 
-def _write_trace(path, header, records):
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"type": "header", **header}, sort_keys=True) + "\n")
-        for rec in records:
-            clean = {k: _sanitize(v) for k, v in rec.items()}
-            fh.write(json.dumps({"type": "round", **clean}, sort_keys=True) + "\n")
+def _write_line(fh, record: dict) -> None:
+    """One flushed trace line, so a run that stops keeps every line written so far."""
+    fh.write(json.dumps(record, sort_keys=True) + "\n")
+    fh.flush()
 
 
 def _write_svg(path, series: dict[str, list[float]], title: str) -> None:
@@ -427,7 +426,6 @@ def cmd_run(args) -> int:
             record.update({f"residual_{k}": v for k, v in report.as_dict().items()})
         return record
 
-    result = run_rounds(server, clients, cfg, rounds, base_seed=seed, metrics_fn=metrics_fn)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     header = {
@@ -436,7 +434,13 @@ def cmd_run(args) -> int:
         "inner_tol": _req_float(conf, "inner", "tol"),
         "version": __version__,
     }
-    _write_trace(os.path.join(out_dir, "trace.jsonl"), header, result.records)
+    with open(os.path.join(out_dir, "trace.jsonl"), "w") as trace:
+        _write_line(trace, {"type": "header", **header})
+        result = run_rounds(
+            server, clients, cfg, rounds, base_seed=seed, metrics_fn=metrics_fn,
+            on_record=lambda rec: _write_line(
+                trace, {"type": "round", **{k: _sanitize(v) for k, v in rec.items()}}),
+        )
     rounds_to_tol = None
     for rec in result.records:
         dist = rec.get("dist_to_oracle")
@@ -527,9 +531,9 @@ def cmd_verify(args) -> int:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read {where}: {exc}") from exc
-    if not isinstance(data, dict) or "config" not in data:
-        raise CheckpointError(f"{where} has no resolved config; it predates lean checkpoints, "
-                              "so rerun `bayesadmm run` to write a new one")
+    require_checkpoint_format(data)
+    if "config" not in data:
+        raise CheckpointError(f"{where} has no resolved config")
     conf = data["config"]
     if not isinstance(conf, dict) or _config_hash(conf) != data.get("config_hash"):
         raise CheckpointError(f"{where}: its config does not match its config_hash")

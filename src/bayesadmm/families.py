@@ -21,6 +21,7 @@ across threads.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -541,69 +542,72 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (named fields; matrices row-major)
+# JSON serialization (named fields; arrays through one binary-exact codec)
 # ---------------------------------------------------------------------------
+
+
+def array_to_jsonable(a: Array) -> dict:
+    """``{"dtype": "<f8", "shape", "b64"}``: little-endian float64 bytes in C order, base64."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape), "b64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def array_from_jsonable(data: dict) -> Array:
+    """Inverse of :func:`array_to_jsonable`; a writable copy, bit for bit."""
+    if not isinstance(data, dict) or data.get("dtype") != "<f8":
+        raise ValueError("expected an array encoded as {'dtype': '<f8', 'shape': ..., 'b64': ...}")
+    shape = tuple(int(n) for n in data["shape"])
+    raw = base64.b64decode(data["b64"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"array of shape {shape} needs {8 * math.prod(shape)} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def family_to_jsonable(fam: Family) -> dict:
     out = {"kind": fam.kind, "dim": fam.dim}
     if fam.kind == FIXED:
-        out["fixed_precision"] = fam.fixed_precision.tolist()
+        out["fixed_precision"] = array_to_jsonable(fam.fixed_precision)
     return out
 
 
 def family_from_jsonable(data: dict) -> Family:
     kind = data["kind"]
     if kind == FIXED:
-        return Family.fixed(np.asarray(data["fixed_precision"], dtype=float))
+        return Family.fixed(array_from_jsonable(data["fixed_precision"]))
     return Family(kind, int(data["dim"]))
 
 
 def nat_to_jsonable(lam: NatParam) -> dict:
-    out = {"m": lam.m.tolist()}
+    out = {"m": array_to_jsonable(lam.m)}
     if lam.fam.kind == DIAG:
-        out["s"] = lam.prec.tolist()
+        out["s"] = array_to_jsonable(lam.prec)
     elif lam.fam.kind == FULL:
-        out["S"] = lam.prec.tolist()
+        out["S"] = array_to_jsonable(lam.prec)
     return out
 
 
 def nat_from_jsonable(fam: Family, data: dict) -> NatParam:
-    m = np.asarray(data["m"], dtype=float)
+    m = array_from_jsonable(data["m"])
     if fam.kind == DIAG:
-        return NatParam(fam, m, np.asarray(data["s"], dtype=float))
+        return NatParam(fam, m, array_from_jsonable(data["s"]))
     if fam.kind == FULL:
-        return NatParam(fam, m, np.asarray(data["S"], dtype=float))
+        return NatParam(fam, m, array_from_jsonable(data["S"]))
     return NatParam(fam, m)
 
 
 def dual_to_jsonable(dual: DualVec) -> dict:
-    out = {"v": dual.b1.tolist()}
+    out = {"v": array_to_jsonable(dual.b1)}
     if dual.fam.kind == DIAG:
-        out["u"] = dual.u.tolist()
+        out["u"] = array_to_jsonable(dual.u)
     elif dual.fam.kind == FULL:
-        out["V"] = dual.u.tolist()
+        out["V"] = array_to_jsonable(dual.u)
     return out
 
 
 def dual_from_jsonable(fam: Family, data: dict) -> DualVec:
-    v = np.asarray(data["v"], dtype=float)
+    v = array_from_jsonable(data["v"])
     if fam.kind == DIAG:
-        return DualVec(fam, v, -0.5 * np.asarray(data["u"], dtype=float))
+        return DualVec(fam, v, -0.5 * array_from_jsonable(data["u"]))
     if fam.kind == FULL:
-        return DualVec(fam, v, -0.5 * np.asarray(data["V"], dtype=float))
+        return DualVec(fam, v, -0.5 * array_from_jsonable(data["V"]))
     return DualVec(fam, v)
-
-
-def exp_to_jsonable(mu: ExpParam) -> dict:
-    out = {"m": mu.m.tolist()}
-    if mu.fam.two_block:
-        out["m2"] = mu.m2.tolist()
-    return out
-
-
-def exp_from_jsonable(fam: Family, data: dict) -> ExpParam:
-    m = np.asarray(data["m"], dtype=float)
-    if fam.two_block:
-        return ExpParam(fam, m, np.asarray(data["m2"], dtype=float))
-    return ExpParam(fam, m)

@@ -46,6 +46,8 @@ from .families import (
     Family,
     NatParam,
     _kahan,
+    array_from_jsonable,
+    array_to_jsonable,
     dual_axpy,
     dual_from_jsonable,
     dual_inf_norm,
@@ -652,9 +654,12 @@ def run_rounds(
     n_rounds: int,
     base_seed: int = 0,
     metrics_fn=None,
-    stop_fn=None,
+    on_record=None,
 ) -> RunResult:
-    """Drive an engine for up to ``n_rounds``; divergence becomes a trace event."""
+    """Drive an engine for up to ``n_rounds``; divergence becomes a trace event.
+
+    ``on_record(record)`` is called with each round record as it is appended.
+    """
     engine = ROUND_ENGINES[cfg.method]
     records: list[dict] = []
     first_event: dict | None = None
@@ -693,8 +698,8 @@ def run_rounds(
                 }
             record.update(metric_values)
         records.append(record)
-        if stop_fn is not None and stop_fn(server, clients, record):
-            break
+        if on_record is not None:
+            on_record(record)
     return RunResult(records, first_event is not None, first_event, server, clients)
 
 
@@ -702,11 +707,15 @@ def run_rounds(
 # checkpoints
 # ---------------------------------------------------------------------------
 
+# Version of the checkpoint layout; format 2 stores every array through
+# ``families.array_to_jsonable``.  No other format is read.
+CHECKPOINT_FORMAT = 2
+
 
 def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], method: str) -> dict:
     """Server and client state; the losses are not stored, the caller rebuilds them."""
-    out: dict = {"method": method, "rho": server.rho, "gamma": server.gamma, "tau": server.tau,
-                 "K": server.K, "delta": server.delta}
+    out: dict = {"format": CHECKPOINT_FORMAT, "method": method, "rho": server.rho,
+                 "gamma": server.gamma, "tau": server.tau, "K": server.K, "delta": server.delta}
     if server.alpha_override is not None:
         out["alpha_override"] = server.alpha_override
     if server.fam is not None:
@@ -714,7 +723,7 @@ def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], meth
         out["lam_g"] = nat_to_jsonable(server.lam_g)
         out["eta0"] = dual_to_jsonable(server.eta0)
     if server.theta_g is not None:
-        out["theta_g"] = server.theta_g.tolist()
+        out["theta_g"] = array_to_jsonable(server.theta_g)
     records = []
     for c in clients:
         rec: dict = {"id": c.id, "n_examples": c.n_examples}
@@ -722,17 +731,26 @@ def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], meth
             rec["lam"] = nat_to_jsonable(c.lam)
             rec["eta"] = dual_to_jsonable(c.eta)
         if c.theta is not None:
-            rec["theta"] = c.theta.tolist()
-            rec["v"] = c.v.tolist()
+            rec["theta"] = array_to_jsonable(c.theta)
+            rec["v"] = array_to_jsonable(c.v)
         records.append(rec)
     out["clients"] = records
     return out
+
+
+def require_checkpoint_format(data: dict) -> None:
+    """Raise :class:`CheckpointError` unless ``data`` is a checkpoint of :data:`CHECKPOINT_FORMAT`."""
+    found = data.get("format") if isinstance(data, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"checkpoint format {found!r} is not {CHECKPOINT_FORMAT}, the only "
+                              "format this version reads; write a new checkpoint with this version")
 
 
 def checkpoint_from_jsonable(
     data: dict, losses: list[LossSpec]
 ) -> tuple[ServerState, list[ClientState], str]:
     """Inverse of :func:`checkpoint_to_jsonable`; ``losses[i]`` is client ``i``'s loss."""
+    require_checkpoint_format(data)
     ids = [int(rec["id"]) for rec in data["clients"]]
     if ids != list(range(len(losses))):
         raise CheckpointError(f"checkpoint client ids {ids} are not the {len(losses)} rebuilt clients")
@@ -745,7 +763,7 @@ def checkpoint_from_jsonable(
         fam=fam,
         lam_g=nat_from_jsonable(fam, data["lam_g"]) if fam else None,
         eta0=dual_from_jsonable(fam, data["eta0"]) if fam else None,
-        theta_g=np.asarray(data["theta_g"], dtype=float) if "theta_g" in data else None,
+        theta_g=array_from_jsonable(data["theta_g"]) if "theta_g" in data else None,
         delta=float(data.get("delta", 1.0)),
         alpha_override=data.get("alpha_override"),
     )
@@ -756,7 +774,7 @@ def checkpoint_from_jsonable(
             client.lam = nat_from_jsonable(fam, rec["lam"])
             client.eta = dual_from_jsonable(fam, rec["eta"])
         if "theta" in rec:
-            client.theta = np.asarray(rec["theta"], dtype=float)
-            client.v = np.asarray(rec["v"], dtype=float)
+            client.theta = array_from_jsonable(rec["theta"])
+            client.v = array_from_jsonable(rec["v"])
         clients.append(client)
     return server, clients, data.get("method", "bayes_admm")

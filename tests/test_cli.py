@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bayesadmm.cli import main
+from bayesadmm.families import array_from_jsonable
 
 
 PROP2_INI = """
@@ -525,3 +526,59 @@ def test_verify_rejects_server_settings_the_config_does_not_build(tmp_path, monk
     data["rho"] *= 2
     path.write_text(json.dumps(data))
     assert "disagree with the ones its config builds" in verify_error(capsys, out)
+
+
+def test_verify_rejects_a_list_array_checkpoint_without_a_format(tmp_path, monkeypatch, capsys):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    del data["format"]
+
+    def as_lists(node):  # the float-list arrays of the previous format
+        if isinstance(node, dict):
+            if "b64" in node:
+                return array_from_jsonable(node).tolist()
+            return {k: as_lists(v) for k, v in node.items()}
+        return [as_lists(v) for v in node] if isinstance(node, list) else node
+
+    path.write_text(json.dumps(as_lists(data)))
+    assert "checkpoint format None is not 2" in verify_error(capsys, out)
+
+
+@pytest.mark.parametrize("edit, want", [
+    ({"dtype": "<f4"}, "'<f8'"),
+    ({"shape": [3]}, "needs 24 bytes"),
+    ({"b64": "*"}, "base64"),
+], ids=["dtype", "byte-count", "base64"])
+def test_verify_rejects_a_corrupt_array(tmp_path, monkeypatch, capsys, edit, want):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    data["clients"][1]["eta"]["v"].update(edit)
+    path.write_text(json.dumps(data))
+    assert want in verify_error(capsys, out)
+
+
+def test_run_streams_the_trace_before_a_failing_metric(tmp_path, monkeypatch):
+    import bayesadmm.cli as cli
+
+    calls = []
+    real = cli.metrics
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("metric failed in round 2")
+        return real(*args, **kwargs)
+
+    cfg = write(tmp_path, "prop2.ini", PROP2_INI.replace("rounds = 3", "rounds = 5"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    calls.clear()
+    monkeypatch.setattr(cli, "metrics", failing)
+    with pytest.raises(RuntimeError, match="round 2"):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    text = (tmp_path / "out" / "trace.jsonl").read_text()
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert [line["type"] for line in lines] == ["header", "round", "round"]
+    assert [line["round"] for line in lines[1:]] == [0, 1]
+    assert (tmp_path / "full" / "trace.jsonl").read_text().startswith(text)

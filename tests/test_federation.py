@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bayesadmm.errors import PrecisionEscape
+from bayesadmm.errors import CheckpointError, PrecisionEscape
 from bayesadmm.families import (
     DualVec,
     Family,
@@ -600,3 +600,30 @@ def test_checkpoint_roundtrip():
     r1 = verify_fixed_point(server, clients, estimator=Delta())
     r2 = verify_fixed_point(server2, clients2, estimator=Delta())
     assert r1.max_residual == pytest.approx(r2.max_residual)
+
+
+def test_point_checkpoint_roundtrip_is_bit_exact():
+    rng = np.random.default_rng(3)
+    losses, _ = ridge_problem(rng, 2, 3, 10)
+    server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
+    admm_round(server, clients, MethodConfig("admm"), 0)
+    data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients, "admm")))
+    assert data["format"] == 2
+    server2, clients2, method = checkpoint_from_jsonable(data, losses)
+    assert method == "admm" and np.array_equal(server2.theta_g, server.theta_g)
+    for c, c2 in zip(clients, clients2):
+        assert np.array_equal(c2.theta, c.theta) and np.array_equal(c2.v, c.v)
+
+
+@pytest.mark.parametrize("fmt", [None, 1, 3])
+def test_checkpoint_of_another_format_is_rejected(fmt):
+    rng = np.random.default_rng(3)
+    losses, _ = ridge_problem(rng, 2, 3, 10)
+    server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
+    data = checkpoint_to_jsonable(server, clients, "admm")
+    if fmt is None:
+        del data["format"]
+    else:
+        data["format"] = fmt
+    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 2"):
+        checkpoint_from_jsonable(data, losses)
