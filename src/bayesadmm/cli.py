@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -419,12 +420,8 @@ def cmd_run(args) -> int:
     server, clients, cfg, oracle, test = _assemble(conf)
     data_sha256 = {key: _file_sha256(path) for key, path in _data_files(conf).items()}
 
-    def metrics_fn(s, c):
-        record = metrics(s, oracle=oracle, test=test, seed=seed)
-        if s.lam_g is not None:
-            report = verify_fixed_point(s, c)
-            record.update({f"residual_{k}": v for k, v in report.as_dict().items()})
-        return record
+    def verify_fn(s, c):
+        return {f"residual_{k}": v for k, v in verify_fixed_point(s, c).as_dict().items()}
 
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -437,7 +434,9 @@ def cmd_run(args) -> int:
     with open(os.path.join(out_dir, "trace.jsonl"), "w") as trace:
         _write_line(trace, {"type": "header", **header})
         result = run_rounds(
-            server, clients, cfg, rounds, base_seed=seed, metrics_fn=metrics_fn,
+            server, clients, cfg, rounds, base_seed=seed,
+            metrics_fn=lambda s, c: metrics(s, oracle=oracle, test=test, seed=seed),
+            verify_fn=verify_fn if server.lam_g is not None else None,
             on_record=lambda rec: _write_line(
                 trace, {"type": "round", **{k: _sanitize(v) for k, v in rec.items()}}),
         )
@@ -469,6 +468,11 @@ def cmd_run(args) -> int:
             vals = [v if v is not None else float("nan") for v in vals]
             _write_svg(os.path.join(out_dir, "chart.svg"), {metric: vals}, f"{cfg.method}: {metric}")
     print(json.dumps(summary, sort_keys=True))
+    if result.failed:
+        ev = result.event
+        traceback.print_exception(result.error, file=sys.stderr)
+        print(f"error: round {ev['round']} {ev['phase']}: {ev['reason']}: {ev['detail']}", file=sys.stderr)
+        return 1
     return 2 if result.diverged else 0
 
 
@@ -498,10 +502,10 @@ def cmd_sweep(args) -> int:
                     "tau": tau,
                     "alpha": 1.0 / (1.0 + rho * server.K),
                     "rounds": result.rounds_completed,
-                    "converged": not result.diverged,
+                    "converged": not (result.diverged or result.failed),
                     "dist_to_oracle": _sanitize(last.get("dist_to_oracle")),
                     "nll_mean": _sanitize(last.get("nll_mean")),
-                    "error": "",
+                    "error": result.event["reason"] if result.failed else "",
                 })
             except BayesAdmmError as exc:
                 rows.append({"rho": rho, "tau": tau, "alpha": "", "rounds": 0,

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DegenerateMoment, FamilyMismatch, NonPositivePrecision
 
@@ -51,10 +51,29 @@ def _frozen(a, dtype=float) -> Array:
     return out
 
 
+def _exactly_symmetric(mat: Array) -> bool:
+    """``mat`` equals its transpose bit for bit (so ``+0.0`` against ``-0.0`` does not)."""
+    bits = mat.view(np.uint64)
+    return bool(np.array_equal(bits, bits.T))
+
+
+def _average_transpose(mat: Array) -> Array:
+    """``0.5 * (mat + mat.T)``, C-ordered; an exactly symmetric ``mat`` is that already.
+
+    The shortcut changes no bit: ``0.5 * (a + a) == a`` for every float up to
+    about 9e307, above which the average used to overflow to inf.
+    """
+    if _exactly_symmetric(mat):
+        return np.ascontiguousarray(mat)
+    return 0.5 * (mat + mat.T)
+
+
 def _symmetrize(mat: Array, tol: float = 1e-8) -> Array:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NonPositivePrecision(f"expected a square matrix, got shape {mat.shape}")
+    if _exactly_symmetric(mat):
+        return np.ascontiguousarray(mat)
     scale = max(1.0, float(np.max(np.abs(mat))))
     if float(np.max(np.abs(mat - mat.T))) > tol * scale:
         raise NonPositivePrecision("matrix is not symmetric")
@@ -70,10 +89,9 @@ def chol_spd(mat: Array, jitter: float = 1e-10, retries: int = 3) -> Array:
     """
     mat = _symmetrize(mat)
     bump = jitter * max(float(np.trace(mat)) / mat.shape[0], 1.0)
-    eye = np.eye(mat.shape[0])
     for attempt in range(retries + 1):
         try:
-            return np.linalg.cholesky(mat if attempt == 0 else mat + bump * eye)
+            return np.linalg.cholesky(mat if attempt == 0 else mat + bump * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
             bump *= 10.0
     raise NonPositivePrecision("Cholesky failed after jitter retries")
@@ -84,10 +102,34 @@ def spd_solve(mat: Array, rhs: Array) -> Array:
     return _chol_solve(chol_spd(mat), rhs)
 
 
+_DTRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
+
+
+def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
+    """``scipy.linalg.solve_triangular(a, b, lower=lower)`` for float64 arrays.
+
+    The same LAPACK ``dtrtrs`` call with the same arguments, so the same bits,
+    and the same ``ValueError`` on non-finite input and ``LinAlgError`` on a
+    zero diagonal, without the wrapper's per-call dispatch.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if a.flags.f_contiguous:
+        x, info = _DTRTRS(a, b, lower=lower, trans=0)
+    else:
+        # dtrtrs reads Fortran order: solve the transposed system instead.
+        x, info = _DTRTRS(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _chol_solve(low: Array, rhs: Array) -> Array:
     """Solve ``(low @ low.T) @ x = rhs`` given the lower Cholesky factor."""
-    half = solve_triangular(low, rhs, lower=True)
-    return solve_triangular(low.T, half, lower=False)
+    half = _solve_triangular(low, rhs, lower=True)
+    return _solve_triangular(low.T, half, lower=False)
 
 
 def spd_inverse(mat: Array) -> Array:
@@ -241,7 +283,7 @@ class NatParam:
 
     def as_dual(self) -> "DualVec":
         b1, b2 = self.coords()
-        return DualVec(self.fam, b1, b2)
+        return _wrap(DualVec, self.fam, b1, b2)
 
     @classmethod
     def from_dual(cls, dual: "DualVec") -> "NatParam":
@@ -253,16 +295,16 @@ class NatParam:
         """
         fam = dual.fam
         if fam.kind == ISOTROPIC:
-            return cls(fam, dual.b1)
+            return _wrap(cls, fam, dual.b1)
         if fam.kind == FIXED:
-            return cls(fam, spd_solve(fam.fixed_precision, dual.b1))
+            return _wrap(cls, fam, spd_solve(fam.fixed_precision, dual.b1))
         prec = -2.0 * dual.b2
         if fam.kind == DIAG:
             if not np.all(prec > 0.0):
                 raise NonPositivePrecision("coordinate block encodes nonpositive precision")
-            return cls(fam, dual.b1 / prec, prec)
+            return _wrap(cls, fam, dual.b1 / prec, prec)
         low = chol_spd(prec)
-        return cls(fam, _chol_solve(low, dual.b1), prec, _chol=low)
+        return _wrap(cls, fam, _chol_solve(low, dual.b1), prec, low)
 
 
 @dataclass(frozen=True)
@@ -284,22 +326,29 @@ class ExpParam:
             return
         if self.m2 is None:
             raise FamilyMismatch(f"{self.fam.kind} family requires a second-moment block")
-        m2 = _frozen(self.m2)
         if self.fam.kind == DIAG:
+            m2 = _frozen(self.m2)
             if m2.shape != (self.fam.dim,):
                 raise FamilyMismatch("diag second moment must be a vector")
-            if not np.all(m2 - m * m > 0.0):
-                raise DegenerateMoment("implied variance has entries <= 0")
         else:
-            m2 = _frozen(_symmetrize(m2))
-            try:
-                chol_spd(m2 - np.outer(m, m))
-            except NonPositivePrecision as exc:
-                raise DegenerateMoment("implied covariance is not positive definite") from exc
+            m2 = _frozen(_symmetrize(self.m2))
+        _check_moment_cone(self.fam, m, m2)
         object.__setattr__(self, "m2", m2)
 
     def coords(self) -> tuple[Array, Array | None]:
         return self.m, self.m2
+
+
+def _check_moment_cone(fam: Family, m: Array, m2: Array) -> None:
+    """Raise :class:`DegenerateMoment` unless ``m2 - m m^T`` is a positive (definite) variance."""
+    if fam.kind == DIAG:
+        if not np.all(m2 - m * m > 0.0):
+            raise DegenerateMoment("implied variance has entries <= 0")
+        return
+    try:
+        chol_spd(m2 - np.outer(m, m))
+    except NonPositivePrecision as exc:
+        raise DegenerateMoment("implied covariance is not positive definite") from exc
 
 
 @dataclass(frozen=True)
@@ -326,13 +375,13 @@ class DualVec:
             return
         if self.b2 is None:
             raise FamilyMismatch(f"{self.fam.kind} family requires a second block")
-        b2 = _frozen(self.b2)
+        b2 = np.asarray(self.b2, dtype=float)
         want = (self.fam.dim,) if self.fam.kind == DIAG else (self.fam.dim, self.fam.dim)
         if b2.shape != want:
             raise FamilyMismatch(f"second block shape {b2.shape} != {want}")
         if self.fam.kind == FULL:
-            b2 = _frozen(0.5 * (b2 + b2.T))
-        object.__setattr__(self, "b2", b2)
+            b2 = _average_transpose(b2)
+        object.__setattr__(self, "b2", _frozen(b2))
 
     # Named views matching how round updates are written.
     @property
@@ -347,6 +396,26 @@ class DualVec:
         return -2.0 * self.b2
 
 
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (NatParam, ExpParam, DualVec)}
+
+
+def _wrap(cls, fam: Family, *arrays):
+    """A container around the family algebra's own results: frozen in place, not copied or rechecked.
+
+    Only for arrays this module's arithmetic has just made from valid
+    containers and that nothing else holds: their shapes, positivity and
+    exact symmetry follow from the inputs.  Everything from outside goes
+    through the public constructor, which copies and checks it.  ``arrays``
+    fill the fields after ``fam`` in order; the rest are ``None``.
+    """
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(_FIELD_NAMES[cls], (fam, *arrays, None, None)))
+    return obj
+
+
 def dual_zero(fam: Family) -> DualVec:
     if fam.two_block:
         shape = (fam.dim,) if fam.kind == DIAG else (fam.dim, fam.dim)
@@ -358,8 +427,8 @@ def dual_axpy(a: float, x: DualVec, y: DualVec) -> DualVec:
     """``a * x + y`` componentwise in the ambient layout."""
     check_same_family(x, y)
     if x.fam.two_block:
-        return DualVec(x.fam, a * x.b1 + y.b1, a * x.b2 + y.b2)
-    return DualVec(x.fam, a * x.b1 + y.b1)
+        return _wrap(DualVec, x.fam, a * x.b1 + y.b1, a * x.b2 + y.b2)
+    return _wrap(DualVec, x.fam, a * x.b1 + y.b1)
 
 
 def dual_scale(a: float, x: DualVec) -> DualVec:
@@ -375,8 +444,8 @@ def dual_sum(vecs: list[DualVec]) -> DualVec:
         check_same_family(vecs[0], v)
     b1 = _kahan([v.b1 for v in vecs])
     if fam.two_block:
-        return DualVec(fam, b1, _kahan([v.b2 for v in vecs]))
-    return DualVec(fam, b1)
+        return _wrap(DualVec, fam, b1, _kahan([v.b2 for v in vecs]))
+    return _wrap(DualVec, fam, b1)
 
 
 def _kahan(arrays: list[Array]) -> Array:
@@ -403,16 +472,16 @@ def nat_sub(lam_a: NatParam, lam_b: NatParam) -> DualVec:
     a1, a2 = lam_a.coords()
     b1, b2 = lam_b.coords()
     if lam_a.fam.two_block:
-        return DualVec(lam_a.fam, a1 - b1, a2 - b2)
-    return DualVec(lam_a.fam, a1 - b1)
+        return _wrap(DualVec, lam_a.fam, a1 - b1, a2 - b2)
+    return _wrap(DualVec, lam_a.fam, a1 - b1)
 
 
 def exp_sub(mu_a: ExpParam, mu_b: ExpParam) -> DualVec:
     """Ambient difference of expectation parameters, in the same container."""
     check_same_family(mu_a, mu_b)
     if mu_a.fam.two_block:
-        return DualVec(mu_a.fam, mu_a.m - mu_b.m, mu_a.m2 - mu_b.m2)
-    return DualVec(mu_a.fam, mu_a.m - mu_b.m)
+        return _wrap(DualVec, mu_a.fam, mu_a.m - mu_b.m, mu_a.m2 - mu_b.m2)
+    return _wrap(DualVec, mu_a.fam, mu_a.m - mu_b.m)
 
 
 def pair_with_stat(dual: DualVec, theta: Array) -> float:
@@ -438,11 +507,13 @@ def to_expectation(lam: NatParam) -> ExpParam:
     """Forward dual map: expectation parameter of ``lam``."""
     kind = lam.fam.kind
     if kind in (ISOTROPIC, FIXED):
-        return ExpParam(lam.fam, lam.m)
+        return _wrap(ExpParam, lam.fam, lam.m)
     if kind == DIAG:
-        return ExpParam(lam.fam, lam.m, lam.m * lam.m + 1.0 / lam.prec)
-    cov = _chol_inverse(lam._chol)
-    return ExpParam(lam.fam, lam.m, np.outer(lam.m, lam.m) + cov)
+        m2 = lam.m * lam.m + 1.0 / lam.prec
+    else:
+        m2 = np.outer(lam.m, lam.m) + _chol_inverse(lam._chol)
+    _check_moment_cone(lam.fam, lam.m, m2)
+    return _wrap(ExpParam, lam.fam, lam.m, m2)
 
 
 def to_natural(mu: ExpParam) -> NatParam:
@@ -538,7 +609,7 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
         return lam.m + z / np.sqrt(lam.prec)
     low = chol_spd(lam.fam.fixed_precision) if kind == FIXED else lam._chol
     # theta = m + L^-T z  gives covariance (L L^T)^-1 = S^-1.
-    return lam.m + solve_triangular(low.T, z.T, lower=False).T
+    return lam.m + _solve_triangular(low.T, z.T, lower=False).T
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    BayesAdmmError,
     CheckpointError,
     EstimatorUnsupported,
     FamilyMismatch,
@@ -641,10 +642,16 @@ class RunResult:
     event: dict | None
     server: ServerState
     clients: list[ClientState]
+    # What a metric or the verifier raised; the ``failure`` event says where.
+    error: Exception | None = None
 
     @property
     def rounds_completed(self) -> int:
         return len(self.records)
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 def run_rounds(
@@ -655,48 +662,59 @@ def run_rounds(
     base_seed: int = 0,
     metrics_fn=None,
     on_record=None,
+    verify_fn=None,
 ) -> RunResult:
     """Drive an engine for up to ``n_rounds``; divergence becomes a trace event.
 
-    ``on_record(record)`` is called with each round record as it is appended.
+    After each round, ``metrics_fn(server, clients)`` and then
+    ``verify_fn(server, clients)`` return values for its record.  If either
+    raises an exception that is not a :class:`BayesAdmmError`, the run ends
+    with a ``failure`` event naming the round, the phase (``metrics`` or
+    ``verify``) and the exception; the states stay as the engine committed
+    them.  ``on_record(record)`` is called with each round record as it is
+    appended.
     """
     engine = ROUND_ENGINES[cfg.method]
     records: list[dict] = []
     first_event: dict | None = None
+
+    def event(kind: str, reason: str, detail: str, **extra) -> dict:
+        return {"type": kind, "round": rnd, "method": cfg.method, "reason": reason, "detail": detail,
+                **extra}
+
+    def stop(last: dict, diverged: bool, error: Exception | None = None) -> RunResult:
+        if first_event is not None:
+            last["preceded_by"] = first_event
+        return RunResult(records, diverged, last, server, clients, error)
+
     for rnd in range(n_rounds):
         try:
             info = engine(server, clients, cfg, rnd, base_seed)
         except (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape) as exc:
-            event = {
-                "type": "divergence",
-                "round": rnd,
-                "method": cfg.method,
-                "reason": type(exc).__name__,
-                "detail": str(exc),
-            }
-            if first_event is not None:
-                event["preceded_by"] = first_event
-            return RunResult(records, True, event, server, clients)
+            return stop(event("divergence", type(exc).__name__, str(exc)), True)
         record = {"round": rnd, "method": cfg.method, **info}
-        if metrics_fn is not None:
-            metric_values = metrics_fn(server, clients)
-            bad = [
-                k
-                for k, val in metric_values.items()
-                if isinstance(val, float) and not math.isfinite(val)
-            ]
-            if bad and first_event is None:
-                # Non-finite metrics are a reportable divergence, but the
-                # states are still valid, so the run itself continues; only
-                # state-level failures above are terminal.
-                first_event = {
-                    "type": "divergence",
-                    "round": rnd,
-                    "method": cfg.method,
-                    "reason": "NonFiniteMetric",
-                    "detail": f"non-finite metrics: {bad}",
-                }
-            record.update(metric_values)
+        metric_values: dict = {}
+        for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
+            if fn is None:
+                continue
+            try:
+                metric_values.update(fn(server, clients))
+            except BayesAdmmError:
+                raise
+            except Exception as exc:
+                failure = event("failure", type(exc).__name__, str(exc), phase=phase)
+                return stop(failure, first_event is not None, exc)
+        bad = [
+            k
+            for k, val in metric_values.items()
+            if isinstance(val, float) and not math.isfinite(val)
+        ]
+        if bad and first_event is None:
+            # Non-finite metrics are a reportable divergence, but the
+            # states are still valid, so the run itself continues; only
+            # state-level failures above are terminal.
+            first_event = event("divergence", "NonFiniteMetric", f"non-finite metrics: {bad}")
+        record.update(metric_values)
         records.append(record)
         if on_record is not None:
             on_record(record)

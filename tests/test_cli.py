@@ -260,6 +260,21 @@ def test_sweep_grid_has_a_row_per_rho(tmp_path):
         assert cell["converged"] in ("True", "False")
 
 
+def test_sweep_cell_with_a_failing_metric_is_not_converged(tmp_path, monkeypatch):
+    import bayesadmm.cli as cli
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("metric failed")
+
+    monkeypatch.setattr(cli, "metrics", failing)
+    cfg = write(tmp_path, "prop2.ini", PROP2_INI + "\n[sweep]\nrho = 0.5\ntau = 1.0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
+    cell = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert cell["converged"] == "False" and cell["error"] == "RuntimeError"
+    assert cell["rounds"] == "0"
+
+
 def test_verify_checkpoint_paths(tmp_path):
     cfg = write(tmp_path, "prop2.ini", PROP2_INI)
     out = tmp_path / "out"
@@ -559,7 +574,13 @@ def test_verify_rejects_a_corrupt_array(tmp_path, monkeypatch, capsys, edit, wan
     assert want in verify_error(capsys, out)
 
 
-def test_run_streams_the_trace_before_a_failing_metric(tmp_path, monkeypatch):
+def committed_state(out_dir):
+    """The checkpoint without the config it was run with."""
+    data = json.loads((out_dir / "checkpoint.json").read_text())
+    return {k: v for k, v in data.items() if k not in ("config", "config_hash")}
+
+
+def test_run_streams_the_trace_before_a_failing_metric(tmp_path, monkeypatch, capsys):
     import bayesadmm.cli as cli
 
     calls = []
@@ -573,12 +594,46 @@ def test_run_streams_the_trace_before_a_failing_metric(tmp_path, monkeypatch):
 
     cfg = write(tmp_path, "prop2.ini", PROP2_INI.replace("rounds = 3", "rounds = 5"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    assert main(["run", "--config", write(tmp_path, "three.ini", PROP2_INI),
+                 "--out", str(tmp_path / "three")]) == 0
     calls.clear()
     monkeypatch.setattr(cli, "metrics", failing)
-    with pytest.raises(RuntimeError, match="round 2"):
-        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "in failing" in err
+    assert err.endswith("error: round 2 metrics: RuntimeError: metric failed in round 2\n")
     text = (tmp_path / "out" / "trace.jsonl").read_text()
     lines = [json.loads(line) for line in text.splitlines()]
     assert [line["type"] for line in lines] == ["header", "round", "round"]
     assert [line["round"] for line in lines[1:]] == [0, 1]
     assert (tmp_path / "full" / "trace.jsonl").read_text().startswith(text)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["event"] == {"type": "failure", "round": 2, "method": "bayes_admm",
+                                "phase": "metrics", "reason": "RuntimeError",
+                                "detail": "metric failed in round 2"}
+    assert summary["rounds_completed"] == 2 and not summary["diverged"]
+    assert summary["final"] == {k: v for k, v in lines[-1].items() if k != "type"}
+    # The engine committed round 2 before its metric failed.
+    assert committed_state(tmp_path / "out") == committed_state(tmp_path / "three")
+
+
+def test_run_keeps_its_record_when_verify_raises(tmp_path, monkeypatch):
+    import bayesadmm.cli as cli
+
+    def failing(*args, **kwargs):
+        raise ZeroDivisionError("verifier failed")
+
+    one = write(tmp_path, "one.ini", PROP2_INI.replace("rounds = 3", "rounds = 1"))
+    assert main(["run", "--config", one, "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(cli, "verify_fixed_point", failing)
+    cfg = write(tmp_path, "prop2.ini", PROP2_INI)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["header"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["event"] == {"type": "failure", "round": 0, "method": "bayes_admm",
+                                "phase": "verify", "reason": "ZeroDivisionError",
+                                "detail": "verifier failed"}
+    assert summary["rounds_completed"] == 0 and summary["final"] == {}
+    assert committed_state(tmp_path / "out") == committed_state(tmp_path / "one")

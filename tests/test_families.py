@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ def test_natparam_rejects_bad_precision():
         NatParam(Family.diag(2), np.zeros(2), np.array([1.0, -0.5]))
     with pytest.raises(NonPositivePrecision):
         NatParam(Family.full(2), np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    with pytest.raises(NonPositivePrecision, match="not symmetric"):
+        NatParam(Family.full(2), np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +581,147 @@ def test_array_codec_rejects_what_it_did_not_write(edit, message):
 def test_array_codec_rejects_a_list():
     with pytest.raises(ValueError, match="'<f8'"):
         array_from_jsonable([1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# the triangular solve, the symmetric shortcut, and the constructors' boundary
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want):
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype == np.float64
+        and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    )
+
+
+def lower_factors():
+    rng = np.random.default_rng(5)
+    lows = [chol_spd(random_spd(rng, d)) for d in (1, 30, 201)]
+    # The second full_duals case's precision is singular and needs a jitter retry.
+    lows += [NatParam.from_dual(dual)._chol for dual in full_duals()]
+    for low in lows:
+        yield pytest.param(low, id=f"C-d{low.shape[0]}")
+        yield pytest.param(np.asfortranarray(low), id=f"F-d{low.shape[0]}")
+
+
+@pytest.mark.parametrize("low", list(lower_factors()))
+def test_triangular_solve_matches_scipy_bit_for_bit(low):
+    d = low.shape[0]
+    rng = np.random.default_rng(d)
+    rhs_cases = [rng.standard_normal(d), rng.standard_normal((d, 3)), np.eye(d),
+                 rng.standard_normal((4, d)).T]
+    for rhs in rhs_cases:
+        for tri, lower in ((low, True), (low.T, False)):
+            assert same_bits(families._solve_triangular(tri, rhs, lower), solve_triangular(tri, rhs, lower=lower))
+        want = solve_triangular(low.T, solve_triangular(low, rhs, lower=True), lower=False)
+        assert same_bits(families._chol_solve(low, rhs), want)
+
+
+def test_triangular_solve_keeps_scipys_errors():
+    low = chol_spd(np.eye(3) + 0.5)
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = np.ones(3)
+        rhs[1] = bad
+        tri = low.copy()
+        tri[2, 0] = bad
+        cases += [(ValueError, low, rhs), (ValueError, tri, np.ones(3))]
+    singular = low.copy()
+    singular[1, 1] = 0.0
+    cases += [(np.linalg.LinAlgError, singular, np.ones(3)),
+              (np.linalg.LinAlgError, np.asfortranarray(singular), np.ones((3, 2)))]
+    for error, tri, rhs in cases:
+        with pytest.raises(error) as theirs:
+            solve_triangular(tri, rhs, lower=True)
+        with pytest.raises(error, match=f"^{re.escape(str(theirs.value))}$"):
+            families._solve_triangular(tri, rhs, True)
+
+
+def symmetric_edge_block():
+    """Exactly symmetric, with signed zeros and subnormals among its entries."""
+    b = np.random.default_rng(2).standard_normal((5, 5))
+    a = b + b.T
+    a[0, 1] = a[1, 0] = -0.0
+    a[2, 2] = -0.0
+    a[3, 3] = 0.0
+    a[3, 4] = a[4, 3] = 5e-324
+    a[0, 4] = a[4, 0] = -np.finfo(float).tiny / 4
+    return a
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_symmetric_shortcut_equals_the_average_bit_for_bit(order):
+    a = np.asarray(symmetric_edge_block(), order=order)
+    fam = Family.full(5)
+
+    def results(mat):
+        return [families._symmetrize(mat), families._average_transpose(mat),
+                DualVec(fam, np.zeros(5), mat).b2]
+
+    for got in results(a):
+        assert same_bits(got, 0.5 * (a + a.T)) and got.flags.c_contiguous
+    # +0.0 against -0.0 is not symmetric bit for bit, so it is averaged to +0.0.
+    zeros = a.copy()
+    zeros[1, 0] = 0.0
+    for got in results(zeros):
+        assert same_bits(got, 0.5 * (zeros + zeros.T)) and not np.signbit(got[0, 1])
+    # Asymmetric within tolerance: still averaged.
+    near = a.copy()
+    near[1, 2] += 1e-12
+    for got in results(near):
+        assert same_bits(got, 0.5 * (near + near.T))
+
+
+def private_results(fam):
+    """Every container the family algebra builds through its private constructor."""
+    rng = np.random.default_rng(8)
+    a, b = random_nat(rng, fam), random_nat(rng, fam)
+    mu_a, mu_b = to_expectation(a), to_expectation(b)
+    diff = nat_sub(a, b)
+    return {
+        "to_expectation": mu_a,
+        "from_dual": NatParam.from_dual(a.as_dual()),
+        "as_dual": a.as_dual(),
+        "nat_sub": diff,
+        "exp_sub": exp_sub(mu_a, mu_b),
+        "dual_axpy": dual_axpy(0.3, diff, b.as_dual()),
+        "dual_sum": dual_sum([diff, a.as_dual(), b.as_dual()]),
+    }
+
+
+ARRAY_FIELDS = {NatParam: ("m", "prec", "_chol"), ExpParam: ("m", "m2"), DualVec: ("b1", "b2")}
+
+
+@pytest.mark.parametrize("fam", all_families())
+def test_private_results_equal_the_public_constructors_bit_for_bit(fam):
+    for name, got in private_results(fam).items():
+        cls = type(got)
+        want = cls(got.fam, *(getattr(got, f) for f in ARRAY_FIELDS[cls][:2]))
+        for field_name in ARRAY_FIELDS[cls]:
+            g, w = getattr(got, field_name), getattr(want, field_name)
+            assert (g is None) == (w is None), (name, field_name)
+            if g is not None:
+                assert same_bits(g, w), (name, field_name)
+                assert g.flags.c_contiguous and not g.flags.writeable, (name, field_name)
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
+@pytest.mark.parametrize("kind", ["diag", "full"])
+def test_constructors_do_not_share_the_callers_arrays(kind, read_only):
+    fam = Family(kind, 3)
+    m = np.array([0.5, -1.0, 2.0])
+    # Exactly symmetric, so the symmetric shortcut returns the block it was given.
+    prec = np.diag([1.0, 2.0, 3.0]) + 0.25 if kind == "full" else np.array([1.0, 2.0, 3.0])
+    mom = -0.5 * prec
+    arrays = (m, prec, mom)
+    for a in arrays:
+        a.setflags(write=not read_only)
+    lam, dual = NatParam(fam, m, prec), DualVec(fam, m, mom)
+    before = [a.copy() for a in (lam.m, lam.prec, dual.b1, dual.b2)]
+    for a in arrays:
+        a.setflags(write=True)
+        a[...] = 7.0
+    after = (lam.m, lam.prec, dual.b1, dual.b2)
+    assert all(same_bits(x, y) for x, y in zip(after, before))

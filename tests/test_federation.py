@@ -580,6 +580,30 @@ def test_terminal_divergence_keeps_the_earlier_metric_event(monkeypatch):
     assert metric_event["reason"] == "NonFiniteMetric" and metric_event["round"] == 0
 
 
+
+def test_failing_verifier_ends_the_run_after_an_earlier_metric_event():
+    rng = np.random.default_rng(21)
+    losses, _ = ridge_problem(rng, 2, 2, 6)
+    prior = NatParam(Family.full(2), np.zeros(2), np.eye(2))
+    server, clients = init_bayes_states(prior, losses, [6, 6], rho=0.5)
+
+    def verify_fn(s, c):
+        if len(seen) == 2:
+            raise KeyError("residual")
+        return {"residual": float("nan")}
+
+    seen = []
+    result = run_rounds(server, clients, MethodConfig("bayes_admm"), 4,
+                        metrics_fn=lambda s, c: seen.append(s.lam_g) or {}, verify_fn=verify_fn)
+    assert result.rounds_completed == 1 and result.diverged
+    assert result.failed and isinstance(result.error, KeyError)
+    assert {k: v for k, v in result.event.items() if k != "preceded_by"} == {
+        "type": "failure", "round": 1, "method": "bayes_admm", "phase": "verify",
+        "reason": "KeyError", "detail": "'residual'"}
+    assert result.event["preceded_by"]["reason"] == "NonFiniteMetric"
+    # The state is the one round 1 committed, not round 0's.
+    assert server.lam_g is seen[1]
+
 def test_checkpoint_roundtrip():
     rng = np.random.default_rng(18)
     d, K = 2, 2
