@@ -22,11 +22,11 @@ across threads.
 from __future__ import annotations
 
 import base64
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DegenerateMoment, FamilyMismatch, NonPositivePrecision
 
@@ -102,7 +102,31 @@ def spd_solve(mat: Array, rhs: Array) -> Array:
     return _chol_solve(chol_spd(mat), rhs)
 
 
-_DTRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
+@functools.cache
+def _lapack():
+    """LAPACK ``dtrtrs`` and ``dpotri`` for float64, loaded on first use.
+
+    Importing ``scipy.linalg`` takes about a third of a second, and only the
+    ``fixed`` and ``full`` families need it.  Constructing such a
+    :class:`Family` calls this, so a run pays for the import in its setup.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    return tuple(get_lapack_funcs(("trtrs", "potri"), dtype=np.float64))
+
+
+def _require_finite(a: Array) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _lapack_result(x: Array, info: int, routine: str) -> Array:
+    """``x``, or scipy's errors for a failed LAPACK call: a zero diagonal is singular."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+    return x
 
 
 def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
@@ -112,18 +136,15 @@ def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
     and the same ``ValueError`` on non-finite input and ``LinAlgError`` on a
     zero diagonal, without the wrapper's per-call dispatch.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    _require_finite(a)
+    _require_finite(b)
+    trtrs, _ = _lapack()
     if a.flags.f_contiguous:
-        x, info = _DTRTRS(a, b, lower=lower, trans=0)
+        x, info = trtrs(a, b, lower=lower, trans=0)
     else:
         # dtrtrs reads Fortran order: solve the transposed system instead.
-        x, info = _DTRTRS(a.T, b, lower=not lower, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
+        x, info = trtrs(a.T, b, lower=not lower, trans=1)
+    return _lapack_result(x, info, "trtrs")
 
 
 def _chol_solve(low: Array, rhs: Array) -> Array:
@@ -141,9 +162,21 @@ def spd_logdet(mat: Array) -> float:
 
 
 def _chol_inverse(low: Array) -> Array:
-    """Symmetric inverse of ``low @ low.T`` given its lower Cholesky factor."""
-    inv = _chol_solve(low, np.eye(low.shape[0]))
-    return 0.5 * (inv + inv.T)
+    """Inverse of ``low @ low.T`` from its lower Cholesky factor, by LAPACK ``dpotri``.
+
+    ``dpotri`` fills one triangle.  The other is its mirror image, and both
+    are ``entry + 0.0``, so the result is symmetric bit for bit (signed zeros
+    too) and C-ordered.  Errors as in :func:`_solve_triangular`.
+    """
+    _require_finite(low)
+    # dpotri reads Fortran order, where a C-ordered ``low`` is its upper factor ``low.T``.
+    _, potri = _lapack()
+    inv, info = potri(low.T, lower=0)
+    # Transposed, the Fortran-ordered result is C-ordered with the inverse below the diagonal.
+    tri = _lapack_result(inv, info, "potri").T
+    out = np.tril(tri)
+    out += np.tril(tri, -1).T
+    return out
 
 
 def _chol_logdet(low: Array) -> float:
@@ -169,6 +202,8 @@ class Family:
             raise FamilyMismatch(f"unknown family kind {self.kind!r}")
         if self.dim < 1:
             raise FamilyMismatch("dim must be >= 1")
+        if self.kind in (FIXED, FULL):
+            _lapack()
         if self.kind == FIXED:
             if self.fixed_precision is None:
                 raise FamilyMismatch("fixed family requires fixed_precision")
@@ -309,11 +344,19 @@ class NatParam:
 
 @dataclass(frozen=True)
 class ExpParam:
-    """Expectation parameter: first moment plus raw second moment where present."""
+    """Expectation parameter: first moment plus raw second moment where present.
+
+    A two-block family also keeps the covariance in ``_cov``.  The public
+    constructor derives it as ``m2 - m m^T``; :func:`to_expectation` keeps the
+    one it built ``m2`` from, so neither the moment-cone check nor
+    :func:`to_natural` takes ``m m^T`` back out of ``m2``, which cancels
+    catastrophically once the mean dwarfs the standard deviation.
+    """
 
     fam: Family
     m: Array
     m2: Array | None = None
+    _cov: Array | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = _frozen(self.m)
@@ -330,23 +373,26 @@ class ExpParam:
             m2 = _frozen(self.m2)
             if m2.shape != (self.fam.dim,):
                 raise FamilyMismatch("diag second moment must be a vector")
+            cov = m2 - m * m
         else:
             m2 = _frozen(_symmetrize(self.m2))
-        _check_moment_cone(self.fam, m, m2)
+            cov = m2 - np.outer(m, m)
+        _check_moment_cone(self.fam, cov)
         object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "_cov", _frozen(cov))
 
     def coords(self) -> tuple[Array, Array | None]:
         return self.m, self.m2
 
 
-def _check_moment_cone(fam: Family, m: Array, m2: Array) -> None:
-    """Raise :class:`DegenerateMoment` unless ``m2 - m m^T`` is a positive (definite) variance."""
+def _check_moment_cone(fam: Family, cov: Array) -> None:
+    """Raise :class:`DegenerateMoment` unless ``cov`` is a positive (definite) variance."""
     if fam.kind == DIAG:
-        if not np.all(m2 - m * m > 0.0):
+        if not np.all(cov > 0.0):
             raise DegenerateMoment("implied variance has entries <= 0")
         return
     try:
-        chol_spd(m2 - np.outer(m, m))
+        chol_spd(cov)
     except NonPositivePrecision as exc:
         raise DegenerateMoment("implied covariance is not positive definite") from exc
 
@@ -504,31 +550,32 @@ def pair_with_stat(dual: DualVec, theta: Array) -> float:
 
 
 def to_expectation(lam: NatParam) -> ExpParam:
-    """Forward dual map: expectation parameter of ``lam``."""
+    """Forward dual map: expectation parameter of ``lam``, keeping the covariance."""
     kind = lam.fam.kind
     if kind in (ISOTROPIC, FIXED):
         return _wrap(ExpParam, lam.fam, lam.m)
     if kind == DIAG:
-        m2 = lam.m * lam.m + 1.0 / lam.prec
+        cov = 1.0 / lam.prec
+        m2 = lam.m * lam.m + cov
     else:
-        m2 = np.outer(lam.m, lam.m) + _chol_inverse(lam._chol)
-    _check_moment_cone(lam.fam, lam.m, m2)
-    return _wrap(ExpParam, lam.fam, lam.m, m2)
+        cov = _chol_inverse(lam._chol)
+        m2 = np.outer(lam.m, lam.m) + cov
+    _check_moment_cone(lam.fam, cov)
+    return _wrap(ExpParam, lam.fam, lam.m, m2, cov)
 
 
 def to_natural(mu: ExpParam) -> NatParam:
-    """Inverse dual map; raises :class:`DegenerateMoment` off the moment cone."""
+    """Inverse dual map: inverts the covariance ``mu`` keeps.
+
+    Raises :class:`DegenerateMoment` when that covariance is not positive definite.
+    """
     kind = mu.fam.kind
     if kind in (ISOTROPIC, FIXED):
         return NatParam(mu.fam, mu.m)
     if kind == DIAG:
-        var = mu.m2 - mu.m * mu.m
-        if not np.all(var > 0.0):
-            raise DegenerateMoment("implied variance has entries <= 0")
-        return NatParam(mu.fam, mu.m, 1.0 / var)
-    cov = mu.m2 - np.outer(mu.m, mu.m)
+        return NatParam(mu.fam, mu.m, 1.0 / mu._cov)
     try:
-        prec = spd_inverse(cov)
+        prec = spd_inverse(mu._cov)
     except NonPositivePrecision as exc:
         raise DegenerateMoment("implied covariance is not positive definite") from exc
     return NatParam(mu.fam, mu.m, prec)

@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     BadMagic,
@@ -45,6 +44,7 @@ from .losses import (
     LossSpec,
     MulticlassLogistic,
     Quadratic,
+    _special,
     natural_gradient,
     scale_loss,
 )
@@ -397,7 +397,7 @@ def _batch_proba(thetas: Array, ds: Dataset) -> Array:
     Works in place: fresh temporaries of this size cost more than the arithmetic.
     """
     if ds.n_classes == 2:
-        p1 = expit(thetas @ ds.X.T)
+        p1 = _special().expit(thetas @ ds.X.T)
         return np.stack([1.0 - p1, p1], axis=1)
     probs = (thetas.reshape(-1, ds.d) @ ds.X.T).reshape(len(thetas), ds.n_classes, ds.n)
     probs -= probs.max(axis=1, keepdims=True)

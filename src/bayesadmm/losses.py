@@ -11,10 +11,10 @@ Temperature enters by dividing the data loss, never the linear dual terms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logsumexp, log_expit
 
 from .errors import DimensionMismatch, EstimatorUnsupported, FamilyMismatch
 from .families import (
@@ -33,6 +33,20 @@ from .families import (
 # Draws per batch in the sampled estimators: bounds their temporaries to a
 # few DRAW_CHUNK * n * C floats.
 DRAW_CHUNK = 4096
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use.
+
+    The import takes about a third of a second, and only the binary logistic
+    loss (``expit``, ``log_expit``) and :func:`loss_value` need it.
+    Constructing a :class:`Logistic` calls this, so a run pays in its setup.
+    """
+    import scipy.special
+
+    return scipy.special
+
 
 # ---------------------------------------------------------------------------
 # loss specifications
@@ -91,6 +105,7 @@ class Logistic:
             raise DimensionMismatch("scale must be > 0")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "y", y)
+        _special()
 
     @property
     def dim(self) -> int:
@@ -170,15 +185,26 @@ def loss_value(loss: LossSpec, theta: Array) -> float:
     if isinstance(loss, Logistic):
         z = loss.X @ theta
         # -y log sigma(z) - (1-y) log sigma(-z), summed, stable via log_expit.
+        log_expit = _special().log_expit
         return float(-np.sum(loss.y * log_expit(z) + (1.0 - loss.y) * log_expit(-z))) / loss.scale
-    logits = _logits(loss, theta[None])[0]
-    logz = logsumexp(logits, axis=0)
+    logits = _logits(loss, theta[None], loss.X)[0]
+    logz = _special().logsumexp(logits, axis=0)
     n = np.arange(loss.n_examples)
     return float(np.sum(logz - logits[loss.y, n])) / loss.scale
 
 
 def loss_grad(loss: LossSpec, theta: Array) -> Array:
     return _grads(loss, _check_theta(loss, theta)[None])[0]
+
+
+def minibatch_grad(loss: Logistic | MulticlassLogistic, theta: Array, rows: Array) -> Array:
+    """Gradient at ``theta`` of the loss over the rows ``rows`` of its data alone.
+
+    Bit for bit :func:`loss_grad` of the same loss built on ``X[rows]`` and
+    ``y[rows]``, without building and checking that loss.
+    """
+    x, y = loss.X[rows], loss.y[rows]
+    return _prob_grads(loss, _probs(loss, theta[None], x), x, y)[0]
 
 
 def loss_hess(loss: LossSpec, theta: Array, diag_only: bool = False) -> Array:
@@ -197,31 +223,33 @@ def loss_hess(loss: LossSpec, theta: Array, diag_only: bool = False) -> Array:
         if c.fam.kind == DIAG:
             return hess_diag_or_full if diag_only else np.diag(hess_diag_or_full)
         return np.diag(hess_diag_or_full).copy() if diag_only else hess_diag_or_full
-    probs = _probs(loss, theta[None])
+    probs = _probs(loss, theta[None], loss.X)
     return _hess(loss, _weight_sum(loss, probs, diag_only), diag_only)
 
 
 # The logistic kernels below work on a batch of S parameter rows at once, so
 # the sampled estimators make one product with X per chunk of draws instead of
-# one per draw.  A single point is the batch of one.
+# one per draw.  A single point is the batch of one.  They take the data rows
+# ``x`` (and labels ``y``) apart from the loss, which supplies the kind, the
+# class count and the scale, so a minibatch needs no loss of its own.
 
 
-def _logits(loss: Logistic | MulticlassLogistic, thetas: Array) -> Array:
+def _logits(loss: Logistic | MulticlassLogistic, thetas: Array, x: Array) -> Array:
     """Logits at each row of ``thetas``: (S, n) binary, (S, C, n) multiclass."""
     if isinstance(loss, Logistic):
-        return thetas @ loss.X.T
-    n, d = loss.X.shape
-    return (thetas.reshape(-1, d) @ loss.X.T).reshape(len(thetas), loss.n_classes, n)
+        return thetas @ x.T
+    n, d = x.shape
+    return (thetas.reshape(-1, d) @ x.T).reshape(len(thetas), loss.n_classes, n)
 
 
-def _probs(loss: Logistic | MulticlassLogistic, thetas: Array) -> Array:
+def _probs(loss: Logistic | MulticlassLogistic, thetas: Array, x: Array) -> Array:
     """Predicted probabilities, shaped like :func:`_logits`.
 
     Works in place: fresh temporaries of this size cost more than the arithmetic.
     """
-    logits = _logits(loss, thetas)
+    logits = _logits(loss, thetas, x)
     if isinstance(loss, Logistic):
-        return expit(logits, out=logits)
+        return _special().expit(logits, out=logits)
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
@@ -237,16 +265,16 @@ def _grads(loss: LossSpec, thetas: Array) -> Array:
         if c.b2 is None:
             return np.tile(-c.b1, (len(thetas), 1))
         return -c.b1 - 2.0 * (thetas * c.b2 if c.fam.kind == DIAG else thetas @ c.b2)
-    return _prob_grads(loss, _probs(loss, thetas))
+    return _prob_grads(loss, _probs(loss, thetas, loss.X), loss.X, loss.y)
 
 
-def _prob_grads(loss: Logistic | MulticlassLogistic, probs: Array) -> Array:
-    """Gradients (S, dim) from predicted probabilities; linear in ``probs``."""
+def _prob_grads(loss: Logistic | MulticlassLogistic, probs: Array, x: Array, y: Array) -> Array:
+    """Gradients (S, dim) from predicted probabilities on rows ``x``, ``y``; linear in ``probs``."""
     if isinstance(loss, Logistic):
-        return (probs - loss.y) @ loss.X / loss.scale
+        return (probs - y) @ x / loss.scale
     resid = probs.copy()
-    resid[:, loss.y, np.arange(loss.n_examples)] -= 1.0
-    grads = resid.reshape(-1, loss.n_examples) @ loss.X  # (S*C, d), class-major
+    resid[:, y, np.arange(len(y))] -= 1.0
+    grads = resid.reshape(-1, len(y)) @ x  # (S*C, d), class-major
     return grads.reshape(len(probs), loss.dim) / loss.scale
 
 
@@ -363,11 +391,12 @@ def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Arr
         return loss_grad(loss, thetas.mean(axis=0)), loss_hess(loss, thetas[0], diag_only=diag)
     prob_sum = weight_sum = 0.0
     for chunk in _chunks(thetas):
-        probs = _probs(loss, chunk)
+        probs = _probs(loss, chunk, loss.X)
         prob_sum = prob_sum + probs.sum(axis=0)
         weight_sum = weight_sum + _weight_sum(loss, probs, diag)
     count = len(thetas)
-    return _prob_grads(loss, prob_sum[None] / count)[0], _hess(loss, weight_sum / count, diag)
+    grad = _prob_grads(loss, prob_sum[None] / count, loss.X, loss.y)[0]
+    return grad, _hess(loss, weight_sum / count, diag)
 
 
 def _analytic_moments(loss, lam, diag, estimator) -> MomentEstimate:

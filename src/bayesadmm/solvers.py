@@ -44,6 +44,7 @@ from .losses import (
     Quadratic,
     conjugate_coefficient,
     loss_grad,
+    minibatch_grad,
     natural_gradient,
     scale_loss,
 )
@@ -207,12 +208,7 @@ def _stochastic_gradient(loss: LossSpec, theta: Array, batch_size, rng) -> Array
     ):
         return loss_grad(loss, theta)
     idx = rng.choice(loss.n_examples, size=batch_size, replace=False)
-    lift = loss.n_examples / batch_size
-    if isinstance(loss, Logistic):
-        sub = Logistic(loss.X[idx], loss.y[idx], loss.scale)
-    else:
-        sub = MulticlassLogistic(loss.X[idx], loss.y[idx], loss.n_classes, loss.scale)
-    return lift * loss_grad(sub, theta)
+    return (loss.n_examples / batch_size) * minibatch_grad(loss, theta, idx)
 
 
 def _ivon_step(

@@ -637,3 +637,95 @@ def test_run_keeps_its_record_when_verify_raises(tmp_path, monkeypatch):
                                 "detail": "verifier failed"}
     assert summary["rounds_completed"] == 0 and summary["final"] == {}
     assert committed_state(tmp_path / "out") == committed_state(tmp_path / "one")
+
+
+# ---------------------------------------------------------------------------
+# dual maps that keep their covariance
+# ---------------------------------------------------------------------------
+
+
+IVON_BLOWUP_INI = """
+[experiment]
+method = ivon_admm
+family = diag
+rounds = 20
+seed = 1
+
+[data]
+kind = blobs
+n_per_class = 100
+classes = 3
+d = 40
+test_seed = 9
+test_n = 50
+
+[split]
+kind = dirichlet
+k = 10
+seed = 1
+concentration = 0.5
+
+[hyper]
+rho = 0.1
+delta = 1.0
+
+[inner]
+ivon_steps = 200
+ivon_lr = 0.1
+ivon_batch = 32
+"""
+
+
+def test_ivon_admm_blowup_is_a_reported_divergence(tmp_path, capsys):
+    # Client means reach about 6e7 at precisions near 800, where m*m + 1/s rounds
+    # to m*m, so the verifier's dual maps must not take m*m back out of m2.
+    out = tmp_path / "out"
+    code = main(["run", "--config", write(tmp_path, "blowup.ini", IVON_BLOWUP_INI), "--out", str(out)])
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    event = summary["event"]
+    assert summary["diverged"] and event["type"] == "divergence" and event["method"] == "ivon_admm"
+    assert event["reason"] and isinstance(event["round"], int)
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert len(checkpoint["clients"]) == 10
+    rounds = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()[1:]]
+    assert len(rounds) == summary["rounds_completed"] > event["round"]
+
+
+RIDGE_WIDE_INI = """
+[experiment]
+method = bayes_admm
+family = full
+rounds = 2
+seed = 3
+
+[data]
+kind = ridge
+n = 6000
+d = 200
+noise_sd = 0.3
+seed = 4
+
+[split]
+kind = homogeneous
+k = 10
+seed = 5
+
+[hyper]
+rho = 0.1
+delta = 1.0
+
+[inner]
+solver = auto
+"""
+
+
+def test_verify_passes_a_converged_wide_ridge_run(tmp_path, capsys):
+    # At this precision scale, taking m m^T back out of m2 in the inverse dual map
+    # leaves a dual_map residual near 1.8e-7, above the default tol 1e-8.
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, "wide.ini", RIDGE_WIDE_INI), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out / "checkpoint.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[3].split()[1]) < 1e-10 and lines[3].startswith("dual_map:")

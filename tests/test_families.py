@@ -639,6 +639,85 @@ def test_triangular_solve_keeps_scipys_errors():
             families._solve_triangular(tri, rhs, True)
 
 
+def inverse_factors():
+    rng = np.random.default_rng(6)
+    lows = [chol_spd(random_spd(rng, d)) for d in (1, 30, 201)]
+    # A condition number of 1e8, so the derived bound is far from trivial.
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    lows.append(chol_spd(q @ np.diag(np.geomspace(1e-4, 1e4, 30)) @ q.T))
+    # The second full_duals case's precision is singular and needs a jitter retry.
+    lows += [NatParam.from_dual(dual)._chol for dual in full_duals()]
+    return [pytest.param(low, id=f"d{low.shape[0]}-{i}") for i, low in enumerate(lows)]
+
+
+@pytest.mark.parametrize("low", inverse_factors())
+def test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound(low):
+    """``dpotri``'s inverse against the two triangular solves it replaced.
+
+    Given the factor L of A = L L^T, each way of forming A^-1 (``dpotri``:
+    L^-1 by ``dtrtri``, then L^-T L^-1; or two ``dtrtrs`` solves against I) is
+    within d * eps * cond_2(A) * ||A^-1||_2 of the exact inverse to first order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.3),
+    so the two differ by at most twice that in any entry.
+    """
+    d = low.shape[0]
+    inv = families._chol_inverse(low)
+    assert inv.flags.c_contiguous and inv.dtype == np.float64
+    assert same_bits(inv, inv.T)
+    assert same_bits(families._chol_inverse(np.asfortranarray(low)), inv)
+    solved = families._chol_solve(low, np.eye(d))
+    sing = np.linalg.svd(low @ low.T, compute_uv=False)
+    bound = 2.0 * d * np.finfo(float).eps * (sing[0] / sing[-1]) / sing[-1]
+    assert np.max(np.abs(inv - 0.5 * (solved + solved.T))) <= bound
+
+
+def test_chol_inverse_keeps_the_triangular_solves_errors():
+    low = chol_spd(np.eye(3) + 0.5)
+    singular = low.copy()
+    singular[1, 1] = 0.0
+    cases = [singular, np.asfortranarray(singular)]
+    for bad in (np.nan, np.inf, -np.inf):
+        tri = low.copy()
+        tri[2, 0] = bad
+        cases.append(tri)
+    for tri in cases:
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
+            families._chol_solve(tri, np.eye(3))
+        with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
+            families._chol_inverse(tri)
+
+
+def test_dual_maps_keep_the_covariance_they_built():
+    rng = np.random.default_rng(9)
+    lam = random_nat(rng, Family.full(4))
+    mu = to_expectation(lam)
+    assert same_bits(mu._cov, families._chol_inverse(lam._chol))
+    assert same_bits(mu.m2, np.outer(lam.m, lam.m) + mu._cov)
+    assert "_cov" not in repr(mu)
+    diag = random_nat(rng, Family.diag(4))
+    assert same_bits(to_expectation(diag)._cov, 1.0 / diag.prec)
+    # The public constructor derives the covariance from m2, as the maps used to.
+    pub = ExpParam(diag.fam, diag.m, diag.m * diag.m + 1.0 / diag.prec)
+    assert same_bits(pub._cov, pub.m2 - pub.m * pub.m)
+    assert same_bits(to_natural(pub).prec, 1.0 / pub._cov)
+
+
+@pytest.mark.parametrize("kind", ["diag", "full"])
+def test_dual_maps_do_not_cancel_a_large_mean(kind):
+    # A client state from ivon_admm's blow-up: means near 6e7, precisions near 800.
+    # m * m + 1/s rounds to m * m there, so m2 - m m^T has no variance left.
+    fam = Family(kind, 3)
+    m = np.array([6e7, -4e7, 1.0])
+    prec = np.array([800.0, 900.0, 1000.0])
+    lam = NatParam(fam, m, prec if kind == "diag" else np.diag(prec) + 10.0)
+    mu = to_expectation(lam)
+    with pytest.raises(DegenerateMoment):
+        ExpParam(fam, mu.m, mu.m2)
+    back = to_natural(mu)
+    assert same_bits(back.m, lam.m)
+    assert np.max(np.abs(back.prec - lam.prec)) <= 1e-12 * np.max(np.abs(lam.prec))
+
+
 def symmetric_edge_block():
     """Exactly symmetric, with signed zeros and subnormals among its entries."""
     b = np.random.default_rng(2).standard_normal((5, 5))

@@ -1,0 +1,79 @@
+"""Which scipy modules a process loads, each checked in a fresh interpreter.
+
+scipy is imported only where a run calls it: LAPACK when a ``fixed`` or
+``full`` family is built, ``scipy.special`` when a binary ``Logistic`` loss is.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import bayesadmm
+
+from test_cli import BLOBS_INI
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bayesadmm.__file__)))
+
+PROBE = """
+import json, sys
+import bayesadmm.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"after_import": scipy_modules()}
+inner = cli.run_rounds
+
+def run_rounds(*args, **kwargs):
+    seen["at_rounds_entry"] = scipy_modules()
+    return inner(*args, **kwargs)
+
+cli.run_rounds = run_rounds
+if len(sys.argv) > 1:
+    seen["code"] = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+    seen["after_run"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def probe(*args) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", PROBE, *args], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def run_probe(tmp_path, text) -> dict:
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    seen = probe(str(cfg), str(tmp_path / "out"))
+    assert seen["code"] == 0
+    return seen
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert probe()["after_import"] == []
+
+
+def test_a_diag_ivon_admm_run_loads_no_scipy(tmp_path):
+    seen = run_probe(tmp_path, BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm"))
+    assert seen["at_rounds_entry"] == [] and seen["after_run"] == []
+
+
+def test_a_full_family_run_loads_lapack_in_setup_and_never_scipy_special(tmp_path):
+    seen = run_probe(tmp_path, BLOBS_INI.replace("family = diag", "family = full"))
+    assert "scipy.linalg" in seen["at_rounds_entry"]
+    assert not any(m.startswith("scipy.special") for m in seen["after_run"])
+
+
+def test_a_binary_logistic_loss_loads_scipy_special_when_built():
+    code = ("import sys, numpy as np\n"
+            "from bayesadmm.losses import Logistic\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "Logistic(np.ones((2, 1)), np.array([0.0, 1.0]))\n"
+            "print(before, 'scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=300).stdout
+    assert out.split() == ["False", "True"]

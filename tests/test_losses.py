@@ -408,3 +408,46 @@ def test_conjugate_coefficient_round_trips_quadratic():
         conjugate_coefficient(loss, Family.diag(2))  # off-diagonal A
     diag_ok = conjugate_coefficient(Quadratic(np.diag([1.0, 2.0]), b), Family.diag(2))
     assert np.allclose(diag_ok.u, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# minibatches and the scipy.special kernels
+# ---------------------------------------------------------------------------
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_minibatch_grad_equals_the_subset_loss_bit_for_bit(multiclass):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((40, 5))
+    if multiclass:
+        loss = MulticlassLogistic(x, rng.integers(0, 4, 40), 4, scale=2.5)
+    else:
+        loss = Logistic(x, (rng.random(40) < 0.5).astype(float), scale=2.5)
+    theta = rng.standard_normal(loss.dim)
+    for rows in (rng.choice(40, size=8, replace=False), np.arange(40), np.array([3])):
+        sub = (MulticlassLogistic(x[rows], loss.y[rows], 4, 2.5) if multiclass
+               else Logistic(x[rows], loss.y[rows], 2.5))
+        assert np.array_equal(bits(losses_mod.minibatch_grad(loss, theta, rows)),
+                              bits(loss_grad(sub, theta)))
+
+
+def test_binary_kernels_equal_scipy_special_bit_for_bit():
+    from scipy.special import log_expit, logsumexp
+
+    rng = np.random.default_rng(15)
+    x = 6.0 * rng.standard_normal((50, 4))
+    loss = Logistic(x, (rng.random(50) < 0.5).astype(float), scale=3.0)
+    thetas = rng.standard_normal((7, 4))
+    assert np.array_equal(bits(losses_mod._probs(loss, thetas, loss.X)), bits(expit(thetas @ x.T)))
+    z = x @ thetas[0]
+    want = float(-np.sum(loss.y * log_expit(z) + (1.0 - loss.y) * log_expit(-z))) / 3.0
+    assert loss_value(loss, thetas[0]) == want
+    multi = MulticlassLogistic(x, rng.integers(0, 3, 50), 3)
+    theta = rng.standard_normal(multi.dim)
+    logits = theta.reshape(3, 4) @ x.T
+    want = float(np.sum(logsumexp(logits, axis=0) - logits[multi.y, np.arange(50)]))
+    assert loss_value(multi, theta) == want
