@@ -5,16 +5,23 @@ override file values.  Every run writes a JSON-lines trace whose header embeds
 the fully-resolved configuration and its hash, so any chart or table is
 reproducible from config + seed alone.
 
-Sections and keys::
+Sections and keys (``_TABLE`` gives each one's type, default and allowed values)::
 
-    [experiment] method family rounds seed workers tol_dist
-    [data]       kind (ridge|blobs|outlier_toy|mnist|csv) + kind-specific keys
-    [split]      kind (homogeneous|class_partition|dirichlet) K seed
+    [experiment] method family rounds seed workers tol_dist delta_method
+    [data]       kind (ridge|blobs|outlier_toy|mnist|csv) seed n d noise_sd
+                 n_per_class classes spread radius center bias test_seed test_n
+                 images labels limit path
+    [split]      kind (homogeneous|class_partition|dirichlet) k seed
                  assignments (e.g. 0,1|2,3|4,5|6,7|8,9) concentration
     [hyper]      rho gamma tau delta damping alpha
-    [inner]      solver steps beta tol estimator mc_count lr
+    [inner]      solver steps beta tol estimator mc_count lr local_steps
                  ivon_steps ivon_lr ivon_beta1 ivon_beta2 ivon_h0 ivon_batch
     [sweep]      rho tau (comma-separated grids)
+
+A missing key takes its default.  An empty value means "unset" for gamma,
+alpha, lr, ivon_batch, test_seed, assignments, images, labels and path, and
+is a config error anywhere else.  Every value is checked before a run writes
+anything.
 
 Exit codes: 0 completed, 2 completed with a reported divergence, 1 error.
 """
@@ -24,11 +31,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import traceback
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from . import __version__
 from .errors import BayesAdmmError, CheckpointError, ConfigError
 from .families import Family, NatParam
 from .federation import (
+    METHODS,
     InnerConfig,
     MethodConfig,
     checkpoint_from_jsonable,
@@ -62,122 +72,151 @@ from .harness import (
 )
 from .solvers import IvonConfig
 
-_SECTION_KEYS = {
-    "experiment": {"method", "family", "rounds", "seed", "workers", "tol_dist", "delta_method"},
-    "data": {
-        "kind", "n", "d", "noise_sd", "seed", "n_per_class", "classes", "spread",
-        "radius", "center", "bias", "images", "labels", "limit", "path",
-        "test_seed", "test_n",
-    },
-    "split": {"kind", "k", "seed", "assignments", "concentration"},
-    "hyper": {"rho", "gamma", "tau", "delta", "damping", "alpha"},
-    "inner": {
-        "solver", "steps", "beta", "tol", "estimator", "mc_count", "lr",
-        "ivon_steps", "ivon_lr", "ivon_beta1", "ivon_beta2", "ivon_h0", "ivon_batch",
-        "local_steps",
-    },
-    "sweep": {"rho", "tau"},
-}
 
-_DEFAULTS = {
-    "experiment": {
-        "method": "bayes_admm", "family": "full", "rounds": "20", "seed": "0",
-        "workers": "1", "tol_dist": "1e-8", "delta_method": "false",
-    },
-    "data": {"kind": "ridge", "n": "100", "d": "10", "noise_sd": "0.3", "seed": "0",
-             "n_per_class": "100", "classes": "10", "spread": "0.6", "radius": "2.0",
-             "center": "4.0", "bias": "true", "limit": "5000", "test_seed": "",
-             "test_n": "50"},
-    "split": {"kind": "homogeneous", "k": "2", "seed": "0",
-              "assignments": "", "concentration": "1.0"},
-    "hyper": {"rho": "0.5", "gamma": "", "tau": "1.0", "delta": "1.0",
-              "damping": "1.0", "alpha": ""},
-    "inner": {"solver": "auto", "steps": "500", "beta": "0.5", "tol": "1e-8",
-              "estimator": "auto", "mc_count": "64", "lr": "",
-              "ivon_steps": "1000", "ivon_lr": "0.1", "ivon_beta1": "0.9",
-              "ivon_beta2": "0.99999", "ivon_h0": "0.1", "ivon_batch": "",
-              "local_steps": "10"},
-}
+def _bool(raw: str) -> bool:
+    raw = raw.strip().lower()
+    if raw in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return raw in ("1", "true", "yes", "on")
+    raise ValueError(raw)
 
 
-def _load_config(path: str | None) -> dict[str, dict[str, str]]:
-    conf = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
-    conf["sweep"] = {}
-    if path is None:
-        return conf
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-            conf.setdefault(section, {})[key] = value
-    return conf
+def _groups(raw: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(c) for c in grp.split(",")) for grp in raw.split("|"))
 
 
-def _override(conf, args) -> None:
-    pairs = [
-        ("experiment", "seed", args.seed),
-        ("experiment", "rounds", args.rounds),
-        ("experiment", "method", args.method),
-        ("experiment", "family", args.family),
-        ("hyper", "rho", args.rho),
-        ("hyper", "gamma", args.gamma),
-        ("hyper", "tau", args.tau),
-        ("hyper", "delta", args.delta),
-        ("hyper", "damping", args.damping),
-    ]
-    for section, key, value in pairs:
-        if value is not None:
-            conf[section][key] = str(value)
+_WHAT = {int: "an integer", float: "a number", _bool: "a boolean",
+         _groups: "class groups such as 0,1|2,3"}
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_UNIT = (lambda v: 0 < v <= 1, "in (0, 1]")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 
 
-def _req_float(conf, section, key):
-    raw = conf[section].get(key, "")
-    if raw == "":
+def _one_of(*names):
+    return (lambda v: v in names, "one of " + "|".join(names))
+
+
+# One entry per config key.  ``default`` is the string a missing key resolves
+# to; "" and None (no default, key absent unless given) mean an empty value is
+# "unset" (None), while any other key rejects an empty value.  ``check`` is
+# (predicate, description) on the parsed value; ``flag`` overrides the key.
+_Key = namedtuple("_Key", "section key parser default check flag", defaults=(None, None))
+_TABLE = (
+    _Key("experiment", "method", str, "bayes_admm", _one_of(*METHODS), "--method"),
+    _Key("experiment", "family", str, "full", _one_of("isotropic", "diag", "full"), "--family"),
+    _Key("experiment", "rounds", int, "20", _NONNEGATIVE, "--rounds"),
+    _Key("experiment", "seed", int, "0", _NONNEGATIVE, "--seed"),
+    _Key("experiment", "workers", int, "1", _POSITIVE),
+    _Key("experiment", "tol_dist", float, "1e-8", _POSITIVE),
+    _Key("experiment", "delta_method", _bool, "false"),
+    _Key("data", "kind", str, "ridge", _one_of("ridge", "blobs", "outlier_toy", "mnist", "csv")),
+    _Key("data", "seed", int, "0", _NONNEGATIVE),
+    _Key("data", "n", int, "100", _POSITIVE),
+    _Key("data", "d", int, "10", _POSITIVE),
+    _Key("data", "noise_sd", float, "0.3", _NONNEGATIVE),
+    _Key("data", "n_per_class", int, "100", _POSITIVE),
+    _Key("data", "classes", int, "10", _POSITIVE),
+    _Key("data", "spread", float, "0.6", _NONNEGATIVE),
+    _Key("data", "radius", float, "2.0"),
+    _Key("data", "center", float, "4.0"),
+    _Key("data", "bias", _bool, "true"),
+    _Key("data", "test_seed", int, "", _NONNEGATIVE),
+    _Key("data", "test_n", int, "50", _POSITIVE),
+    _Key("data", "images", str, None),
+    _Key("data", "labels", str, None),
+    _Key("data", "limit", int, "5000", _POSITIVE),
+    _Key("data", "path", str, None),
+    _Key("split", "kind", str, "homogeneous", _one_of("homogeneous", "class_partition", "dirichlet")),
+    _Key("split", "k", int, "2", _POSITIVE),
+    _Key("split", "seed", int, "0", _NONNEGATIVE),
+    _Key("split", "assignments", _groups, ""),
+    _Key("split", "concentration", float, "1.0", _POSITIVE),
+    _Key("hyper", "rho", float, "0.5", _POSITIVE, "--rho"),
+    _Key("hyper", "gamma", float, "", _POSITIVE, "--gamma"),
+    _Key("hyper", "tau", float, "1.0", _POSITIVE, "--tau"),
+    _Key("hyper", "delta", float, "1.0", _POSITIVE, "--delta"),
+    _Key("hyper", "damping", float, "1.0", _UNIT, "--damping"),
+    _Key("hyper", "alpha", float, ""),
+    _Key("inner", "solver", str, "auto", _one_of("auto", "conjugate", "von", "prox", "ivon")),
+    _Key("inner", "steps", int, "500", _NONNEGATIVE),
+    _Key("inner", "beta", float, "0.5", _UNIT),
+    _Key("inner", "tol", float, "1e-8", _NONNEGATIVE),
+    _Key("inner", "estimator", str, "auto", _one_of("auto", "analytic", "delta", "mc", "reparam")),
+    _Key("inner", "mc_count", int, "64", _POSITIVE),
+    _Key("inner", "lr", float, "", _POSITIVE),
+    _Key("inner", "local_steps", int, "10", _NONNEGATIVE),
+    _Key("inner", "ivon_steps", int, "1000", _NONNEGATIVE),
+    _Key("inner", "ivon_lr", float, "0.1", _POSITIVE),
+    _Key("inner", "ivon_beta1", float, "0.9", _OPEN_UNIT),
+    _Key("inner", "ivon_beta2", float, "0.99999", _OPEN_UNIT),
+    _Key("inner", "ivon_h0", float, "0.1", _NONNEGATIVE),
+    _Key("inner", "ivon_batch", int, "", _POSITIVE),
+    # Comma-separated grids; each item is read as the [hyper] key of that name.
+    _Key("sweep", "rho", None, None),
+    _Key("sweep", "tau", None, None),
+)
+_ENTRY = {(k.section, k.key): k for k in _TABLE}
+
+
+def _value(entry: _Key, raw: str | None, section: str | None = None):
+    """``raw`` parsed and checked by ``entry``; None when it is unset."""
+    where = f"[{section or entry.section}] {entry.key}"
+    if raw is None or (raw == "" and entry.default in ("", None)):
         return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-
-
-def _req_int(conf, section, key):
-    raw = conf[section].get(key, "")
     if raw == "":
-        return None
+        raise ConfigError(f"{where}: empty value; leave the key out to take its default")
     try:
-        return int(raw)
+        value = entry.parser(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
-
-
-def _int_or(conf, section, key, default):
-    value = _req_int(conf, section, key)
-    return default if value is None else value
-
-
-def _positive(conf, section, key, default, read=_req_float):
-    """A value > 0, or ``default`` when the key is empty; zero or less is a ConfigError."""
-    value = read(conf, section, key)
-    if value is None:
-        return default
-    if not value > 0:
-        raise ConfigError(f"[{section}] {key}: must be > 0, got {value!r}")
+        raise ConfigError(f"{where}: not {_WHAT[entry.parser]}: {raw!r}") from exc
+    if entry.check is not None and not entry.check[0](value):
+        raise ConfigError(f"{where}: must be {entry.check[1]}, got {value!r}")
     return value
 
 
-def _req_bool(conf, section, key):
-    raw = conf[section].get(key, "false").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off", ""):
-        return False
-    raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+def _resolve(conf: dict) -> dict:
+    """Typed values of a resolved string config.  Nothing is filled in: a
+    missing section, or a missing key that has a default, is a KeyError."""
+    typed: dict = {k.section: {} for k in _TABLE}
+    for k in _TABLE:
+        raw = conf[k.section][k.key] if k.default is not None else conf[k.section].get(k.key)
+        if k.section == "sweep":
+            item = _ENTRY["hyper", k.key]
+            typed["sweep"][k.key] = None if raw is None else [
+                _value(item, x, "sweep") for x in raw.split(",")]
+        else:
+            typed[k.section][k.key] = _value(k, raw)
+    if typed["data"]["kind"] == "csv" and typed["data"]["path"] is None:
+        raise ConfigError("[data] csv kind needs a path")
+    if typed["split"]["kind"] == "class_partition" and typed["split"]["assignments"] is None:
+        raise ConfigError("[split] class_partition needs assignments")
+    return typed
+
+
+def _configure(args) -> tuple[dict, dict]:
+    """Defaults, ``--config`` and flags as resolved strings (what the trace and checkpoint
+    store; a flag as ``str(int(x))`` or ``str(float(x))``) and as typed values."""
+    conf: dict = {k.section: {} for k in _TABLE}
+    for k in _TABLE:
+        if k.default is not None:
+            conf[k.section][k.key] = k.default
+    path = args.config
+    if path is not None:
+        parser = configparser.ConfigParser()
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        for section in parser.sections():
+            if section not in conf:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            for key, value in parser.items(section):
+                if (section, key) not in _ENTRY:
+                    raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+                conf[section][key] = value
+    for k in _TABLE:
+        if k.flag and getattr(args, k.key) is not None:
+            conf[k.section][k.key] = str(getattr(args, k.key))
+    return conf, _resolve(conf)
 
 
 def _config_hash(conf: dict) -> str:
@@ -190,19 +229,16 @@ def _config_hash(conf: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _data_files(conf) -> dict[str, str]:
+def _data_files(c) -> dict[str, str]:
     """The input files a config reads, by ``[data]`` key; generated data reads none."""
-    d = conf["data"]
-    kind = d.get("kind", "ridge")
-    if kind == "mnist":
+    d = c["data"]
+    if d["kind"] == "mnist":
         data_dir = os.environ.get("BAYES_ADMM_DATA", ".")
         return {
-            "images": d.get("images") or os.path.join(data_dir, "train-images-idx3-ubyte"),
-            "labels": d.get("labels") or os.path.join(data_dir, "train-labels-idx1-ubyte"),
+            "images": d["images"] or os.path.join(data_dir, "train-images-idx3-ubyte"),
+            "labels": d["labels"] or os.path.join(data_dir, "train-labels-idx1-ubyte"),
         }
-    if kind == "csv":
-        if not d.get("path"):
-            raise ConfigError("[data] csv kind needs a path")
+    if d["kind"] == "csv":
         return {"path": d["path"]}
     return {}
 
@@ -215,29 +251,20 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _build_data(conf) -> tuple[Dataset, Dataset | None, list | None]:
+def _build_data(c) -> tuple[Dataset, Dataset | None, list | None]:
     """Returns (train, test-or-None, explicit-shard-indices-or-None)."""
-    d = conf["data"]
-    kind = d.get("kind", "ridge")
-    seed = _req_int(conf, "data", "seed") or 0
+    d = c["data"]
+    kind, seed = d["kind"], d["seed"]
     if kind == "ridge":
-        train = gen_ridge(_req_int(conf, "data", "n"), _req_int(conf, "data", "d"),
-                          _req_float(conf, "data", "noise_sd"), seed)
-        return train, None, None
+        return gen_ridge(d["n"], d["d"], d["noise_sd"], seed), None, None
     if kind == "blobs":
-        kw = dict(
-            n_classes=_req_int(conf, "data", "classes"),
-            d=_positive(conf, "data", "d", 2, read=_req_int),
-            spread=_req_float(conf, "data", "spread"),
-            radius=_req_float(conf, "data", "radius"),
-            center=_req_float(conf, "data", "center"),
-        )
-        train = gen_blobs(_req_int(conf, "data", "n_per_class"), seed=seed, **kw)
+        kw = dict(n_classes=d["classes"], d=d["d"], spread=d["spread"],
+                  radius=d["radius"], center=d["center"])
+        train = gen_blobs(d["n_per_class"], seed=seed, **kw)
         test = None
-        if d.get("test_seed", "") != "":
-            test = gen_blobs(_req_int(conf, "data", "test_n"),
-                             seed=_req_int(conf, "data", "test_seed"), **kw)
-        if _req_bool(conf, "data", "bias"):
+        if d["test_seed"] is not None:
+            test = gen_blobs(d["test_n"], seed=d["test_seed"], **kw)
+        if d["bias"]:
             train = append_bias(train)
             test = append_bias(test) if test is not None else None
         return train, test, None
@@ -246,112 +273,79 @@ def _build_data(conf) -> tuple[Dataset, Dataset | None, list | None]:
         test = toy.data.subset(toy.test_indices())
         return toy.data, test, [np.asarray(i) for i in toy.client_indices]
     if kind == "mnist":
-        files = _data_files(conf)
-        train = load_idx(files["images"], files["labels"], _req_int(conf, "data", "limit"))
-        if _req_bool(conf, "data", "bias"):
-            train = append_bias(train)
-        return train, None, None
-    if kind == "csv":
-        table = np.genfromtxt(_data_files(conf)["path"], delimiter=",", skip_header=1)
-        x, y = table[:, :-1], table[:, -1]
-        classes = int(y.max()) + 1 if np.allclose(y, y.astype(int)) and y.min() >= 0 else 0
-        return Dataset(x, y, classes), None, None
-    raise ConfigError(f"[data] unknown kind {kind!r}")
+        files = _data_files(c)
+        train = load_idx(files["images"], files["labels"], d["limit"])
+        return (append_bias(train) if d["bias"] else train), None, None
+    table = np.genfromtxt(_data_files(c)["path"], delimiter=",", skip_header=1)
+    x, y = table[:, :-1], table[:, -1]
+    classes = int(y.max()) + 1 if np.allclose(y, y.astype(int)) and y.min() >= 0 else 0
+    return Dataset(x, y, classes), None, None
 
 
-def _build_plan(conf, ds: Dataset) -> SplitPlan:
-    s = conf["split"]
-    kind = s.get("kind", "homogeneous")
-    k = _req_int(conf, "split", "k")
-    seed = _req_int(conf, "split", "seed") or 0
-    if kind == "class_partition":
-        raw = s.get("assignments", "")
-        if not raw:
-            raise ConfigError("[split] class_partition needs assignments")
-        groups = tuple(tuple(int(c) for c in grp.split(",")) for grp in raw.split("|"))
-        return SplitPlan(kind, len(groups), seed, assignments=groups)
-    if kind == "dirichlet":
-        return SplitPlan(kind, k, seed, concentration=_req_float(conf, "split", "concentration"))
-    return SplitPlan("homogeneous", k, seed)
+def _build_plan(c) -> SplitPlan:
+    s = c["split"]
+    if s["kind"] == "class_partition":
+        return SplitPlan(s["kind"], len(s["assignments"]), s["seed"], assignments=s["assignments"])
+    return SplitPlan(s["kind"], s["k"], s["seed"], concentration=s["concentration"])
 
 
-def _family(name: str, dim: int, delta: float) -> tuple[Family, NatParam]:
+def _prior(name: str, dim: int, delta: float) -> NatParam:
     if name == "isotropic":
-        fam = Family.isotropic(dim)
-        return fam, NatParam(fam, np.zeros(dim))
+        return NatParam(Family.isotropic(dim), np.zeros(dim))
     if name == "diag":
-        fam = Family.diag(dim)
-        return fam, NatParam(fam, np.zeros(dim), delta * np.ones(dim))
-    if name == "full":
-        fam = Family.full(dim)
-        return fam, NatParam(fam, np.zeros(dim), delta * np.eye(dim))
-    raise ConfigError(f"unknown family {name!r}")
+        return NatParam(Family.diag(dim), np.zeros(dim), delta * np.ones(dim))
+    return NatParam(Family.full(dim), np.zeros(dim), delta * np.eye(dim))
 
 
-def _inner_config(conf) -> InnerConfig:
-    i = conf["inner"]
-    batch = _req_int(conf, "inner", "ivon_batch")
-    ivon = IvonConfig(
-        steps=_req_int(conf, "inner", "ivon_steps"),
-        lr=_req_float(conf, "inner", "ivon_lr"),
-        beta1=_req_float(conf, "inner", "ivon_beta1"),
-        beta2=_req_float(conf, "inner", "ivon_beta2"),
-        h0=_req_float(conf, "inner", "ivon_h0"),
-        batch_size=batch,
-    )
-    return InnerConfig(
-        solver=i.get("solver", "auto"),
-        steps=_req_int(conf, "inner", "steps"),
-        beta=_req_float(conf, "inner", "beta"),
-        tol=_req_float(conf, "inner", "tol"),
-        lr=_req_float(conf, "inner", "lr"),
-        estimator=i.get("estimator", "auto"),
-        mc_count=_req_int(conf, "inner", "mc_count"),
-        ivon=ivon,
-    )
+_Setup = namedtuple("_Setup", "server clients cfg oracle test")
 
 
-def _assemble(conf):
-    """Build (server, clients, method_cfg, oracle, test, extras) from a config."""
-    train, test, explicit = _build_data(conf)
+def _assemble(c) -> _Setup:
+    """The states, method config, oracle (ridge only) and test set a typed config builds."""
+    train, test, explicit = _build_data(c)
     if explicit is not None:
         shards = [train.subset(idx) for idx in explicit]
     else:
-        shards = split(train, _build_plan(conf, train))
-    method = conf["experiment"]["method"]
-    family_name = conf["experiment"]["family"]
-    rho = _req_float(conf, "hyper", "rho")
-    gamma = _req_float(conf, "hyper", "gamma")
-    tau = _positive(conf, "hyper", "tau", 1.0)
-    delta = _positive(conf, "hyper", "delta", 1.0)
-    alpha = _req_float(conf, "hyper", "alpha")
+        shards = split(train, _build_plan(c))
+    h = c["hyper"]
     if train.n_classes:
         losses = classification_losses(shards, train.n_classes)
         oracle = None
     else:
         losses = ridge_losses(shards)
-        oracle = conjugate_oracle(delta, shards)
+        oracle = conjugate_oracle(h["delta"], shards)
     ns = [s.n for s in shards]
     dim = losses[0].dim
-    inner = _inner_config(conf)
-    cfg = MethodConfig(
-        method,
-        inner=inner,
-        delta_method=_req_bool(conf, "experiment", "delta_method"),
-        damping=_positive(conf, "hyper", "damping", 1.0),
-        local_steps=_int_or(conf, "inner", "local_steps", 10),
-        lr=_positive(conf, "inner", "lr", 0.1),
-        workers=_positive(conf, "experiment", "workers", 1, read=_req_int),
-    )
-    if method in ("admm", "fedavg"):
-        server, clients = init_point_states(dim, losses, ns, rho, delta=delta)
+    e, i = c["experiment"], c["inner"]
+    ivon = IvonConfig(steps=i["ivon_steps"], lr=i["ivon_lr"], beta1=i["ivon_beta1"],
+                      beta2=i["ivon_beta2"], h0=i["ivon_h0"], batch_size=i["ivon_batch"])
+    inner = InnerConfig(solver=i["solver"], steps=i["steps"], beta=i["beta"], tol=i["tol"],
+                        lr=i["lr"], estimator=i["estimator"], mc_count=i["mc_count"], ivon=ivon)
+    cfg = MethodConfig(e["method"], inner=inner, delta_method=e["delta_method"],
+                       damping=h["damping"], local_steps=i["local_steps"],
+                       lr=0.1 if i["lr"] is None else i["lr"], workers=e["workers"])
+    if cfg.method in ("admm", "fedavg"):
+        server, clients = init_point_states(dim, losses, ns, h["rho"], delta=h["delta"])
     else:
-        fam_name = "diag" if method == "ivon_admm" else family_name
-        fam, prior = _family(fam_name, dim, delta)
-        server, clients = init_bayes_states(
-            prior, losses, ns, rho, gamma=gamma, tau=tau, alpha_override=alpha
-        )
-    return server, clients, cfg, oracle, test
+        family = "diag" if cfg.method == "ivon_admm" else e["family"]
+        server, clients = init_bayes_states(_prior(family, dim, h["delta"]), losses, ns, h["rho"],
+                                            gamma=h["gamma"], tau=h["tau"], alpha_override=h["alpha"])
+    return _Setup(server, clients, cfg, oracle, test)
+
+
+def _play(setup: _Setup, c, on_record=None):
+    """Run a setup's rounds with the metrics and fixed-point residuals every run records."""
+    seed = c["experiment"]["seed"]
+    return run_rounds(
+        setup.server, setup.clients, setup.cfg, c["experiment"]["rounds"], base_seed=seed,
+        metrics_fn=lambda s, _: metrics(s, oracle=setup.oracle, test=setup.test, seed=seed),
+        verify_fn=_residuals if setup.server.lam_g is not None else None,
+        on_record=on_record,
+    )
+
+
+def _residuals(server, clients) -> dict:
+    return {f"residual_{k}": v for k, v in verify_fixed_point(server, clients).as_dict().items()}
 
 
 def _sanitize(value):
@@ -366,10 +360,10 @@ def _write_line(fh, record: dict) -> None:
     fh.flush()
 
 
-def _write_svg(path, series: dict[str, list[float]], title: str) -> None:
-    """Minimal standalone line chart; CSV/JSONL stay the canonical outputs."""
+def _write_svg(path, name: str, vals: list, title: str) -> None:
+    """Minimal standalone line chart of one series; CSV/JSONL stay the canonical outputs."""
     width, height, pad = 640, 360, 40
-    pts_all = [(i, v) for vals in series.values() for i, v in enumerate(vals) if math.isfinite(v)]
+    pts_all = [(i, v) for i, v in enumerate(vals) if v is not None and math.isfinite(v)]
     if not pts_all:
         return
     xmax = max(i for i, _ in pts_all) or 1
@@ -381,7 +375,7 @@ def _write_svg(path, series: dict[str, list[float]], title: str) -> None:
         return pad + (width - 2 * pad) * i / xmax
     def sy(v):
         return height - pad - (height - 2 * pad) * (v - ymin) / (ymax - ymin)
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
+    pts = " ".join(f"{sx(i):.1f},{sy(v):.1f}" for i, v in pts_all)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{width//2}" y="16" text-anchor="middle" font-size="13">{title}</text>',
@@ -391,17 +385,10 @@ def _write_svg(path, series: dict[str, list[float]], title: str) -> None:
         f'<text x="{width-pad}" y="{height-pad+16}" font-size="10" text-anchor="end">{xmax}</text>',
         f'<text x="{pad-4}" y="{height-pad}" font-size="10" text-anchor="end">{ymin:.3g}</text>',
         f'<text x="{pad-4}" y="{pad+4}" font-size="10" text-anchor="end">{ymax:.3g}</text>',
+        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        f'<text x="{width-pad}" y="{pad}" font-size="11" fill="#1f77b4" text-anchor="end">{name}</text>',
+        "</svg>",
     ]
-    for idx, (name, vals) in enumerate(sorted(series.items())):
-        pts = " ".join(
-            f"{sx(i):.1f},{sy(v):.1f}" for i, v in enumerate(vals) if math.isfinite(v)
-        )
-        color = colors[idx % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{width-pad}" y="{pad + 14*idx}" font-size="11" fill="{color}" text-anchor="end">{name}</text>'
-        )
-    parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
 
@@ -412,61 +399,42 @@ def _write_svg(path, series: dict[str, list[float]], title: str) -> None:
 
 
 def cmd_run(args) -> int:
-    conf = _load_config(args.config)
-    _override(conf, args)
-    seed = _int_or(conf, "experiment", "seed", 0)
-    rounds = _int_or(conf, "experiment", "rounds", 20)
-    tol_dist = _positive(conf, "experiment", "tol_dist", 1e-8)
-    server, clients, cfg, oracle, test = _assemble(conf)
-    data_sha256 = {key: _file_sha256(path) for key, path in _data_files(conf).items()}
-
-    def verify_fn(s, c):
-        return {f"residual_{k}": v for k, v in verify_fixed_point(s, c).as_dict().items()}
-
+    conf, c = _configure(args)
+    setup = _assemble(c)
+    data_sha256 = {key: _file_sha256(path) for key, path in _data_files(c).items()}
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    header = {
-        "config": conf,
-        "config_hash": _config_hash(conf),
-        "inner_tol": _req_float(conf, "inner", "tol"),
-        "version": __version__,
-    }
+    config_hash = _config_hash(conf)
     with open(os.path.join(out_dir, "trace.jsonl"), "w") as trace:
-        _write_line(trace, {"type": "header", **header})
-        result = run_rounds(
-            server, clients, cfg, rounds, base_seed=seed,
-            metrics_fn=lambda s, c: metrics(s, oracle=oracle, test=test, seed=seed),
-            verify_fn=verify_fn if server.lam_g is not None else None,
-            on_record=lambda rec: _write_line(
-                trace, {"type": "round", **{k: _sanitize(v) for k, v in rec.items()}}),
-        )
+        _write_line(trace, {"type": "header", "config": conf, "config_hash": config_hash,
+                            "inner_tol": c["inner"]["tol"], "version": __version__})
+        result = _play(setup, c, on_record=lambda rec: _write_line(
+            trace, {"type": "round", **{k: _sanitize(v) for k, v in rec.items()}}))
     rounds_to_tol = None
     for rec in result.records:
         dist = rec.get("dist_to_oracle")
-        if dist is not None and dist <= tol_dist:
+        if dist is not None and dist <= c["experiment"]["tol_dist"]:
             rounds_to_tol = rec["round"] + 1
             break
     summary = {
-        "method": cfg.method,
+        "method": setup.cfg.method,
         "rounds_completed": result.rounds_completed,
         "diverged": result.diverged,
         "event": result.event,
         "rounds_to_tol": rounds_to_tol,
-        "config_hash": header["config_hash"],
+        "config_hash": config_hash,
         "final": {k: _sanitize(v) for k, v in (result.records[-1].items() if result.records else [])},
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     with open(os.path.join(out_dir, "checkpoint.json"), "w") as fh:
-        checkpoint = checkpoint_to_jsonable(server, clients, cfg.method)
-        checkpoint.update(config=conf, config_hash=header["config_hash"], data_sha256=data_sha256)
+        checkpoint = checkpoint_to_jsonable(setup.server, setup.clients)
+        checkpoint.update(config=conf, config_hash=config_hash, data_sha256=data_sha256)
         json.dump(checkpoint, fh, sort_keys=True)
-    if args.svg:
-        metric = "dist_to_oracle" if oracle is not None else ("nll_mean" if test is not None else None)
-        if metric:
-            vals = [rec.get(metric, float("nan")) for rec in result.records]
-            vals = [v if v is not None else float("nan") for v in vals]
-            _write_svg(os.path.join(out_dir, "chart.svg"), {metric: vals}, f"{cfg.method}: {metric}")
+    if args.svg:  # a run with neither metric has no points, so no chart
+        metric = "dist_to_oracle" if setup.oracle is not None else "nll_mean"
+        _write_svg(os.path.join(out_dir, "chart.svg"), metric,
+                   [rec.get(metric) for rec in result.records], f"{setup.cfg.method}: {metric}")
     print(json.dumps(summary, sort_keys=True))
     if result.failed:
         ev = result.event
@@ -477,58 +445,34 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    conf = _load_config(args.config)
-    _override(conf, args)
-    grids = conf.get("sweep", {})
-    rhos = [float(x) for x in grids.get("rho", conf["hyper"]["rho"]).split(",")]
-    taus = [float(x) for x in grids.get("tau", conf["hyper"]["tau"]).split(",")]
+    """One run per (rho, tau) cell of the ``[sweep]`` grids; one ``sweep.csv`` row per cell."""
+    _, c = _configure(args)
+    cells = itertools.product(c["sweep"]["rho"] or [c["hyper"]["rho"]],
+                              c["sweep"]["tau"] or [c["hyper"]["tau"]])
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for rho in rhos:
-        for tau in taus:
-            cell = json.loads(json.dumps(conf))  # deep copy
-            cell["hyper"]["rho"] = str(rho)
-            cell["hyper"]["tau"] = str(tau)
-            try:
-                server, clients, cfg, oracle, test = _assemble(cell)
-                seed = _int_or(cell, "experiment", "seed", 0)
-                rounds = _int_or(cell, "experiment", "rounds", 20)
-                metrics_fn = lambda s, c: metrics(s, oracle=oracle, test=test, seed=seed)  # noqa: E731
-                result = run_rounds(server, clients, cfg, rounds, base_seed=seed, metrics_fn=metrics_fn)
-                last = result.records[-1] if result.records else {}
-                rows.append({
-                    "rho": rho,
-                    "tau": tau,
-                    "alpha": 1.0 / (1.0 + rho * server.K),
-                    "rounds": result.rounds_completed,
-                    "converged": not (result.diverged or result.failed),
-                    "dist_to_oracle": _sanitize(last.get("dist_to_oracle")),
-                    "nll_mean": _sanitize(last.get("nll_mean")),
-                    "error": result.event["reason"] if result.failed else "",
-                })
-            except BayesAdmmError as exc:
-                rows.append({"rho": rho, "tau": tau, "alpha": "", "rounds": 0,
-                             "converged": False, "dist_to_oracle": None,
-                             "nll_mean": None, "error": type(exc).__name__})
     csv_path = os.path.join(out_dir, "sweep.csv")
-    cols = ["rho", "tau", "alpha", "rounds", "converged", "dist_to_oracle", "nll_mean", "error"]
     with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join("" if row[c] is None else str(row[c]) for c in cols) + "\n")
+        fh.write("rho,tau,alpha,rounds,converged,dist_to_oracle,nll_mean,error\n")
+        for rho, tau in cells:
+            cell = {**c, "hyper": {**c["hyper"], "rho": rho, "tau": tau}}
+            try:
+                setup = _assemble(cell)
+                result = _play(setup, cell)
+            except BayesAdmmError as exc:
+                row = [rho, tau, "", 0, False, None, None, type(exc).__name__]
+            else:
+                last = result.records[-1] if result.records else {}
+                row = [rho, tau, 1.0 / (1.0 + rho * setup.server.K), result.rounds_completed,
+                       not (result.diverged or result.failed), _sanitize(last.get("dist_to_oracle")),
+                       _sanitize(last.get("nll_mean")), result.event["reason"] if result.failed else ""]
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
     print(csv_path)
     return 0
 
 
-def _server_settings(method: str, s) -> tuple:
-    """What a config fixes about a server; a checkpoint must agree with its config on it."""
-    return (method, s.rho, s.gamma, s.tau, s.K, s.delta, s.alpha_override,
-            s.fam and (s.fam.kind, s.fam.dim))
-
-
 def cmd_verify(args) -> int:
-    """Rebuild the losses from the checkpoint's config and data files, then check the state."""
+    """Rebuild the run from the checkpoint's config and data files, load its state, check it."""
     where = f"checkpoint {args.checkpoint!r}"
     try:
         with open(args.checkpoint) as fh:
@@ -542,7 +486,8 @@ def cmd_verify(args) -> int:
     if not isinstance(conf, dict) or _config_hash(conf) != data.get("config_hash"):
         raise CheckpointError(f"{where}: its config does not match its config_hash")
     try:
-        for key, path in _data_files(conf).items():
+        c = _resolve(conf)
+        for key, path in _data_files(c).items():
             try:
                 digest = _file_sha256(path)
             except OSError as exc:
@@ -550,44 +495,26 @@ def cmd_verify(args) -> int:
             if digest != data["data_sha256"].get(key):
                 raise CheckpointError(f"data file [data] {key} = {path!r} has SHA-256 {digest}, "
                                       f"the checkpoint recorded {data['data_sha256'].get(key)}")
-        built, rebuilt, _, _, _ = _assemble(conf)
-        server, clients, method = checkpoint_from_jsonable(data, [c.loss for c in rebuilt])
+        setup = _assemble(c)
+        checkpoint_from_jsonable(data, setup.server, setup.clients)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"cannot read {where}: {exc!r}") from exc
-    stored = _server_settings(method, server)
-    expected = _server_settings(conf["experiment"]["method"], built)
-    if stored != expected:
-        raise CheckpointError(f"{where}: server settings {stored} disagree "
-                              f"with the ones its config builds, {expected}")
-    if server.lam_g is None:
+    if setup.server.lam_g is None:
         raise CheckpointError("checkpoint has no distribution-valued server state to verify")
-    report = verify_fixed_point(server, clients)
-    tol = args.tol
+    report = verify_fixed_point(setup.server, setup.clients)
     for name, value in report.as_dict().items():
         print(f"{name}: {value:.3e}")
-    ok = report.ok(tol)
-    print(f"max residual {report.max_residual:.3e} {'<' if ok else '>='} tol {tol:g}")
+    ok = report.ok(args.tol)
+    print(f"max residual {report.max_residual:.3e} {'<' if ok else '>='} tol {args.tol:g}")
     return 0 if ok else 3
 
 
 def cmd_oracle(args) -> int:
-    conf = _load_config(args.config)
-    _override(conf, args)
-    train, _, explicit = _build_data(conf)
-    if train.n_classes:
+    _, c = _configure(args)
+    oracle = _assemble(c).oracle
+    if oracle is None:
         raise ConfigError("the conjugate oracle needs a regression (ridge) dataset")
-    shards = (
-        [train.subset(idx) for idx in explicit]
-        if explicit is not None
-        else split(train, _build_plan(conf, train))
-    )
-    delta = _positive(conf, "hyper", "delta", 1.0)
-    oracle = conjugate_oracle(delta, shards)
-    out = {
-        "kind": oracle.kind,
-        "mean": oracle.lam.m.tolist(),
-        "precision": oracle.lam.prec.tolist(),
-    }
+    out = {"kind": oracle.kind, "mean": oracle.lam.m.tolist(), "precision": oracle.lam.prec.tolist()}
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -599,36 +526,24 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, fn, text in (
+        ("run", cmd_run, "execute rounds and write trace/summary/checkpoint"),
+        ("sweep", cmd_sweep, "grid over rho/tau; emits CSV"),
+        ("oracle", cmd_oracle, "print the conjugate oracle for a config"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="INI configuration file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--method")
-        p.add_argument("--rho", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--damping", type=float)
-        p.add_argument("--family")
+        for k in _TABLE:
+            if k.flag:
+                p.add_argument(k.flag, type=k.parser, help=f"overrides [{k.section}] {k.key}")
         p.add_argument("--svg", action="store_true", help="also render a line chart")
-
-    p_run = sub.add_parser("run", help="execute rounds and write trace/summary/checkpoint")
-    common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="grid over rho/tau; emits CSV")
-    common(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
+        p.set_defaults(fn=fn)
 
     p_verify = sub.add_parser("verify", help="fixed-point residuals of a checkpoint")
     p_verify.add_argument("checkpoint")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.set_defaults(fn=cmd_verify)
-
-    p_oracle = sub.add_parser("oracle", help="print the conjugate oracle for a config")
-    common(p_oracle)
-    p_oracle.set_defaults(fn=cmd_oracle)
 
     args = parser.parse_args(argv)
     try:

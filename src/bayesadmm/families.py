@@ -681,20 +681,6 @@ def array_from_jsonable(data: dict) -> Array:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
-def family_to_jsonable(fam: Family) -> dict:
-    out = {"kind": fam.kind, "dim": fam.dim}
-    if fam.kind == FIXED:
-        out["fixed_precision"] = array_to_jsonable(fam.fixed_precision)
-    return out
-
-
-def family_from_jsonable(data: dict) -> Family:
-    kind = data["kind"]
-    if kind == FIXED:
-        return Family.fixed(array_from_jsonable(data["fixed_precision"]))
-    return Family(kind, int(data["dim"]))
-
-
 def nat_to_jsonable(lam: NatParam) -> dict:
     out = {"m": array_to_jsonable(lam.m)}
     if lam.fam.kind == DIAG:

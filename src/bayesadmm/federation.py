@@ -57,8 +57,6 @@ from .families import (
     dual_to_jsonable,
     dual_zero,
     exp_sub,
-    family_from_jsonable,
-    family_to_jsonable,
     nat_from_jsonable,
     nat_sub,
     nat_to_jsonable,
@@ -730,21 +728,17 @@ def run_rounds(
 CHECKPOINT_FORMAT = 2
 
 
-def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], method: str) -> dict:
-    """Server and client state; the losses are not stored, the caller rebuilds them."""
-    out: dict = {"format": CHECKPOINT_FORMAT, "method": method, "rho": server.rho,
-                 "gamma": server.gamma, "tau": server.tau, "K": server.K, "delta": server.delta}
-    if server.alpha_override is not None:
-        out["alpha_override"] = server.alpha_override
+def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState]) -> dict:
+    """Server and client state only; the config that built them is the caller's to store."""
+    out: dict = {"format": CHECKPOINT_FORMAT}
     if server.fam is not None:
-        out["family"] = family_to_jsonable(server.fam)
         out["lam_g"] = nat_to_jsonable(server.lam_g)
         out["eta0"] = dual_to_jsonable(server.eta0)
     if server.theta_g is not None:
         out["theta_g"] = array_to_jsonable(server.theta_g)
     records = []
     for c in clients:
-        rec: dict = {"id": c.id, "n_examples": c.n_examples}
+        rec: dict = {"id": c.id}
         if c.lam is not None:
             rec["lam"] = nat_to_jsonable(c.lam)
             rec["eta"] = dual_to_jsonable(c.eta)
@@ -764,35 +758,22 @@ def require_checkpoint_format(data: dict) -> None:
                               "format this version reads; write a new checkpoint with this version")
 
 
-def checkpoint_from_jsonable(
-    data: dict, losses: list[LossSpec]
-) -> tuple[ServerState, list[ClientState], str]:
-    """Inverse of :func:`checkpoint_to_jsonable`; ``losses[i]`` is client ``i``'s loss."""
+def checkpoint_from_jsonable(data: dict, server: ServerState, clients: list[ClientState]) -> None:
+    """Load :func:`checkpoint_to_jsonable`'s state into the server and clients a config built."""
     require_checkpoint_format(data)
     ids = [int(rec["id"]) for rec in data["clients"]]
-    if ids != list(range(len(losses))):
-        raise CheckpointError(f"checkpoint client ids {ids} are not the {len(losses)} rebuilt clients")
-    fam = family_from_jsonable(data["family"]) if "family" in data else None
-    server = ServerState(
-        rho=float(data["rho"]),
-        K=int(data["K"]),
-        gamma=data.get("gamma"),
-        tau=float(data.get("tau", 1.0)),
-        fam=fam,
-        lam_g=nat_from_jsonable(fam, data["lam_g"]) if fam else None,
-        eta0=dual_from_jsonable(fam, data["eta0"]) if fam else None,
-        theta_g=array_from_jsonable(data["theta_g"]) if "theta_g" in data else None,
-        delta=float(data.get("delta", 1.0)),
-        alpha_override=data.get("alpha_override"),
-    )
-    clients = []
-    for cid, rec, loss in zip(ids, data["clients"], losses):
-        client = ClientState(cid, loss, int(rec["n_examples"]))
-        if "lam" in rec:
+    if ids != list(range(len(clients))):
+        raise CheckpointError(f"checkpoint client ids {ids} are not the {len(clients)} rebuilt clients")
+    fam = server.fam
+    if fam is not None:
+        server.lam_g = nat_from_jsonable(fam, data["lam_g"])
+        server.eta0 = dual_from_jsonable(fam, data["eta0"])
+    else:
+        server.theta_g = array_from_jsonable(data["theta_g"])
+    for client, rec in zip(clients, data["clients"]):
+        if fam is not None:
             client.lam = nat_from_jsonable(fam, rec["lam"])
             client.eta = dual_from_jsonable(fam, rec["eta"])
-        if "theta" in rec:
+        else:
             client.theta = array_from_jsonable(rec["theta"])
             client.v = array_from_jsonable(rec["v"])
-        clients.append(client)
-    return server, clients, data.get("method", "bayes_admm")

@@ -192,6 +192,15 @@ def test_ivon_admm_run_is_deterministic_across_worker_counts(tmp_path):
     assert len(rounds["a"]) == 2 and rounds["workers2"] == rounds["a"]
 
 
+def test_module_docstring_lists_every_config_key():
+    import bayesadmm.cli as cli
+
+    doc = cli.__doc__
+    for entry in cli._TABLE:
+        block = doc.split(f"[{entry.section}]", 1)[1].split("\n    [", 1)[0]
+        assert re.search(rf"(?<![\w|]){entry.key}(?![\w|])", block), (entry.section, entry.key)
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     bad = PROP2_INI.replace("rho = 0.5", "rho = 0.5\nwombat = 3")
     cfg = write(tmp_path, "bad.ini", bad)
@@ -211,19 +220,65 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("experiment", "workers", "0"),
         ("experiment", "tol_dist", "0"),
         ("data", "d", "0"),
+        ("split", "k", "0"),
     ],
 )
 def test_nonpositive_config_value_rejected(tmp_path, capsys, section, key, value):
     # Each of these once fell back to its default through ``x or default``;
-    # ``d`` had that fallback only for blobs data.
+    # ``d`` had that fallback only for blobs data.  ``k = 0`` reached ``split``.
     text = BLOBS_INI if key == "d" else PROP2_INI
+    assert_rejected(tmp_path, capsys, with_value(text, section, key, value), [], f"[{section}] {key}")
+
+
+def with_value(text, section, key, value):
+    """``text`` with ``key = value`` as the only ``key`` line, placed in ``[section]``."""
     text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
-    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def assert_rejected(tmp_path, capsys, text, flags, where, command="run"):
+    """The command exits 1 with a config error naming ``where`` and writes no output."""
     cfg = write(tmp_path, "bad.ini", text)
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert f"[{section}] {key}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "trace.jsonl").exists()
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}") and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value,flags",
+    [
+        ("hyper", "rho", "", []),
+        ("data", "n", "", []),
+        ("hyper", "tau", "", []),
+        ("experiment", "delta_method", "", []),
+        ("inner", "solver", "bogus", []),
+        ("experiment", "family", "bogus", []),
+        ("split", "kind", "bogus", []),
+        ("hyper", "damping", "2.0", []),
+        ("split", "assignments", "0,1|x", []),
+        ("experiment", "method", None, ["--method", "bogus"]),
+        ("hyper", "rho", None, ["--rho", "0"]),
+        ("experiment", "rounds", None, ["--rounds", "-3"]),
+    ],
+)
+def test_bad_config_name_or_empty_value_rejected(tmp_path, capsys, section, key, value, flags):
+    # None of these was once a config error naming its key: most raised a
+    # ValueError or TypeError (``solver`` only in round 0, after the trace
+    # header), ``--rounds -3`` ran no rounds and exited 0, and ``tau =`` became 1.0.
+    text = PROP2_INI if value is None else with_value(PROP2_INI, section, key, value)
+    assert_rejected(tmp_path, capsys, text, flags, f"[{section}] {key}")
+
+
+def test_missing_key_takes_its_default_and_empty_means_unset(tmp_path):
+    cfg = write(tmp_path, "prop2.ini", PROP2_INI)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    unset = PROP2_INI.replace("rho = 0.5\n", "gamma =\nalpha =\n")
+    unset = unset.replace("[inner]\n", "[inner]\nlr =\nivon_batch =\n")
+    assert main(["run", "--config", write(tmp_path, "unset.ini", unset), "--out", str(tmp_path / "b")]) == 0
+    # rho's default is the 0.5 the file gave, and "" is the default of the rest.
+    assert (tmp_path / "a" / "trace.jsonl").read_bytes() == (tmp_path / "b" / "trace.jsonl").read_bytes()
 
 
 def test_nonpositive_flag_and_oracle_delta_rejected(tmp_path, capsys):
@@ -245,6 +300,28 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert cell["converged"] == "True"
     assert float(cell["alpha"]) == pytest.approx(0.5)  # 1/(1+0.5*2)
     assert float(cell["dist_to_oracle"]) < 1e-8
+
+
+def test_sweep_cell_reports_what_run_reports(tmp_path):
+    cfg = write(tmp_path, "prop2.ini", PROP2_INI + "\n[sweep]\nrho = 0.5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    cell = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert int(cell["rounds"]) == summary["rounds_completed"] == 3
+    assert cell["converged"] == str(not summary["diverged"] and summary["event"] is None)
+    assert float(cell["dist_to_oracle"]) == summary["final"]["dist_to_oracle"]
+
+
+@pytest.mark.parametrize("grid, want", [
+    ("0.5,abc", "[sweep] rho: not a number: 'abc'"),
+    ("0,0.5", "[sweep] rho: must be > 0, got 0.0"),
+    ("0.5,", "[sweep] rho: empty value"),
+])
+def test_sweep_grid_entries_are_checked_before_any_cell(tmp_path, capsys, grid, want):
+    text = PROP2_INI + f"\n[sweep]\nrho = {grid}\n"
+    assert_rejected(tmp_path, capsys, text, [], want, command="sweep")
 
 
 def test_sweep_grid_has_a_row_per_rho(tmp_path):
@@ -532,15 +609,6 @@ def test_verify_rejects_a_truncated_config(tmp_path, monkeypatch, capsys, rehash
         want = "its config does not match its config_hash"
     path.write_text(json.dumps(data))
     assert want in verify_error(capsys, out)
-
-
-def test_verify_rejects_server_settings_the_config_does_not_build(tmp_path, monkeypatch, capsys):
-    out = run_for_verify(tmp_path, monkeypatch, "ridge")
-    path = out / "checkpoint.json"
-    data = json.loads(path.read_text())
-    data["rho"] *= 2
-    path.write_text(json.dumps(data))
-    assert "disagree with the ones its config builds" in verify_error(capsys, out)
 
 
 def test_verify_rejects_a_list_array_checkpoint_without_a_format(tmp_path, monkeypatch, capsys):

@@ -616,9 +616,9 @@ def test_checkpoint_roundtrip():
     server, clients = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
     cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver="von", estimator="delta"))
     bayes_admm_round(server, clients, cfg, 0)
-    blob = json.dumps(checkpoint_to_jsonable(server, clients, "bayes_admm"))
-    server2, clients2, method = checkpoint_from_jsonable(json.loads(blob), losses)
-    assert method == "bayes_admm"
+    blob = json.dumps(checkpoint_to_jsonable(server, clients))
+    server2, clients2 = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
+    checkpoint_from_jsonable(json.loads(blob), server2, clients2)
     assert server2.tau == pytest.approx(1.5)
     assert dual_inf_norm(nat_sub(server2.lam_g, server.lam_g)) == 0.0
     r1 = verify_fixed_point(server, clients, estimator=Delta())
@@ -631,10 +631,11 @@ def test_point_checkpoint_roundtrip_is_bit_exact():
     losses, _ = ridge_problem(rng, 2, 3, 10)
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     admm_round(server, clients, MethodConfig("admm"), 0)
-    data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients, "admm")))
+    data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients)))
     assert data["format"] == 2
-    server2, clients2, method = checkpoint_from_jsonable(data, losses)
-    assert method == "admm" and np.array_equal(server2.theta_g, server.theta_g)
+    server2, clients2 = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
+    checkpoint_from_jsonable(data, server2, clients2)
+    assert np.array_equal(server2.theta_g, server.theta_g)
     for c, c2 in zip(clients, clients2):
         assert np.array_equal(c2.theta, c.theta) and np.array_equal(c2.v, c.v)
 
@@ -644,10 +645,10 @@ def test_checkpoint_of_another_format_is_rejected(fmt):
     rng = np.random.default_rng(3)
     losses, _ = ridge_problem(rng, 2, 3, 10)
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
-    data = checkpoint_to_jsonable(server, clients, "admm")
+    data = checkpoint_to_jsonable(server, clients)
     if fmt is None:
         del data["format"]
     else:
         data["format"] = fmt
     with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 2"):
-        checkpoint_from_jsonable(data, losses)
+        checkpoint_from_jsonable(data, server, clients)
