@@ -91,6 +91,8 @@ _POSITIVE = (lambda v: v > 0, "> 0")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _UNIT = (lambda v: 0 < v <= 1, "in (0, 1]")
 _OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+_DISJOINT = (lambda v: len({c for grp in v for c in grp}) == sum(map(len, v)),
+             "groups with no class in two of them")
 
 
 def _one_of(*names):
@@ -130,7 +132,7 @@ _TABLE = (
     _Key("split", "kind", str, "homogeneous", _one_of("homogeneous", "class_partition", "dirichlet")),
     _Key("split", "k", int, "2", _POSITIVE),
     _Key("split", "seed", int, "0", _NONNEGATIVE),
-    _Key("split", "assignments", _groups, ""),
+    _Key("split", "assignments", _groups, "", _DISJOINT),
     _Key("split", "concentration", float, "1.0", _POSITIVE),
     _Key("hyper", "rho", float, "0.5", _POSITIVE, "--rho"),
     _Key("hyper", "gamma", float, "", _POSITIVE, "--gamma"),
@@ -463,7 +465,7 @@ def cmd_sweep(args) -> int:
                 row = [rho, tau, "", 0, False, None, None, type(exc).__name__]
             else:
                 last = result.records[-1] if result.records else {}
-                row = [rho, tau, 1.0 / (1.0 + rho * setup.server.K), result.rounds_completed,
+                row = [rho, tau, setup.server.alpha, result.rounds_completed,
                        not (result.diverged or result.failed), _sanitize(last.get("dist_to_oracle")),
                        _sanitize(last.get("nll_mean")), result.event["reason"] if result.failed else ""]
             fh.write(",".join("" if v is None else str(v) for v in row) + "\n")

@@ -24,7 +24,10 @@ from __future__ import annotations
 import base64
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
+from importlib import machinery, util
 
 import numpy as np
 
@@ -106,13 +109,30 @@ def spd_solve(mat: Array, rhs: Array) -> Array:
 def _lapack():
     """LAPACK ``dtrtrs`` and ``dpotri`` for float64, loaded on first use.
 
-    Importing ``scipy.linalg`` takes about a third of a second, and only the
-    ``fixed`` and ``full`` families need it.  Constructing such a
-    :class:`Family` calls this, so a run pays for the import in its setup.
+    They are the Fortran objects ``scipy.linalg.get_lapack_funcs`` returns,
+    from the compiled module ``scipy.linalg._flapack``.  The import system's
+    own finder loads that module without running ``scipy/linalg/__init__.py``,
+    which takes about a third of a second (through scipy's array-API layer it
+    pulls in ``numpy.f2py``, ``numpy.testing`` and more).  The module goes into
+    ``sys.modules`` under its own name, or is reused from there, so
+    ``scipy.linalg`` shares it whichever loads first.  Only the ``fixed`` and
+    ``full`` families need it; constructing such a :class:`Family` calls
+    this, so a run pays for the load in its setup.
     """
-    from scipy.linalg import get_lapack_funcs
+    import scipy
 
-    return tuple(get_lapack_funcs(("trtrs", "potri"), dtype=np.float64))
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        loader = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+        finder = machinery.FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"), loader)
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"no LAPACK extension module {name} in scipy", name=name)
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module = sys.modules.setdefault(name, module)
+    return module.dtrtrs, module.dpotri
 
 
 def _require_finite(a: Array) -> None:

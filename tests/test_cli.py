@@ -261,12 +261,14 @@ def assert_rejected(tmp_path, capsys, text, flags, where, command="run"):
         ("experiment", "method", None, ["--method", "bogus"]),
         ("hyper", "rho", None, ["--rho", "0"]),
         ("experiment", "rounds", None, ["--rounds", "-3"]),
+        ("split", "assignments", "0,1|1,2", []),
     ],
 )
 def test_bad_config_name_or_empty_value_rejected(tmp_path, capsys, section, key, value, flags):
     # None of these was once a config error naming its key: most raised a
     # ValueError or TypeError (``solver`` only in round 0, after the trace
-    # header), ``--rounds -3`` ran no rounds and exited 0, and ``tau =`` became 1.0.
+    # header), ``--rounds -3`` ran no rounds and exited 0, ``tau =`` became 1.0,
+    # and a class in two ``assignments`` groups raised from the split.
     text = PROP2_INI if value is None else with_value(PROP2_INI, section, key, value)
     assert_rejected(tmp_path, capsys, text, flags, f"[{section}] {key}")
 
@@ -335,6 +337,15 @@ def test_sweep_grid_has_a_row_per_rho(tmp_path):
         rho = float(cell["rho"])
         assert float(cell["alpha"]) == pytest.approx(1.0 / (1.0 + rho * 2))
         assert cell["converged"] in ("True", "False")
+
+
+@pytest.mark.parametrize("pinned, want", [("alpha = 0.3\n", 0.3), ("", 1.0 / (1.0 + 0.5 * 2))])
+def test_sweep_alpha_column_is_the_servers_weight(tmp_path, pinned, want):
+    text = PROP2_INI.replace("[hyper]\n", "[hyper]\n" + pinned) + "\n[sweep]\nrho = 0.5\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write(tmp_path, "alpha.ini", text), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert float(dict(zip(rows[0].split(","), rows[1].split(",")))["alpha"]) == want
 
 
 def test_sweep_cell_with_a_failing_metric_is_not_converged(tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
 """Which scipy modules a process loads, each checked in a fresh interpreter.
 
-scipy is imported only where a run calls it: LAPACK when a ``fixed`` or
-``full`` family is built, ``scipy.special`` when a binary ``Logistic`` loss is.
+scipy is imported only where a run calls it: LAPACK's extension module
+``scipy.linalg._flapack`` (never the ``scipy.linalg`` package) when a ``fixed``
+or ``full`` family is built, ``scipy.special`` when a binary ``Logistic`` loss is.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import bayesadmm
 
@@ -33,15 +36,20 @@ cli.run_rounds = run_rounds
 if len(sys.argv) > 1:
     seen["code"] = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
     seen["after_run"] = scipy_modules()
+    seen["f2py_after_run"] = "numpy.f2py" in sys.modules
 print(json.dumps(seen))
 """
 
 
-def probe(*args) -> dict:
+def python_c(code: str, *args) -> str:
+    """stdout of ``python -c code *args`` in a fresh interpreter that imports this tree."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", PROBE, *args], env=env, capture_output=True,
-                         text=True, check=True, timeout=300).stdout
-    return json.loads(out.splitlines()[-1])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=300).stdout
+
+
+def probe(*args) -> dict:
+    return json.loads(python_c(PROBE, *args).splitlines()[-1])
 
 
 def run_probe(tmp_path, text) -> dict:
@@ -63,8 +71,40 @@ def test_a_diag_ivon_admm_run_loads_no_scipy(tmp_path):
 
 def test_a_full_family_run_loads_lapack_in_setup_and_never_scipy_special(tmp_path):
     seen = run_probe(tmp_path, BLOBS_INI.replace("family = diag", "family = full"))
-    assert "scipy.linalg" in seen["at_rounds_entry"]
+    assert "scipy.linalg._flapack" in seen["at_rounds_entry"]
+    assert "scipy.linalg" not in seen["after_run"] and not seen["f2py_after_run"]
     assert not any(m.startswith("scipy.special") for m in seen["after_run"])
+
+
+LAPACK_IDENTITY = """
+import sys
+import numpy as np
+from bayesadmm import families
+
+if sys.argv[1] == "after":
+    ours = families._lapack()
+import scipy.linalg
+theirs = scipy.linalg.get_lapack_funcs(("trtrs", "potri"), dtype=np.float64)
+if sys.argv[1] == "before":
+    ours = families._lapack()
+print(all(a is b for a, b in zip(ours, theirs)), sum(m.endswith("._flapack") for m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("order", ["after", "before"])
+def test_lapack_routines_are_scipy_linalgs_own_whichever_loads_first(order):
+    assert python_c(LAPACK_IDENTITY, order).split() == ["True", "1"]
+
+
+def test_a_missing_lapack_extension_is_an_import_error_naming_it(tmp_path):
+    code = ("import sys, scipy\n"
+            f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+            "from bayesadmm import families\n"
+            "try:\n"
+            "    families._lapack()\n"
+            "except ImportError as exc:\n"
+            "    print(exc.name, 'scipy.linalg' in sys.modules)\n")
+    assert python_c(code).split() == ["scipy.linalg._flapack", "False"]
 
 
 def test_a_binary_logistic_loss_loads_scipy_special_when_built():
@@ -73,7 +113,4 @@ def test_a_binary_logistic_loss_loads_scipy_special_when_built():
             "before = 'scipy.special' in sys.modules\n"
             "Logistic(np.ones((2, 1)), np.array([0.0, 1.0]))\n"
             "print(before, 'scipy.special' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=300).stdout
-    assert out.split() == ["False", "True"]
+    assert python_c(code).split() == ["False", "True"]
