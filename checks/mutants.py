@@ -1,0 +1,150 @@
+"""Mutation checks: each seeded defect must make its named tests fail.
+
+Run from anywhere, with only the standard library and the test dependencies::
+
+    python3 checks/mutants.py
+
+The script copies the checkout (without ``.git``) to a temporary directory
+and first runs every selection there unchanged, which must pass.  Then, for
+each mutant, it replaces one exact text in one file of the copy, runs that
+mutant's pytest selection against the copy's ``src/`` and restores the file.
+A mutant is killed when pytest reports failing tests (exit code 1); any
+other outcome, a pass or an error such as an unknown test id, leaves it
+alive.  An anchor text that is missing, or not unique, is an error before
+anything runs, so a refactor that moves the code must move the mutant too.
+Exit 0 when every mutant is killed, 1 when one survives, 2 on a bad entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "chol_spd retries once with jitter",
+        "src/bayesadmm/families.py",
+        """    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositivePrecision("matrix is not positive definite") from exc
+""",
+        """    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        try:
+            return np.linalg.cholesky(mat + 1e-10 * np.eye(mat.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise NonPositivePrecision("matrix is not positive definite") from exc
+""",
+        ("tests/test_families.py::test_a_singular_precision_is_rejected_after_one_factorization",),
+    ),
+    Mutant(
+        "to_expectation drops its finite-covariance check",
+        "src/bayesadmm/families.py",
+        """    if not in_cone:
+        raise DegenerateMoment("implied covariance is not finite and positive")
+""",
+        "",
+        ("tests/test_families.py::test_to_expectation_rejects_a_covariance_that_overflows",),
+    ),
+    Mutant(
+        "to_expectation factors its covariance again",
+        "src/bayesadmm/families.py",
+        """        in_cone = np.isfinite(cov).all()
+""",
+        """        in_cone = np.isfinite(cov).all()
+        chol_spd(cov)
+""",
+        ("tests/test_families.py::test_dual_maps_reuse_the_factor_and_match_refactoring",),
+    ),
+    Mutant(
+        "to_expectation inverts the precision from scratch",
+        "src/bayesadmm/families.py",
+        """        cov = _chol_inverse(lam._chol)
+        m2 = np.outer(lam.m, lam.m) + cov
+""",
+        """        cov = spd_inverse(lam.prec)
+        m2 = np.outer(lam.m, lam.m) + cov
+""",
+        ("tests/test_families.py::test_dual_maps_reuse_the_factor_and_match_refactoring",),
+    ),
+    Mutant(
+        "a package error in a metric or the verifier is re-raised",
+        "src/bayesadmm/federation.py",
+        """            except Exception as exc:
+                failure = event(""",
+        """            except Exception as exc:
+                if type(exc).__module__ == "bayesadmm.errors":
+                    raise
+                failure = event(""",
+        ("tests/test_cli.py::test_run_keeps_its_record_when_verify_raises_a_package_error",),
+    ),
+)
+
+
+def pytest(copy: str, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    sources = {}
+    for mutant in MUTANTS:
+        if mutant.path not in sources:
+            with open(os.path.join(ROOT, mutant.path)) as fh:
+                sources[mutant.path] = fh.read()
+        found = sources[mutant.path].count(mutant.old)
+        if found != 1:
+            print(f"error: {mutant.name}: anchor text found {found} times in {mutant.path}, "
+                  "not once", file=sys.stderr)
+            return 2
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = os.path.join(tmp, "checkout")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".perfbench", "__pycache__", ".pytest_cache", ".hypothesis"))
+        selections = sorted({t for mutant in MUTANTS for t in mutant.tests})
+        code = pytest(copy, selections)
+        if code != 0:
+            print(f"error: the unmutated selections do not pass (pytest exit {code})", file=sys.stderr)
+            return 2
+        survivors = 0
+        for mutant in MUTANTS:
+            target = os.path.join(copy, mutant.path)
+            with open(target, "w") as fh:
+                fh.write(sources[mutant.path].replace(mutant.old, mutant.new))
+            try:
+                code = pytest(copy, mutant.tests)
+            finally:
+                with open(target, "w") as fh:
+                    fh.write(sources[mutant.path])
+            killed = code == 1
+            survivors += not killed
+            print(f"{'killed' if killed else 'ALIVE '}  {mutant.name} (pytest exit {code})")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -83,21 +83,18 @@ def _symmetrize(mat: Array, tol: float = 1e-8) -> Array:
     return 0.5 * (mat + mat.T)
 
 
-def chol_spd(mat: Array, jitter: float = 1e-10, retries: int = 3) -> Array:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+def chol_spd(mat: Array) -> Array:
+    """Lower Cholesky factor of a symmetric positive-definite matrix, of that matrix exactly.
 
-    On factorization failure, adds ``jitter * trace/dim`` to the diagonal and
-    retries (escalating tenfold, at most `retries` times) before raising
-    :class:`NonPositivePrecision`.
+    One ``np.linalg.cholesky`` of the symmetrized ``mat``.  A matrix it
+    rejects, which is not positive definite in floating point, raises
+    :class:`NonPositivePrecision`; nothing is added to the diagonal.
     """
     mat = _symmetrize(mat)
-    bump = jitter * max(float(np.trace(mat)) / mat.shape[0], 1.0)
-    for attempt in range(retries + 1):
-        try:
-            return np.linalg.cholesky(mat if attempt == 0 else mat + bump * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            bump *= 10.0
-    raise NonPositivePrecision("Cholesky failed after jitter retries")
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositivePrecision("matrix is not positive definite") from exc
 
 
 def spd_solve(mat: Array, rhs: Array) -> Array:
@@ -288,10 +285,12 @@ class NatParam:
 
     ``prec`` is the precision vector (``diag``) or matrix (``full``); it is
     ``None`` for the fixed-covariance families.  The constructor enforces
-    strict positivity of the encoded precision.  A full precision keeps its
-    lower Cholesky factor in ``_chol``; :meth:`from_dual` hands over the one it
-    already made, so each step factors once.  A caller passing ``_chol``
-    vouches that it factors ``prec``.
+    strict positivity of the encoded precision.  A full precision keeps in
+    ``_chol`` the exact lower Cholesky factor of ``prec`` itself, so a full
+    ``NatParam`` exists only for a precision that ``np.linalg.cholesky``
+    accepts; :meth:`from_dual` hands over the one it already made, so each
+    step factors once.  A caller passing ``_chol`` vouches that it is
+    :func:`chol_spd` of ``prec``.
     """
 
     fam: Family
@@ -367,10 +366,12 @@ class ExpParam:
     """Expectation parameter: first moment plus raw second moment where present.
 
     A two-block family also keeps the covariance in ``_cov``.  The public
-    constructor derives it as ``m2 - m m^T``; :func:`to_expectation` keeps the
-    one it built ``m2`` from, so neither the moment-cone check nor
-    :func:`to_natural` takes ``m m^T`` back out of ``m2``, which cancels
-    catastrophically once the mean dwarfs the standard deviation.
+    constructor derives it as ``m2 - m m^T`` and raises
+    :class:`DegenerateMoment` unless it is positive (diag) or positive
+    definite (full, by one :func:`chol_spd`).  :func:`to_expectation` keeps
+    the covariance it built ``m2`` from, so :func:`to_natural` never takes
+    ``m m^T`` back out of ``m2``, which cancels catastrophically once the mean
+    dwarfs the standard deviation.
     """
 
     fam: Family
@@ -394,27 +395,20 @@ class ExpParam:
             if m2.shape != (self.fam.dim,):
                 raise FamilyMismatch("diag second moment must be a vector")
             cov = m2 - m * m
+            if not np.all(cov > 0.0):
+                raise DegenerateMoment("implied variance has entries <= 0")
         else:
             m2 = _frozen(_symmetrize(self.m2))
             cov = m2 - np.outer(m, m)
-        _check_moment_cone(self.fam, cov)
+            try:
+                chol_spd(cov)
+            except NonPositivePrecision as exc:
+                raise DegenerateMoment("implied covariance is not positive definite") from exc
         object.__setattr__(self, "m2", m2)
         object.__setattr__(self, "_cov", _frozen(cov))
 
     def coords(self) -> tuple[Array, Array | None]:
         return self.m, self.m2
-
-
-def _check_moment_cone(fam: Family, cov: Array) -> None:
-    """Raise :class:`DegenerateMoment` unless ``cov`` is a positive (definite) variance."""
-    if fam.kind == DIAG:
-        if not np.all(cov > 0.0):
-            raise DegenerateMoment("implied variance has entries <= 0")
-        return
-    try:
-        chol_spd(cov)
-    except NonPositivePrecision as exc:
-        raise DegenerateMoment("implied covariance is not positive definite") from exc
 
 
 @dataclass(frozen=True)
@@ -570,17 +564,27 @@ def pair_with_stat(dual: DualVec, theta: Array) -> float:
 
 
 def to_expectation(lam: NatParam) -> ExpParam:
-    """Forward dual map: expectation parameter of ``lam``, keeping the covariance."""
+    """Forward dual map: expectation parameter of ``lam``, keeping the covariance.
+
+    The precision is positive definite (diag entries positive; a full one
+    has ``_chol``, its exact Cholesky factor), so its inverse is too, and the
+    covariance is outside the moment cone only where float64 cannot hold it:
+    an entry that overflowed, or a diag ``1/inf`` of 0.  Raises
+    :class:`DegenerateMoment` then, without factoring the covariance.
+    """
     kind = lam.fam.kind
     if kind in (ISOTROPIC, FIXED):
         return _wrap(ExpParam, lam.fam, lam.m)
     if kind == DIAG:
         cov = 1.0 / lam.prec
         m2 = lam.m * lam.m + cov
+        in_cone = np.all((cov > 0.0) & (cov < np.inf))
     else:
         cov = _chol_inverse(lam._chol)
         m2 = np.outer(lam.m, lam.m) + cov
-    _check_moment_cone(lam.fam, cov)
+        in_cone = np.isfinite(cov).all()
+    if not in_cone:
+        raise DegenerateMoment("implied covariance is not finite and positive")
     return _wrap(ExpParam, lam.fam, lam.m, m2, cov)
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    BayesAdmmError,
     CheckpointError,
     EstimatorUnsupported,
     FamilyMismatch,
@@ -72,7 +71,6 @@ from .losses import (
     MonteCarlo,
     Quadratic,
     Reparam,
-    conjugate_coefficient,
     loss_grad,
     natural_gradient,
     scale_loss,
@@ -328,17 +326,14 @@ def _solve_client(
 ) -> tuple[NatParam, dict]:
     solver = inner.solver
     loss = spec.loss
-    if solver == "auto":
+    if solver in ("auto", "conjugate"):
         try:
-            conjugate_coefficient(scale_loss(loss, spec.tau), spec.lam_g.fam)
-            solver = "conjugate"
+            return solve_conjugate(spec), {"converged": True, "grad_norm": 0.0}
         except (EstimatorUnsupported, FamilyMismatch):
-            if spec.lam_g.fam.kind == ISOTROPIC and cfg.delta_method:
-                solver = "prox"
-            else:
-                solver = "von"
-    if solver == "conjugate":
-        return solve_conjugate(spec), {"converged": True, "grad_norm": 0.0}
+            if solver == "conjugate":
+                raise
+        # ``auto`` on a loss that is not linear in the sufficient statistic.
+        solver = "prox" if spec.lam_g.fam.kind == ISOTROPIC and cfg.delta_method else "von"
     if solver == "prox":
         # Isotropic family with the delta method: the subproblem collapses to
         # the classical proximal step on the mean.
@@ -666,11 +661,11 @@ def run_rounds(
 
     After each round, ``metrics_fn(server, clients)`` and then
     ``verify_fn(server, clients)`` return values for its record.  If either
-    raises an exception that is not a :class:`BayesAdmmError`, the run ends
-    with a ``failure`` event naming the round, the phase (``metrics`` or
-    ``verify``) and the exception; the states stay as the engine committed
-    them.  ``on_record(record)`` is called with each round record as it is
-    appended.
+    raises any exception, a package error such as :class:`DegenerateMoment`
+    included, the run ends with a ``failure`` event naming the round, the
+    phase (``metrics`` or ``verify``) and the exception; the states stay as
+    the engine committed them.  ``on_record(record)`` is called with each
+    round record as it is appended.
     """
     engine = ROUND_ENGINES[cfg.method]
     records: list[dict] = []
@@ -697,8 +692,6 @@ def run_rounds(
                 continue
             try:
                 metric_values.update(fn(server, clients))
-            except BayesAdmmError:
-                raise
             except Exception as exc:
                 failure = event("failure", type(exc).__name__, str(exc), phase=phase)
                 return stop(failure, first_event is not None, exc)

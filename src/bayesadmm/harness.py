@@ -26,6 +26,7 @@ from .families import (
     Array,
     Family,
     NatParam,
+    _chol_solve,
     chol_spd,
     dual_axpy,
     dual_inf_norm,
@@ -34,7 +35,6 @@ from .families import (
     kl as kl_div,
     nat_sub,
     sample,
-    spd_solve,
 )
 from .losses import (
     DRAW_CHUNK,
@@ -329,12 +329,11 @@ def conjugate_oracle(delta: float, shards: list[Dataset]) -> OracleSolution:
         prec = prec + s.X.T @ s.X
         rhs = rhs + s.X.T @ s.y
     try:
-        chol_spd(prec)
+        low = chol_spd(prec)
     except NonPositivePrecision as exc:
         raise SingularSystem(f"posterior precision not positive definite: {exc}") from exc
-    mean = spd_solve(prec, rhs)
-    fam = Family.full(d)
-    return OracleSolution("conjugate", lam=NatParam(fam, mean, prec))
+    lam = NatParam(Family.full(d), _chol_solve(low, rhs), prec, _chol=low)
+    return OracleSolution("conjugate", lam=lam)
 
 
 def reference_solution(

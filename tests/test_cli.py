@@ -697,11 +697,12 @@ def test_run_streams_the_trace_before_a_failing_metric(tmp_path, monkeypatch, ca
     assert committed_state(tmp_path / "out") == committed_state(tmp_path / "three")
 
 
-def test_run_keeps_its_record_when_verify_raises(tmp_path, monkeypatch):
+def assert_verify_failure_keeps_the_record(tmp_path, monkeypatch, error):
+    """A run whose verifier raises ``error`` in round 0 exits 1 with its summary and checkpoint."""
     import bayesadmm.cli as cli
 
     def failing(*args, **kwargs):
-        raise ZeroDivisionError("verifier failed")
+        raise error
 
     one = write(tmp_path, "one.ini", PROP2_INI.replace("rounds = 3", "rounds = 1"))
     assert main(["run", "--config", one, "--out", str(tmp_path / "one")]) == 0
@@ -712,10 +713,23 @@ def test_run_keeps_its_record_when_verify_raises(tmp_path, monkeypatch):
     assert [json.loads(line)["type"] for line in lines] == ["header"]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["event"] == {"type": "failure", "round": 0, "method": "bayes_admm",
-                                "phase": "verify", "reason": "ZeroDivisionError",
-                                "detail": "verifier failed"}
+                                "phase": "verify", "reason": type(error).__name__,
+                                "detail": str(error)}
     assert summary["rounds_completed"] == 0 and summary["final"] == {}
     assert committed_state(tmp_path / "out") == committed_state(tmp_path / "one")
+
+
+def test_run_keeps_its_record_when_verify_raises(tmp_path, monkeypatch):
+    assert_verify_failure_keeps_the_record(tmp_path, monkeypatch, ZeroDivisionError("verifier failed"))
+
+
+def test_run_keeps_its_record_when_verify_raises_a_package_error(tmp_path, monkeypatch, capsys):
+    from bayesadmm.errors import DegenerateMoment
+
+    error = DegenerateMoment("implied covariance is not finite and positive")
+    assert_verify_failure_keeps_the_record(tmp_path, monkeypatch, error)
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: round 0 verify: DegenerateMoment: {error}\n")
 
 
 # ---------------------------------------------------------------------------

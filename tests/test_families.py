@@ -445,11 +445,38 @@ def full_duals():
     rng = np.random.default_rng(41)
     fam = Family.full(4)
     yield DualVec(fam, rng.standard_normal(4), -0.5 * random_spd(rng, 4))
-    # Singular PSD precision: the plain factorization fails, a jitter retry passes.
+    # Positive definite, as np.linalg.cholesky confirms, with a condition number of about 2e9.
+    near = np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]])
+    np.linalg.cholesky(near)
+    yield DualVec(Family.full(2), np.array([0.3, -0.2]), -0.5 * near)
+
+
+def test_a_singular_precision_is_rejected_after_one_factorization(monkeypatch):
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(singular)
-    yield DualVec(Family.full(2), np.array([0.3, -0.2]), -0.5 * singular)
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    fam = Family.full(2)
+    for make in (lambda: chol_spd(singular), lambda: NatParam(fam, np.zeros(2), singular),
+                 lambda: NatParam.from_dual(DualVec(fam, np.zeros(2), -0.5 * singular))):
+        calls.clear()
+        with pytest.raises(NonPositivePrecision):
+            make()
+        assert len(calls) == 1 and np.array_equal(calls[0], singular)
+
+
+@pytest.mark.parametrize("kind", ["diag", "full"])
+def test_to_expectation_rejects_a_covariance_that_overflows(kind):
+    # 1 / 1e-310 is past float64's largest value, so the covariance is inf.
+    prec = np.full(2, 1e-310)
+    lam = NatParam(Family(kind, 2), np.zeros(2), prec if kind == "diag" else np.diag(prec))
+    with pytest.raises(DegenerateMoment, match="not finite"), np.errstate(over="ignore"):
+        to_expectation(lam)
 
 
 @pytest.mark.parametrize("dual", list(full_duals()))
@@ -492,8 +519,8 @@ def test_dual_maps_reuse_the_factor_and_match_refactoring(monkeypatch, dual):
     log_z = log_partition(lam)
     assert calls == []
     mu = to_expectation(lam)
-    # The one factorization left is ExpParam's moment-cone check on the covariance.
-    assert len(calls) == 1 and not np.array_equal(calls[0], lam.prec)
+    # The covariance is the inverse of a factored precision; nothing factors it again.
+    assert calls == []
     monkeypatch.undo()
     # The expressions that factored each precision again.
     want_m2 = ExpParam(lam.fam, lam.m, np.outer(lam.m, lam.m) + spd_inverse(lam.prec)).m2
@@ -557,7 +584,6 @@ def test_array_codec_writes_c_order():
 
 @pytest.mark.parametrize("dual", list(full_duals()))
 def test_nat_param_codec_keeps_the_precision_and_its_factor(dual):
-    # The second case's precision is singular and needs chol_spd's jitter retry.
     lam = NatParam.from_dual(dual)
     back = nat_from_jsonable(lam.fam, json.loads(json.dumps(nat_to_jsonable(lam))))
     assert_bit_exact(back.m, lam.m)
@@ -599,7 +625,7 @@ def same_bits(got, want):
 def lower_factors():
     rng = np.random.default_rng(5)
     lows = [chol_spd(random_spd(rng, d)) for d in (1, 30, 201)]
-    # The second full_duals case's precision is singular and needs a jitter retry.
+    # The second full_duals case's precision has a condition number of about 2e9.
     lows += [NatParam.from_dual(dual)._chol for dual in full_duals()]
     for low in lows:
         yield pytest.param(low, id=f"C-d{low.shape[0]}")
@@ -645,7 +671,7 @@ def inverse_factors():
     # A condition number of 1e8, so the derived bound is far from trivial.
     q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
     lows.append(chol_spd(q @ np.diag(np.geomspace(1e-4, 1e4, 30)) @ q.T))
-    # The second full_duals case's precision is singular and needs a jitter retry.
+    # The second full_duals case's precision has a condition number of about 2e9.
     lows += [NatParam.from_dual(dual)._chol for dual in full_duals()]
     return [pytest.param(low, id=f"d{low.shape[0]}-{i}") for i, low in enumerate(lows)]
 

@@ -154,6 +154,28 @@ def test_one_round_convergence_on_conjugate_losses():
         assert dual_inf_norm(nat_sub(c.lam, server.lam_g)) < 1e-12
 
 
+def test_auto_solver_takes_a_ridge_clients_coefficient_once(monkeypatch):
+    import bayesadmm.federation as federation
+    import bayesadmm.solvers as solvers
+
+    rng = np.random.default_rng(5)
+    K, d, n = 2, 3, 10
+    losses, _ = ridge_problem(rng, K, d, n)
+    prior = NatParam(Family.full(d), np.zeros(d), np.eye(d))
+    server, clients = init_bayes_states(prior, losses, [n] * K, rho=0.5)
+    calls = []
+
+    def counting(loss, fam):
+        calls.append(loss)
+        return conjugate_coefficient(loss, fam)
+
+    # Patched where the round could reach it: in the conjugate solver and in the round itself.
+    for module in (solvers, federation):
+        monkeypatch.setattr(module, "conjugate_coefficient", counting, raising=False)
+    bayes_admm_round(server, clients, MethodConfig("bayes_admm"), 0)
+    assert len(calls) == K
+
+
 def test_admm_recovery_isotropic_delta_method():
     rng = np.random.default_rng(4)
     K, d, n = 3, 4, 12
