@@ -97,6 +97,71 @@ MUTANTS = (
                 failure = event(""",
         ("tests/test_cli.py::test_run_keeps_its_record_when_verify_raises_a_package_error",),
     ),
+    Mutant(
+        "the quadratic gradient takes thetas @ A, not the bits of A @ m",
+        "src/bayesadmm/losses.py",
+        "        return thetas @ loss.A.T + loss.b\n",
+        "        return thetas @ loss.A + loss.b\n",
+        ("tests/test_losses.py::test_t_linear_moments_are_the_closed_forms_bit_for_bit",),
+    ),
+    Mutant(
+        "a raising kl becomes a NaN metric",
+        "src/bayesadmm/harness.py",
+        """            out["kl_to_oracle"] = kl_div(lam_g, oracle.lam)
+""",
+        """            try:
+                out["kl_to_oracle"] = kl_div(lam_g, oracle.lam)
+            except Exception:
+                out["kl_to_oracle"] = float("nan")
+""",
+        ("tests/test_cli.py::test_run_reports_a_raising_kl_as_a_metrics_failure",),
+    ),
+    Mutant(
+        "a full precision may hold inf",
+        "src/bayesadmm/families.py",
+        """            if not np.isfinite(prec).all():
+                raise NonPositivePrecision("full precision has non-finite entries")
+""",
+        "",
+        ("tests/test_families.py::test_natparam_rejects_a_non_finite_precision",
+         "tests/test_cli.py::test_verify_rejects_a_checkpoint_with_an_infinite_precision"),
+    ),
+    Mutant(
+        "a diag precision may hold inf",
+        "src/bayesadmm/families.py",
+        "            if not np.all((prec > 0.0) & (prec < np.inf)):\n",
+        "            if not np.all(prec > 0.0):\n",
+        ("tests/test_families.py::test_natparam_rejects_a_non_finite_precision",),
+    ),
+    Mutant(
+        "the multiclass Hessian drops its transpose",
+        "src/bayesadmm/losses.py",
+        ".reshape(c, c, d, d).transpose(0, 2, 1, 3)\n",
+        ".reshape(c, c, d, d)\n",
+        ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
+    ),
+    Mutant(
+        "the last partial chunk of draws is dropped",
+        "src/bayesadmm/losses.py",
+        "for i in range(0, len(thetas), DRAW_CHUNK))\n",
+        "for i in range(0, len(thetas) - DRAW_CHUNK + 1, DRAW_CHUNK))\n",
+        ("tests/test_losses.py::test_batched_monte_carlo_matches_per_draw_loop",
+         "tests/test_harness.py::test_batched_posterior_average_matches_per_draw_loop"),
+    ),
+    Mutant(
+        "from_dual factors the precision a second time",
+        "src/bayesadmm/families.py",
+        "        return _wrap(cls, fam, _chol_solve(low, dual.b1), prec, low)\n",
+        "        return cls(fam, _chol_solve(low, dual.b1), prec)\n",
+        ("tests/test_families.py::test_full_from_dual_factors_once_and_matches_two_factor_path",),
+    ),
+    Mutant(
+        "the multiclass weight diagonal is scaled by 1.000001",
+        "src/bayesadmm/losses.py",
+        "    weights[idx, idx] += probs.sum(axis=0)\n",
+        "    weights[idx, idx] += 1.000001 * probs.sum(axis=0)\n",
+        ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
+    ),
 )
 
 

@@ -285,7 +285,8 @@ class NatParam:
 
     ``prec`` is the precision vector (``diag``) or matrix (``full``); it is
     ``None`` for the fixed-covariance families.  The constructor enforces
-    strict positivity of the encoded precision.  A full precision keeps in
+    strict positivity of the encoded precision and finiteness of every
+    entry (``np.linalg.cholesky`` factors ``[[inf]]``).  A full precision keeps in
     ``_chol`` the exact lower Cholesky factor of ``prec`` itself, so a full
     ``NatParam`` exists only for a precision that ``np.linalg.cholesky``
     accepts; :meth:`from_dual` hands over the one it already made, so each
@@ -313,10 +314,12 @@ class NatParam:
             prec = _frozen(self.prec)
             if prec.shape != (self.fam.dim,):
                 raise FamilyMismatch("diag precision must be a vector of length dim")
-            if not np.all(prec > 0.0):
-                raise NonPositivePrecision("diag precision has entries <= 0")
+            if not np.all((prec > 0.0) & (prec < np.inf)):
+                raise NonPositivePrecision("diag precision has entries <= 0 or not finite")
         else:  # FULL
             prec = _symmetrize(self.prec)
+            if not np.isfinite(prec).all():
+                raise NonPositivePrecision("full precision has non-finite entries")
             low = chol_spd(prec) if self._chol is None else self._chol
             object.__setattr__(self, "_chol", _frozen(low))
             prec = _frozen(prec)
@@ -591,18 +594,16 @@ def to_expectation(lam: NatParam) -> ExpParam:
 def to_natural(mu: ExpParam) -> NatParam:
     """Inverse dual map: inverts the covariance ``mu`` keeps.
 
-    Raises :class:`DegenerateMoment` when that covariance is not positive definite.
+    Raises :class:`DegenerateMoment` when that covariance is not positive
+    definite or its inverse overflows.
     """
     kind = mu.fam.kind
     if kind in (ISOTROPIC, FIXED):
         return NatParam(mu.fam, mu.m)
-    if kind == DIAG:
-        return NatParam(mu.fam, mu.m, 1.0 / mu._cov)
     try:
-        prec = spd_inverse(mu._cov)
+        return NatParam(mu.fam, mu.m, 1.0 / mu._cov if kind == DIAG else spd_inverse(mu._cov))
     except NonPositivePrecision as exc:
         raise DegenerateMoment("implied covariance is not positive definite") from exc
-    return NatParam(mu.fam, mu.m, prec)
 
 
 def log_partition(lam: NatParam) -> float:

@@ -405,10 +405,8 @@ def _distribution_round(
                 direction = exp_sub(to_expectation(lam), mu_g)
             else:
                 direction = nat_sub(lam, lam_g)
-            new_eta = dual_axpy(dual_step, direction, eta)
-            moved = dual_inf_norm(dual_axpy(-1.0, eta, new_eta))
-            eta = new_eta
-            if cfg.repeat_tol > 0 and moved <= cfg.repeat_tol:
+            eta, prev = dual_axpy(dual_step, direction, eta), eta
+            if cfg.repeat_tol > 0 and dual_inf_norm(dual_axpy(-1.0, prev, eta)) <= cfg.repeat_tol:
                 break
         return {"lam": lam, "eta": eta}, info
 
@@ -598,10 +596,9 @@ def verify_fixed_point(
     server: ServerState,
     clients: list[ClientState],
     estimator: Estimator | str = "auto",
-    inner: InnerConfig | None = None,
 ) -> FixedPointReport:
     """Residuals of the duality conditions at the current states."""
-    inner = inner or InnerConfig()
+    by_name = InnerConfig(estimator=estimator) if isinstance(estimator, str) else None
     lam_g = server.lam_g
     mu_g = to_expectation(lam_g)
     consensus = 0.0
@@ -609,12 +606,7 @@ def verify_fixed_point(
     for client in clients:
         mu_k = to_expectation(client.lam)
         consensus = max(consensus, dual_inf_norm(exp_sub(mu_k, mu_g)))
-        if isinstance(estimator, str):
-            est = resolve_estimator(
-                InnerConfig(estimator=estimator, mc_count=inner.mc_count), client.loss, 0
-            )
-        else:
-            est = estimator
+        est = estimator if by_name is None else resolve_estimator(by_name, client.loss, 0)
         ng = natural_gradient(scale_loss(client.loss, server.tau), client.lam, est)
         dual = max(dual, dual_inf_norm(dual_axpy(1.0, ng, client.eta)))
     gathered = dual_sum([server.eta0] + [c.eta for c in clients])

@@ -37,14 +37,14 @@ from .families import (
     sample,
 )
 from .losses import (
-    DRAW_CHUNK,
     Delta,
     Estimator,
     Logistic,
     LossSpec,
     MulticlassLogistic,
     Quadratic,
-    _special,
+    _chunks,
+    _probs,
     natural_gradient,
     scale_loss,
 )
@@ -307,13 +307,8 @@ def classification_losses(shards: list[Dataset], n_classes: int) -> list[LossSpe
 @dataclass(frozen=True)
 class OracleSolution:
     kind: str  # 'conjugate' | 'reference'
-    lam: NatParam | None = None
-    theta: Array | None = None
+    lam: NatParam
     residual: float = 0.0
-
-    @property
-    def mean(self) -> Array:
-        return self.lam.m if self.lam is not None else self.theta
 
 
 def conjugate_oracle(delta: float, shards: list[Dataset]) -> OracleSolution:
@@ -391,18 +386,9 @@ def predict_proba(theta: Array, ds: Dataset) -> Array:
 
 
 def _batch_proba(thetas: Array, ds: Dataset) -> Array:
-    """Class probabilities (S, C, n) at each row of ``thetas``, from one product with X.
-
-    Works in place: fresh temporaries of this size cost more than the arithmetic.
-    """
-    if ds.n_classes == 2:
-        p1 = _special().expit(thetas @ ds.X.T)
-        return np.stack([1.0 - p1, p1], axis=1)
-    probs = (thetas.reshape(-1, ds.d) @ ds.X.T).reshape(len(thetas), ds.n_classes, ds.n)
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    """Class probabilities (S, C, n) at each row of ``thetas``, from the losses' kernel."""
+    probs = _probs(classification_losses([ds], ds.n_classes)[0], thetas, ds.X)
+    return np.stack([1.0 - probs, probs], axis=1) if ds.n_classes == 2 else probs
 
 
 def nll_accuracy(probs: Array, ds: Dataset) -> tuple[float, float]:
@@ -420,10 +406,9 @@ def nll_accuracy(probs: Array, ds: Dataset) -> tuple[float, float]:
 
 
 def posterior_average_proba(lam: NatParam, ds: Dataset, count: int = 32, seed: int = 0) -> Array:
-    thetas = sample(lam, count, seed)
     total = 0.0
-    for start in range(0, count, DRAW_CHUNK):
-        total = total + _batch_proba(thetas[start : start + DRAW_CHUNK], ds).sum(axis=0)
+    for chunk in _chunks(sample(lam, count, seed)):
+        total = total + _batch_proba(chunk, ds).sum(axis=0)
     return total.T / count
 
 
@@ -440,14 +425,11 @@ def metrics(
     theta_g = getattr(server, "theta_g", None)
     mean = lam_g.m if lam_g is not None else theta_g
     if oracle is not None:
-        if lam_g is not None and oracle.lam is not None and oracle.lam.fam == lam_g.fam:
+        if lam_g is not None and oracle.lam.fam == lam_g.fam:
             out["dist_to_oracle"] = dual_inf_norm(nat_sub(lam_g, oracle.lam))
-            try:
-                out["kl_to_oracle"] = kl_div(lam_g, oracle.lam)
-            except Exception:
-                out["kl_to_oracle"] = float("nan")
+            out["kl_to_oracle"] = kl_div(lam_g, oracle.lam)
         else:
-            out["dist_to_oracle"] = float(np.max(np.abs(mean - oracle.mean)))
+            out["dist_to_oracle"] = float(np.max(np.abs(mean - oracle.lam.m)))
     if test is not None and test.n_classes:
         probs = predict_proba(mean, test)
         nll, acc = nll_accuracy(probs, test)

@@ -258,13 +258,14 @@ def _probs(loss: Logistic | MulticlassLogistic, thetas: Array, x: Array) -> Arra
 
 def _grads(loss: LossSpec, thetas: Array) -> Array:
     """Gradients (S, dim) at each row of ``thetas``."""
+    # ``A`` and ``b2`` are symmetric; ``thetas @ A.T`` gives the bits of ``A @ m``.
     if isinstance(loss, Quadratic):
-        return thetas @ loss.A + loss.b
+        return thetas @ loss.A.T + loss.b
     if isinstance(loss, LinearInT):
         c = loss.c
         if c.b2 is None:
             return np.tile(-c.b1, (len(thetas), 1))
-        return -c.b1 - 2.0 * (thetas * c.b2 if c.fam.kind == DIAG else thetas @ c.b2)
+        return -c.b1 - 2.0 * (thetas * c.b2 if c.fam.kind == DIAG else thetas @ c.b2.T)
     return _prob_grads(loss, _probs(loss, thetas, loss.X), loss.X, loss.y)
 
 
@@ -400,28 +401,16 @@ def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Arr
 
 
 def _analytic_moments(loss, lam, diag, estimator) -> MomentEstimate:
-    if isinstance(loss, Quadratic):
-        g = loss.A @ lam.m + loss.b
-        h = np.diag(loss.A).copy() if diag else loss.A
-        return MomentEstimate(g, h, estimator)
-    if isinstance(loss, LinearInT):
-        # Moments of -<c, T>: the second block is constant, the gradient carries
-        # the mean so that (g - h m, h/2) collapses to -c exactly.
-        c = loss.c
-        if c.fam != lam.fam:
-            raise FamilyMismatch("LinearInT coefficient family differs from q's family")
-        g = -c.b1.copy()
-        if c.b2 is None:
-            h = np.zeros(loss.dim) if diag else np.zeros((loss.dim, loss.dim))
-            return MomentEstimate(g, h, estimator)
-        if c.fam.kind == DIAG:
-            h = -2.0 * c.b2
-            g = g + h * lam.m
-            return MomentEstimate(g, h if diag else np.diag(h), estimator)
-        h = -2.0 * c.b2
-        g = g + h @ lam.m
-        return MomentEstimate(g, np.diag(h).copy() if diag else h, estimator)
-    raise EstimatorUnsupported(f"Analytic moments unavailable for {type(loss).__name__}")
+    """Exact moments of a T-linear loss: the gradient at the mean and the constant Hessian.
+
+    That is the delta method, exact here because the gradient is affine and
+    the Hessian constant; so ``(g - h m, h/2)`` of ``-<c, T>`` is ``-c``.
+    """
+    if not isinstance(loss, (Quadratic, LinearInT)):
+        raise EstimatorUnsupported(f"Analytic moments unavailable for {type(loss).__name__}")
+    if isinstance(loss, LinearInT) and loss.c.fam != lam.fam:
+        raise FamilyMismatch("LinearInT coefficient family differs from q's family")
+    return MomentEstimate(loss_grad(loss, lam.m), loss_hess(loss, lam.m, diag_only=diag), estimator)
 
 
 def _reparam_moments(loss, lam, estimator) -> MomentEstimate:

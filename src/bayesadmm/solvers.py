@@ -108,10 +108,10 @@ def subproblem_gradient(
     spec: SubproblemSpec,
     lam: NatParam,
     estimator: Estimator,
-    tempered: LossSpec | None = None,
+    tempered: LossSpec,
 ) -> DualVec:
-    """grad_mu of the client objective at ``lam``."""
-    ng = natural_gradient(tempered or spec.tempered_loss(), lam, estimator)
+    """grad_mu of the client objective at ``lam``; ``tempered`` is ``spec.tempered_loss()``."""
+    ng = natural_gradient(tempered, lam, estimator)
     return dual_axpy(spec.rho, nat_sub(lam, spec.lam_g), dual_axpy(1.0, spec.eta, ng))
 
 
@@ -121,7 +121,6 @@ def solve_von(
     beta: float = 0.5,
     estimator: Estimator = Analytic(),
     tol: float = 1e-8,
-    init: NatParam | None = None,
 ) -> VonResult:
     """Natural-gradient descent lam <- lam - beta * grad_mu F, started at lam_g.
 
@@ -131,7 +130,7 @@ def solve_von(
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    lam = spec.lam_g if init is None else init
+    lam = spec.lam_g
     tempered = spec.tempered_loss()
     norms: list[float] = []
     gnorm = np.inf

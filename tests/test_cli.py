@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bayesadmm.cli import main
-from bayesadmm.families import array_from_jsonable
+from bayesadmm.families import array_from_jsonable, array_to_jsonable
 
 
 PROP2_INI = """
@@ -730,6 +730,39 @@ def test_run_keeps_its_record_when_verify_raises_a_package_error(tmp_path, monke
     assert_verify_failure_keeps_the_record(tmp_path, monkeypatch, error)
     err = capsys.readouterr().err
     assert err.endswith(f"error: round 0 verify: DegenerateMoment: {error}\n")
+
+
+def test_run_reports_a_raising_kl_as_a_metrics_failure(tmp_path, monkeypatch, capsys):
+    # Two same-family NatParams cannot make kl raise, so a raise is a defect, not a divergence.
+    from bayesadmm import harness
+
+    def failing(*args, **kwargs):
+        raise ZeroDivisionError("kl failed")
+
+    monkeypatch.setattr(harness, "kl_div", failing)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, "prop2.ini", PROP2_INI), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("error: round 0 metrics: ZeroDivisionError: kl failed\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["event"] == {"type": "failure", "round": 0, "method": "bayes_admm",
+                                "phase": "metrics", "reason": "ZeroDivisionError",
+                                "detail": "kl failed"}
+    assert summary["rounds_completed"] == 0 and not summary["diverged"]
+    assert committed_state(out)["clients"]
+
+
+def test_verify_rejects_a_checkpoint_with_an_infinite_precision(tmp_path, monkeypatch, capsys):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    prec = array_from_jsonable(data["clients"][0]["lam"]["S"])
+    prec[0, 0] = np.inf
+    data["clients"][0]["lam"]["S"] = array_to_jsonable(prec)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: NonPositivePrecision: full precision has non-finite entries\n"
 
 
 # ---------------------------------------------------------------------------

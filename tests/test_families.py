@@ -436,6 +436,27 @@ def test_dual_sum_kahan_order():
     assert dual_sum(vals).b1[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("kind, prec", [
+    ("diag", [np.inf]),
+    ("full", [[np.inf]]),
+    ("full", [[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["diag-inf", "full-inf", "full-diag-inf-1"])
+def test_natparam_rejects_a_non_finite_precision(kind, prec):
+    # np.linalg.cholesky factors [[inf]] and diag(inf, 1) without complaint.
+    prec = np.array(prec)
+    with pytest.raises(NonPositivePrecision, match="not finite|non-finite"):
+        NatParam(Family(kind, len(prec)), np.zeros(len(prec)), prec)
+
+
+@pytest.mark.parametrize("kind", ["diag", "full"])
+def test_to_natural_rejects_a_covariance_whose_inverse_overflows(kind):
+    # 1 / 1e-310 is past float64's largest value, so the precision would be inf.
+    var = np.array([1e-310, 1.0])
+    mu = ExpParam(Family(kind, 2), np.zeros(2), var if kind == "diag" else np.diag(var))
+    with pytest.raises(DegenerateMoment), np.errstate(over="ignore", divide="ignore"):
+        to_natural(mu)
+
+
 # ---------------------------------------------------------------------------
 # the cached Cholesky factor of a full precision
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from bayesadmm.errors import (
     SingularSystem,
     TruncatedFile,
 )
-from bayesadmm import harness
+from bayesadmm import harness, losses
 from bayesadmm.families import Family, NatParam, dual_inf_norm, nat_sub, sample
 from bayesadmm.federation import (
     ClientState,
@@ -309,7 +309,7 @@ def test_posterior_average_recorded_alongside_point_nll():
 
 @pytest.mark.parametrize("classes,count", [(2, 1), (2, 19), (4, 8), (4, 19)])
 def test_batched_posterior_average_matches_per_draw_loop(monkeypatch, classes, count):
-    monkeypatch.setattr(harness, "DRAW_CHUNK", 8)
+    monkeypatch.setattr(losses, "DRAW_CHUNK", 8)
     ds = gen_blobs(6, classes, d=2, seed=3)
     dim = ds.d if classes == 2 else classes * ds.d
     rng = np.random.default_rng(classes + count)

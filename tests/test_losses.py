@@ -143,6 +143,26 @@ def test_linear_in_t_natural_gradient_is_minus_c():
         assert np.allclose(ng.b2, -c.b2, atol=1e-12)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [3, 30])
+@pytest.mark.parametrize("estimator", [Analytic(), Delta()], ids=["analytic", "delta"])
+def test_t_linear_moments_are_the_closed_forms_bit_for_bit(estimator, d):
+    # Exact for a T-linear loss: the gradient at the mean and the constant Hessian.
+    rng = np.random.default_rng(d)
+    fam = Family.full(d)
+    lam = NatParam(fam, rng.standard_normal(d), random_spd(rng, d))
+    quad = Quadratic(random_spd(rng, d), rng.standard_normal(d))
+    mom = expected_moments(quad, lam, estimator)
+    assert same_bits(mom.g, quad.A @ lam.m + quad.b) and same_bits(mom.h, quad.A)
+    c = DualVec(fam, rng.standard_normal(d), -0.5 * random_spd(rng, d))
+    mom = expected_moments(LinearInT(c), lam, estimator)
+    assert same_bits(mom.g, -c.b1 + (-2.0 * c.b2) @ lam.m) and same_bits(mom.h, -2.0 * c.b2)
+
+
 def test_delta_moments_evaluate_at_the_mean():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((15, 2))
