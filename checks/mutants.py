@@ -81,7 +81,7 @@ MUTANTS = (
         """        cov = _chol_inverse(lam._chol)
         m2 = np.outer(lam.m, lam.m) + cov
 """,
-        """        cov = spd_inverse(lam.prec)
+        """        cov = _chol_inverse(chol_spd(lam.prec))
         m2 = np.outer(lam.m, lam.m) + cov
 """,
         ("tests/test_families.py::test_dual_maps_reuse_the_factor_and_match_refactoring",),
@@ -161,6 +161,121 @@ MUTANTS = (
         "    weights[idx, idx] += probs.sum(axis=0)\n",
         "    weights[idx, idx] += 1.000001 * probs.sum(axis=0)\n",
         ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
+    ),
+    Mutant(
+        "a fixed Family's from_dual factors its precision again",
+        "src/bayesadmm/families.py",
+        "            return _wrap(cls, fam, _chol_solve(fam._chol, dual.b1))\n",
+        "            return _wrap(cls, fam, _chol_solve(chol_spd(fam.fixed_precision), dual.b1))\n",
+        ("tests/test_families.py::test_a_fixed_family_factors_its_precision_once",),
+    ),
+    Mutant(
+        "the layout check skips the second block's shape",
+        "src/bayesadmm/families.py",
+        """    if b2.shape != shape:
+        raise FamilyMismatch(f"second block shape {b2.shape} != {shape}")
+""",
+        "",
+        ("tests/test_families.py::test_a_block_off_the_family_layout_is_a_family_mismatch",),
+    ),
+    Mutant(
+        "DualVec rejects an asymmetric block like a precision",
+        "src/bayesadmm/families.py",
+        "_blocks(self.fam, self.b1, self.b2, tol=None)",
+        "_blocks(self.fam, self.b1, self.b2, tol=1e-8)",
+        ("tests/test_families.py::test_symmetric_shortcut_equals_the_average_bit_for_bit",),
+    ),
+    Mutant(
+        "the checkpoint keys of diag and full precisions are swapped",
+        "src/bayesadmm/families.py",
+        '_JSON_KEYS = {DIAG: ("s", "u"), FULL: ("S", "V")}',
+        '_JSON_KEYS = {DIAG: ("S", "u"), FULL: ("s", "V")}',
+        ("tests/test_families.py::test_checkpoint_codec_keeps_its_keys_and_bits",),
+    ),
+    Mutant(
+        "the symmetry shortcut compares values, not bits",
+        "src/bayesadmm/families.py",
+        """    bits = mat.view(np.uint64)
+    return bool(np.array_equal(bits, bits.T))
+""",
+        "    return bool(np.array_equal(mat, mat.T))\n",
+        ("tests/test_families.py::test_symmetric_shortcut_equals_the_average_bit_for_bit",),
+    ),
+    Mutant(
+        "the public constructors keep a read-only input instead of copying it",
+        "src/bayesadmm/families.py",
+        """    out = np.array(a, dtype=dtype)
+""",
+        """    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=dtype)
+""",
+        ("tests/test_families.py::test_constructors_do_not_share_the_callers_arrays",),
+    ),
+    Mutant(
+        "_wrap does not freeze its arrays",
+        "src/bayesadmm/families.py",
+        """    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+""",
+        "",
+        ("tests/test_families.py::test_private_results_equal_the_public_constructors_bit_for_bit",),
+    ),
+    Mutant(
+        "the symmetry shortcut returns an F-ordered block as it is",
+        "src/bayesadmm/families.py",
+        """    if _exactly_symmetric(mat):
+        return np.ascontiguousarray(mat)
+    if tol is not None:""",
+        """    if _exactly_symmetric(mat):
+        return mat
+    if tol is not None:""",
+        ("tests/test_families.py::test_symmetric_shortcut_equals_the_average_bit_for_bit",),
+    ),
+    Mutant(
+        "the triangular solve drops its finite check",
+        "src/bayesadmm/families.py",
+        """    _require_finite(a)
+    _require_finite(b)
+""",
+        "",
+        ("tests/test_families.py::test_triangular_solve_keeps_scipys_errors",),
+    ),
+    Mutant(
+        "the transposed triangular solve passes the wrong trans",
+        "src/bayesadmm/families.py",
+        "        x, info = trtrs(a.T, b, lower=not lower, trans=1)\n",
+        "        x, info = trtrs(a.T, b, lower=not lower, trans=0)\n",
+        ("tests/test_families.py::test_triangular_solve_matches_scipy_bit_for_bit",),
+    ),
+    Mutant(
+        "to_natural inverts m2 - m m^T, full",
+        "src/bayesadmm/families.py",
+        "_chol_inverse(chol_spd(mu._cov))",
+        "_chol_inverse(chol_spd(mu.m2 - np.outer(mu.m, mu.m)))",
+        ("tests/test_families.py::test_dual_maps_do_not_cancel_a_large_mean",),
+    ),
+    Mutant(
+        "to_natural inverts m2 - m m^T, diag",
+        "src/bayesadmm/families.py",
+        "1.0 / mu._cov if kind == DIAG",
+        "1.0 / (mu.m2 - mu.m * mu.m) if kind == DIAG",
+        ("tests/test_families.py::test_dual_maps_do_not_cancel_a_large_mean",),
+    ),
+    Mutant(
+        "_chol_inverse does not mirror its triangle",
+        "src/bayesadmm/families.py",
+        "    out += np.tril(tri, -1).T\n",
+        "",
+        ("tests/test_families.py::test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound",),
+    ),
+    Mutant(
+        "dpotri is told the wrong triangle",
+        "src/bayesadmm/families.py",
+        "    inv, info = potri(low.T, lower=0)\n",
+        "    inv, info = potri(low.T, lower=1)\n",
+        ("tests/test_families.py::test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound",),
     ),
 )
 

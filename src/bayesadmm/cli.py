@@ -193,6 +193,9 @@ def _resolve(conf: dict) -> dict:
         raise ConfigError("[data] csv kind needs a path")
     if typed["split"]["kind"] == "class_partition" and typed["split"]["assignments"] is None:
         raise ConfigError("[split] class_partition needs assignments")
+    e = typed["experiment"]
+    if e["method"] == "ivon_admm" and e["family"] != "diag":
+        raise ConfigError(f"[experiment] family: ivon_admm needs diag, got {e['family']!r}")
     return typed
 
 
@@ -329,8 +332,7 @@ def _assemble(c) -> _Setup:
     if cfg.method in ("admm", "fedavg"):
         server, clients = init_point_states(dim, losses, ns, h["rho"], delta=h["delta"])
     else:
-        family = "diag" if cfg.method == "ivon_admm" else e["family"]
-        server, clients = init_bayes_states(_prior(family, dim, h["delta"]), losses, ns, h["rho"],
+        server, clients = init_bayes_states(_prior(e["family"], dim, h["delta"]), losses, ns, h["rho"],
                                             gamma=h["gamma"], tau=h["tau"], alpha_override=h["alpha"])
     return _Setup(server, clients, cfg, oracle, test)
 
@@ -360,6 +362,14 @@ def _write_line(fh, record: dict) -> None:
     """One flushed trace line, so a run that stops keeps every line written so far."""
     fh.write(json.dumps(record, sort_keys=True) + "\n")
     fh.flush()
+
+
+def _write_json(path: str, obj, indent: int | None = None) -> None:
+    """``obj`` as JSON at ``path``, whole or not at all: written beside it, then renamed over it."""
+    part = path + ".part"
+    with open(part, "w") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+    os.replace(part, path)
 
 
 def _write_svg(path, name: str, vals: list, title: str) -> None:
@@ -407,6 +417,9 @@ def cmd_run(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     config_hash = _config_hash(conf)
+    for name in ("summary.json", "checkpoint.json", "chart.svg"):  # an earlier run's record
+        if os.path.exists(path := os.path.join(out_dir, name)):
+            os.remove(path)
     with open(os.path.join(out_dir, "trace.jsonl"), "w") as trace:
         _write_line(trace, {"type": "header", "config": conf, "config_hash": config_hash,
                             "inner_tol": c["inner"]["tol"], "version": __version__})
@@ -427,12 +440,10 @@ def cmd_run(args) -> int:
         "config_hash": config_hash,
         "final": {k: _sanitize(v) for k, v in (result.records[-1].items() if result.records else [])},
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, "checkpoint.json"), "w") as fh:
-        checkpoint = checkpoint_to_jsonable(setup.server, setup.clients)
-        checkpoint.update(config=conf, config_hash=config_hash, data_sha256=data_sha256)
-        json.dump(checkpoint, fh, sort_keys=True)
+    _write_json(os.path.join(out_dir, "summary.json"), summary, indent=2)
+    checkpoint = checkpoint_to_jsonable(setup.server, setup.clients)
+    checkpoint.update(config=conf, config_hash=config_hash, data_sha256=data_sha256)
+    _write_json(os.path.join(out_dir, "checkpoint.json"), checkpoint)
     if args.svg:  # a run with neither metric has no points, so no chart
         metric = "dist_to_oracle" if setup.oracle is not None else "nll_mean"
         _write_svg(os.path.join(out_dir, "chart.svg"), metric,

@@ -60,26 +60,23 @@ def _exactly_symmetric(mat: Array) -> bool:
     return bool(np.array_equal(bits, bits.T))
 
 
-def _average_transpose(mat: Array) -> Array:
+def _symmetrize(mat: Array, tol: float | None = 1e-8) -> Array:
     """``0.5 * (mat + mat.T)``, C-ordered; an exactly symmetric ``mat`` is that already.
 
-    The shortcut changes no bit: ``0.5 * (a + a) == a`` for every float up to
-    about 9e307, above which the average used to overflow to inf.
+    With a ``tol``, an asymmetry above ``tol`` times the largest entry (or 1)
+    raises :class:`NonPositivePrecision`; with ``None`` any square matrix is
+    averaged.  The shortcut changes no bit: ``0.5 * (a + a) == a`` for every
+    float up to about 9e307, above which the average used to overflow to inf.
     """
-    if _exactly_symmetric(mat):
-        return np.ascontiguousarray(mat)
-    return 0.5 * (mat + mat.T)
-
-
-def _symmetrize(mat: Array, tol: float = 1e-8) -> Array:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NonPositivePrecision(f"expected a square matrix, got shape {mat.shape}")
     if _exactly_symmetric(mat):
         return np.ascontiguousarray(mat)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - mat.T))) > tol * scale:
-        raise NonPositivePrecision("matrix is not symmetric")
+    if tol is not None:
+        scale = max(1.0, float(np.max(np.abs(mat))))
+        if float(np.max(np.abs(mat - mat.T))) > tol * scale:
+            raise NonPositivePrecision("matrix is not symmetric")
     return 0.5 * (mat + mat.T)
 
 
@@ -95,11 +92,6 @@ def chol_spd(mat: Array) -> Array:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NonPositivePrecision("matrix is not positive definite") from exc
-
-
-def spd_solve(mat: Array, rhs: Array) -> Array:
-    """Solve ``mat @ x = rhs`` for symmetric positive-definite ``mat``."""
-    return _chol_solve(chol_spd(mat), rhs)
 
 
 @functools.cache
@@ -170,14 +162,6 @@ def _chol_solve(low: Array, rhs: Array) -> Array:
     return _solve_triangular(low.T, half, lower=False)
 
 
-def spd_inverse(mat: Array) -> Array:
-    return _chol_inverse(chol_spd(mat))
-
-
-def spd_logdet(mat: Array) -> float:
-    return _chol_logdet(chol_spd(mat))
-
-
 def _chol_inverse(low: Array) -> Array:
     """Inverse of ``low @ low.T`` from its lower Cholesky factor, by LAPACK ``dpotri``.
 
@@ -208,11 +192,16 @@ def _chol_logdet(low: Array) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """Which Gaussian family, its dimension, and any fixed hyperstructure."""
+    """Which Gaussian family, its dimension, and any fixed hyperstructure.
+
+    A ``fixed`` family keeps in ``_chol`` the exact lower Cholesky factor of
+    its precision, made once here, as a full :class:`NatParam` does.
+    """
 
     kind: str
     dim: int
     fixed_precision: Array | None = None
+    _chol: Array | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -224,9 +213,9 @@ class Family:
         if self.kind == FIXED:
             if self.fixed_precision is None:
                 raise FamilyMismatch("fixed family requires fixed_precision")
-            prec = _symmetrize(self.fixed_precision)
-            chol_spd(prec)  # must be SPD
-            object.__setattr__(self, "fixed_precision", _frozen(prec))
+            prec = _frozen(_symmetrize(self.fixed_precision))
+            object.__setattr__(self, "fixed_precision", prec)
+            object.__setattr__(self, "_chol", _frozen(chol_spd(prec)))
         elif self.fixed_precision is not None:
             raise FamilyMismatch(f"{self.kind} family takes no fixed_precision")
 
@@ -279,6 +268,37 @@ def check_same_family(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _second_shape(fam: Family) -> tuple[int, ...] | None:
+    """Shape of ``fam``'s second (precision-carrying) block; ``None`` where it has none."""
+    return {DIAG: (fam.dim,), FULL: (fam.dim, fam.dim)}.get(fam.kind)
+
+
+def _blocks(fam: Family, first, second, tol: float | None = 1e-8) -> tuple[Array, Array | None]:
+    """Read-only copies of a container's two blocks, checked against ``fam``'s layout.
+
+    The first block has shape ``(dim,)``.  The second is absent for
+    ``isotropic`` and ``fixed``, a length-``dim`` vector for ``diag`` and a
+    square matrix for ``full``, symmetrized by :func:`_symmetrize` with ``tol``.
+    Any other layout raises :class:`FamilyMismatch`.
+    """
+    b1 = _frozen(first)
+    if b1.shape != (fam.dim,):
+        raise FamilyMismatch(f"first block shape {b1.shape} != ({fam.dim},)")
+    shape = _second_shape(fam)
+    if shape is None:
+        if second is not None:
+            raise FamilyMismatch(f"{fam.kind} family has a single-block layout")
+        return b1, None
+    if second is None:
+        raise FamilyMismatch(f"{fam.kind} family requires a second block")
+    b2 = np.asarray(second, dtype=float)
+    if b2.shape != shape:
+        raise FamilyMismatch(f"second block shape {b2.shape} != {shape}")
+    if fam.kind == FULL:
+        b2 = _symmetrize(b2, tol)
+    return b1, _frozen(b2)
+
+
 @dataclass(frozen=True)
 class NatParam:
     """Natural parameter, stored as mean plus precision (where the family has one).
@@ -300,29 +320,16 @@ class NatParam:
     _chol: Array | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        m = _frozen(self.m)
-        if m.shape != (self.fam.dim,):
-            raise FamilyMismatch(f"mean shape {m.shape} != ({self.fam.dim},)")
-        object.__setattr__(self, "m", m)
-        if self.fam.kind in (ISOTROPIC, FIXED):
-            if self.prec is not None:
-                raise FamilyMismatch(f"{self.fam.kind} family carries no free precision")
-            return
-        if self.prec is None:
-            raise FamilyMismatch(f"{self.fam.kind} family requires a precision block")
+        m, prec = _blocks(self.fam, self.m, self.prec)
         if self.fam.kind == DIAG:
-            prec = _frozen(self.prec)
-            if prec.shape != (self.fam.dim,):
-                raise FamilyMismatch("diag precision must be a vector of length dim")
             if not np.all((prec > 0.0) & (prec < np.inf)):
                 raise NonPositivePrecision("diag precision has entries <= 0 or not finite")
-        else:  # FULL
-            prec = _symmetrize(self.prec)
+        elif self.fam.kind == FULL:
             if not np.isfinite(prec).all():
                 raise NonPositivePrecision("full precision has non-finite entries")
             low = chol_spd(prec) if self._chol is None else self._chol
             object.__setattr__(self, "_chol", _frozen(low))
-            prec = _frozen(prec)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "prec", prec)
 
     # -- ambient coordinates -----------------------------------------------
@@ -354,7 +361,7 @@ class NatParam:
         if fam.kind == ISOTROPIC:
             return _wrap(cls, fam, dual.b1)
         if fam.kind == FIXED:
-            return _wrap(cls, fam, spd_solve(fam.fixed_precision, dual.b1))
+            return _wrap(cls, fam, _chol_solve(fam._chol, dual.b1))
         prec = -2.0 * dual.b2
         if fam.kind == DIAG:
             if not np.all(prec > 0.0):
@@ -383,25 +390,15 @@ class ExpParam:
     _cov: Array | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = _frozen(self.m)
-        if m.shape != (self.fam.dim,):
-            raise FamilyMismatch(f"mean shape {m.shape} != ({self.fam.dim},)")
+        m, m2 = _blocks(self.fam, self.m, self.m2)
         object.__setattr__(self, "m", m)
-        if not self.fam.two_block:
-            if self.m2 is not None:
-                raise FamilyMismatch(f"{self.fam.kind} family has no second-moment block")
+        if m2 is None:
             return
-        if self.m2 is None:
-            raise FamilyMismatch(f"{self.fam.kind} family requires a second-moment block")
         if self.fam.kind == DIAG:
-            m2 = _frozen(self.m2)
-            if m2.shape != (self.fam.dim,):
-                raise FamilyMismatch("diag second moment must be a vector")
             cov = m2 - m * m
             if not np.all(cov > 0.0):
                 raise DegenerateMoment("implied variance has entries <= 0")
         else:
-            m2 = _frozen(_symmetrize(self.m2))
             cov = m2 - np.outer(m, m)
             try:
                 chol_spd(cov)
@@ -428,23 +425,9 @@ class DualVec:
     b2: Array | None = None
 
     def __post_init__(self):
-        b1 = _frozen(self.b1)
-        if b1.shape != (self.fam.dim,):
-            raise FamilyMismatch(f"first block shape {b1.shape} != ({self.fam.dim},)")
+        b1, b2 = _blocks(self.fam, self.b1, self.b2, tol=None)
         object.__setattr__(self, "b1", b1)
-        if not self.fam.two_block:
-            if self.b2 is not None:
-                raise FamilyMismatch(f"{self.fam.kind} family has a single-block layout")
-            return
-        if self.b2 is None:
-            raise FamilyMismatch(f"{self.fam.kind} family requires a second block")
-        b2 = np.asarray(self.b2, dtype=float)
-        want = (self.fam.dim,) if self.fam.kind == DIAG else (self.fam.dim, self.fam.dim)
-        if b2.shape != want:
-            raise FamilyMismatch(f"second block shape {b2.shape} != {want}")
-        if self.fam.kind == FULL:
-            b2 = _average_transpose(b2)
-        object.__setattr__(self, "b2", _frozen(b2))
+        object.__setattr__(self, "b2", b2)
 
     # Named views matching how round updates are written.
     @property
@@ -480,10 +463,8 @@ def _wrap(cls, fam: Family, *arrays):
 
 
 def dual_zero(fam: Family) -> DualVec:
-    if fam.two_block:
-        shape = (fam.dim,) if fam.kind == DIAG else (fam.dim, fam.dim)
-        return DualVec(fam, np.zeros(fam.dim), np.zeros(shape))
-    return DualVec(fam, np.zeros(fam.dim))
+    shape = _second_shape(fam)
+    return DualVec(fam, np.zeros(fam.dim), None if shape is None else np.zeros(shape))
 
 
 def dual_axpy(a: float, x: DualVec, y: DualVec) -> DualVec:
@@ -601,7 +582,7 @@ def to_natural(mu: ExpParam) -> NatParam:
     if kind in (ISOTROPIC, FIXED):
         return NatParam(mu.fam, mu.m)
     try:
-        return NatParam(mu.fam, mu.m, 1.0 / mu._cov if kind == DIAG else spd_inverse(mu._cov))
+        return NatParam(mu.fam, mu.m, 1.0 / mu._cov if kind == DIAG else _chol_inverse(chol_spd(mu._cov)))
     except NonPositivePrecision as exc:
         raise DegenerateMoment("implied covariance is not positive definite") from exc
 
@@ -612,20 +593,14 @@ def log_partition(lam: NatParam) -> float:
     d = lam.fam.dim
     if kind == ISOTROPIC:
         return 0.5 * float(lam.m @ lam.m) + 0.5 * d * LOG_2PI
-    if kind == FIXED:
-        s = lam.fam.fixed_precision
-        return 0.5 * float(lam.m @ s @ lam.m) - 0.5 * spd_logdet(s) + 0.5 * d * LOG_2PI
     if kind == DIAG:
         return (
             0.5 * float(lam.prec @ (lam.m * lam.m))
             - 0.5 * float(np.sum(np.log(lam.prec)))
             + 0.5 * d * LOG_2PI
         )
-    return (
-        0.5 * float(lam.m @ lam.prec @ lam.m)
-        - 0.5 * _chol_logdet(lam._chol)
-        + 0.5 * d * LOG_2PI
-    )
+    prec, low = (lam.fam.fixed_precision, lam.fam._chol) if kind == FIXED else (lam.prec, lam._chol)
+    return 0.5 * float(lam.m @ prec @ lam.m) - 0.5 * _chol_logdet(low) + 0.5 * d * LOG_2PI
 
 
 def log_density(lam: NatParam, theta: Array) -> float:
@@ -679,7 +654,7 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
         return lam.m + z
     if kind == DIAG:
         return lam.m + z / np.sqrt(lam.prec)
-    low = chol_spd(lam.fam.fixed_precision) if kind == FIXED else lam._chol
+    low = lam.fam._chol if kind == FIXED else lam._chol
     # theta = m + L^-T z  gives covariance (L L^T)^-1 = S^-1.
     return lam.m + _solve_triangular(low.T, z.T, lower=False).T
 
@@ -706,37 +681,33 @@ def array_from_jsonable(data: dict) -> Array:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
+# Each two-block family's keys for a NatParam's precision and a DualVec's ``u``.
+_JSON_KEYS = {DIAG: ("s", "u"), FULL: ("S", "V")}
+
+
 def nat_to_jsonable(lam: NatParam) -> dict:
     out = {"m": array_to_jsonable(lam.m)}
-    if lam.fam.kind == DIAG:
-        out["s"] = array_to_jsonable(lam.prec)
-    elif lam.fam.kind == FULL:
-        out["S"] = array_to_jsonable(lam.prec)
+    if lam.fam.two_block:
+        out[_JSON_KEYS[lam.fam.kind][0]] = array_to_jsonable(lam.prec)
     return out
 
 
 def nat_from_jsonable(fam: Family, data: dict) -> NatParam:
     m = array_from_jsonable(data["m"])
-    if fam.kind == DIAG:
-        return NatParam(fam, m, array_from_jsonable(data["s"]))
-    if fam.kind == FULL:
-        return NatParam(fam, m, array_from_jsonable(data["S"]))
+    if fam.two_block:
+        return NatParam(fam, m, array_from_jsonable(data[_JSON_KEYS[fam.kind][0]]))
     return NatParam(fam, m)
 
 
 def dual_to_jsonable(dual: DualVec) -> dict:
     out = {"v": array_to_jsonable(dual.b1)}
-    if dual.fam.kind == DIAG:
-        out["u"] = array_to_jsonable(dual.u)
-    elif dual.fam.kind == FULL:
-        out["V"] = array_to_jsonable(dual.u)
+    if dual.fam.two_block:
+        out[_JSON_KEYS[dual.fam.kind][1]] = array_to_jsonable(dual.u)
     return out
 
 
 def dual_from_jsonable(fam: Family, data: dict) -> DualVec:
     v = array_from_jsonable(data["v"])
-    if fam.kind == DIAG:
-        return DualVec(fam, v, -0.5 * array_from_jsonable(data["u"]))
-    if fam.kind == FULL:
-        return DualVec(fam, v, -0.5 * array_from_jsonable(data["V"]))
+    if fam.two_block:
+        return DualVec(fam, v, -0.5 * array_from_jsonable(data[_JSON_KEYS[fam.kind][1]]))
     return DualVec(fam, v)

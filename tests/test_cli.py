@@ -405,6 +405,55 @@ def test_svg_output(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_a_run_clears_the_previous_runs_record(tmp_path, monkeypatch, capsys):
+    # A second run into the same directory that stops after its header once left
+    # the first run's summary and checkpoint beside its own trace, and verify passed.
+    import bayesadmm.cli as cli
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, "prop2.ini", PROP2_INI), "--out", str(out), "--svg"]) == 0
+    assert {p.name for p in out.iterdir()} == {"trace.jsonl", "summary.json", "checkpoint.json", "chart.svg"}
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_rounds", interrupted)
+    blowup = write(tmp_path, "blowup.ini", IVON_BLOWUP_INI)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", blowup, "--out", str(out)])
+    assert [p.name for p in out.iterdir()] == ["trace.jsonl"]
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["config"]["experiment"]["method"] == "ivon_admm"
+    capsys.readouterr()
+    assert main(["verify", str(out / "checkpoint.json")]) == 1
+    assert "CheckpointError" in capsys.readouterr().err
+
+
+def test_run_writes_its_summary_and_checkpoint_whole_or_not_at_all(tmp_path, monkeypatch):
+    real = json.dump
+
+    def cut_short(obj, fh, **kwargs):
+        if "clients" in obj:
+            fh.write('{"clients": [')
+            raise OSError("no space left on device")
+        real(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", cut_short)
+    out = tmp_path / "out"
+    with pytest.raises(OSError):
+        main(["run", "--config", write(tmp_path, "prop2.ini", PROP2_INI), "--out", str(out)])
+    assert json.loads((out / "summary.json").read_text())["rounds_completed"] == 3
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("family, flags", [("full", []), ("isotropic", []), ("diag", ["--family", "full"])])
+def test_ivon_admm_needs_the_diag_family(tmp_path, capsys, family, flags):
+    # ivon_admm once ran a diag prior whatever the family, while the trace recorded it.
+    text = with_value(BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm"),
+                      "experiment", "family", family)
+    assert_rejected(tmp_path, capsys, text, flags, "[experiment] family: ivon_admm needs diag")
+
+
 def test_run_outlier_toy_scenario(tmp_path):
     toy_ini = """
 [experiment]

@@ -38,9 +38,6 @@ from bayesadmm.families import (
     pair_with_stat,
     chol_spd,
     sample,
-    spd_inverse,
-    spd_logdet,
-    spd_solve,
     to_expectation,
     to_natural,
 )
@@ -513,9 +510,9 @@ def test_full_from_dual_factors_once_and_matches_two_factor_path(monkeypatch, du
     lam = NatParam.from_dual(dual)
     assert len(calls) == 1
     monkeypatch.undo()
-    # The path that factored twice: spd_solve for the mean, the constructor again.
+    # The path that factored twice: a solve through a fresh factor for the mean, the constructor again.
     prec = -2.0 * dual.b2
-    assert np.array_equal(lam.m, spd_solve(prec, dual.b1))
+    assert np.array_equal(lam.m, families._chol_solve(chol_spd(prec), dual.b1))
     assert np.array_equal(lam.prec, 0.5 * (prec + prec.T))
     assert np.array_equal(lam._chol, chol_spd(lam.prec))
     z = np.random.default_rng(3).standard_normal((5, lam.fam.dim))
@@ -544,19 +541,22 @@ def test_dual_maps_reuse_the_factor_and_match_refactoring(monkeypatch, dual):
     assert calls == []
     monkeypatch.undo()
     # The expressions that factored each precision again.
-    want_m2 = ExpParam(lam.fam, lam.m, np.outer(lam.m, lam.m) + spd_inverse(lam.prec)).m2
+    inverse = families._chol_inverse(chol_spd(lam.prec))
+    want_m2 = ExpParam(lam.fam, lam.m, np.outer(lam.m, lam.m) + inverse).m2
     assert np.array_equal(mu.m2, want_m2)
     want_log_z = (
-        0.5 * float(lam.m @ lam.prec @ lam.m) - 0.5 * spd_logdet(lam.prec) + 0.5 * d * LOG_2PI
+        0.5 * float(lam.m @ lam.prec @ lam.m)
+        - 0.5 * families._chol_logdet(chol_spd(lam.prec))
+        + 0.5 * d * LOG_2PI
     )
     assert log_z == want_log_z
 
     def old_kl(a, b):
         dm = a.m - b.m
-        trace = float(np.sum(b.prec * spd_inverse(a.prec)))
-        return 0.5 * (
-            trace + float(dm @ b.prec @ dm) - d + spd_logdet(a.prec) - spd_logdet(b.prec)
-        )
+        trace = float(np.sum(b.prec * families._chol_inverse(chol_spd(a.prec))))
+        logdet_a = families._chol_logdet(chol_spd(a.prec))
+        logdet_b = families._chol_logdet(chol_spd(b.prec))
+        return 0.5 * (trace + float(dm @ b.prec @ dm) - d + logdet_a - logdet_b)
 
     assert kl_ab == old_kl(lam, other)
     assert kl_ba == old_kl(other, lam)
@@ -783,7 +783,7 @@ def test_symmetric_shortcut_equals_the_average_bit_for_bit(order):
     fam = Family.full(5)
 
     def results(mat):
-        return [families._symmetrize(mat), families._average_transpose(mat),
+        return [families._symmetrize(mat), families._symmetrize(mat, tol=None),
                 DualVec(fam, np.zeros(5), mat).b2]
 
     for got in results(a):
@@ -798,6 +798,13 @@ def test_symmetric_shortcut_equals_the_average_bit_for_bit(order):
     near[1, 2] += 1e-12
     for got in results(near):
         assert same_bits(got, 0.5 * (near + near.T))
+    # Far from symmetric: a precision rejects it, a DualVec's unconstrained block is averaged.
+    far = a.copy()
+    far[1, 2] += 1.0
+    with pytest.raises(NonPositivePrecision, match="not symmetric"):
+        families._symmetrize(far)
+    for got in (families._symmetrize(far, tol=None), DualVec(fam, np.zeros(5), far).b2):
+        assert same_bits(got, 0.5 * (far + far.T)) and got.flags.c_contiguous
 
 
 def private_results(fam):
@@ -851,3 +858,81 @@ def test_constructors_do_not_share_the_callers_arrays(kind, read_only):
         a[...] = 7.0
     after = (lam.m, lam.prec, dual.b1, dual.b2)
     assert all(same_bits(x, y) for x, y in zip(after, before))
+
+
+# ---------------------------------------------------------------------------
+# one layout rule for the containers, one factor per fixed precision
+# ---------------------------------------------------------------------------
+
+
+def off_layout_blocks():
+    """(family, first, second) block pairs that fit no container of that family."""
+    for fam in all_families():
+        d = fam.dim
+        second = {"diag": np.ones(d), "full": np.eye(d)}.get(fam.kind)
+        yield pytest.param(fam, np.zeros(d + 1), second, id=f"{fam.kind}-long-first")
+        yield pytest.param(fam, np.zeros((d, 1)), second, id=f"{fam.kind}-2d-first")
+        if second is None:
+            yield pytest.param(fam, np.zeros(d), np.ones(d), id=f"{fam.kind}-extra-second")
+            continue
+        yield pytest.param(fam, np.zeros(d), None, id=f"{fam.kind}-missing-second")
+        wrong = {"diag": [np.ones(d + 1), np.eye(d)],
+                 "full": [np.eye(d + 1), np.ones(d), np.ones((d, d + 1))]}[fam.kind]
+        for bad in wrong:
+            yield pytest.param(fam, np.zeros(d), bad, id=f"{fam.kind}-second-{'x'.join(map(str, bad.shape))}")
+
+
+@pytest.mark.parametrize("cls", [NatParam, ExpParam, DualVec])
+@pytest.mark.parametrize("fam, first, second", list(off_layout_blocks()))
+def test_a_block_off_the_family_layout_is_a_family_mismatch(cls, fam, first, second):
+    # A non-square full precision or second moment once raised NonPositivePrecision
+    # or a broadcasting ValueError; every layout error is now a FamilyMismatch.
+    with pytest.raises(FamilyMismatch):
+        cls(fam, first, second)
+
+
+def test_a_fixed_family_factors_its_precision_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    fam = Family.fixed(random_spd(rng, 4))
+    low = chol_spd(fam.fixed_precision)
+    assert same_bits(fam._chol, low) and not fam._chol.flags.writeable
+    assert "_chol" not in repr(fam) and fam == Family.fixed(fam.fixed_precision)
+    dual = DualVec(fam, rng.standard_normal(4))
+    calls = []
+    real = families.chol_spd
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(families, "chol_spd", counting)
+    lam = NatParam.from_dual(dual)
+    draws = sample(lam, 5, seed=3)
+    log_z = log_partition(lam)
+    assert calls == []
+    monkeypatch.undo()
+    # The expressions that factored the fixed precision on every call.
+    assert same_bits(lam.m, families._chol_solve(chol_spd(fam.fixed_precision), dual.b1))
+    z = np.random.default_rng(3).standard_normal((5, 4))
+    want = lam.m + solve_triangular(chol_spd(fam.fixed_precision).T, z.T, lower=False).T
+    assert same_bits(draws, want)
+    s = fam.fixed_precision
+    assert log_z == (0.5 * float(lam.m @ s @ lam.m)
+                     - 0.5 * families._chol_logdet(chol_spd(s)) + 0.5 * 4 * LOG_2PI)
+
+
+@pytest.mark.parametrize("kind, keys", [("diag", ("s", "u")), ("full", ("S", "V"))])
+def test_checkpoint_codec_keeps_its_keys_and_bits(kind, keys):
+    rng = np.random.default_rng(21)
+    fam = Family(kind, 3)
+    lam = random_nat(rng, fam)
+    dual = nat_sub(lam, random_nat(rng, fam))
+    nat_data = json.loads(json.dumps(nat_to_jsonable(lam)))
+    dual_data = json.loads(json.dumps(dual_to_jsonable(dual)))
+    assert set(nat_data) == {"m", keys[0]} and set(dual_data) == {"v", keys[1]}
+    assert same_bits(array_from_jsonable(nat_data[keys[0]]), lam.prec)
+    assert same_bits(array_from_jsonable(dual_data[keys[1]]), dual.u)
+    back, dual_back = nat_from_jsonable(fam, nat_data), dual_from_jsonable(fam, dual_data)
+    for got, want in ((back.m, lam.m), (back.prec, lam.prec), (dual_back.b1, dual.b1),
+                      (dual_back.b2, dual.b2)):
+        assert same_bits(got, want)
