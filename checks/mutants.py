@@ -266,9 +266,23 @@ MUTANTS = (
     Mutant(
         "_chol_inverse does not mirror its triangle",
         "src/bayesadmm/families.py",
-        "    out += np.tril(tri, -1).T\n",
+        "    out[upper] = out.T[upper]\n",
         "",
         ("tests/test_families.py::test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound",),
+    ),
+    Mutant(
+        "_chol_inverse mirrors its upper triangle onto the lower one",
+        "src/bayesadmm/families.py",
+        "    out[upper] = out.T[upper]\n",
+        "    out.T[upper] = out[upper]\n",
+        ("tests/test_families.py::test_chol_inverse_equals_the_two_tril_mirror_bit_for_bit",),
+    ),
+    Mutant(
+        "_chol_inverse keeps dpotri's negative zeros",
+        "src/bayesadmm/families.py",
+        "    out += 0.0\n",
+        "",
+        ("tests/test_families.py::test_dpotri_leaves_negative_zeros_that_the_mirror_clears",),
     ),
     Mutant(
         "dpotri is told the wrong triangle",
@@ -276,6 +290,113 @@ MUTANTS = (
         "    inv, info = potri(low.T, lower=0)\n",
         "    inv, info = potri(low.T, lower=1)\n",
         ("tests/test_families.py::test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound",),
+    ),
+    Mutant(
+        "the compensated sum drops carry -= y",
+        "src/bayesadmm/families.py",
+        "        carry -= y\n",
+        "",
+        ("tests/test_families.py::test_dual_sum_equals_the_four_temporary_loop_bit_for_bit",),
+    ),
+    Mutant(
+        "dual_scale drops its + 0.0",
+        "src/bayesadmm/families.py",
+        "        return _wrap(DualVec, x.fam, _axpy(a, x.b1, 0.0), _axpy(a, x.b2, 0.0))\n",
+        "        return _wrap(DualVec, x.fam, a * x.b1, a * x.b2)\n",
+        ("tests/test_families.py::test_dual_axpy_and_dual_scale_equal_their_expressions_bit_for_bit",),
+    ),
+    Mutant(
+        "natural_gradient wraps every full Hessian, logistic included",
+        "src/bayesadmm/losses.py",
+        "    return make(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)\n",
+        "    return _wrap(DualVec, lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)\n",
+        ("tests/test_losses.py::test_logistic_natural_gradient_is_exactly_symmetric",),
+    ),
+    Mutant(
+        "a fixed family skips the shape check of its precision",
+        "src/bayesadmm/families.py",
+        """            if prec.shape != (self.dim, self.dim):
+                raise FamilyMismatch(f"fixed precision shape {prec.shape} != {(self.dim, self.dim)}")
+""",
+        "",
+        ("tests/test_families.py::test_a_fixed_precision_off_the_layout_is_a_family_mismatch",),
+    ),
+    Mutant(
+        "a fixed family skips the finite check of its precision",
+        "src/bayesadmm/families.py",
+        """            if not np.isfinite(prec).all():
+                raise NonPositivePrecision("fixed precision has non-finite entries")
+""",
+        "",
+        ("tests/test_families.py::test_a_fixed_precision_must_be_finite",),
+    ),
+    Mutant(
+        "verify skips the config-hash comparison",
+        "src/bayesadmm/cli.py",
+        "    if not isinstance(conf, dict) or _config_hash(conf) != data.get(\"config_hash\"):\n",
+        "    if not isinstance(conf, dict):\n",
+        ("tests/test_cli.py::test_verify_rejects_a_truncated_config",),
+    ),
+    Mutant(
+        "the checkpoint's client-id check is reduced to a count check",
+        "src/bayesadmm/federation.py",
+        "    if ids != list(range(len(clients))):\n",
+        "    if len(ids) != len(clients):\n",
+        ("tests/test_cli.py::test_verify_rejects_client_records_that_do_not_match",),
+    ),
+    Mutant(
+        "run leaves the config out of the checkpoint",
+        "src/bayesadmm/cli.py",
+        "    checkpoint.update(config=conf, config_hash=config_hash, data_sha256=data_sha256)\n",
+        "    checkpoint.update(config_hash=config_hash, data_sha256=data_sha256)\n",
+        ("tests/test_cli.py::test_verify_rebuilds_the_run_residuals",),
+    ),
+    Mutant(
+        "a config key is dropped from the module docstring",
+        "src/bayesadmm/cli.py",
+        "    [experiment] method family rounds seed workers tol_dist delta_method\n",
+        "    [experiment] method family rounds seed workers tol_dist\n",
+        ("tests/test_cli.py::test_module_docstring_lists_every_config_key",),
+    ),
+    Mutant(
+        "an empty config value takes the key's default",
+        "src/bayesadmm/cli.py",
+        """    if raw == "":
+        raise ConfigError(f"{where}: empty value; leave the key out to take its default")
+""",
+        """    if raw == "":
+        raw = entry.default
+""",
+        ("tests/test_cli.py::test_bad_config_name_or_empty_value_rejected",),
+    ),
+    Mutant(
+        "sweep grid entries are read as plain floats",
+        "src/bayesadmm/cli.py",
+        "                _value(item, x, \"sweep\") for x in raw.split(\",\")]\n",
+        "                float(x) for x in raw.split(\",\")]\n",
+        ("tests/test_cli.py::test_sweep_grid_entries_are_checked_before_any_cell",),
+    ),
+    Mutant(
+        "config values skip the table's checks",
+        "src/bayesadmm/cli.py",
+        "    if entry.check is not None and not entry.check[0](value):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_nonpositive_config_value_rejected",),
+    ),
+    Mutant(
+        "a checkpoint's client lam is not loaded",
+        "src/bayesadmm/federation.py",
+        "            client.lam = nat_from_jsonable(fam, rec[\"lam\"])\n",
+        "",
+        ("tests/test_federation.py::test_checkpoint_roundtrip",
+         "tests/test_cli.py::test_verify_rebuilds_the_run_residuals"),
+    ),
+    Mutant(
+        "run and sweep record no fixed-point residuals",
+        "src/bayesadmm/cli.py",
+        "        verify_fn=_residuals if setup.server.lam_g is not None else None,\n",
+        "        verify_fn=None,\n",
+        ("tests/test_cli.py::test_verify_rebuilds_the_run_residuals",),
     ),
 )
 

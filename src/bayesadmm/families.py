@@ -162,6 +162,12 @@ def _chol_solve(low: Array, rhs: Array) -> Array:
     return _solve_triangular(low.T, half, lower=False)
 
 
+@functools.cache
+def _strict_upper(d: int) -> Array:
+    """Read-only mask of the entries above the diagonal of a ``d`` by ``d`` matrix."""
+    return _frozen(np.triu(np.ones((d, d), dtype=bool), 1), dtype=bool)
+
+
 def _chol_inverse(low: Array) -> Array:
     """Inverse of ``low @ low.T`` from its lower Cholesky factor, by LAPACK ``dpotri``.
 
@@ -174,9 +180,10 @@ def _chol_inverse(low: Array) -> Array:
     _, potri = _lapack()
     inv, info = potri(low.T, lower=0)
     # Transposed, the Fortran-ordered result is C-ordered with the inverse below the diagonal.
-    tri = _lapack_result(inv, info, "potri").T
-    out = np.tril(tri)
-    out += np.tril(tri, -1).T
+    out = _lapack_result(inv, info, "potri").T
+    out += 0.0
+    upper = _strict_upper(out.shape[0])
+    out[upper] = out.T[upper]
     return out
 
 
@@ -213,7 +220,12 @@ class Family:
         if self.kind == FIXED:
             if self.fixed_precision is None:
                 raise FamilyMismatch("fixed family requires fixed_precision")
-            prec = _frozen(_symmetrize(self.fixed_precision))
+            prec = np.asarray(self.fixed_precision, dtype=float)
+            if prec.shape != (self.dim, self.dim):
+                raise FamilyMismatch(f"fixed precision shape {prec.shape} != {(self.dim, self.dim)}")
+            if not np.isfinite(prec).all():
+                raise NonPositivePrecision("fixed precision has non-finite entries")
+            prec = _frozen(_symmetrize(prec))
             object.__setattr__(self, "fixed_precision", prec)
             object.__setattr__(self, "_chol", _frozen(chol_spd(prec)))
         elif self.fixed_precision is not None:
@@ -259,7 +271,7 @@ class Family:
 
 
 def check_same_family(a, b):
-    if a.fam != b.fam:
+    if a.fam is not b.fam and a.fam != b.fam:
         raise FamilyMismatch(f"family mismatch: {a.fam.kind}/{a.fam.dim} vs {b.fam.kind}/{b.fam.dim}")
 
 
@@ -367,7 +379,11 @@ class NatParam:
             if not np.all(prec > 0.0):
                 raise NonPositivePrecision("coordinate block encodes nonpositive precision")
             return _wrap(cls, fam, dual.b1 / prec, prec)
-        low = chol_spd(prec)
+        # ``dual.b2`` is exactly symmetric, and so is ``prec``: factor it as it is.
+        try:
+            low = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError as exc:
+            raise NonPositivePrecision("matrix is not positive definite") from exc
         return _wrap(cls, fam, _chol_solve(low, dual.b1), prec, low)
 
 
@@ -467,16 +483,25 @@ def dual_zero(fam: Family) -> DualVec:
     return DualVec(fam, np.zeros(fam.dim), None if shape is None else np.zeros(shape))
 
 
+def _axpy(a: float, x: Array, y: Array) -> Array:
+    out = np.multiply(a, x)
+    out += y
+    return out
+
+
 def dual_axpy(a: float, x: DualVec, y: DualVec) -> DualVec:
     """``a * x + y`` componentwise in the ambient layout."""
     check_same_family(x, y)
     if x.fam.two_block:
-        return _wrap(DualVec, x.fam, a * x.b1 + y.b1, a * x.b2 + y.b2)
-    return _wrap(DualVec, x.fam, a * x.b1 + y.b1)
+        return _wrap(DualVec, x.fam, _axpy(a, x.b1, y.b1), _axpy(a, x.b2, y.b2))
+    return _wrap(DualVec, x.fam, _axpy(a, x.b1, y.b1))
 
 
 def dual_scale(a: float, x: DualVec) -> DualVec:
-    return dual_axpy(a, x, dual_zero(x.fam))
+    """``a * x + 0.0``: the bits of ``dual_axpy`` onto :func:`dual_zero`, without building the zero."""
+    if x.fam.two_block:
+        return _wrap(DualVec, x.fam, _axpy(a, x.b1, 0.0), _axpy(a, x.b2, 0.0))
+    return _wrap(DualVec, x.fam, _axpy(a, x.b1, 0.0))
 
 
 def dual_sum(vecs: list[DualVec]) -> DualVec:
@@ -493,13 +518,15 @@ def dual_sum(vecs: list[DualVec]) -> DualVec:
 
 
 def _kahan(arrays: list[Array]) -> Array:
-    total = np.zeros_like(arrays[0])
-    carry = np.zeros_like(arrays[0])
+    """Compensated sum: ``y = a - carry; t = total + y; carry = (t - total) - y; total = t``."""
+    total, carry = np.zeros_like(arrays[0]), np.zeros_like(arrays[0])
+    y, t = np.empty_like(total), np.empty_like(total)
     for a in arrays:
-        y = a - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
+        np.subtract(a, carry, out=y)
+        np.add(total, y, out=t)
+        np.subtract(t, total, out=carry)
+        carry -= y
+        total, t = t, total
     return total
 
 

@@ -26,6 +26,7 @@ from .families import (
     DualVec,
     Family,
     NatParam,
+    _wrap,
     pair_with_stat,
     sample,
 )
@@ -431,11 +432,16 @@ def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> Dua
     """Gradient of E_q[l] in expectation coordinates (ambient dual layout)."""
     mom = expected_moments(loss, lam, estimator)
     kind = lam.fam.kind
+    # The T-linear losses' Hessians are exactly symmetric (``Quadratic``'s A is
+    # averaged with its transpose, ``LinearInT``'s is -2 c.b2), so their blocks
+    # need no copy or check; a logistic Hessian from a matrix product is not
+    # symmetric bit for bit, and the public constructor averages it.
+    make = functools.partial(_wrap, DualVec) if isinstance(loss, (Quadratic, LinearInT)) else DualVec
     if kind in (ISOTROPIC, FIXED):
-        return DualVec(lam.fam, mom.g)
+        return make(lam.fam, mom.g)
     if kind == DIAG:
-        return DualVec(lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
-    return DualVec(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
+        return make(lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
+    return make(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
 
 
 def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:
@@ -447,7 +453,8 @@ def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:
     if not isinstance(loss, Quadratic):
         raise EstimatorUnsupported(f"{type(loss).__name__} is not linear in T")
     if fam.kind == FULL:
-        return DualVec(fam, -loss.b, -0.5 * loss.A)
+        # A is exactly symmetric, so the fresh blocks need no copy or check.
+        return _wrap(DualVec, fam, -loss.b, -0.5 * loss.A)
     if fam.kind == DIAG:
         off = loss.A - np.diag(np.diag(loss.A))
         if float(np.max(np.abs(off))) > 1e-12 * max(1.0, float(np.max(np.abs(loss.A)))):

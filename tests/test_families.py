@@ -24,6 +24,7 @@ from bayesadmm.families import (
     dual_axpy,
     dual_from_jsonable,
     dual_inf_norm,
+    dual_scale,
     dual_sum,
     dual_to_jsonable,
     dual_zero,
@@ -433,6 +434,75 @@ def test_dual_sum_kahan_order():
     assert dual_sum(vals).b1[0] == pytest.approx(2.0)
 
 
+def kahan_reference(arrays):
+    """The compensated sum with four temporaries per term that ``_kahan`` replaced."""
+    total = np.zeros_like(arrays[0])
+    carry = np.zeros_like(arrays[0])
+    for a in arrays:
+        y = a - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+EDGES = [0.0, -0.0, 1e16, -1e16, 1.0, 5e-324, -np.finfo(float).max, np.inf, -np.inf, np.nan]
+
+
+def edge_block(rng, shape, edges, start=0):
+    """Random entries over 25 orders of magnitude with ``edges`` from row ``start`` of the
+    first column on; a square block is exactly symmetric, signed zeros and nans included."""
+    b = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 17, shape)
+    rows = slice(start, start + len(edges))
+    if len(shape) == 1:
+        b[rows] = edges
+        return b
+    b[rows, 0] = edges
+    return np.where(np.tri(shape[0], dtype=bool), b, b.T)
+
+
+def edge_dual(fam, rng, edges, start=0):
+    shape = {"diag": (fam.dim,), "full": (fam.dim, fam.dim)}.get(fam.kind)
+    second = None if shape is None else edge_block(rng, shape, edges, start)
+    return DualVec(fam, edge_block(rng, (fam.dim,), edges, start), second)
+
+
+def kahan_terms(fam, rng, count):
+    """``count`` DualVecs of ``fam``; term ``i`` holds ``EDGES[i % 10]`` at entry ``i % dim``."""
+    return [edge_dual(fam, rng, [EDGES[i % len(EDGES)]], i % fam.dim) for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 11, 23])
+@pytest.mark.parametrize("fam", [Family.isotropic(12), Family.diag(12), Family.full(12)], ids=lambda f: f.kind)
+def test_dual_sum_equals_the_four_temporary_loop_bit_for_bit(fam, count):
+    vecs = kahan_terms(fam, np.random.default_rng(count), count)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = dual_sum(vecs)
+        want = [kahan_reference([v.b1 for v in vecs])]
+        if fam.two_block:
+            want.append(kahan_reference([v.b2 for v in vecs]))
+    for block, ref in zip((got.b1, got.b2), want):
+        assert same_bits(block, ref) and block.flags.c_contiguous and not block.flags.writeable
+    if count > 10:  # every edge value is among the terms
+        assert np.isfinite(got.b1).any() and np.isnan(got.b1).any()
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 0.3, 0.0, -0.0])
+@pytest.mark.parametrize("fam", [Family.isotropic(12), Family.diag(12), Family.full(12)], ids=lambda f: f.kind)
+def test_dual_axpy_and_dual_scale_equal_their_expressions_bit_for_bit(fam, a):
+    rng = np.random.default_rng(5)
+    x, y = edge_dual(fam, rng, EDGES), edge_dual(fam, rng, EDGES[3:] + EDGES[:3])
+    with np.errstate(invalid="ignore", over="ignore"):
+        axpy, scale = dual_axpy(a, x, y), dual_scale(a, x)
+        for got, xb, yb in ((axpy.b1, x.b1, y.b1), (axpy.b2, x.b2, y.b2)):
+            assert got is None if xb is None else same_bits(got, a * xb + yb)
+        # dual_scale is dual_axpy onto dual_zero: its + 0.0 turns a -0.0 into +0.0.
+        for got, xb in ((scale.b1, x.b1), (scale.b2, x.b2)):
+            assert got is None if xb is None else same_bits(got, a * xb + np.zeros_like(xb))
+    if a == -1.0:
+        assert np.signbit(a * x.b1[:2]).any() and not np.signbit(scale.b1[:2]).any()
+
+
 @pytest.mark.parametrize("kind, prec", [
     ("diag", [np.inf]),
     ("full", [[np.inf]]),
@@ -499,16 +569,18 @@ def test_to_expectation_rejects_a_covariance_that_overflows(kind):
 
 @pytest.mark.parametrize("dual", list(full_duals()))
 def test_full_from_dual_factors_once_and_matches_two_factor_path(monkeypatch, dual):
+    # One factorization of -2 b2, made by np.linalg.cholesky itself: a DualVec's
+    # second block is exactly symmetric, so from_dual skips chol_spd's symmetry check.
     calls = []
-    real = families.chol_spd
+    real = np.linalg.cholesky
 
-    def counting(mat, *args, **kwargs):
+    def counting(mat):
         calls.append(mat)
-        return real(mat, *args, **kwargs)
+        return real(mat)
 
-    monkeypatch.setattr(families, "chol_spd", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     lam = NatParam.from_dual(dual)
-    assert len(calls) == 1
+    assert len(calls) == 1 and same_bits(calls[0], -2.0 * dual.b2)
     monkeypatch.undo()
     # The path that factored twice: a solve through a fresh factor for the mean, the constructor again.
     prec = -2.0 * dual.b2
@@ -718,6 +790,44 @@ def test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound(low):
     assert np.max(np.abs(inv - 0.5 * (solved + solved.T))) <= bound
 
 
+def chol_inverse_reference(low):
+    """``dpotri`` mirrored by two ``np.tril`` copies, as ``_chol_inverse`` once did."""
+    _, potri = families._lapack()
+    inv, info = potri(low.T, lower=0)
+    assert info == 0
+    tri = inv.T
+    out = np.tril(tri)
+    out += np.tril(tri, -1).T
+    return out
+
+
+def mirror_factors():
+    yield from inverse_factors()
+    yield pytest.param(np.diag([1.0, 2.0, 0.5, 3.0]), id="diagonal")
+    # Signed zeros below the diagonal of the factor.
+    low = chol_spd(random_spd(np.random.default_rng(7), 5))
+    low[2, 0], low[4, 1], low[3, 3] = -0.0, 0.0, -low[3, 3]
+    yield pytest.param(low, id="signed-zeros")
+
+
+@pytest.mark.parametrize("low", list(mirror_factors()))
+def test_chol_inverse_equals_the_two_tril_mirror_bit_for_bit(low):
+    for tri in (low, np.asfortranarray(low)):
+        inv = families._chol_inverse(tri)
+        assert same_bits(inv, chol_inverse_reference(low)) and inv.flags.c_contiguous
+
+
+def test_dpotri_leaves_negative_zeros_that_the_mirror_clears():
+    # dpotri writes -0.0 off the diagonal of a diagonal factor's inverse; the
+    # mirror's ``+ 0.0`` turns each into +0.0, as the two np.tril copies did.
+    low = np.diag([1.0, 2.0, 0.5, 3.0])
+    _, potri = families._lapack()
+    filled = np.tril(potri(low.T, lower=0)[0].T)
+    assert np.any((filled == 0.0) & np.signbit(filled))
+    inv = families._chol_inverse(low)
+    assert same_bits(inv, chol_inverse_reference(low)) and not np.signbit(inv).any()
+
+
 def test_chol_inverse_keeps_the_triangular_solves_errors():
     low = chol_spd(np.eye(3) + 0.5)
     singular = low.copy()
@@ -820,6 +930,7 @@ def private_results(fam):
         "nat_sub": diff,
         "exp_sub": exp_sub(mu_a, mu_b),
         "dual_axpy": dual_axpy(0.3, diff, b.as_dual()),
+        "dual_scale": dual_scale(-0.3, diff),
         "dual_sum": dual_sum([diff, a.as_dual(), b.as_dual()]),
     }
 
@@ -919,6 +1030,26 @@ def test_a_fixed_family_factors_its_precision_once(monkeypatch):
     s = fam.fixed_precision
     assert log_z == (0.5 * float(lam.m @ s @ lam.m)
                      - 0.5 * families._chol_logdet(chol_spd(s)) + 0.5 * 4 * LOG_2PI)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Family("fixed", 3, np.eye(2)),
+    lambda: Family("fixed", 2, np.ones((2, 3))),
+    lambda: Family.fixed(np.ones(3)),
+], ids=["wrong-side", "not-square", "vector"])
+def test_a_fixed_precision_off_the_layout_is_a_family_mismatch(make):
+    with pytest.raises(FamilyMismatch, match="fixed precision shape"):
+        make()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_a_fixed_precision_must_be_finite(bad, where):
+    # np.linalg.cholesky factors [[inf]], so the factor alone would not catch it.
+    prec = np.eye(2) if where != (0, 0) else np.array([[1.0]])
+    prec[where] = prec[where[::-1]] = bad
+    with pytest.raises(NonPositivePrecision, match="non-finite"):
+        Family.fixed(prec)
 
 
 @pytest.mark.parametrize("kind, keys", [("diag", ("s", "u")), ("full", ("S", "V"))])

@@ -386,6 +386,74 @@ def test_natural_gradient_matches_mu_finite_differences(kind):
         assert fd == pytest.approx(ng.b1[i], rel=1e-6, abs=1e-6)
 
 
+def t_linear_cases():
+    rng = np.random.default_rng(31)
+    d = 5
+    for kind in ("isotropic", "diag", "full"):
+        fam = Family(kind, d)
+        a = random_spd(rng, d)
+        if kind == "diag":
+            a = np.diag(np.diag(a))
+        second = {"diag": -0.5 * rng.uniform(0.3, 3.0, d), "full": -0.5 * random_spd(rng, d)}.get(kind)
+        losses = [("quadratic", Quadratic(a, rng.standard_normal(d))),
+                  ("linear-in-t", LinearInT(DualVec(fam, rng.standard_normal(d), second)))]
+        for name, loss in losses:
+            for est in (Analytic(), Delta(), MonteCarlo(count=4, seed=2)):
+                yield pytest.param(loss, fam, est, id=f"{name}-{kind}-{type(est).__name__}")
+
+
+@pytest.mark.parametrize("loss, fam, estimator", list(t_linear_cases()))
+def test_t_linear_natural_gradient_equals_the_public_constructor_bit_for_bit(loss, fam, estimator):
+    # The block arrays are wrapped as they are, not copied and checked for symmetry.
+    rng = np.random.default_rng(4)
+    prec = {"diag": rng.uniform(0.5, 2.0, fam.dim), "full": random_spd(rng, fam.dim)}.get(fam.kind)
+    lam = NatParam(fam, rng.standard_normal(fam.dim), prec)
+    got = natural_gradient(loss, lam, estimator)
+    mom = expected_moments(loss, lam, estimator)
+    if fam.kind == "isotropic":
+        want = DualVec(fam, mom.g)
+    elif fam.kind == "diag":
+        want = DualVec(fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
+    else:
+        want = DualVec(fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
+    for block, ref in ((got.b1, want.b1), (got.b2, want.b2)):
+        assert (block is None) == (ref is None)
+        if block is not None:
+            assert same_bits(block, ref) and block.flags.c_contiguous and not block.flags.writeable
+    if fam.kind == "full":
+        assert same_bits(got.b2, got.b2.T)
+
+
+def test_full_conjugate_coefficient_equals_the_public_constructor_bit_for_bit():
+    rng = np.random.default_rng(33)
+    fam = Family.full(6)
+    quad = Quadratic(rng.standard_normal((6, 6)) * 1e-14 + random_spd(rng, 6), rng.standard_normal(6))
+    for loss in (quad, scale_loss(quad, 3.0)):
+        got = conjugate_coefficient(loss, fam)
+        want = DualVec(fam, -loss.b, -0.5 * loss.A)
+        for block, ref in ((got.b1, want.b1), (got.b2, want.b2)):
+            assert same_bits(block, ref) and block.flags.c_contiguous and not block.flags.writeable
+        assert same_bits(got.b2, got.b2.T)
+
+
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_logistic_natural_gradient_is_exactly_symmetric(multiclass):
+    # The Hessian is a matrix product, not symmetric bit for bit, so the
+    # public constructor averages it with its transpose.
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((40, 6))
+    if multiclass:
+        loss = MulticlassLogistic(x, rng.integers(0, 3, 40), 3)
+    else:
+        loss = Logistic(x, (rng.random(40) < 0.5).astype(float))
+    fam = Family.full(loss.dim)
+    lam = NatParam(fam, 0.3 * rng.standard_normal(loss.dim), random_spd(rng, loss.dim))
+    hess = expected_moments(loss, lam, Delta()).h
+    assert not same_bits(hess, hess.T)
+    ng = natural_gradient(loss, lam, Delta())
+    assert same_bits(ng.b2, ng.b2.T) and same_bits(ng.b2, 0.5 * (0.5 * hess + 0.5 * hess.T))
+
+
 def test_natural_gradient_isotropic_is_expected_gradient():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((10, 2))
