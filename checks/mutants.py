@@ -237,10 +237,21 @@ MUTANTS = (
         "the triangular solve drops its finite check",
         "src/bayesadmm/families.py",
         """    _require_finite(a)
-    _require_finite(b)
+    return _trtrs(a, b, lower)
 """,
-        "",
+        """    return _trtrs(a, b, lower)
+""",
         ("tests/test_families.py::test_triangular_solve_keeps_scipys_errors",),
+    ),
+    Mutant(
+        "_chol_solve does not check its factor",
+        "src/bayesadmm/families.py",
+        """    _require_finite(low)
+    half = _trtrs(low, rhs, lower=True)
+""",
+        """    half = _trtrs(low, rhs, lower=True)
+""",
+        ("tests/test_families.py::test_chol_solve_keeps_the_two_triangular_solves_errors",),
     ),
     Mutant(
         "the transposed triangular solve passes the wrong trans",
@@ -308,9 +319,51 @@ MUTANTS = (
     Mutant(
         "natural_gradient wraps every full Hessian, logistic included",
         "src/bayesadmm/losses.py",
-        "    return make(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)\n",
-        "    return _wrap(DualVec, lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)\n",
+        "    if not isinstance(loss, (Quadratic, LinearInT)):\n        half = _symmetrize(half, None)\n",
+        "    if not isinstance(loss, (Quadratic, LinearInT, Logistic)):\n        half = _symmetrize(half, None)\n",
         ("tests/test_losses.py::test_logistic_natural_gradient_is_exactly_symmetric",),
+    ),
+    Mutant(
+        "the wrapped logistic gradient skips _symmetrize",
+        "src/bayesadmm/losses.py",
+        "        half = _symmetrize(half, None)\n",
+        "        half = np.ascontiguousarray(half)\n",
+        ("tests/test_losses.py::test_logistic_natural_gradient_equals_the_public_constructor_bit_for_bit",),
+    ),
+    Mutant(
+        "a VON update steps from the server's coordinates, not the iterate's",
+        "src/bayesadmm/solvers.py",
+        "                lam = NatParam.from_dual(dual_axpy(-trial, grad, coords))\n",
+        "                lam = NatParam.from_dual(dual_axpy(-trial, grad, spec._lam_g_dual))\n",
+        ("tests/test_solvers.py::test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit",),
+    ),
+    Mutant(
+        "a round maps the server once per client",
+        "src/bayesadmm/federation.py",
+        "tau=server.tau, _lam_g_dual=lam_g_dual\n",
+        "tau=server.tau\n",
+        ("tests/test_federation.py::test_a_round_maps_the_server_to_coordinates_once",),
+    ),
+    Mutant(
+        "the kept outer products are built from one factor of x",
+        "src/bayesadmm/losses.py",
+        "        outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)\n",
+        "        outer = (x[:, :, None] * np.ones_like(x)[:, None, :]).reshape(n, d * d)\n",
+        ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
+    ),
+    Mutant(
+        "the one-draw skip is taken at more than one draw",
+        "src/bayesadmm/losses.py",
+        "        if count == 1:\n",
+        "        if count >= 1:\n",
+        ("tests/test_losses.py::test_mean_moments_equal_the_accumulated_average_bit_for_bit",),
+    ),
+    Mutant(
+        "the multiclass weights negate, leaving -0.0",
+        "src/bayesadmm/losses.py",
+        "    np.subtract(0.0, weights, out=weights)\n",
+        "    np.negative(weights, out=weights)\n",
+        ("tests/test_losses.py::test_mean_moments_equal_the_accumulated_average_bit_for_bit",),
     ),
     Mutant(
         "a fixed family skips the shape check of its precision",

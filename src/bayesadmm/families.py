@@ -146,6 +146,11 @@ def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
     zero diagonal, without the wrapper's per-call dispatch.
     """
     _require_finite(a)
+    return _trtrs(a, b, lower)
+
+
+def _trtrs(a: Array, b: Array, lower: bool) -> Array:
+    """:func:`_solve_triangular` for an ``a`` already checked to be finite."""
     _require_finite(b)
     trtrs, _ = _lapack()
     if a.flags.f_contiguous:
@@ -157,9 +162,10 @@ def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
 
 
 def _chol_solve(low: Array, rhs: Array) -> Array:
-    """Solve ``(low @ low.T) @ x = rhs`` given the lower Cholesky factor."""
-    half = _solve_triangular(low, rhs, lower=True)
-    return _solve_triangular(low.T, half, lower=False)
+    """Solve ``(low @ low.T) @ x = rhs`` given the lower Cholesky factor, checked once."""
+    _require_finite(low)
+    half = _trtrs(low, rhs, lower=True)
+    return _trtrs(low.T, half, lower=False)
 
 
 @functools.cache
@@ -537,14 +543,17 @@ def dual_inf_norm(x: DualVec) -> float:
     return out
 
 
+def dual_sub(x: DualVec, y: DualVec) -> DualVec:
+    """``x - y`` componentwise in the ambient layout."""
+    check_same_family(x, y)
+    if x.fam.two_block:
+        return _wrap(DualVec, x.fam, x.b1 - y.b1, x.b2 - y.b2)
+    return _wrap(DualVec, x.fam, x.b1 - y.b1)
+
+
 def nat_sub(lam_a: NatParam, lam_b: NatParam) -> DualVec:
     """Ambient difference of natural parameters (lands in dual space)."""
-    check_same_family(lam_a, lam_b)
-    a1, a2 = lam_a.coords()
-    b1, b2 = lam_b.coords()
-    if lam_a.fam.two_block:
-        return _wrap(DualVec, lam_a.fam, a1 - b1, a2 - b2)
-    return _wrap(DualVec, lam_a.fam, a1 - b1)
+    return dual_sub(lam_a.as_dual(), lam_b.as_dual())
 
 
 def exp_sub(mu_a: ExpParam, mu_b: ExpParam) -> DualVec:

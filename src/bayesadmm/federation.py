@@ -52,6 +52,7 @@ from .families import (
     dual_from_jsonable,
     dual_inf_norm,
     dual_scale,
+    dual_sub,
     dual_sum,
     dual_to_jsonable,
     dual_zero,
@@ -388,6 +389,7 @@ def _distribution_round(
     ``solver``, when given, overrides the configured inner solver.
     """
     lam_g = server.lam_g
+    lam_g_dual = lam_g.as_dual()
     mu_g = to_expectation(lam_g) if dual_in_mu else None
     inner = _effective_inner(cfg)
     if solver is not None:
@@ -399,12 +401,14 @@ def _distribution_round(
         lam = client.lam
         info: dict = {}
         for _ in range(cfg.client_repeats):
-            spec = SubproblemSpec(client.loss, eta, lam_g, rho=kl_weight, tau=server.tau)
+            spec = SubproblemSpec(
+                client.loss, eta, lam_g, rho=kl_weight, tau=server.tau, _lam_g_dual=lam_g_dual
+            )
             lam, info = _solve_client(spec, inner, cfg, seed, client.n_examples)
             if dual_in_mu:
                 direction = exp_sub(to_expectation(lam), mu_g)
             else:
-                direction = nat_sub(lam, lam_g)
+                direction = dual_sub(lam.as_dual(), lam_g_dual)
             eta, prev = dual_axpy(dual_step, direction, eta), eta
             if cfg.repeat_tol > 0 and dual_inf_norm(dual_axpy(-1.0, prev, eta)) <= cfg.repeat_tol:
                 break

@@ -12,7 +12,7 @@ Temperature enters by dividing the data loss, never the linear dual terms.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .families import (
     DualVec,
     Family,
     NatParam,
+    _symmetrize,
     _wrap,
     pair_with_stat,
     sample,
@@ -119,12 +120,17 @@ class Logistic:
 
 @dataclass(frozen=True)
 class MulticlassLogistic:
-    """Softmax cross entropy; parameter is the class-major flattening of (C, d) weights."""
+    """Softmax cross entropy; parameter is the class-major flattening of (C, d) weights.
+
+    ``_outer`` keeps the rows' outer products ``x x^T``, shape ``(n, d^2)``,
+    that every full Hessian multiplies, made on first use.
+    """
 
     X: Array
     y: Array
     n_classes: int
     scale: float = 1.0
+    _outer: Array | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.X, dtype=float)
@@ -284,11 +290,13 @@ def _weight_sum(loss: Logistic | MulticlassLogistic, probs: Array, diag_only: bo
     """Per-example Hessian weights summed over the S rows of ``probs``.
 
     Binary: p(1-p), shape (n,).  Multiclass: diag(p) - p p^T, shape (C, C, n),
-    or only its diagonal p(1-p), shape (C, n), when ``diag_only``.
+    or only its diagonal p(1-p), shape (C, n), when ``diag_only``.  No entry
+    is -0.0: ``0.0 - p p^T`` keeps the sign of a zero product positive.
     """
     if isinstance(loss, Logistic) or diag_only:
         return np.sum(probs * (1.0 - probs), axis=0)
-    weights = -np.einsum("sai,sbi->abi", probs, probs)
+    weights = np.einsum("sai,sbi->abi", probs, probs)
+    np.subtract(0.0, weights, out=weights)
     idx = np.arange(loss.n_classes)
     weights[idx, idx] += probs.sum(axis=0)
     return weights
@@ -305,7 +313,11 @@ def _hess(loss: Logistic | MulticlassLogistic, weights: Array, diag_only: bool) 
     # H[(a,e),(b,f)] = sum_i w[a,b,i] x[i,e] x[i,f]: one (C^2, n) @ (n, d^2) product.
     n, d = x.shape
     c = loss.n_classes
-    outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+    outer = loss._outer
+    if outer is None:
+        outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+        outer.setflags(write=False)
+        object.__setattr__(loss, "_outer", outer)
     hess = (weights.reshape(c * c, n) @ outer).reshape(c, c, d, d).transpose(0, 2, 1, 3)
     return hess.reshape(loss.dim, loss.dim) / loss.scale
 
@@ -385,20 +397,27 @@ def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Arr
 
     The logistic gradient is linear in the predicted probabilities and the
     Hessian in the per-example weights, so both come from the sums of those:
-    one softmax per draw, one Hessian product in all.
+    one softmax per draw, one Hessian product in all.  One draw is its own
+    mean: neither its probabilities nor its weights hold a -0.0, so
+    ``(0.0 + s) / 1`` would give back ``s`` bit for bit, and is skipped.
     """
     if isinstance(loss, (Quadratic, LinearInT)):
         # Per-sample grad is affine in theta and the Hessian is constant,
         # so the sample average collapses onto the mean draw.
         return loss_grad(loss, thetas.mean(axis=0)), loss_hess(loss, thetas[0], diag_only=diag)
+    count = len(thetas)
     prob_sum = weight_sum = 0.0
     for chunk in _chunks(thetas):
         probs = _probs(loss, chunk, loss.X)
+        if count == 1:
+            prob_sum, weight_sum = probs, _weight_sum(loss, probs, diag)
+            break
         prob_sum = prob_sum + probs.sum(axis=0)
         weight_sum = weight_sum + _weight_sum(loss, probs, diag)
-    count = len(thetas)
-    grad = _prob_grads(loss, prob_sum[None] / count, loss.X, loss.y)[0]
-    return grad, _hess(loss, weight_sum / count, diag)
+    else:
+        prob_sum, weight_sum = prob_sum[None] / count, weight_sum / count
+    grad = _prob_grads(loss, prob_sum, loss.X, loss.y)[0]
+    return grad, _hess(loss, weight_sum, diag)
 
 
 def _analytic_moments(loss, lam, diag, estimator) -> MomentEstimate:
@@ -432,16 +451,19 @@ def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> Dua
     """Gradient of E_q[l] in expectation coordinates (ambient dual layout)."""
     mom = expected_moments(loss, lam, estimator)
     kind = lam.fam.kind
-    # The T-linear losses' Hessians are exactly symmetric (``Quadratic``'s A is
-    # averaged with its transpose, ``LinearInT``'s is -2 c.b2), so their blocks
-    # need no copy or check; a logistic Hessian from a matrix product is not
-    # symmetric bit for bit, and the public constructor averages it.
-    make = functools.partial(_wrap, DualVec) if isinstance(loss, (Quadratic, LinearInT)) else DualVec
+    # The moments are fresh arrays, so the blocks are wrapped, not copied.
     if kind in (ISOTROPIC, FIXED):
-        return make(lam.fam, mom.g)
+        return _wrap(DualVec, lam.fam, mom.g)
     if kind == DIAG:
-        return make(lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
-    return make(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
+        return _wrap(DualVec, lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
+    # The T-linear losses' Hessians are exactly symmetric (``Quadratic``'s A is
+    # averaged with its transpose, ``LinearInT``'s is -2 c.b2); a logistic
+    # Hessian from a matrix product is not symmetric bit for bit, and is
+    # averaged as the public constructor would.
+    half = 0.5 * mom.h
+    if not isinstance(loss, (Quadratic, LinearInT)):
+        half = _symmetrize(half, None)
+    return _wrap(DualVec, lam.fam, mom.g - mom.h @ lam.m, half)
 
 
 def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:

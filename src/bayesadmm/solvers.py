@@ -32,12 +32,11 @@ from .families import (
     NatParam,
     dual_axpy,
     dual_inf_norm,
-    nat_sub,
+    dual_sub,
 )
 from .losses import (
     Analytic,
     Estimator,
-    LinearInT,
     Logistic,
     LossSpec,
     MulticlassLogistic,
@@ -59,7 +58,9 @@ class SubproblemSpec:
     """One client subproblem: loss, incoming dual, server parameter, step sizes.
 
     ``tau`` tempers the data loss (the loss is divided by it); the linear dual
-    term is never tempered.
+    term is never tempered.  ``_lam_g_dual`` is ``lam_g.as_dual()``, the
+    server's ambient coordinates; a round that poses one subproblem per client
+    maps ``lam_g`` once and passes the result, vouching that it is that map.
     """
 
     loss: LossSpec
@@ -67,6 +68,7 @@ class SubproblemSpec:
     lam_g: NatParam
     rho: float
     tau: float = 1.0
+    _lam_g_dual: DualVec | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -75,6 +77,8 @@ class SubproblemSpec:
             raise ValueError("tau must be > 0")
         if self.eta.fam != self.lam_g.fam:
             raise FamilyMismatch("eta and lam_g families differ")
+        if self._lam_g_dual is None:
+            object.__setattr__(self, "_lam_g_dual", self.lam_g.as_dual())
 
     def tempered_loss(self) -> LossSpec:
         return scale_loss(self.loss, self.tau)
@@ -88,7 +92,7 @@ def solve_conjugate(spec: SubproblemSpec) -> NatParam:
     """
     c = conjugate_coefficient(spec.tempered_loss(), spec.lam_g.fam)
     step = dual_axpy(-1.0, spec.eta, c)  # c - eta
-    target = dual_axpy(1.0 / spec.rho, step, spec.lam_g.as_dual())
+    target = dual_axpy(1.0 / spec.rho, step, spec._lam_g_dual)
     try:
         return NatParam.from_dual(target)
     except NonPositivePrecision as exc:
@@ -104,17 +108,6 @@ class VonResult:
     grad_norms: list[float] = field(default_factory=list)
 
 
-def subproblem_gradient(
-    spec: SubproblemSpec,
-    lam: NatParam,
-    estimator: Estimator,
-    tempered: LossSpec,
-) -> DualVec:
-    """grad_mu of the client objective at ``lam``; ``tempered`` is ``spec.tempered_loss()``."""
-    ng = natural_gradient(tempered, lam, estimator)
-    return dual_axpy(spec.rho, nat_sub(lam, spec.lam_g), dual_axpy(1.0, spec.eta, ng))
-
-
 def solve_von(
     spec: SubproblemSpec,
     steps: int = 500,
@@ -124,19 +117,23 @@ def solve_von(
 ) -> VonResult:
     """Natural-gradient descent lam <- lam - beta * grad_mu F, started at lam_g.
 
-    If a step leaves the family, beta is halved for that step only (at most 10
-    halvings, then :class:`PrecisionEscape`).  Converges linearly on quadratic
-    losses with exact moments; ``grad_norms`` records the residual trace.
+    grad_mu F = grad_mu E_q[l / tau] + eta + rho (lam - lam_g), in ambient
+    coordinates: those of ``lam_g`` come with ``spec``, and each step maps its
+    new ``lam`` once.  If a step leaves the family, beta is halved for that
+    step only (at most 10 halvings, then :class:`PrecisionEscape`).  Converges
+    linearly on quadratic losses with exact moments; ``grad_norms`` records
+    the residual trace.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    lam = spec.lam_g
+    lam, coords = spec.lam_g, spec._lam_g_dual
     tempered = spec.tempered_loss()
     norms: list[float] = []
     gnorm = np.inf
     taken = 0
     for taken in range(steps + 1):
-        grad = subproblem_gradient(spec, lam, estimator, tempered)
+        ng = natural_gradient(tempered, lam, estimator)
+        grad = dual_axpy(spec.rho, dual_sub(coords, spec._lam_g_dual), dual_axpy(1.0, spec.eta, ng))
         gnorm = dual_inf_norm(grad)
         norms.append(gnorm)
         if gnorm <= tol or taken == steps:
@@ -144,7 +141,7 @@ def solve_von(
         trial = beta
         for _ in range(11):
             try:
-                lam = NatParam.from_dual(dual_axpy(-trial, grad, lam.as_dual()))
+                lam = NatParam.from_dual(dual_axpy(-trial, grad, coords))
                 break
             except NonPositivePrecision:
                 trial *= 0.5
@@ -152,6 +149,7 @@ def solve_von(
             raise PrecisionEscape(
                 f"iterate left the family at step {taken} and halving did not repair it"
             )
+        coords = lam.as_dual()
     return VonResult(lam, gnorm <= tol, gnorm, taken, norms)
 
 
@@ -305,21 +303,23 @@ class AdmmClientResult:
 
 
 def _gd_lipschitz(loss: LossSpec) -> float:
-    """Cheap curvature bound used to pick a safe fixed step size."""
+    """Cheap curvature bound used to pick a safe fixed step size.
+
+    Never asked of a :class:`Quadratic`, which :func:`solve_admm_client` solves exactly.
+    """
     if isinstance(loss, Logistic):
         gram = loss.X.T @ loss.X
         return 0.25 * float(np.linalg.eigvalsh(gram)[-1]) / loss.scale
     if isinstance(loss, MulticlassLogistic):
         gram = loss.X.T @ loss.X
         return 0.5 * float(np.linalg.eigvalsh(gram)[-1]) / loss.scale
-    if isinstance(loss, LinearInT):
-        if loss.c.b2 is None:
-            return 0.0
-        payload = -2.0 * loss.c.b2
-        if payload.ndim == 1:
-            return float(np.max(np.abs(payload)))
-        return float(np.max(np.abs(np.linalg.eigvalsh(payload))))
-    return float(np.max(np.abs(np.linalg.eigvalsh(loss.A))))
+    # LinearInT
+    if loss.c.b2 is None:
+        return 0.0
+    payload = -2.0 * loss.c.b2
+    if payload.ndim == 1:
+        return float(np.max(np.abs(payload)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(payload))))
 
 
 def solve_admm_client(

@@ -758,6 +758,28 @@ def test_triangular_solve_keeps_scipys_errors():
             families._solve_triangular(tri, rhs, True)
 
 
+def test_chol_solve_keeps_the_two_triangular_solves_errors():
+    # An infinite diagonal entry solves to finite values, so only the check of the factor catches it.
+    low = chol_spd(np.eye(3) + 0.5)
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in ((2, 2), (2, 0)):
+            tri = low.copy()
+            tri[at] = bad
+            cases.append((tri, np.ones(3)))
+        rhs = np.ones(3)
+        rhs[1] = bad
+        cases.append((low, rhs))
+    singular = low.copy()
+    singular[1, 1] = 0.0
+    cases.append((singular, np.ones((3, 2))))
+    for tri, rhs in cases:
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
+            solve_triangular(tri.T, solve_triangular(tri, rhs, lower=True), lower=False)
+        with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
+            families._chol_solve(tri, rhs)
+
+
 def inverse_factors():
     rng = np.random.default_rng(6)
     lows = [chol_spd(random_spd(rng, d)) for d in (1, 30, 201)]

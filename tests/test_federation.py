@@ -176,6 +176,29 @@ def test_auto_solver_takes_a_ridge_clients_coefficient_once(monkeypatch):
     assert len(calls) == K
 
 
+@pytest.mark.parametrize("solver", ["conjugate", "von"])
+def test_a_round_maps_the_server_to_coordinates_once(monkeypatch, solver):
+    rng = np.random.default_rng(6)
+    K, d, n = 3, 3, 10
+    losses, _ = ridge_problem(rng, K, d, n)
+    prior = NatParam(Family.full(d), np.zeros(d), np.eye(d))
+    server, clients = init_bayes_states(prior, losses, [n] * K, rho=0.5)
+    mapped = []
+    coords = NatParam.coords
+
+    def counting(lam):
+        mapped.append(lam)
+        return coords(lam)
+
+    monkeypatch.setattr(NatParam, "coords", counting)
+    cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver=solver, estimator="analytic", steps=3))
+    for rnd in range(2):
+        lam_g = server.lam_g
+        mapped.clear()
+        bayes_admm_round(server, clients, cfg, rnd)
+        assert sum(lam is lam_g for lam in mapped) == 1
+
+
 def test_admm_recovery_isotropic_delta_method():
     rng = np.random.default_rng(4)
     K, d, n = 3, 4, 12

@@ -338,6 +338,65 @@ def test_batched_reparam_matches_per_draw_loop(monkeypatch, count):
         assert_rel_close(mom.h, np.mean(grads * (thetas - lam.m) * lam.prec, axis=0))
 
 
+def accumulated_mean_moments(loss, thetas, diag):
+    """Gradient and Hessian from ``(0.0 + sum) / count`` of the probabilities and weights.
+
+    The multiclass weights are written as ``-(p p^T)`` plus ``diag(p)``, which
+    holds -0.0 wherever a product of probabilities is 0.
+    """
+    probs = losses_mod._probs(loss, thetas, loss.X)
+    if isinstance(loss, Logistic) or diag:
+        weights = np.sum(probs * (1.0 - probs), axis=0)
+    else:
+        weights = -np.einsum("sai,sbi->abi", probs, probs)
+        idx = np.arange(loss.n_classes)
+        weights[idx, idx] += probs.sum(axis=0)
+    count = len(thetas)
+    prob_mean = (0.0 + probs.sum(axis=0))[None] / count
+    grad = losses_mod._prob_grads(loss, prob_mean, loss.X, loss.y)[0]
+    return grad, losses_mod._hess(loss, (0.0 + weights) / count, diag)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("diag", [False, True], ids=["full", "diag"])
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_mean_moments_equal_the_accumulated_average_bit_for_bit(multiclass, diag, count):
+    # Rows 500 times longer than the rest drive probabilities to exactly 0 and 1.
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((30, 4))
+    x[20:] *= 500.0
+    if multiclass:
+        loss = MulticlassLogistic(x, rng.integers(0, 3, 30), 3, scale=1.3)
+    else:
+        loss = Logistic(x, (rng.random(30) < 0.5).astype(float), scale=1.3)
+    thetas = rng.standard_normal((count, loss.dim))
+    probs = losses_mod._probs(loss, thetas, loss.X)
+    assert np.any(probs == 0.0)
+    weights = losses_mod._weight_sum(loss, probs, diag)
+    assert not np.any((weights == 0.0) & np.signbit(weights))
+    grad, hess = losses_mod._mean_moments(loss, thetas, diag)
+    want_grad, want_hess = accumulated_mean_moments(loss, thetas, diag)
+    assert same_bits(grad, want_grad) and same_bits(hess, want_hess)
+
+
+def test_kept_outer_products_give_the_hessian_of_a_fresh_loss():
+    rng = np.random.default_rng(18)
+    loss = random_multiclass(rng, 30, 4, 3, scale=1.5)
+    assert loss._outer is None
+    thetas = rng.standard_normal((3, loss.dim))
+    loss_hess(loss, thetas[0])
+    kept = loss._outer
+    assert kept.shape == (30, 9) and not kept.flags.writeable
+    for theta in thetas:
+        fresh = MulticlassLogistic(loss.X, loss.y, 4, scale=1.5)
+        assert same_bits(loss_hess(loss, theta), loss_hess(fresh, theta))
+    assert loss._outer is kept
+    scaled = scale_loss(loss, 2.5)
+    fresh = MulticlassLogistic(loss.X, loss.y, 4, scale=1.5 * 2.5)
+    for theta in thetas:
+        assert same_bits(loss_hess(scaled, theta), loss_hess(fresh, theta))
+
+
 # ---------------------------------------------------------------------------
 # natural gradients
 # ---------------------------------------------------------------------------
@@ -452,6 +511,40 @@ def test_logistic_natural_gradient_is_exactly_symmetric(multiclass):
     assert not same_bits(hess, hess.T)
     ng = natural_gradient(loss, lam, Delta())
     assert same_bits(ng.b2, ng.b2.T) and same_bits(ng.b2, 0.5 * (0.5 * hess + 0.5 * hess.T))
+
+
+@pytest.mark.parametrize("estimator", [Delta(), MonteCarlo(5, seed=3)], ids=["delta", "mc"])
+@pytest.mark.parametrize("kind", ["isotropic", "diag", "full"])
+@pytest.mark.parametrize("multiclass", [False, True], ids=["binary", "multiclass"])
+def test_logistic_natural_gradient_equals_the_public_constructor_bit_for_bit(multiclass, kind, estimator):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((40, 4))
+    if multiclass:
+        loss = MulticlassLogistic(x, rng.integers(0, 3, 40), 3, scale=1.7)
+    else:
+        loss = Logistic(x, (rng.random(40) < 0.5).astype(float), scale=1.7)
+    d = loss.dim
+    m = 0.3 * rng.standard_normal(d)
+    lam = {
+        "isotropic": lambda: NatParam(Family.isotropic(d), m),
+        "diag": lambda: NatParam(Family.diag(d), m, rng.uniform(0.5, 3.0, d)),
+        "full": lambda: NatParam(Family.full(d), m, random_spd(rng, d)),
+    }[kind]()
+    mom = expected_moments(loss, lam, estimator)
+    if kind == "isotropic":
+        want = DualVec(lam.fam, mom.g)
+    elif kind == "diag":
+        want = DualVec(lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
+    else:
+        want = DualVec(lam.fam, mom.g - mom.h @ lam.m, 0.5 * mom.h)
+    ng = natural_gradient(loss, lam, estimator)
+    assert same_bits(ng.b1, want.b1) and not ng.b1.flags.writeable
+    if kind == "isotropic":
+        assert ng.b2 is None
+    else:
+        assert same_bits(ng.b2, want.b2) and not ng.b2.flags.writeable
+    if kind == "full":
+        assert same_bits(ng.b2, ng.b2.T) and ng.b2.flags.c_contiguous
 
 
 def test_natural_gradient_isotropic_is_expected_gradient():

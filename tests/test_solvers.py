@@ -4,6 +4,7 @@ import pytest
 from bayesadmm.errors import (
     EstimatorUnsupported,
     NonFiniteUpdate,
+    NonPositivePrecision,
     ResultNotInFamily,
 )
 from bayesadmm.families import (
@@ -20,6 +21,8 @@ from bayesadmm.losses import (
     Delta,
     LinearInT,
     Logistic,
+    MonteCarlo,
+    MulticlassLogistic,
     Quadratic,
     conjugate_coefficient,
     loss_grad,
@@ -172,6 +175,79 @@ def test_von_dual_invariant_within_tolerance(full3, prior3):
     eta_new = dual_axpy(rho, nat_sub(res.lam, prior3), eta)
     ng = natural_gradient(spec.loss, res.lam, Delta())
     assert dual_inf_norm(dual_axpy(1.0, ng, eta_new)) <= 10 * tol
+
+
+def von_reference(spec, steps, beta, estimator, tol):
+    """The VON loop with its coordinate maps written out: ``nat_sub`` and ``as_dual`` every step."""
+    lam, tempered, norms = spec.lam_g, spec.tempered_loss(), []
+    for taken in range(steps + 1):
+        ng = natural_gradient(tempered, lam, estimator)
+        grad = dual_axpy(spec.rho, nat_sub(lam, spec.lam_g), dual_axpy(1.0, spec.eta, ng))
+        norms.append(dual_inf_norm(grad))
+        if norms[-1] <= tol or taken == steps:
+            return lam, norms
+        trial = beta
+        while True:
+            try:
+                lam = NatParam.from_dual(dual_axpy(-trial, grad, lam.as_dual()))
+                break
+            except NonPositivePrecision:
+                trial *= 0.5
+
+
+def von_cases():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((30, 3))
+    y = (rng.random(30) < 0.5).astype(float)
+    binary, multi = Logistic(x, y), MulticlassLogistic(x, rng.integers(0, 3, 30), 3, scale=1.3)
+    full, diag = Family.full(3), Family.diag(3)
+    eta = DualVec(full, 0.1 * rng.standard_normal(3), -0.05 * random_spd(rng, 3))
+    prior = NatParam(full, 0.2 * rng.standard_normal(3), random_spd(rng, 3))
+    yield SubproblemSpec(binary, eta, prior, rho=0.7), 0.5, Delta()
+    yield SubproblemSpec(multi, dual_zero(Family.full(9)), NatParam(Family.full(9), np.zeros(9), np.eye(9)),
+                         rho=0.4, tau=1.5), 0.5, Delta()
+    yield SubproblemSpec(binary, dual_zero(diag), NatParam(diag, np.zeros(3), np.ones(3)), rho=0.5), 0.5, \
+        MonteCarlo(3, seed=2)
+    # Unit steps at a large rho overshoot out of the family: this case halves 13 times.
+    yield SubproblemSpec(binary, DualVec(diag, np.zeros(3), np.full(3, -0.3)), NatParam(diag, np.zeros(3), np.ones(3)),
+                         rho=3.0), 1.0, Delta()
+
+
+@pytest.mark.parametrize("case", list(von_cases()), ids=["full", "multiclass_tempered", "diag_mc", "halving"])
+def test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit(case):
+    spec, beta, estimator = case
+    res = solve_von(spec, steps=25, beta=beta, estimator=estimator, tol=1e-12)
+    lam, norms = von_reference(spec, 25, beta, estimator, 1e-12)
+    assert res.grad_norms == norms
+    assert np.array_equal(res.lam.m.view(np.uint64), lam.m.view(np.uint64))
+    assert np.array_equal(res.lam.prec.view(np.uint64), lam.prec.view(np.uint64))
+
+
+def test_von_maps_the_server_once_and_each_new_iterate_once(monkeypatch, full3, prior3):
+    mapped = []
+    coords = NatParam.coords
+
+    def counting(lam):
+        mapped.append(lam)
+        return coords(lam)
+
+    monkeypatch.setattr(NatParam, "coords", counting)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((25, 3))
+    spec = SubproblemSpec(Logistic(x, (rng.random(25) < 0.5).astype(float)), dual_zero(full3), prior3, rho=0.5)
+    res = solve_von(spec, steps=12, beta=0.5, estimator=Delta(), tol=0.0)
+    assert res.steps == 12 and len(res.grad_norms) == 13
+    assert mapped[0] is prior3 and len(mapped) == 1 + res.steps
+    assert all(lam is not prior3 for lam in mapped[1:])
+
+
+def test_a_spec_maps_its_server_unless_given_the_map(full3, prior3):
+    loss = Quadratic(np.eye(3), np.ones(3))
+    spec = SubproblemSpec(loss, dual_zero(full3), prior3, rho=1.0)
+    want = prior3.as_dual()
+    assert np.array_equal(spec._lam_g_dual.b1, want.b1) and np.array_equal(spec._lam_g_dual.b2, want.b2)
+    given = SubproblemSpec(loss, dual_zero(full3), prior3, rho=1.0, _lam_g_dual=want)
+    assert given._lam_g_dual is want
 
 
 def test_von_respects_tempering(full3, prior3):
