@@ -445,6 +445,43 @@ MUTANTS = (
          "tests/test_cli.py::test_verify_rebuilds_the_run_residuals"),
     ),
     Mutant(
+        "a stored triangle is not mirrored on load",
+        "src/bayesadmm/families.py",
+        "    out[cols, rows] = flat\n",
+        "",
+        ("tests/test_families.py::test_triangle_codec_stores_the_upper_triangle_row_by_row_and_mirrors_it",
+         "tests/test_cli.py::test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit"
+         "[ridge-von-delta]"),
+    ),
+    Mutant(
+        "the writer stores the lower triangle row by row",
+        "src/bayesadmm/families.py",
+        "        a = a[_upper_indices(a.shape[0])]\n",
+        "        a = a[np.tril_indices(a.shape[0])]\n",
+        ("tests/test_families.py::test_triangle_codec_stores_the_upper_triangle_row_by_row_and_mirrors_it",
+         "tests/test_cli.py::test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit"
+         "[ridge-conjugate]"),
+    ),
+    Mutant(
+        "a triangle's byte count check accepts the full square",
+        "src/bayesadmm/families.py",
+        """    if len(raw) != 8 * count:
+        what = "array" if triangle is None else "upper triangle"
+        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    if triangle is None:
+""",
+        """    if len(raw) not in (8 * count, 8 * math.prod(shape)):
+        what = "array" if triangle is None else "upper triangle"
+        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    if triangle is None or len(flat) != count:
+""",
+        ("tests/test_families.py::test_triangle_codec_rejects_what_it_did_not_write[full-square]",
+         "tests/test_cli.py::test_verify_rejects_a_full_block_that_is_not_its_upper_triangle"
+         "[lam-S-format-2-square-with-marker]"),
+    ),
+    Mutant(
         "run and sweep record no fixed-point residuals",
         "src/bayesadmm/cli.py",
         "        verify_fn=_residuals if setup.server.lam_g is not None else None,\n",

@@ -429,9 +429,6 @@ class ExpParam:
         object.__setattr__(self, "m2", m2)
         object.__setattr__(self, "_cov", _frozen(cov))
 
-    def coords(self) -> tuple[Array, Array | None]:
-        return self.m, self.m2
-
 
 @dataclass(frozen=True)
 class DualVec:
@@ -700,10 +697,20 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def array_to_jsonable(a: Array) -> dict:
-    """``{"dtype": "<f8", "shape", "b64"}``: little-endian float64 bytes in C order, base64."""
+def array_to_jsonable(a: Array, triangle: bool = False) -> dict:
+    """``{"dtype": "<f8", "shape", "b64"}``: little-endian float64 bytes in C order, base64.
+
+    With ``triangle``, a square ``a`` keeps only its upper triangle, row by row
+    with the diagonal, marked ``"triangle": "upper"``; :func:`array_from_jsonable`
+    mirrors it back, bit for bit when ``a`` is symmetric bit for bit.
+    """
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {"dtype": "<f8", "shape": list(a.shape), "b64": base64.b64encode(a.tobytes()).decode("ascii")}
+    out = {"dtype": "<f8", "shape": list(a.shape)}
+    if triangle:
+        out["triangle"] = "upper"
+        a = a[_upper_indices(a.shape[0])]
+    out["b64"] = base64.b64encode(a.tobytes()).decode("ascii")
+    return out
 
 
 def array_from_jsonable(data: dict) -> Array:
@@ -711,39 +718,81 @@ def array_from_jsonable(data: dict) -> Array:
     if not isinstance(data, dict) or data.get("dtype") != "<f8":
         raise ValueError("expected an array encoded as {'dtype': '<f8', 'shape': ..., 'b64': ...}")
     shape = tuple(int(n) for n in data["shape"])
+    triangle = data.get("triangle")
+    if triangle is None:
+        count = math.prod(shape)
+    elif triangle == "upper" and len(shape) == 2 and shape[0] == shape[1]:
+        count = shape[0] * (shape[0] + 1) // 2
+    else:
+        raise ValueError(f"triangle {triangle!r} of shape {shape} is not the upper triangle of a square")
     raw = base64.b64decode(data["b64"], validate=True)
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"array of shape {shape} needs {8 * math.prod(shape)} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    if len(raw) != 8 * count:
+        what = "array" if triangle is None else "upper triangle"
+        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    if triangle is None:
+        return flat.reshape(shape)
+    out = np.empty(shape)
+    rows, cols = _upper_indices(shape[0])
+    out[rows, cols] = flat
+    out[cols, rows] = flat
+    return out
 
 
-# Each two-block family's keys for a NatParam's precision and a DualVec's ``u``.
+@functools.cache
+def _upper_indices(d: int) -> tuple[Array, Array]:
+    """Row and column indices of a ``d`` by ``d`` matrix's upper triangle, row by row."""
+    rows, cols = np.triu_indices(d)
+    return _frozen(rows, dtype=np.intp), _frozen(cols, dtype=np.intp)
+
+
+# Each two-block family's keys for a NatParam's precision and a DualVec's ``u``.  A full
+# family stores both as upper triangles: a full precision and a full ``DualVec``'s second
+# block are symmetric bit for bit (README, "Library layout"), so the mirror loses no bit.
 _JSON_KEYS = {DIAG: ("s", "u"), FULL: ("S", "V")}
+
+
+def _second_to_jsonable(fam: Family, block: Array) -> dict:
+    return array_to_jsonable(block, triangle=fam.kind == FULL)
+
+
+def _second_from_jsonable(fam: Family, data: dict, key: str) -> Array:
+    """The second block stored under ``key``; a ``ValueError`` names ``key``."""
+    block = data[key]
+    try:
+        if fam.kind == FULL and (not isinstance(block, dict) or block.get("triangle") != "upper"):
+            raise ValueError("a full family's block must be stored with 'triangle': 'upper'")
+        out = array_from_jsonable(block)
+        if out.shape != _second_shape(fam):
+            raise ValueError(f"shape {out.shape} is not {_second_shape(fam)}")
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return out
 
 
 def nat_to_jsonable(lam: NatParam) -> dict:
     out = {"m": array_to_jsonable(lam.m)}
     if lam.fam.two_block:
-        out[_JSON_KEYS[lam.fam.kind][0]] = array_to_jsonable(lam.prec)
+        out[_JSON_KEYS[lam.fam.kind][0]] = _second_to_jsonable(lam.fam, lam.prec)
     return out
 
 
 def nat_from_jsonable(fam: Family, data: dict) -> NatParam:
     m = array_from_jsonable(data["m"])
     if fam.two_block:
-        return NatParam(fam, m, array_from_jsonable(data[_JSON_KEYS[fam.kind][0]]))
+        return NatParam(fam, m, _second_from_jsonable(fam, data, _JSON_KEYS[fam.kind][0]))
     return NatParam(fam, m)
 
 
 def dual_to_jsonable(dual: DualVec) -> dict:
     out = {"v": array_to_jsonable(dual.b1)}
     if dual.fam.two_block:
-        out[_JSON_KEYS[dual.fam.kind][1]] = array_to_jsonable(dual.u)
+        out[_JSON_KEYS[dual.fam.kind][1]] = _second_to_jsonable(dual.fam, dual.u)
     return out
 
 
 def dual_from_jsonable(fam: Family, data: dict) -> DualVec:
     v = array_from_jsonable(data["v"])
     if fam.two_block:
-        return DualVec(fam, v, -0.5 * array_from_jsonable(data[_JSON_KEYS[fam.kind][1]]))
+        return DualVec(fam, v, -0.5 * _second_from_jsonable(fam, data, _JSON_KEYS[fam.kind][1]))
     return DualVec(fam, v)

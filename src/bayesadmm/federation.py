@@ -712,9 +712,10 @@ def run_rounds(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# Version of the checkpoint layout; format 2 stores every array through
-# ``families.array_to_jsonable``.  No other format is read.
-CHECKPOINT_FORMAT = 2
+# Version of the checkpoint layout; format 3 stores every array through
+# ``families.array_to_jsonable``, a full family's ``S`` and ``V`` blocks as their
+# upper triangles.  No other format is read.
+CHECKPOINT_FORMAT = 3
 
 
 def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState]) -> dict:

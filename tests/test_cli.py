@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -685,7 +686,7 @@ def test_verify_rejects_a_list_array_checkpoint_without_a_format(tmp_path, monke
         return [as_lists(v) for v in node] if isinstance(node, list) else node
 
     path.write_text(json.dumps(as_lists(data)))
-    assert "checkpoint format None is not 2" in verify_error(capsys, out)
+    assert "checkpoint format None is not 3" in verify_error(capsys, out)
 
 
 @pytest.mark.parametrize("edit, want", [
@@ -700,6 +701,92 @@ def test_verify_rejects_a_corrupt_array(tmp_path, monkeypatch, capsys, edit, wan
     data["clients"][1]["eta"]["v"].update(edit)
     path.write_text(json.dumps(data))
     assert want in verify_error(capsys, out)
+
+
+def triangle(a, count=None, **edit):
+    """``a``'s stored upper triangle, cut to ``count`` floats, with ``edit`` applied."""
+    data = array_to_jsonable(a, triangle=True)
+    if count is not None:
+        upper = np.frombuffer(base64.b64decode(data["b64"]), dtype="<f8")[:count]
+        data["b64"] = base64.b64encode(upper.tobytes()).decode("ascii")
+    return {**data, **edit}
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda a: triangle(a, count=54), "upper triangle of shape (10, 10) needs 440 bytes, got 432"),
+    (lambda a: {**array_to_jsonable(a), "triangle": "upper"},
+     "upper triangle of shape (10, 10) needs 440 bytes, got 800"),
+    (lambda a: array_to_jsonable(a), "a full family's block must be stored with 'triangle': 'upper'"),
+    (lambda a: triangle(a[:9, :9]), "shape (9, 9) is not (10, 10)"),
+    (lambda a: triangle(a, shape=[10, 11]),
+     "triangle 'upper' of shape (10, 11) is not the upper triangle of a square"),
+], ids=["byte-count", "format-2-square-with-marker", "format-2-square", "shape", "not-square"])
+@pytest.mark.parametrize("record, key", [("lam", "S"), ("eta", "V")])
+def test_verify_rejects_a_full_block_that_is_not_its_upper_triangle(tmp_path, monkeypatch, capsys,
+                                                                     edit, want, record, key):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    block = data["clients"][1][record]
+    block[key] = edit(array_from_jsonable(block[key]))
+    path.write_text(json.dumps(data))
+    assert f"{key}: {want}" in verify_error(capsys, out)
+
+
+FULL_CASES = {
+    "conjugate": ("bayes_admm", "conjugate", "auto"),
+    "von-delta": ("bayes_admm", "von", "delta"),
+    "von-mc": ("bayes_admm", "von", "mc"),
+    "bregman": ("bregman_admm", "auto", "auto"),
+    "pvi": ("pvi", "auto", "auto"),
+}
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("ridge", name) for name in FULL_CASES),
+    # The conjugate solver refuses a multiclass logistic loss.
+    *(("blobs", name) for name in FULL_CASES if name != "conjugate"),
+])
+def test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit(
+        tmp_path, monkeypatch, kind, name):
+    import bayesadmm.cli as cli
+    from bayesadmm.federation import checkpoint_from_jsonable
+
+    method, solver, estimator = FULL_CASES[name]
+    text = PROP2_INI.replace("solver = conjugate\n", "") if kind == "ridge" else \
+        BLOBS_INI.replace("family = diag", "family = full")
+    text = text.replace("method = bayes_admm", f"method = {method}")
+    text += f"solver = {solver}\nestimator = {estimator}\n"
+    committed = []
+    real = cli.checkpoint_to_jsonable
+
+    def capture(server, clients):
+        committed.append((server, clients))
+        return real(server, clients)
+
+    monkeypatch.setattr(cli, "checkpoint_to_jsonable", capture)
+    # bregman_admm on blobs leaves the family in round 0: a divergence, exit 2.
+    assert main(["run", "--config", write(tmp_path, "full.ini", text),
+                 "--out", str(tmp_path / "out")]) in (0, 2)
+    server, clients = committed[0]
+
+    def arrays():
+        out = [server.lam_g.m, server.lam_g.prec, server.eta0.v, server.eta0.u]
+        for c in clients:
+            out += [c.lam.m, c.lam.prec, c.eta.v, c.eta.u]
+        return out
+
+    before = arrays()
+    for block in before[1::2]:
+        bits = block.view(np.uint64)
+        assert block.shape == (server.fam.dim,) * 2 and np.array_equal(bits, bits.T)
+    data = json.loads(json.dumps(real(server, clients)))
+    assert data["lam_g"]["S"]["triangle"] == data["clients"][0]["eta"]["V"]["triangle"] == "upper"
+    checkpoint_from_jsonable(data, server, clients)
+    after = arrays()
+    assert all(a is not b for a, b in zip(after, before))
+    for got, want in zip(after, before):
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def committed_state(out_dir):
@@ -806,7 +893,7 @@ def test_verify_rejects_a_checkpoint_with_an_infinite_precision(tmp_path, monkey
     data = json.loads(path.read_text())
     prec = array_from_jsonable(data["clients"][0]["lam"]["S"])
     prec[0, 0] = np.inf
-    data["clients"][0]["lam"]["S"] = array_to_jsonable(prec)
+    data["clients"][0]["lam"]["S"] = array_to_jsonable(prec, triangle=True)
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import re
@@ -702,6 +703,33 @@ def test_array_codec_rejects_a_list():
         array_from_jsonable([1.0, 2.0])
 
 
+def test_triangle_codec_stores_the_upper_triangle_row_by_row_and_mirrors_it():
+    a = np.arange(16.0).reshape(4, 4) / 7.0
+    a = a + a.T
+    a[0, 3] = a[3, 0] = -0.0
+    a[1, 2] = a[2, 1] = 5e-324
+    data = json.loads(json.dumps(array_to_jsonable(a, triangle=True)))
+    assert data["triangle"] == "upper" and data["shape"] == [4, 4]
+    stored = np.frombuffer(base64.b64decode(data["b64"]), dtype="<f8")
+    want = [a[i, j] for i in range(4) for j in range(i, 4)]
+    assert np.array_equal(stored.view(np.uint64), np.array(want).view(np.uint64))
+    back = array_from_jsonable(data)
+    assert same_bits(back, a) and back.flags.writeable and back.flags.c_contiguous
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"b64": base64.b64encode(np.zeros(5).tobytes()).decode()}, "needs 48 bytes, got 40"),
+    ({"b64": base64.b64encode(np.zeros(9).tobytes()).decode()}, "needs 48 bytes, got 72"),
+    ({"shape": [3, 2]}, "not the upper triangle of a square"),
+    ({"shape": [6]}, "not the upper triangle of a square"),
+    ({"triangle": "lower"}, "not the upper triangle of a square"),
+], ids=["short", "full-square", "not-square", "vector", "lower"])
+def test_triangle_codec_rejects_what_it_did_not_write(edit, message):
+    data = {**array_to_jsonable(np.eye(3), triangle=True), **edit}
+    with pytest.raises(ValueError, match=message):
+        array_from_jsonable(data)
+
+
 # ---------------------------------------------------------------------------
 # the triangular solve, the symmetric shortcut, and the constructors' boundary
 # ---------------------------------------------------------------------------
@@ -1083,6 +1111,10 @@ def test_checkpoint_codec_keeps_its_keys_and_bits(kind, keys):
     nat_data = json.loads(json.dumps(nat_to_jsonable(lam)))
     dual_data = json.loads(json.dumps(dual_to_jsonable(dual)))
     assert set(nat_data) == {"m", keys[0]} and set(dual_data) == {"v", keys[1]}
+    # A full family stores its two symmetric blocks as upper triangles: 6 of 9 floats.
+    for block in (nat_data[keys[0]], dual_data[keys[1]]):
+        assert block.get("triangle") == ("upper" if kind == "full" else None)
+        assert len(base64.b64decode(block["b64"])) == 8 * (6 if kind == "full" else 3)
     assert same_bits(array_from_jsonable(nat_data[keys[0]]), lam.prec)
     assert same_bits(array_from_jsonable(dual_data[keys[1]]), dual.u)
     back, dual_back = nat_from_jsonable(fam, nat_data), dual_from_jsonable(fam, dual_data)

@@ -677,7 +677,7 @@ def test_point_checkpoint_roundtrip_is_bit_exact():
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     admm_round(server, clients, MethodConfig("admm"), 0)
     data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients)))
-    assert data["format"] == 2
+    assert data["format"] == 3
     server2, clients2 = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     checkpoint_from_jsonable(data, server2, clients2)
     assert np.array_equal(server2.theta_g, server.theta_g)
@@ -685,7 +685,7 @@ def test_point_checkpoint_roundtrip_is_bit_exact():
         assert np.array_equal(c2.theta, c.theta) and np.array_equal(c2.v, c.v)
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 3])
+@pytest.mark.parametrize("fmt", [None, 1, 2])
 def test_checkpoint_of_another_format_is_rejected(fmt):
     rng = np.random.default_rng(3)
     losses, _ = ridge_problem(rng, 2, 3, 10)
@@ -695,5 +695,5 @@ def test_checkpoint_of_another_format_is_rejected(fmt):
         del data["format"]
     else:
         data["format"] = fmt
-    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 2"):
+    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 3"):
         checkpoint_from_jsonable(data, server, clients)
