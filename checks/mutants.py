@@ -488,6 +488,45 @@ MUTANTS = (
         "        verify_fn=None,\n",
         ("tests/test_cli.py::test_verify_rebuilds_the_run_residuals",),
     ),
+    Mutant(
+        "a round ignores a report that says its solve did not converge",
+        "src/bayesadmm/federation.py",
+        "all(r is None or r.converged is not False for _, r in results)",
+        "all(r is None or r.converged is not False or True for _, r in results)",
+        ("tests/test_federation.py::test_inner_converged_is_false_only_when_a_solve_reports_so",
+         "tests/test_cli.py::test_full_logreg_workload_seed_28_escapes_in_round_1"),
+    ),
+    Mutant(
+        "a round reads IVON's missing convergence claim as not converged",
+        "src/bayesadmm/federation.py",
+        "all(r is None or r.converged is not False for _, r in results)",
+        "all(r is None or bool(r.converged) for _, r in results)",
+        ("tests/test_federation.py::test_inner_converged_is_false_only_when_a_solve_reports_so",),
+    ),
+    Mutant(
+        "VON does not count a step-halving",
+        "src/bayesadmm/solvers.py",
+        "                trial *= 0.5\n                halvings += 1\n",
+        "                trial *= 0.5\n",
+        ("tests/test_solvers.py::test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit",),
+    ),
+    Mutant(
+        "resolve_estimator lets analytic through for a logistic loss",
+        "src/bayesadmm/federation.py",
+        """    if name == "analytic" and not isinstance(loss, (Quadratic, LinearInT)):
+        raise EstimatorUnsupported(f"Analytic moments unavailable for {type(loss).__name__}")
+""",
+        "",
+        ("tests/test_losses.py::test_analytic_unsupported_for_logistic",
+         "tests/test_cli.py::test_analytic_estimator_refuses_a_logistic_loss"),
+    ),
+    Mutant(
+        "the delta method keeps a sampling estimator",
+        "src/bayesadmm/federation.py",
+        "    if delta_method or name not in (\"mc\", \"reparam\"):\n",
+        "    if name not in (\"mc\", \"reparam\"):\n",
+        ("tests/test_cli.py::test_a_diag_reparam_run_is_seeded_and_the_delta_method_replaces_it",),
+    ),
 )
 
 

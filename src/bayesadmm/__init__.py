@@ -20,7 +20,6 @@ from .families import (  # noqa: F401
     to_natural,
 )
 from .losses import (  # noqa: F401
-    Analytic,
     Delta,
     LinearInT,
     Logistic,
@@ -38,6 +37,7 @@ from .losses import (  # noqa: F401
 )
 from .solvers import (  # noqa: F401
     IvonConfig,
+    SolveReport,
     SubproblemSpec,
     solve_admm_client,
     solve_conjugate,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +64,6 @@ from .families import (
     to_natural,
 )
 from .losses import (
-    Analytic,
     Delta,
     Estimator,
     LinearInT,
@@ -78,6 +77,7 @@ from .losses import (
 )
 from .solvers import (
     IvonConfig,
+    SolveReport,
     SubproblemSpec,
     solve_admm_client,
     solve_conjugate,
@@ -176,19 +176,23 @@ def seed_for(base: int, rnd: int, client_id: int) -> int:
     return int(np.random.SeedSequence((base, rnd, client_id)).generate_state(1)[0])
 
 
-def resolve_estimator(inner: InnerConfig, loss: LossSpec, seed: int) -> Estimator:
+def resolve_estimator(
+    inner: InnerConfig, loss: LossSpec, seed: int, delta_method: bool = False
+) -> Estimator:
+    """The estimator a VON solve of ``loss`` uses.
+
+    ``auto``, ``analytic`` and ``delta`` evaluate at the mean, which is exact
+    for a T-linear loss; ``analytic`` refuses any other loss.  The delta
+    method replaces the sampling estimators with evaluation at the mean.
+    """
     name = inner.estimator
-    if name == "auto":
-        name = "analytic" if isinstance(loss, (Quadratic, LinearInT)) else "delta"
-    if name == "analytic":
-        return Analytic()
-    if name == "delta":
+    if name not in ("auto", "analytic", "delta", "mc", "reparam"):
+        raise ValueError(f"unknown estimator {name!r}")
+    if name == "analytic" and not isinstance(loss, (Quadratic, LinearInT)):
+        raise EstimatorUnsupported(f"Analytic moments unavailable for {type(loss).__name__}")
+    if delta_method or name not in ("mc", "reparam"):
         return Delta()
-    if name == "mc":
-        return MonteCarlo(inner.mc_count, seed)
-    if name == "reparam":
-        return Reparam(inner.mc_count, seed)
-    raise ValueError(f"unknown estimator {inner.estimator!r}")
+    return (MonteCarlo if name == "mc" else Reparam)(inner.mc_count, seed)
 
 
 def init_bayes_states(
@@ -286,10 +290,13 @@ def _round(
 ) -> dict:
     """The one round every engine runs: client steps, combine, checks, then commit.
 
-    ``step(client)`` returns the client's new fields and an info dict;
+    ``step(client)`` returns the client's new fields and its solve's
+    :class:`SolveReport`, or ``None`` where no solver runs;
     ``combine(new_fields)`` builds the server's new fields from the clients'
     new fields.  Nothing is written until the combine has succeeded and every
     new field is finite, so a failing round leaves every state as it was.
+    ``inner_converged`` is false only if some report says a solve did not
+    converge: IVON's and fedavg's make no claim.
     """
     results = _map_clients(step, clients, cfg.workers)
     new_fields = [fields for fields, _ in results]
@@ -306,7 +313,7 @@ def _round(
     for state, _, fields in updates:
         for key, value in fields.items():
             setattr(state, key, value)
-    return {"inner_converged": all(info.get("converged", True) for _, info in results)}
+    return {"inner_converged": all(r is None or r.converged is not False for _, r in results)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +321,14 @@ def _round(
 # ---------------------------------------------------------------------------
 
 
-def _effective_inner(cfg: MethodConfig) -> InnerConfig:
-    """The delta method replaces any sampling estimator with point evaluation."""
-    inner = cfg.inner
-    if cfg.delta_method and inner.estimator in ("auto", "mc", "reparam"):
-        inner = replace(inner, estimator="delta")
-    return inner
-
-
 def _solve_client(
     spec: SubproblemSpec, inner: InnerConfig, cfg: MethodConfig, seed: int, n_examples: int
-) -> tuple[NatParam, dict]:
+) -> tuple[NatParam, SolveReport]:
     solver = inner.solver
     loss = spec.loss
     if solver in ("auto", "conjugate"):
         try:
-            return solve_conjugate(spec), {"converged": True, "grad_norm": 0.0}
+            return solve_conjugate(spec)
         except (EstimatorUnsupported, FamilyMismatch):
             if solver == "conjugate":
                 raise
@@ -340,35 +339,18 @@ def _solve_client(
         # the classical proximal step on the mean.
         if spec.lam_g.fam.kind != ISOTROPIC:
             raise FamilyMismatch("prox inner solver requires the isotropic family")
-        res = solve_admm_client(
-            scale_loss(loss, spec.tau),
-            spec.eta.b1,
-            spec.lam_g.m,
-            spec.rho,
-            steps=inner.steps,
-            lr=inner.lr,
-            tol=inner.tol,
-        )
-        lam = NatParam(spec.lam_g.fam, res.theta)
-        return lam, {"converged": res.converged, "grad_norm": res.grad_norm}
+        theta, report = solve_admm_client(scale_loss(loss, spec.tau), spec.eta.b1, spec.lam_g.m, spec.rho,
+                                          steps=inner.steps, lr=inner.lr, tol=inner.tol)
+        return NatParam(spec.lam_g.fam, theta), report
     if solver == "von":
-        est = resolve_estimator(inner, loss, seed)
-        res = solve_von(spec, steps=inner.steps, beta=inner.beta, estimator=est, tol=inner.tol)
-        return res.lam, {"converged": res.converged, "grad_norm": res.grad_norm}
+        est = resolve_estimator(inner, loss, seed, cfg.delta_method)
+        return solve_von(spec, steps=inner.steps, beta=inner.beta, estimator=est, tol=inner.tol)
     if solver == "ivon":
         # The stochastic solver works on the mean per-example loss, so the
         # subproblem's weights move into its loss scale and multipliers.
-        n = max(n_examples, 1)
-        tau = spec.tau
-        res = solve_ivon(
-            scale_loss(loss, n),
-            spec.lam_g,
-            n / (spec.rho * tau),
-            (tau / n) * spec.eta.v,
-            (tau / n) * spec.eta.u,
-            replace(inner.ivon, seed=seed),
-        )
-        return NatParam(spec.lam_g.fam, res.m, res.s), {"converged": True}
+        n, tau = max(n_examples, 1), spec.tau
+        return solve_ivon(scale_loss(loss, n), spec.lam_g, n / (spec.rho * tau), (tau / n) * spec.eta.v,
+                          (tau / n) * spec.eta.u, replace(inner.ivon, seed=seed))
     raise ValueError(f"unknown inner solver {inner.solver!r}")
 
 
@@ -391,20 +373,17 @@ def _distribution_round(
     lam_g = server.lam_g
     lam_g_dual = lam_g.as_dual()
     mu_g = to_expectation(lam_g) if dual_in_mu else None
-    inner = _effective_inner(cfg)
-    if solver is not None:
-        inner = replace(inner, solver=solver)
+    inner = cfg.inner if solver is None else replace(cfg.inner, solver=solver)
 
     def step(client: ClientState):
         seed = seed_for(base_seed, rnd, client.id)
         eta = client.eta
         lam = client.lam
-        info: dict = {}
         for _ in range(cfg.client_repeats):
             spec = SubproblemSpec(
                 client.loss, eta, lam_g, rho=kl_weight, tau=server.tau, _lam_g_dual=lam_g_dual
             )
-            lam, info = _solve_client(spec, inner, cfg, seed, client.n_examples)
+            lam, report = _solve_client(spec, inner, cfg, seed, client.n_examples)
             if dual_in_mu:
                 direction = exp_sub(to_expectation(lam), mu_g)
             else:
@@ -412,7 +391,7 @@ def _distribution_round(
             eta, prev = dual_axpy(dual_step, direction, eta), eta
             if cfg.repeat_tol > 0 and dual_inf_norm(dual_axpy(-1.0, prev, eta)) <= cfg.repeat_tol:
                 break
-        return {"lam": lam, "eta": eta}, info
+        return {"lam": lam, "eta": eta}, report
 
     def combine(new: list[dict]) -> dict:
         lam_ks, eta_ks = [f["lam"] for f in new], [f["eta"] for f in new]
@@ -489,11 +468,10 @@ def admm_round(
     inner = cfg.inner
 
     def step(client: ClientState):
-        res = solve_admm_client(
+        theta, report = solve_admm_client(
             client.loss, client.v, theta_g, rho, steps=inner.steps, lr=inner.lr, tol=inner.tol
         )
-        v = client.v + rho * (res.theta - theta_g)
-        return {"theta": res.theta, "v": v}, {"converged": res.converged}
+        return {"theta": theta, "v": client.v + rho * (theta - theta_g)}, report
 
     def combine(new: list[dict]) -> dict:
         thetas, vs = [f["theta"] for f in new], [f["v"] for f in new]
@@ -507,16 +485,8 @@ def _admm_server(
 ) -> Array:
     if server.l0 is not None:
         # Generic regularizer: solve the server objective with its own proximal step.
-        res = solve_admm_client(
-            server.l0,
-            -np.sum(vs, axis=0),
-            np.mean(thetas, axis=0),
-            server.rho * server.K,
-            steps=inner.steps,
-            lr=inner.lr,
-            tol=inner.tol,
-        )
-        return res.theta
+        return solve_admm_client(server.l0, -np.sum(vs, axis=0), np.mean(thetas, axis=0),
+                                 server.rho * server.K, steps=inner.steps, lr=inner.lr, tol=inner.tol).result
     sum_v = _kahan(vs)
     sum_t = _kahan(thetas)
     if server.delta == 1.0:
@@ -539,7 +509,7 @@ def fedavg_round(
         theta = theta_g.copy()
         for _ in range(cfg.local_steps):
             theta = theta - cfg.lr * loss_grad(client.loss, theta)
-        return {"theta": theta}, {}
+        return {"theta": theta}, None
 
     def combine(new: list[dict]) -> dict:
         return {"theta_g": _kahan([w * f["theta"] for w, f in zip(weights, new)])}
@@ -581,12 +551,7 @@ class FixedPointReport:
     dual_map: float
 
     def as_dict(self) -> dict:
-        return {
-            "consensus": self.consensus,
-            "dual": self.dual,
-            "gather": self.gather,
-            "dual_map": self.dual_map,
-        }
+        return asdict(self)
 
     @property
     def max_residual(self) -> float:
@@ -597,12 +562,9 @@ class FixedPointReport:
 
 
 def verify_fixed_point(
-    server: ServerState,
-    clients: list[ClientState],
-    estimator: Estimator | str = "auto",
+    server: ServerState, clients: list[ClientState], estimator: Estimator = Delta()
 ) -> FixedPointReport:
     """Residuals of the duality conditions at the current states."""
-    by_name = InnerConfig(estimator=estimator) if isinstance(estimator, str) else None
     lam_g = server.lam_g
     mu_g = to_expectation(lam_g)
     consensus = 0.0
@@ -610,8 +572,7 @@ def verify_fixed_point(
     for client in clients:
         mu_k = to_expectation(client.lam)
         consensus = max(consensus, dual_inf_norm(exp_sub(mu_k, mu_g)))
-        est = estimator if by_name is None else resolve_estimator(by_name, client.loss, 0)
-        ng = natural_gradient(scale_loss(client.loss, server.tau), client.lam, est)
+        ng = natural_gradient(scale_loss(client.loss, server.tau), client.lam, estimator)
         dual = max(dual, dual_inf_norm(dual_axpy(1.0, ng, client.eta)))
     gathered = dual_sum([server.eta0] + [c.eta for c in clients])
     gather = dual_inf_norm(dual_axpy(-1.0, gathered, lam_g.as_dual()))

@@ -328,13 +328,12 @@ def _hess(loss: Logistic | MulticlassLogistic, weights: Array, diag_only: bool) 
 
 
 @dataclass(frozen=True)
-class Analytic:
-    """Closed-form moments; only the T-linear losses support it."""
-
-
-@dataclass(frozen=True)
 class Delta:
-    """Evaluate grad/hess at the mean (the delta method)."""
+    """Evaluate grad/hess at the mean (the delta method).
+
+    Exact on the T-linear losses, whose gradient is affine and Hessian constant:
+    there it gives their closed-form moments.
+    """
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ class Reparam:
     seed: int | None = None
 
 
-Estimator = Analytic | Delta | MonteCarlo | Reparam
+Estimator = Delta | MonteCarlo | Reparam
 
 
 @dataclass(frozen=True)
@@ -365,7 +364,6 @@ class MomentEstimate:
 
     g: Array
     h: Array | None
-    estimator: Estimator
 
 
 def expected_moments(loss: LossSpec, lam: NatParam, estimator: Estimator) -> MomentEstimate:
@@ -373,15 +371,12 @@ def expected_moments(loss: LossSpec, lam: NatParam, estimator: Estimator) -> Mom
     if lam.fam.dim != loss.dim:
         raise DimensionMismatch(f"loss dim {loss.dim} != family dim {lam.fam.dim}")
     diag = lam.fam.kind == DIAG
-    if isinstance(estimator, Analytic):
-        return _analytic_moments(loss, lam, diag, estimator)
     if isinstance(estimator, Delta):
-        return MomentEstimate(*_mean_moments(loss, lam.m[None], diag), estimator)
+        return MomentEstimate(*_mean_moments(loss, lam.m[None], diag))
     if isinstance(estimator, MonteCarlo):
         if estimator.count < 1:
             raise EstimatorUnsupported("MonteCarlo needs count >= 1")
-        thetas = sample(lam, estimator.count, estimator.seed)
-        return MomentEstimate(*_mean_moments(loss, thetas, diag), estimator)
+        return MomentEstimate(*_mean_moments(loss, sample(lam, estimator.count, estimator.seed), diag))
     if isinstance(estimator, Reparam):
         return _reparam_moments(loss, lam, estimator)
     raise EstimatorUnsupported(f"unknown estimator {estimator!r}")
@@ -420,19 +415,6 @@ def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Arr
     return grad, _hess(loss, weight_sum, diag)
 
 
-def _analytic_moments(loss, lam, diag, estimator) -> MomentEstimate:
-    """Exact moments of a T-linear loss: the gradient at the mean and the constant Hessian.
-
-    That is the delta method, exact here because the gradient is affine and
-    the Hessian constant; so ``(g - h m, h/2)`` of ``-<c, T>`` is ``-c``.
-    """
-    if not isinstance(loss, (Quadratic, LinearInT)):
-        raise EstimatorUnsupported(f"Analytic moments unavailable for {type(loss).__name__}")
-    if isinstance(loss, LinearInT) and loss.c.fam != lam.fam:
-        raise FamilyMismatch("LinearInT coefficient family differs from q's family")
-    return MomentEstimate(loss_grad(loss, lam.m), loss_hess(loss, lam.m, diag_only=diag), estimator)
-
-
 def _reparam_moments(loss, lam, estimator) -> MomentEstimate:
     if estimator.count < 1:
         raise EstimatorUnsupported("Reparam needs count >= 1")
@@ -444,7 +426,7 @@ def _reparam_moments(loss, lam, estimator) -> MomentEstimate:
         grads = _grads(loss, chunk)
         grad_sum = grad_sum + grads.sum(axis=0)
         hess_sum = hess_sum + np.sum(grads * (chunk - lam.m) / var, axis=0)
-    return MomentEstimate(grad_sum / estimator.count, hess_sum / estimator.count, estimator)
+    return MomentEstimate(grad_sum / estimator.count, hess_sum / estimator.count)
 
 
 def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> DualVec:

@@ -9,11 +9,13 @@ whose stationarity condition reads  grad_mu L + eta + rho * (lam - lam_g) = 0.
 ``solve_von`` runs natural-gradient descent on it, and ``solve_ivon`` is the
 stochastic diagonal-Gaussian variant with the two extra Lagrange-multiplier
 terms.  ``solve_admm_client`` is the classical point-estimate proximal step.
+Each returns its result and a :class:`SolveReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .families import (
     dual_sub,
 )
 from .losses import (
-    Analytic,
+    Delta,
     Estimator,
     Logistic,
     LossSpec,
@@ -47,6 +49,38 @@ from .losses import (
     natural_gradient,
     scale_loss,
 )
+
+# ---------------------------------------------------------------------------
+# what a solve reports
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """Steps taken, step-halvings, the final gradient norm and whether it met its tolerance.
+
+    ``grad_norm`` is ``None`` where no gradient is formed, and ``converged``
+    is ``None`` for a fixed schedule with no tolerance (IVON).
+    """
+
+    steps: int
+    halvings: int = 0
+    grad_norm: float | None = None
+    converged: bool | None = None
+
+
+class Solved(NamedTuple):
+    """A solve's ``(result, report)`` pair.
+
+    ``steps`` and ``converged`` read through to the report: perfbench's span
+    tracer reads them off what ``solve_von`` returns.
+    """
+
+    result: object
+    report: SolveReport
+    steps = property(lambda self: self.report.steps)
+    converged = property(lambda self: self.report.converged)
+
 
 # ---------------------------------------------------------------------------
 # client subproblem
@@ -84,7 +118,7 @@ class SubproblemSpec:
         return scale_loss(self.loss, self.tau)
 
 
-def solve_conjugate(spec: SubproblemSpec) -> NatParam:
+def solve_conjugate(spec: SubproblemSpec) -> Solved:
     """Closed-form stationary point for T-linear losses.
 
     lam = lam_g + (c - eta) / rho, with l = -<c, T>.  The post-update dual
@@ -94,48 +128,38 @@ def solve_conjugate(spec: SubproblemSpec) -> NatParam:
     step = dual_axpy(-1.0, spec.eta, c)  # c - eta
     target = dual_axpy(1.0 / spec.rho, step, spec._lam_g_dual)
     try:
-        return NatParam.from_dual(target)
+        lam = NatParam.from_dual(target)
     except NonPositivePrecision as exc:
         raise ResultNotInFamily(f"conjugate solve left the family: {exc}") from exc
-
-
-@dataclass
-class VonResult:
-    lam: NatParam
-    converged: bool
-    grad_norm: float
-    steps: int
-    grad_norms: list[float] = field(default_factory=list)
+    return Solved(lam, SolveReport(0, grad_norm=0.0, converged=True))
 
 
 def solve_von(
     spec: SubproblemSpec,
     steps: int = 500,
     beta: float = 0.5,
-    estimator: Estimator = Analytic(),
+    estimator: Estimator = Delta(),
     tol: float = 1e-8,
-) -> VonResult:
+) -> Solved:
     """Natural-gradient descent lam <- lam - beta * grad_mu F, started at lam_g.
 
     grad_mu F = grad_mu E_q[l / tau] + eta + rho (lam - lam_g), in ambient
     coordinates: those of ``lam_g`` come with ``spec``, and each step maps its
     new ``lam`` once.  If a step leaves the family, beta is halved for that
-    step only (at most 10 halvings, then :class:`PrecisionEscape`).  Converges
-    linearly on quadratic losses with exact moments; ``grad_norms`` records
-    the residual trace.
+    step only (at most 10 halvings, then :class:`PrecisionEscape`); the report
+    counts the halvings of all steps.  Converges linearly on quadratic losses
+    with exact moments.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     lam, coords = spec.lam_g, spec._lam_g_dual
     tempered = spec.tempered_loss()
-    norms: list[float] = []
     gnorm = np.inf
-    taken = 0
+    taken = halvings = 0
     for taken in range(steps + 1):
         ng = natural_gradient(tempered, lam, estimator)
         grad = dual_axpy(spec.rho, dual_sub(coords, spec._lam_g_dual), dual_axpy(1.0, spec.eta, ng))
         gnorm = dual_inf_norm(grad)
-        norms.append(gnorm)
         if gnorm <= tol or taken == steps:
             break
         trial = beta
@@ -145,12 +169,13 @@ def solve_von(
                 break
             except NonPositivePrecision:
                 trial *= 0.5
+                halvings += 1
         else:
             raise PrecisionEscape(
                 f"iterate left the family at step {taken} and halving did not repair it"
             )
         coords = lam.as_dual()
-    return VonResult(lam, gnorm <= tol, gnorm, taken, norms)
+    return Solved(lam, SolveReport(taken, halvings, gnorm, gnorm <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +262,6 @@ def _ivon_step(
     return IvonState(m, h, g)
 
 
-@dataclass
-class IvonResult:
-    m: Array
-    s: Array  # posterior precision = loss_scale * (h + delta)
-    h: Array
-
-
 def solve_ivon(
     loss: LossSpec,
     prior: NatParam,
@@ -251,14 +269,15 @@ def solve_ivon(
     v: Array,
     u: Array,
     cfg: IvonConfig,
-) -> IvonResult:
+) -> Solved:
     """Minimize  loss_scale * E_q[l + v^T theta - theta^T diag(u) theta / 2] + KL(q || prior).
 
     ``prior`` must be a diagonal-precision parameter (m_p, s_p); internally
     delta = 1 / (loss_scale * sigma_p^2) = s_p / loss_scale, and the returned
-    precision is loss_scale * (h + delta).  The Hessian recursion keeps
-    h + delta > 0 by construction; non-finite iterates abort with the last
-    finite state attached.
+    ``NatParam`` of the prior's family has precision loss_scale * (h + delta).
+    The Hessian recursion keeps h + delta > 0 by construction; non-finite
+    iterates abort with the last finite state attached.  The schedule is
+    fixed, so the report claims no convergence.
     """
     if prior.fam.kind != DIAG:
         raise EstimatorUnsupported("solve_ivon requires a diagonal-precision prior")
@@ -286,20 +305,12 @@ def solve_ivon(
                 precision=loss_scale * (state.h + delta),
             )
         state = new
-    return IvonResult(state.m, loss_scale * (state.h + delta), state.h)
+    return Solved(NatParam(prior.fam, state.m, loss_scale * (state.h + delta)), SolveReport(cfg.steps))
 
 
 # ---------------------------------------------------------------------------
 # classical proximal client step
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AdmmClientResult:
-    theta: Array
-    converged: bool
-    grad_norm: float
-    steps: int
 
 
 def _gd_lipschitz(loss: LossSpec) -> float:
@@ -330,7 +341,7 @@ def solve_admm_client(
     steps: int = 500,
     lr: float | None = None,
     tol: float = 1e-8,
-) -> AdmmClientResult:
+) -> Solved:
     """Minimize  l(theta) + v^T theta + rho/2 ||theta - theta_g||^2.
 
     Quadratic losses use the exact solve (A + rho I) theta = rho theta_g - b - v;
@@ -346,7 +357,7 @@ def solve_admm_client(
         mat = loss.A + rho * np.eye(loss.dim)
         theta = np.linalg.solve(mat, rho * theta_g - loss.b - v)
         grad = loss_grad(loss, theta) + v + rho * (theta - theta_g)
-        return AdmmClientResult(theta, True, float(np.max(np.abs(grad))), 0)
+        return Solved(theta, SolveReport(0, grad_norm=float(np.max(np.abs(grad))), converged=True))
     if lr is None:
         lr = 1.0 / (_gd_lipschitz(loss) + rho)
     theta = theta_g.copy()
@@ -361,4 +372,4 @@ def solve_admm_client(
         if gnorm <= tol or taken == steps:
             break
         theta = theta - lr * grad
-    return AdmmClientResult(best, best_norm <= tol, best_norm, taken)
+    return Solved(best, SolveReport(taken, grad_norm=best_norm, converged=best_norm <= tol))

@@ -991,3 +991,107 @@ def test_verify_passes_a_converged_wide_ridge_run(tmp_path, capsys):
     assert main(["verify", str(out / "checkpoint.json")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert float(lines[3].split()[1]) < 1e-10 and lines[3].startswith("dual_map:")
+
+
+# ---------------------------------------------------------------------------
+# estimator names and inner-solve reports end to end
+# ---------------------------------------------------------------------------
+
+
+def round_lines(out_dir) -> list[str]:
+    """The trace's round lines as written; the header, which holds the config, left out."""
+    return [line for line in (out_dir / "trace.jsonl").read_text().splitlines()
+            if json.loads(line)["type"] == "round"]
+
+
+def test_analytic_delta_and_auto_give_the_same_round_lines(tmp_path):
+    # On a T-linear loss all three names evaluate the moments at the mean, which is exact.
+    von = PROP2_INI.replace("solver = conjugate", "solver = von")
+    lines = {}
+    for name in ("auto", "analytic", "delta"):
+        out = tmp_path / name
+        cfg = write(tmp_path, f"{name}.ini", f"{von}estimator = {name}\n")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines[name] = round_lines(out)
+    assert len(lines["auto"]) == 3
+    assert lines["analytic"] == lines["auto"] and lines["delta"] == lines["auto"]
+
+
+def test_analytic_estimator_refuses_a_logistic_loss(tmp_path, capsys):
+    text = BLOBS_INI.replace("family = diag", "family = full") + "solver = von\nestimator = analytic\n"
+    code = main(["run", "--config", write(tmp_path, "analytic.ini", text), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: EstimatorUnsupported: Analytic moments unavailable for MulticlassLogistic" in err
+
+
+def test_a_diag_reparam_run_is_seeded_and_the_delta_method_replaces_it(tmp_path):
+    reparam = OUTLIER_BAYES_INI + "\n[inner]\nestimator = reparam\nmc_count = 8\n"
+    runs = {
+        "reparam": reparam,
+        "again": reparam,
+        "delta": OUTLIER_BAYES_INI,
+        "delta_method": reparam.replace("[experiment]\n", "[experiment]\ndelta_method = true\n"),
+    }
+    lines = {}
+    for name, text in runs.items():
+        out = tmp_path / name
+        assert main(["run", "--config", write(tmp_path, f"{name}.ini", text), "--out", str(out)]) == 0
+        lines[name] = round_lines(out)
+    assert len(lines["reparam"]) == 2 and lines["again"] == lines["reparam"]
+    assert lines["reparam"] != lines["delta"]
+    assert lines["delta_method"] == lines["delta"]
+
+
+# The full_logreg benchmark workload at workload seed 28, its derived seeds
+# (data, test, split, experiment) written out.
+FULL_LOGREG_SEED_28_INI = """
+[experiment]
+method = bayes_admm
+family = full
+rounds = 12
+seed = 972408974
+workers = 1
+
+[data]
+kind = blobs
+n_per_class = 100
+classes = 10
+d = 2
+spread = 0.6
+radius = 2.0
+center = 4.0
+seed = 485147340
+test_seed = 562005788
+test_n = 50
+
+[split]
+kind = class_partition
+assignments = 0,1|2,3|4,5|6,7|8,9
+
+[hyper]
+rho = 1.0
+delta = 1.0
+
+[inner]
+solver = von
+estimator = delta
+steps = 30
+beta = 0.5
+tol = 1e-8
+"""
+
+
+def test_full_logreg_workload_seed_28_escapes_in_round_1(tmp_path):
+    # Client 2 (classes 4 and 5) leaves the family at VON step 2 of round 1; round 0's
+    # solves stop at their 30-step cap.
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "seed28.ini", FULL_LOGREG_SEED_28_INI)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rounds_completed"] == 1 and summary["diverged"]
+    event = summary["event"]
+    assert (event["type"], event["reason"], event["round"]) == ("divergence", "PrecisionEscape", 1)
+    assert "at step 2" in event["detail"]
+    rounds = [json.loads(line) for line in round_lines(out)]
+    assert len(rounds) == 1 and rounds[0]["inner_converged"] is False

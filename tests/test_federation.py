@@ -40,7 +40,6 @@ from bayesadmm.federation import (
     verify_fixed_point,
 )
 from bayesadmm.losses import (
-    Analytic,
     Delta,
     LinearInT,
     Logistic,
@@ -415,7 +414,7 @@ def test_ivon_round_alpha_one_is_pvi_with_ivon():
         ivon_admm_round(server, clients, cfg, r, base_seed=7)
         for k in range(K):
             n = ns[k]
-            res = solve_ivon(
+            lam, _ = solve_ivon(
                 scale_loss(losses[k], n),
                 NatParam(fam, mg, sg),
                 n / 1.0,
@@ -423,12 +422,39 @@ def test_ivon_round_alpha_one_is_pvi_with_ivon():
                 us[k] / n,
                 IvonConfig(steps=150, lr=0.05, beta2=0.999, h0=0.1, seed=seed_for(7, r, k)),
             )
-            vs[k] = vs[k] + gamma * (res.s * res.m - sg * mg)
-            us[k] = us[k] + gamma * (res.s - sg)
+            vs[k] = vs[k] + gamma * (lam.prec * lam.m - sg * mg)
+            us[k] = us[k] + gamma * (lam.prec - sg)
         sg = delta + sum(us)
         mg = sum(vs) / sg
         assert np.max(np.abs(server.lam_g.m - mg)) < 1e-12
         assert np.max(np.abs(server.lam_g.prec - sg)) < 1e-12
+
+
+def test_inner_converged_is_false_only_when_a_solve_reports_so():
+    # IVON runs a fixed schedule with no tolerance and fedavg runs no solver, so their
+    # rounds make no claim and record true; VON and proximal solves cut at one step do not
+    # converge, and a conjugate solve is exact.
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((12, 2))
+    losses = [Logistic(x, (rng.random(12) < 0.5).astype(float)) for _ in range(2)]
+    quads = [Quadratic(np.eye(2), rng.standard_normal(2)) for _ in range(2)]
+    one_step = InnerConfig(steps=1, tol=1e-12, ivon=IvonConfig(steps=3))
+    cases = [
+        (ivon_admm_round, "ivon_admm", Family.diag(2), losses, True),
+        (bayes_admm_round, "bayes_admm", Family.full(2), losses, False),
+        (bayes_admm_round, "bayes_admm", Family.full(2), quads, True),
+        (bayes_admm_round, "bayes_admm", Family.isotropic(2), losses, False),
+        (admm_round, "admm", None, losses, False),
+        (fedavg_round, "fedavg", None, losses, True),
+    ]
+    for engine, method, fam, problem, want in cases:
+        cfg = MethodConfig(method, inner=one_step, delta_method=fam is not None and fam.kind == "isotropic")
+        if fam is None:
+            server, clients = init_point_states(2, problem, [12, 12], rho=1.0)
+        else:
+            prec = {"diag": np.ones(2), "full": np.eye(2)}.get(fam.kind)
+            server, clients = init_bayes_states(NatParam(fam, np.zeros(2), prec), problem, [12, 12], rho=1.0)
+        assert engine(server, clients, cfg, 0) == {"inner_converged": want}, (method, fam)
 
 
 # ---------------------------------------------------------------------------

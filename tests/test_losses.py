@@ -5,8 +5,8 @@ from scipy.special import expit, softmax
 from bayesadmm import losses as losses_mod
 from bayesadmm.errors import DimensionMismatch, EstimatorUnsupported
 from bayesadmm.families import DualVec, Family, NatParam, dual_inf_norm, sample, to_expectation, to_natural
+from bayesadmm.federation import InnerConfig, resolve_estimator
 from bayesadmm.losses import (
-    Analytic,
     Delta,
     LinearInT,
     Logistic,
@@ -22,6 +22,11 @@ from bayesadmm.losses import (
     natural_gradient,
     scale_loss,
 )
+
+
+def analytic(loss):
+    """What ``estimator = analytic`` resolves to for ``loss``."""
+    return resolve_estimator(InnerConfig(estimator="analytic"), loss, 0)
 
 
 def random_spd(rng, d):
@@ -124,7 +129,7 @@ def test_quadratic_analytic_moments_and_mc_agreement():
     fam = Family.full(1)
     lam = NatParam(fam, np.array([2.0]), np.eye(1))
     loss = Quadratic(np.eye(1), np.zeros(1))
-    mom = expected_moments(loss, lam, Analytic())
+    mom = expected_moments(loss, lam, analytic(loss))
     assert np.allclose(mom.g, [2.0]) and np.allclose(mom.h, [[1.0]])
     mc = expected_moments(loss, lam, MonteCarlo(1_000_000, seed=0))
     assert mc.g[0] == pytest.approx(2.0, rel=1e-3)
@@ -138,7 +143,7 @@ def test_linear_in_t_natural_gradient_is_minus_c():
     loss = LinearInT(c)
     for _ in range(3):
         lam = NatParam(fam, rng.standard_normal(3), random_spd(rng, 3))
-        ng = natural_gradient(loss, lam, Analytic())
+        ng = natural_gradient(loss, lam, analytic(loss))
         assert np.allclose(ng.b1, -c.b1, atol=1e-12)
         assert np.allclose(ng.b2, -c.b2, atol=1e-12)
 
@@ -149,17 +154,18 @@ def same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("d", [3, 30])
-@pytest.mark.parametrize("estimator", [Analytic(), Delta()], ids=["analytic", "delta"])
-def test_t_linear_moments_are_the_closed_forms_bit_for_bit(estimator, d):
+@pytest.mark.parametrize("name", ["analytic", "delta"])
+def test_t_linear_moments_are_the_closed_forms_bit_for_bit(name, d):
     # Exact for a T-linear loss: the gradient at the mean and the constant Hessian.
     rng = np.random.default_rng(d)
     fam = Family.full(d)
     lam = NatParam(fam, rng.standard_normal(d), random_spd(rng, d))
     quad = Quadratic(random_spd(rng, d), rng.standard_normal(d))
-    mom = expected_moments(quad, lam, estimator)
+    mom = expected_moments(quad, lam, resolve_estimator(InnerConfig(estimator=name), quad, 0))
     assert same_bits(mom.g, quad.A @ lam.m + quad.b) and same_bits(mom.h, quad.A)
     c = DualVec(fam, rng.standard_normal(d), -0.5 * random_spd(rng, d))
-    mom = expected_moments(LinearInT(c), lam, estimator)
+    linear = LinearInT(c)
+    mom = expected_moments(linear, lam, resolve_estimator(InnerConfig(estimator=name), linear, 0))
     assert same_bits(mom.g, -c.b1 + (-2.0 * c.b2) @ lam.m) and same_bits(mom.h, -2.0 * c.b2)
 
 
@@ -177,9 +183,31 @@ def test_delta_moments_evaluate_at_the_mean():
 
 def test_analytic_unsupported_for_logistic():
     loss = Logistic(np.ones((3, 1)), np.array([0.0, 1.0, 0.0]))
-    lam = NatParam(Family.full(1), np.zeros(1), np.eye(1))
-    with pytest.raises(EstimatorUnsupported):
-        expected_moments(loss, lam, Analytic())
+    with pytest.raises(EstimatorUnsupported, match="Analytic moments unavailable for Logistic"):
+        analytic(loss)
+    assert resolve_estimator(InnerConfig(estimator="delta"), loss, 0) == Delta()
+
+
+def test_linear_in_t_of_a_full_coefficient_under_a_diag_q_is_exact():
+    """The delta path needs no family match: for l = -<c, T_full>, c = (b1, B),
+
+        E_q[l] = -b1.m - m^T B m - sum_i B_ii / s_i
+               = -b1.mu1 - mu1^T B_off mu1 - diag(B).mu2,
+
+    with mu1 = m and mu2 = m*m + 1/s the diag family's expectation coordinates,
+    so its natural gradient is (-b1 - 2 B_off m, -diag B).  The delta moments
+    g = -b1 - 2 B m and h = -2 diag(B) give (g - h*m, h/2), the same pair.
+    """
+    rng = np.random.default_rng(8)
+    d = 4
+    c = DualVec(Family.full(d), rng.standard_normal(d), -0.5 * random_spd(rng, d))
+    loss = LinearInT(c)
+    lam = NatParam(Family.diag(d), rng.standard_normal(d), rng.uniform(0.5, 2.0, d))
+    off = c.b2 - np.diag(np.diag(c.b2))
+    for est in (Delta(), analytic(loss)):
+        ng = natural_gradient(loss, lam, est)
+        assert np.allclose(ng.b1, -c.b1 - 2.0 * off @ lam.m, rtol=1e-13, atol=1e-13)
+        assert same_bits(ng.b2, -np.diag(c.b2))
 
 
 def test_mc_error_shrinks_like_root_count():
@@ -207,7 +235,7 @@ def test_mc_quadratic_rate_vs_analytic():
     rng = np.random.default_rng(21)
     lam = NatParam(fam, np.array([0.4, -0.8]), random_spd(rng, 2))
     loss = Quadratic(random_spd(rng, 2), rng.standard_normal(2))
-    exact = expected_moments(loss, lam, Analytic())
+    exact = expected_moments(loss, lam, analytic(loss))
     errs = []
     counts = [1_000, 10_000, 100_000]
     for i, count in enumerate(counts):
@@ -407,7 +435,7 @@ def test_quadratic_natural_gradient_closed_form():
     fam = Family.full(1)
     lam = NatParam(fam, np.array([2.0]), np.eye(1))
     loss = Quadratic(np.eye(1), np.zeros(1))
-    ng = natural_gradient(loss, lam, Analytic())
+    ng = natural_gradient(loss, lam, analytic(loss))
     assert np.allclose(ng.b1, [0.0])
     assert np.allclose(ng.b2, [[0.5]])
 
@@ -431,7 +459,7 @@ def test_natural_gradient_matches_mu_finite_differences(kind):
         m2 = np.diag(mu.m2) if kind == "diag" else mu.m2
         return 0.5 * float(np.sum(a * m2)) + float(b @ mu.m)
 
-    ng = natural_gradient(loss, lam, Analytic())
+    ng = natural_gradient(loss, lam, analytic(loss))
     mu = to_expectation(lam)
     eps = 1e-6
     from bayesadmm.families import ExpParam
@@ -457,8 +485,9 @@ def t_linear_cases():
         losses = [("quadratic", Quadratic(a, rng.standard_normal(d))),
                   ("linear-in-t", LinearInT(DualVec(fam, rng.standard_normal(d), second)))]
         for name, loss in losses:
-            for est in (Analytic(), Delta(), MonteCarlo(count=4, seed=2)):
-                yield pytest.param(loss, fam, est, id=f"{name}-{kind}-{type(est).__name__}")
+            for label, est in (("Analytic", analytic(loss)), ("Delta", Delta()),
+                               ("MonteCarlo", MonteCarlo(count=4, seed=2))):
+                yield pytest.param(loss, fam, est, id=f"{name}-{kind}-{label}")
 
 
 @pytest.mark.parametrize("loss, fam, estimator", list(t_linear_cases()))

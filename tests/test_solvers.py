@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,6 @@ from bayesadmm.families import (
     nat_sub,
 )
 from bayesadmm.losses import (
-    Analytic,
     Delta,
     LinearInT,
     Logistic,
@@ -31,6 +33,7 @@ from bayesadmm.losses import (
 from bayesadmm.solvers import (
     IvonConfig,
     IvonState,
+    SolveReport,
     SubproblemSpec,
     _ivon_step,
     solve_admm_client,
@@ -63,8 +66,9 @@ def prior3(full3):
 def test_conjugate_zero_loss_returns_server(full3, prior3):
     loss = LinearInT(dual_zero(full3))
     spec = SubproblemSpec(loss, dual_zero(full3), prior3, rho=0.7)
-    lam = solve_conjugate(spec)
+    lam, report = solve_conjugate(spec)
     assert dual_inf_norm(nat_sub(lam, prior3)) == 0.0
+    assert report == SolveReport(0, grad_norm=0.0, converged=True)
 
 
 def test_conjugate_inverse_k_step(full3, prior3):
@@ -72,7 +76,7 @@ def test_conjugate_inverse_k_step(full3, prior3):
     c = DualVec(full3, rng.standard_normal(3), -0.5 * random_spd(rng, 3))
     k = 4
     spec = SubproblemSpec(LinearInT(c), dual_zero(full3), prior3, rho=1.0 / k)
-    lam = solve_conjugate(spec)
+    lam, _ = solve_conjugate(spec)
     expect = dual_axpy(float(k), c, prior3.as_dual())
     assert dual_inf_norm(dual_axpy(-1.0, expect, lam.as_dual())) < 1e-12
 
@@ -81,7 +85,7 @@ def test_conjugate_eta_cancels_loss(full3, prior3):
     rng = np.random.default_rng(1)
     c = DualVec(full3, rng.standard_normal(3), -0.5 * random_spd(rng, 3))
     spec = SubproblemSpec(LinearInT(c), c, prior3, rho=0.3)
-    lam = solve_conjugate(spec)
+    lam, _ = solve_conjugate(spec)
     assert dual_inf_norm(nat_sub(lam, prior3)) < 1e-14
 
 
@@ -91,9 +95,9 @@ def test_conjugate_dual_invariant_exact(full3, prior3):
     eta = DualVec(full3, 0.1 * rng.standard_normal(3), -0.05 * random_spd(rng, 3))
     rho = 0.6
     spec = SubproblemSpec(LinearInT(c), eta, prior3, rho=rho)
-    lam = solve_conjugate(spec)
+    lam, _ = solve_conjugate(spec)
     eta_new = dual_axpy(rho, nat_sub(lam, prior3), eta)
-    ng = natural_gradient(spec.loss, lam, Analytic())
+    ng = natural_gradient(spec.loss, lam, Delta())
     assert dual_inf_norm(dual_axpy(1.0, ng, eta_new)) < 1e-12
 
 
@@ -115,19 +119,19 @@ def test_von_matches_conjugate_on_quadratic(full3, prior3):
     loss = Quadratic(random_spd(rng, 3), rng.standard_normal(3))
     eta = DualVec(full3, 0.2 * rng.standard_normal(3), -0.1 * random_spd(rng, 3))
     spec = SubproblemSpec(loss, eta, prior3, rho=0.5)
-    exact = solve_conjugate(spec)
-    res = solve_von(spec, steps=200, beta=0.5, estimator=Analytic(), tol=1e-12)
-    assert res.converged
-    assert dual_inf_norm(nat_sub(res.lam, exact)) < 1e-8
+    exact, _ = solve_conjugate(spec)
+    lam, report = solve_von(spec, steps=200, beta=0.5, estimator=Delta(), tol=1e-12)
+    assert report.converged and report.grad_norm <= 1e-12 and report.halvings == 0
+    assert dual_inf_norm(nat_sub(lam, exact)) < 1e-8
 
 
 def test_von_zero_steps_returns_start(full3, prior3):
     rng = np.random.default_rng(4)
     loss = Quadratic(random_spd(rng, 3), rng.standard_normal(3))
     spec = SubproblemSpec(loss, dual_zero(full3), prior3, rho=1.0)
-    res = solve_von(spec, steps=0, estimator=Analytic())
-    assert dual_inf_norm(nat_sub(res.lam, prior3)) == 0.0
-    assert not res.converged
+    lam, report = solve_von(spec, steps=0)
+    assert dual_inf_norm(nat_sub(lam, prior3)) == 0.0
+    assert report.steps == 0 and not report.converged
 
 
 def test_von_gradient_norm_decreases_on_logistic(full3, prior3):
@@ -135,11 +139,11 @@ def test_von_gradient_norm_decreases_on_logistic(full3, prior3):
     x = rng.standard_normal((25, 3))
     y = (rng.random(25) < 0.5).astype(float)
     spec = SubproblemSpec(Logistic(x, y), dual_zero(full3), prior3, rho=0.5)
-    res = solve_von(spec, steps=200, beta=0.5, estimator=Delta(), tol=1e-10)
-    norms = res.grad_norms
+    _, report = solve_von(spec, steps=200, beta=0.5, estimator=Delta(), tol=1e-10)
+    _, norms, _ = von_reference(spec, 200, 0.5, Delta(), 1e-10)
     burn = 5
     assert all(b <= a * (1 + 1e-9) for a, b in zip(norms[burn:], norms[burn + 1:]))
-    assert res.converged
+    assert report.converged and report.grad_norm == norms[-1]
 
 
 def test_von_gradient_norm_decreases_on_outlier_toy_client():
@@ -153,9 +157,10 @@ def test_von_gradient_norm_decreases_on_outlier_toy_client():
     fam = Family.full(toy.data.d)
     prior = NatParam(fam, np.zeros(toy.data.d), 0.2 * np.eye(toy.data.d))
     spec = SubproblemSpec(loss, dual_zero(fam), prior, rho=0.2)
-    res = solve_von(spec, steps=500, beta=0.5, estimator=Delta(), tol=1e-9)
-    assert res.converged
-    norms = res.grad_norms
+    _, report = solve_von(spec, steps=500, beta=0.5, estimator=Delta(), tol=1e-9)
+    assert report.converged
+    _, norms, _ = von_reference(spec, 500, 0.5, Delta(), 1e-9)
+    assert report.grad_norm == norms[-1]
     burn = 5
     # monotone over the whole decay; only rounding jitter at the noise floor
     decay = [v for v in norms[burn:] if v > 1e-6]
@@ -170,22 +175,25 @@ def test_von_dual_invariant_within_tolerance(full3, prior3):
     eta = DualVec(full3, 0.1 * rng.standard_normal(3), -0.02 * random_spd(rng, 3))
     rho, tol = 0.8, 1e-9
     spec = SubproblemSpec(Logistic(x, y), eta, prior3, rho=rho)
-    res = solve_von(spec, steps=500, beta=0.5, estimator=Delta(), tol=tol)
-    assert res.converged
-    eta_new = dual_axpy(rho, nat_sub(res.lam, prior3), eta)
-    ng = natural_gradient(spec.loss, res.lam, Delta())
+    lam, report = solve_von(spec, steps=500, beta=0.5, estimator=Delta(), tol=tol)
+    assert report.converged
+    eta_new = dual_axpy(rho, nat_sub(lam, prior3), eta)
+    ng = natural_gradient(spec.loss, lam, Delta())
     assert dual_inf_norm(dual_axpy(1.0, ng, eta_new)) <= 10 * tol
 
 
 def von_reference(spec, steps, beta, estimator, tol):
-    """The VON loop with its coordinate maps written out: ``nat_sub`` and ``as_dual`` every step."""
-    lam, tempered, norms = spec.lam_g, spec.tempered_loss(), []
+    """The VON loop with its coordinate maps written out: ``nat_sub`` and ``as_dual`` every step.
+
+    Returns the last iterate, the gradient norm of every step, and the step-halvings of all steps.
+    """
+    lam, tempered, norms, halvings = spec.lam_g, spec.tempered_loss(), [], 0
     for taken in range(steps + 1):
         ng = natural_gradient(tempered, lam, estimator)
         grad = dual_axpy(spec.rho, nat_sub(lam, spec.lam_g), dual_axpy(1.0, spec.eta, ng))
         norms.append(dual_inf_norm(grad))
         if norms[-1] <= tol or taken == steps:
-            return lam, norms
+            return lam, norms, halvings
         trial = beta
         while True:
             try:
@@ -193,6 +201,7 @@ def von_reference(spec, steps, beta, estimator, tol):
                 break
             except NonPositivePrecision:
                 trial *= 0.5
+                halvings += 1
 
 
 def von_cases():
@@ -203,24 +212,26 @@ def von_cases():
     full, diag = Family.full(3), Family.diag(3)
     eta = DualVec(full, 0.1 * rng.standard_normal(3), -0.05 * random_spd(rng, 3))
     prior = NatParam(full, 0.2 * rng.standard_normal(3), random_spd(rng, 3))
-    yield SubproblemSpec(binary, eta, prior, rho=0.7), 0.5, Delta()
+    yield SubproblemSpec(binary, eta, prior, rho=0.7), 0.5, Delta(), 0
     yield SubproblemSpec(multi, dual_zero(Family.full(9)), NatParam(Family.full(9), np.zeros(9), np.eye(9)),
-                         rho=0.4, tau=1.5), 0.5, Delta()
+                         rho=0.4, tau=1.5), 0.5, Delta(), 0
     yield SubproblemSpec(binary, dual_zero(diag), NatParam(diag, np.zeros(3), np.ones(3)), rho=0.5), 0.5, \
-        MonteCarlo(3, seed=2)
+        MonteCarlo(3, seed=2), 0
     # Unit steps at a large rho overshoot out of the family: this case halves 13 times.
     yield SubproblemSpec(binary, DualVec(diag, np.zeros(3), np.full(3, -0.3)), NatParam(diag, np.zeros(3), np.ones(3)),
-                         rho=3.0), 1.0, Delta()
+                         rho=3.0), 1.0, Delta(), 13
 
 
 @pytest.mark.parametrize("case", list(von_cases()), ids=["full", "multiclass_tempered", "diag_mc", "halving"])
 def test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit(case):
-    spec, beta, estimator = case
-    res = solve_von(spec, steps=25, beta=beta, estimator=estimator, tol=1e-12)
-    lam, norms = von_reference(spec, 25, beta, estimator, 1e-12)
-    assert res.grad_norms == norms
-    assert np.array_equal(res.lam.m.view(np.uint64), lam.m.view(np.uint64))
-    assert np.array_equal(res.lam.prec.view(np.uint64), lam.prec.view(np.uint64))
+    spec, beta, estimator, halvings = case
+    got, report = solve_von(spec, steps=25, beta=beta, estimator=estimator, tol=1e-12)
+    lam, norms, ref_halvings = von_reference(spec, 25, beta, estimator, 1e-12)
+    assert ref_halvings == halvings
+    assert (report.steps, report.halvings, report.grad_norm) == (len(norms) - 1, halvings, norms[-1])
+    assert report.converged == (norms[-1] <= 1e-12)
+    assert np.array_equal(got.m.view(np.uint64), lam.m.view(np.uint64))
+    assert np.array_equal(got.prec.view(np.uint64), lam.prec.view(np.uint64))
 
 
 def test_von_maps_the_server_once_and_each_new_iterate_once(monkeypatch, full3, prior3):
@@ -235,10 +246,24 @@ def test_von_maps_the_server_once_and_each_new_iterate_once(monkeypatch, full3, 
     rng = np.random.default_rng(10)
     x = rng.standard_normal((25, 3))
     spec = SubproblemSpec(Logistic(x, (rng.random(25) < 0.5).astype(float)), dual_zero(full3), prior3, rho=0.5)
-    res = solve_von(spec, steps=12, beta=0.5, estimator=Delta(), tol=0.0)
-    assert res.steps == 12 and len(res.grad_norms) == 13
-    assert mapped[0] is prior3 and len(mapped) == 1 + res.steps
+    _, report = solve_von(spec, steps=12, beta=0.5, estimator=Delta(), tol=0.0)
+    assert report.steps == 12 and not report.converged
+    assert mapped[0] is prior3 and len(mapped) == 1 + report.steps
     assert all(lam is not prior3 for lam in mapped[1:])
+
+
+def test_a_von_solve_unpacks_to_result_and_report_and_reads_its_counts_through(full3, prior3):
+    # perfbench's span tracer reads ``steps`` and ``converged`` off what solve_von returns.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    loss = Quadratic(np.eye(3), np.ones(3))
+    solved = solve_von(SubproblemSpec(loss, dual_zero(full3), prior3, rho=1.0), steps=3, tol=0.0)
+    lam, report = solved
+    assert solved.result is lam and solved.report is report and report.steps == 3
+    assert (solved.steps, solved.converged) == (report.steps, report.converged)
+    assert spans._extra("solvers.solve_von", (), {}, solved) == (3, 0)
 
 
 def test_a_spec_maps_its_server_unless_given_the_map(full3, prior3):
@@ -255,8 +280,8 @@ def test_von_respects_tempering(full3, prior3):
     loss = Quadratic(random_spd(rng, 3), rng.standard_normal(3))
     hot = SubproblemSpec(loss, dual_zero(full3), prior3, rho=1.0, tau=2.0)
     cold = SubproblemSpec(loss, dual_zero(full3), prior3, rho=1.0, tau=1.0)
-    lam_hot = solve_conjugate(hot)
-    lam_cold = solve_conjugate(cold)
+    lam_hot, _ = solve_conjugate(hot)
+    lam_cold, _ = solve_conjugate(cold)
     # tempering shrinks the data influence
     assert dual_inf_norm(nat_sub(lam_hot, prior3)) < dual_inf_norm(nat_sub(lam_cold, prior3))
 
@@ -276,10 +301,12 @@ def test_ivon_zero_steps_keeps_initialization():
     fam = Family.diag(2)
     prior = NatParam(fam, np.array([0.3, -0.3]), np.array([2.0, 1.0]))
     cfg = IvonConfig(steps=0, h0=0.1, seed=0)
-    res = solve_ivon(Quadratic(np.eye(2), np.zeros(2)), prior, 1.5, np.zeros(2), np.zeros(2), cfg)
-    assert np.allclose(res.m, prior.m)
+    lam, report = solve_ivon(Quadratic(np.eye(2), np.zeros(2)), prior, 1.5, np.zeros(2), np.zeros(2), cfg)
+    assert lam.fam == prior.fam and np.allclose(lam.m, prior.m)
     # s = scale * (h0 + delta) with delta = s_p / scale
-    assert np.allclose(res.s, 1.5 * 0.1 + prior.prec)
+    assert np.allclose(lam.prec, 1.5 * 0.1 + prior.prec)
+    # A fixed schedule with no tolerance: no gradient norm and no convergence claim.
+    assert report == SolveReport(0, 0, None, None)
 
 
 def test_ivon_step_u_term_is_additive():
@@ -331,10 +358,11 @@ def test_ivon_matches_tempered_quadratic_posterior():
     steps = 10_000
     sched = tuple(0.03 / (1.0 + t / 150.0) for t in range(steps))
     cfg = IvonConfig(steps=steps, lr=0.03, lr_schedule=sched, beta1=0.9, beta2=0.999, h0=0.1, seed=0)
-    res = solve_ivon(loss, prior, lscale, np.zeros(1), np.zeros(1), cfg)
+    lam, report = solve_ivon(loss, prior, lscale, np.zeros(1), np.zeros(1), cfg)
     m_true, s_true = tempered_posterior(a, b, 0.0, 0.5, lscale)
-    assert abs(res.m[0] - m_true) < 1e-3
-    assert abs(res.s[0] - s_true) < 1e-3
+    assert abs(lam.m[0] - m_true) < 1e-3
+    assert abs(lam.prec[0] - s_true) < 1e-3
+    assert report.steps == steps and report.converged is None
 
 
 def test_ivon_deterministic_given_seed():
@@ -342,9 +370,9 @@ def test_ivon_deterministic_given_seed():
     prior = NatParam(fam, np.zeros(2), np.ones(2))
     loss = Quadratic(np.diag([0.3, 0.1]), np.array([0.2, -0.1]))
     cfg = IvonConfig(steps=50, seed=11)
-    a = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
-    b = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
-    assert np.array_equal(a.m, b.m) and np.array_equal(a.s, b.s)
+    a, _ = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
+    b, _ = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
+    assert np.array_equal(a.m, b.m) and np.array_equal(a.prec, b.prec)
 
 
 def test_ivon_aborts_on_non_finite_with_last_state():
@@ -371,9 +399,9 @@ def test_ivon_minibatching_is_unbiased_and_seeded():
     fam = Family.diag(2)
     prior = NatParam(fam, np.zeros(2), np.ones(2))
     cfg = IvonConfig(steps=300, lr=0.05, beta2=0.999, batch_size=8, seed=3)
-    res1 = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
-    res2 = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
-    assert np.array_equal(res1.m, res2.m)
+    lam1, _ = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
+    lam2, _ = solve_ivon(loss, prior, 1.0, np.zeros(2), np.zeros(2), cfg)
+    assert np.array_equal(lam1.m, lam2.m)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +411,9 @@ def test_ivon_minibatching_is_unbiased_and_seeded():
 
 def test_admm_client_quadratic_closed_form():
     loss = Quadratic(np.eye(1), np.zeros(1))
-    res = solve_admm_client(loss, np.zeros(1), np.array([2.0]), rho=1.0)
-    assert np.allclose(res.theta, [1.0])
-    assert res.converged
+    theta, report = solve_admm_client(loss, np.zeros(1), np.array([2.0]), rho=1.0)
+    assert np.allclose(theta, [1.0])
+    assert report == SolveReport(0, grad_norm=0.0, converged=True)
 
 
 def test_admm_client_stationary_when_dual_balances():
@@ -395,8 +423,8 @@ def test_admm_client_stationary_when_dual_balances():
     loss = Logistic(x, y)
     theta_g = np.array([0.3, -0.2])
     v = -loss_grad(loss, theta_g)
-    res = solve_admm_client(loss, v, theta_g, rho=0.5, tol=1e-10)
-    assert np.allclose(res.theta, theta_g, atol=1e-9)
+    theta, _ = solve_admm_client(loss, v, theta_g, rho=0.5, tol=1e-10)
+    assert np.allclose(theta, theta_g, atol=1e-9)
 
 
 def test_admm_client_post_identity():
@@ -408,10 +436,10 @@ def test_admm_client_post_identity():
     v = 0.1 * rng.standard_normal(2)
     theta_g = rng.standard_normal(2)
     rho = 0.7
-    res = solve_admm_client(loss, v, theta_g, rho, steps=5000, tol=1e-10)
-    assert res.converged
-    lhs = v + rho * (res.theta - theta_g)
-    assert np.allclose(lhs, -loss_grad(loss, res.theta), atol=1e-9)
+    theta, report = solve_admm_client(loss, v, theta_g, rho, steps=5000, tol=1e-10)
+    assert report.converged and report.grad_norm <= 1e-10
+    lhs = v + rho * (theta - theta_g)
+    assert np.allclose(lhs, -loss_grad(loss, theta), atol=1e-9)
 
 
 def test_admm_client_iteration_cap_returns_best_iterate():
@@ -419,6 +447,6 @@ def test_admm_client_iteration_cap_returns_best_iterate():
     x = rng.standard_normal((15, 2))
     y = (rng.random(15) < 0.5).astype(float)
     loss = Logistic(x, y)
-    res = solve_admm_client(loss, np.zeros(2), np.zeros(2), rho=0.1, steps=2, tol=1e-14)
-    assert not res.converged
-    assert np.all(np.isfinite(res.theta))
+    theta, report = solve_admm_client(loss, np.zeros(2), np.zeros(2), rho=0.1, steps=2, tol=1e-14)
+    assert not report.converged and report.steps == 2 and report.grad_norm > 1e-14
+    assert np.all(np.isfinite(theta))
