@@ -136,37 +136,37 @@ MUTANTS = (
     Mutant(
         "the multiclass Hessian drops its transpose",
         "src/bayesadmm/losses.py",
-        ".reshape(c, c, d, d).transpose(0, 2, 1, 3)\n",
-        ".reshape(c, c, d, d)\n",
+        "    return hess.transpose(0, 1, 3, 2, 4).reshape(k, c * d, c * d)\n",
+        "    return hess.reshape(k, c * d, c * d)\n",
         ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
     ),
     Mutant(
         "the last partial chunk of draws is dropped",
         "src/bayesadmm/losses.py",
-        "for i in range(0, len(thetas), DRAW_CHUNK))\n",
-        "for i in range(0, len(thetas) - DRAW_CHUNK + 1, DRAW_CHUNK))\n",
+        "for i in range(0, thetas.shape[-2], DRAW_CHUNK))\n",
+        "for i in range(0, thetas.shape[-2] - DRAW_CHUNK + 1, DRAW_CHUNK))\n",
         ("tests/test_losses.py::test_batched_monte_carlo_matches_per_draw_loop",
          "tests/test_harness.py::test_batched_posterior_average_matches_per_draw_loop"),
     ),
     Mutant(
         "from_dual factors the precision a second time",
         "src/bayesadmm/families.py",
-        "        return _wrap(cls, fam, _chol_solve(low, dual.b1), prec, low)\n",
-        "        return cls(fam, _chol_solve(low, dual.b1), prec)\n",
+        "    return _chol_solve_rows(low, b1), prec, low\n",
+        "    return _chol_solve_rows(low, b1), prec, np.linalg.cholesky(prec)\n",
         ("tests/test_families.py::test_full_from_dual_factors_once_and_matches_two_factor_path",),
     ),
     Mutant(
         "the multiclass weight diagonal is scaled by 1.000001",
         "src/bayesadmm/losses.py",
-        "    weights[idx, idx] += probs.sum(axis=0)\n",
-        "    weights[idx, idx] += 1.000001 * probs.sum(axis=0)\n",
+        "    weights.reshape(k, c * c, n)[:, :: c + 1] += probs.sum(axis=1)\n",
+        "    weights.reshape(k, c * c, n)[:, :: c + 1] += 1.000001 * probs.sum(axis=1)\n",
         ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
     ),
     Mutant(
         "a fixed Family's from_dual factors its precision again",
         "src/bayesadmm/families.py",
-        "            return _wrap(cls, fam, _chol_solve(fam._chol, dual.b1))\n",
-        "            return _wrap(cls, fam, _chol_solve(chol_spd(fam.fixed_precision), dual.b1))\n",
+        "np.broadcast_to(fam._chol, ",
+        "np.broadcast_to(chol_spd(fam.fixed_precision), ",
         ("tests/test_families.py::test_a_fixed_family_factors_its_precision_once",),
     ),
     Mutant(
@@ -195,10 +195,8 @@ MUTANTS = (
     Mutant(
         "the symmetry shortcut compares values, not bits",
         "src/bayesadmm/families.py",
-        """    bits = mat.view(np.uint64)
-    return bool(np.array_equal(bits, bits.T))
-""",
-        "    return bool(np.array_equal(mat, mat.T))\n",
+        "    bits = mat.view(np.uint64)\n",
+        "    bits = mat\n",
         ("tests/test_families.py::test_symmetric_shortcut_equals_the_average_bit_for_bit",),
     ),
     Mutant(
@@ -319,36 +317,36 @@ MUTANTS = (
     Mutant(
         "natural_gradient wraps every full Hessian, logistic included",
         "src/bayesadmm/losses.py",
-        "    if not isinstance(loss, (Quadratic, LinearInT)):\n        half = _symmetrize(half, None)\n",
-        "    if not isinstance(loss, (Quadratic, LinearInT, Logistic)):\n        half = _symmetrize(half, None)\n",
+        "not isinstance(loss, (Quadratic, LinearInT)))\n",
+        "not isinstance(loss, (Quadratic, LinearInT, Logistic)))\n",
         ("tests/test_losses.py::test_logistic_natural_gradient_is_exactly_symmetric",),
     ),
     Mutant(
         "the wrapped logistic gradient skips _symmetrize",
         "src/bayesadmm/losses.py",
-        "        half = _symmetrize(half, None)\n",
-        "        half = np.ascontiguousarray(half)\n",
+        "            half[k] = _symmetrize(half[k], None)\n",
+        "            half[k] = np.ascontiguousarray(half[k])\n",
         ("tests/test_losses.py::test_logistic_natural_gradient_equals_the_public_constructor_bit_for_bit",),
     ),
     Mutant(
         "a VON update steps from the server's coordinates, not the iterate's",
         "src/bayesadmm/solvers.py",
-        "                lam = NatParam.from_dual(dual_axpy(-trial, grad, coords))\n",
-        "                lam = NatParam.from_dual(dual_axpy(-trial, grad, spec._lam_g_dual))\n",
+        "_take(coords, keep))]\n",
+        "_take(server, keep))]\n",
         ("tests/test_solvers.py::test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit",),
     ),
     Mutant(
         "a round maps the server once per client",
         "src/bayesadmm/federation.py",
-        "tau=server.tau, _lam_g_dual=lam_g_dual\n",
-        "tau=server.tau\n",
+        "_lam_g_dual=lam_g_dual) for i in going]\n",
+        ") for i in going]\n",
         ("tests/test_federation.py::test_a_round_maps_the_server_to_coordinates_once",),
     ),
     Mutant(
         "the kept outer products are built from one factor of x",
         "src/bayesadmm/losses.py",
-        "        outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)\n",
-        "        outer = (x[:, :, None] * np.ones_like(x)[:, None, :]).reshape(n, d * d)\n",
+        "        outer = (loss.X[:, :, None] * loss.X[:, None, :]).reshape(n, d * d)\n",
+        "        outer = (loss.X[:, :, None] * np.ones_like(loss.X)[:, None, :]).reshape(n, d * d)\n",
         ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
     ),
     Mutant(
@@ -506,8 +504,8 @@ MUTANTS = (
     Mutant(
         "VON does not count a step-halving",
         "src/bayesadmm/solvers.py",
-        "                trial *= 0.5\n                halvings += 1\n",
-        "                trial *= 0.5\n",
+        "                halvings[k] += halved\n",
+        "",
         ("tests/test_solvers.py::test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit",),
     ),
     Mutant(
@@ -526,6 +524,51 @@ MUTANTS = (
         "    if delta_method or name not in (\"mc\", \"reparam\"):\n",
         "    if name not in (\"mc\", \"reparam\"):\n",
         ("tests/test_cli.py::test_a_diag_reparam_run_is_seeded_and_the_delta_method_replaces_it",),
+    ),
+    Mutant(
+        "a converged client keeps stepping in the lockstep",
+        "src/bayesadmm/solvers.py",
+        "            keep = [j for j, gnorm in enumerate(gnorms) if not (gnorm <= tol or taken == steps)]\n",
+        "            keep = [j for j, gnorm in enumerate(gnorms) if taken < steps]\n",
+        ("tests/test_solvers.py::test_a_client_halving_alone_in_a_stack_changes_no_other_client",),
+    ),
+    Mutant(
+        "one failing factorization halves every client's step",
+        "src/bayesadmm/solvers.py",
+        "lams[j], beta, tol,\n",
+        "lams[j], 0.5 * beta, tol,\n",
+        ("tests/test_solvers.py::test_a_client_halving_alone_in_a_stack_changes_no_other_client",),
+    ),
+    Mutant(
+        "the first failure in time is raised, not the lowest client id's",
+        "src/bayesadmm/solvers.py",
+        "                    outcomes[k] = exc\n                    break\n",
+        "                    raise exc\n",
+        ("tests/test_solvers.py::test_the_lowest_failing_client_id_is_raised_even_when_a_later_one_fails_first",),
+    ),
+    Mutant(
+        "the stacked diagonal add misses the diagonal",
+        "src/bayesadmm/losses.py",
+        "    weights.reshape(k, c * c, n)[:, :: c + 1] += probs.sum(axis=1)\n",
+        "    weights.reshape(k, c * c, n)[:, :: c] += probs.sum(axis=1)\n",
+        ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",
+         "tests/test_solvers.py::test_lockstep_solves_equal_lone_solves_bit_for_bit"),
+    ),
+    Mutant(
+        "a loss of any size joins a stack",
+        "src/bayesadmm/losses.py",
+        " and loss.X.size <= STACK_MAX\n",
+        "\n",
+        ("tests/test_losses.py::test_natural_gradients_stack_small_losses_and_leave_large_ones_alone",),
+    ),
+    Mutant(
+        "a conjugate solver on classification data fails only in round 0",
+        "src/bayesadmm/cli.py",
+        """        if inner.solver == "conjugate":
+            raise ConfigError(f"[inner] solver: conjugate needs a loss linear in T, and {name} is not")
+""",
+        "",
+        ("tests/test_cli.py::test_a_conjugate_solver_on_classification_data_is_a_config_error_before_any_output",),
     ),
 )
 

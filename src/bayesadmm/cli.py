@@ -54,6 +54,7 @@ from .federation import (
     init_point_states,
     require_checkpoint_format,
     run_rounds,
+    solves_with_von,
     verify_fixed_point,
 )
 from .harness import (
@@ -329,6 +330,13 @@ def _assemble(c) -> _Setup:
     cfg = MethodConfig(e["method"], inner=inner, delta_method=e["delta_method"],
                        damping=h["damping"], local_steps=i["local_steps"],
                        lr=0.1 if i["lr"] is None else i["lr"], workers=e["workers"])
+    if train.n_classes and cfg.method in ("bayes_admm", "bregman_admm", "pvi"):
+        # A logistic loss is not linear in T: no client solve could start.
+        name = type(losses[0]).__name__
+        if inner.solver == "conjugate":
+            raise ConfigError(f"[inner] solver: conjugate needs a loss linear in T, and {name} is not")
+        if inner.estimator == "analytic" and solves_with_von(inner, cfg, losses[0], e["family"]):
+            raise ConfigError(f"[inner] estimator: analytic needs a loss linear in T, and {name} is not")
     if cfg.method in ("admm", "fedavg"):
         server, clients = init_point_states(dim, losses, ns, h["rho"], delta=h["delta"])
     else:

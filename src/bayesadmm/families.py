@@ -54,10 +54,14 @@ def _frozen(a, dtype=float) -> Array:
     return out
 
 
-def _exactly_symmetric(mat: Array) -> bool:
-    """``mat`` equals its transpose bit for bit (so ``+0.0`` against ``-0.0`` does not)."""
+def _exactly_symmetric(mat: Array):
+    """Whether each matrix of ``mat`` (..., d, d) equals its transpose bit for bit.
+
+    ``+0.0`` against ``-0.0`` does not.  One matrix gives one ``np.bool_``, a
+    (K, d, d) stack a (K,) array.
+    """
     bits = mat.view(np.uint64)
-    return bool(np.array_equal(bits, bits.T))
+    return (bits == np.swapaxes(bits, -1, -2)).reshape(*bits.shape[:-2], -1).all(axis=-1)
 
 
 def _symmetrize(mat: Array, tol: float | None = 1e-8) -> Array:
@@ -102,20 +106,22 @@ def _lapack():
     from the compiled module ``scipy.linalg._flapack``.  The import system's
     own finder loads that module without running ``scipy/linalg/__init__.py``,
     which takes about a third of a second (through scipy's array-API layer it
-    pulls in ``numpy.f2py``, ``numpy.testing`` and more).  The module goes into
-    ``sys.modules`` under its own name, or is reused from there, so
-    ``scipy.linalg`` shares it whichever loads first.  Only the ``fixed`` and
-    ``full`` families need it; constructing such a :class:`Family` calls
-    this, so a run pays for the load in its setup.
+    pulls in ``numpy.f2py``, ``numpy.testing`` and more), and the ``scipy``
+    package's directory comes from its spec, without running
+    ``scipy/__init__.py`` either.  The module goes into ``sys.modules`` under
+    its own name, or is reused from there, so ``scipy.linalg`` shares it
+    whichever loads first.  Only the ``fixed`` and ``full`` families need it;
+    constructing such a :class:`Family` calls this, so a run pays for the
+    load in its setup.
     """
-    import scipy
-
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        loader = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
-        finder = machinery.FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"), loader)
-        spec = finder.find_spec(name)
+        package, spec = util.find_spec("scipy"), None
+        if package is not None and package.submodule_search_locations:
+            loader = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+            directory = os.path.join(package.submodule_search_locations[0], "linalg")
+            spec = machinery.FileFinder(directory, loader).find_spec(name)
         if spec is None:
             raise ImportError(f"no LAPACK extension module {name} in scipy", name=name)
         module = util.module_from_spec(spec)
@@ -152,6 +158,11 @@ def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
 def _trtrs(a: Array, b: Array, lower: bool) -> Array:
     """:func:`_solve_triangular` for an ``a`` already checked to be finite."""
     _require_finite(b)
+    return _dtrtrs(a, b, lower)
+
+
+def _dtrtrs(a: Array, b: Array, lower: bool) -> Array:
+    """The LAPACK call of :func:`_solve_triangular`, for an ``a`` and ``b`` already checked to be finite."""
     trtrs, _ = _lapack()
     if a.flags.f_contiguous:
         x, info = trtrs(a, b, lower=lower, trans=0)
@@ -166,6 +177,18 @@ def _chol_solve(low: Array, rhs: Array) -> Array:
     _require_finite(low)
     half = _trtrs(low, rhs, lower=True)
     return _trtrs(low.T, half, lower=False)
+
+
+def _chol_solve_rows(lows: Array, rhs: Array) -> Array:
+    """:func:`_chol_solve` of each factor of a (K, d, d) stack with its row of ``rhs`` (K, d).
+
+    The same two ``dtrtrs`` calls per row, with each stacked array checked once.
+    """
+    _require_finite(lows)
+    _require_finite(rhs)
+    half = np.stack([_dtrtrs(low, row, True) for low, row in zip(lows, rhs)])
+    _require_finite(half)
+    return np.stack([_dtrtrs(low.T, row, False) for low, row in zip(lows, half)])
 
 
 @functools.cache
@@ -353,15 +376,9 @@ class NatParam:
     # -- ambient coordinates -----------------------------------------------
 
     def coords(self) -> tuple[Array, Array | None]:
-        """Ambient coordinate blocks per the family table."""
-        kind = self.fam.kind
-        if kind == ISOTROPIC:
-            return self.m, None
-        if kind == FIXED:
-            return self.fam.fixed_precision @ self.m, None
-        if kind == DIAG:
-            return self.prec * self.m, -0.5 * self.prec
-        return self.prec @ self.m, -0.5 * self.prec
+        """Ambient coordinate blocks per the family table: :func:`coords_rows` of one."""
+        b1, b2 = coords_rows(self.fam, self.m[None], None if self.prec is None else self.prec[None])
+        return b1[0], None if b2 is None else b2[0]
 
     def as_dual(self) -> "DualVec":
         b1, b2 = self.coords()
@@ -369,28 +386,63 @@ class NatParam:
 
     @classmethod
     def from_dual(cls, dual: "DualVec") -> "NatParam":
-        """Reinterpret ambient coordinates as a natural parameter.
+        """Reinterpret ambient coordinates as a natural parameter: :func:`from_dual_rows` of one.
 
         Raises :class:`NonPositivePrecision` when the encoded precision fails
         positivity; callers decide whether that is an error or a reportable
         divergence.
         """
-        fam = dual.fam
-        if fam.kind == ISOTROPIC:
-            return _wrap(cls, fam, dual.b1)
-        if fam.kind == FIXED:
-            return _wrap(cls, fam, _chol_solve(fam._chol, dual.b1))
-        prec = -2.0 * dual.b2
-        if fam.kind == DIAG:
-            if not np.all(prec > 0.0):
-                raise NonPositivePrecision("coordinate block encodes nonpositive precision")
-            return _wrap(cls, fam, dual.b1 / prec, prec)
-        # ``dual.b2`` is exactly symmetric, and so is ``prec``: factor it as it is.
-        try:
-            low = np.linalg.cholesky(prec)
-        except np.linalg.LinAlgError as exc:
-            raise NonPositivePrecision("matrix is not positive definite") from exc
-        return _wrap(cls, fam, _chol_solve(low, dual.b1), prec, low)
+        b2 = None if dual.b2 is None else dual.b2[None]
+        return nat_rows(dual.fam, *from_dual_rows(dual.fam, dual.b1[None], b2))[0]
+
+
+# Stacked rows: K parameters of one family, each block with a leading client
+# axis, so a step of K solves pays each numpy call once.  A single parameter
+# is the stack of one.
+
+
+def from_dual_rows(fam: Family, b1: Array, b2: Array | None) -> tuple[Array, Array | None, Array | None]:
+    """Mean, precision and precision factor of each row of stacked ambient blocks.
+
+    ``b1`` is (K, dim) and ``b2`` (K, ...) or ``None``; each row is read as
+    :meth:`NatParam.from_dual` reads one dual, and the full kind factors all K
+    precisions in one ``np.linalg.cholesky`` call (the same LAPACK call per
+    matrix).  Raises :class:`NonPositivePrecision` if any row's precision
+    fails, without saying which: a caller that needs to know redoes the rows
+    one at a time.  The results are fresh, or ``b1`` itself (isotropic).
+    """
+    if fam.kind == ISOTROPIC:
+        return b1, None, None
+    if fam.kind == FIXED:
+        return _chol_solve_rows(np.broadcast_to(fam._chol, (len(b1), *fam._chol.shape)), b1), None, None
+    prec = -2.0 * b2
+    if fam.kind == DIAG:
+        if not np.all(prec > 0.0):
+            raise NonPositivePrecision("coordinate block encodes nonpositive precision")
+        return b1 / prec, prec, None
+    # Each row of ``b2`` is exactly symmetric, and so is its precision: factor it as it is.
+    try:
+        low = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositivePrecision("matrix is not positive definite") from exc
+    return _chol_solve_rows(low, b1), prec, low
+
+
+def coords_rows(fam: Family, m: Array, prec: Array | None) -> tuple[Array, Array | None]:
+    """Ambient coordinate blocks of each row of stacked means (K, dim) and precisions (K, ...)."""
+    if fam.kind == ISOTROPIC:
+        return m, None
+    if fam.kind == FIXED:
+        return (fam.fixed_precision @ m[..., None])[..., 0], None
+    if fam.kind == DIAG:
+        return prec * m, -0.5 * prec
+    return (prec @ m[..., None])[..., 0], -0.5 * prec
+
+
+def nat_rows(fam: Family, m: Array, prec: Array | None, low: Array | None) -> list["NatParam"]:
+    """One :class:`NatParam` per row of :func:`from_dual_rows`' results, wrapped, not copied."""
+    return [_wrap(NatParam, fam, m[k], None if prec is None else prec[k], None if low is None else low[k])
+            for k in range(len(m))]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Every engine runs one round skeleton: independent client steps, which may run
 on parallel workers and are reduced in client-id order so the outcome does not
 depend on the worker count; a server combine over the clients' new fields; a
-finiteness check; then one commit, so a failing round changes no state.
+finiteness check; then one commit, so a failing round changes no state.  A
+round whose clients all solve with VON runs their solves in lockstep on the
+calling thread instead (``solvers.von_lockstep``), with the same results.
 
 The distribution-valued engines share one client step and one server combine,
 
@@ -67,12 +69,14 @@ from .losses import (
     Delta,
     Estimator,
     LinearInT,
+    Logistic,
     LossSpec,
     MonteCarlo,
+    MulticlassLogistic,
+    NaturalGradients,
     Quadratic,
     Reparam,
     loss_grad,
-    natural_gradient,
     scale_loss,
 )
 from .solvers import (
@@ -83,6 +87,7 @@ from .solvers import (
     solve_conjugate,
     solve_ivon,
     solve_von,
+    von_lockstep,
 )
 
 METHODS = ("admm", "bayes_admm", "pvi", "bregman_admm", "ivon_admm", "fedavg")
@@ -238,12 +243,12 @@ def init_point_states(
     return server, clients
 
 
-def _map_clients(fn, clients: list[ClientState], workers: int) -> list:
-    """Apply fn to every client; results come back in client-list order."""
-    if workers <= 1 or len(clients) <= 1:
-        return [fn(c) for c in clients]
+def _map_clients(fn, items: list, workers: int) -> list:
+    """Apply fn to every client (or client index); results come back in list order."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, clients))
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +290,17 @@ def _finite(value) -> bool:
     return all(p is None or bool(np.all(np.isfinite(p))) for p in parts)
 
 
-def _round(
-    server: ServerState, clients: list[ClientState], cfg: MethodConfig, rnd: int, step, combine
-) -> dict:
-    """The one round every engine runs: client steps, combine, checks, then commit.
+def _round(server: ServerState, clients: list[ClientState], rnd: int, results: list, combine) -> dict:
+    """The one round every engine runs after its client steps: combine, checks, then commit.
 
-    ``step(client)`` returns the client's new fields and its solve's
-    :class:`SolveReport`, or ``None`` where no solver runs;
+    ``results`` holds each client's new fields and its solve's
+    :class:`SolveReport`, or ``None`` where no solver runs, in client order;
     ``combine(new_fields)`` builds the server's new fields from the clients'
     new fields.  Nothing is written until the combine has succeeded and every
     new field is finite, so a failing round leaves every state as it was.
     ``inner_converged`` is false only if some report says a solve did not
     converge: IVON's and fedavg's make no claim.
     """
-    results = _map_clients(step, clients, cfg.workers)
     new_fields = [fields for fields, _ in results]
     try:
         server_fields = combine(new_fields)
@@ -375,29 +377,79 @@ def _distribution_round(
     mu_g = to_expectation(lam_g) if dual_in_mu else None
     inner = cfg.inner if solver is None else replace(cfg.inner, solver=solver)
 
-    def step(client: ClientState):
-        seed = seed_for(base_seed, rnd, client.id)
-        eta = client.eta
-        lam = client.lam
-        for _ in range(cfg.client_repeats):
-            spec = SubproblemSpec(
-                client.loss, eta, lam_g, rho=kl_weight, tau=server.tau, _lam_g_dual=lam_g_dual
-            )
-            lam, report = _solve_client(spec, inner, cfg, seed, client.n_examples)
-            if dual_in_mu:
-                direction = exp_sub(to_expectation(lam), mu_g)
-            else:
-                direction = dual_sub(lam.as_dual(), lam_g_dual)
-            eta, prev = dual_axpy(dual_step, direction, eta), eta
-            if cfg.repeat_tol > 0 and dual_inf_norm(dual_axpy(-1.0, prev, eta)) <= cfg.repeat_tol:
+    seeds = [seed_for(base_seed, rnd, c.id) for c in clients]
+    von = all(solves_with_von(inner, cfg, c.loss, lam_g.fam.kind) for c in clients)
+    if von:
+        estimators = [resolve_estimator(inner, c.loss, seed, cfg.delta_method)
+                      for c, seed in zip(clients, seeds)]
+
+    def solve(going: list[int], etas: list[DualVec]) -> list:
+        """The outcome of each going client's solve: its ``(lam, report)``, or what it raised.
+
+        A VON round solves them in lockstep on this thread; any other solves
+        each client alone on the workers.
+        """
+        specs = [SubproblemSpec(clients[i].loss, etas[i], lam_g, rho=kl_weight, tau=server.tau,
+                                _lam_g_dual=lam_g_dual) for i in going]
+        if von:
+            return von_lockstep(specs, inner.steps, inner.beta, [estimators[i] for i in going], inner.tol)
+
+        def alone(j: int):
+            try:
+                return _solve_client(specs[j], inner, cfg, seeds[going[j]], clients[going[j]].n_examples)
+            except Exception as exc:
+                return exc
+
+        return _map_clients(alone, list(range(len(going))), cfg.workers)
+
+    # Each client repeats its solve and dual update up to client_repeats times.  A
+    # failure is raised as a loop over the clients in id order would raise it: the
+    # lowest failing id's, after the clients before it have made all their repeats.
+    etas = [c.eta for c in clients]
+    solved: list = [None] * len(clients)
+    going, failure = list(range(len(clients))), None
+    for _ in range(cfg.client_repeats):
+        still = []
+        for i, outcome in zip(going, solve(going, etas)):
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                solved[i] = outcome
+                if dual_in_mu:
+                    direction = exp_sub(to_expectation(outcome[0]), mu_g)
+                else:
+                    direction = dual_sub(outcome[0].as_dual(), lam_g_dual)
+                etas[i], prev = dual_axpy(dual_step, direction, etas[i]), etas[i]
+            except Exception as exc:
+                failure = exc
                 break
-        return {"lam": lam, "eta": eta}, report
+            if not (cfg.repeat_tol > 0 and dual_inf_norm(dual_axpy(-1.0, prev, etas[i])) <= cfg.repeat_tol):
+                still.append(i)
+        going = still
+        if not going:
+            break
+    if failure is not None:
+        raise failure
 
     def combine(new: list[dict]) -> dict:
         lam_ks, eta_ks = [f["lam"] for f in new], [f["eta"] for f in new]
         return {"lam_g": server_combine(lam_ks, eta_ks, server.eta0, alpha)}
 
-    return _round(server, clients, cfg, rnd, step, combine)
+    results = [({"lam": lam, "eta": eta}, report) for (lam, report), eta in zip(solved, etas)]
+    return _round(server, clients, rnd, results, combine)
+
+
+def solves_with_von(inner: InnerConfig, cfg: MethodConfig, loss: LossSpec, kind: str) -> bool:
+    """Whether a distribution round's client solves a subproblem with ``loss`` by VON.
+
+    ``auto`` does for a logistic loss, which no conjugate solve can take,
+    except on the isotropic family (``kind``) with the delta method, where
+    the proximal step solves it.
+    """
+    if inner.solver == "auto":
+        logistic = isinstance(loss, (Logistic, MulticlassLogistic))
+        return logistic and not (kind == ISOTROPIC and cfg.delta_method)
+    return inner.solver == "von"
 
 
 def bayes_admm_round(
@@ -477,7 +529,7 @@ def admm_round(
         thetas, vs = [f["theta"] for f in new], [f["v"] for f in new]
         return {"theta_g": _admm_server(server, thetas, vs, inner)}
 
-    return _round(server, clients, cfg, rnd, step, combine)
+    return _round(server, clients, rnd, _map_clients(step, clients, cfg.workers), combine)
 
 
 def _admm_server(
@@ -514,7 +566,7 @@ def fedavg_round(
     def combine(new: list[dict]) -> dict:
         return {"theta_g": _kahan([w * f["theta"] for w, f in zip(weights, new)])}
 
-    return _round(server, clients, cfg, rnd, step, combine)
+    return _round(server, clients, rnd, _map_clients(step, clients, cfg.workers), combine)
 
 
 ROUND_ENGINES = {
@@ -572,7 +624,10 @@ def verify_fixed_point(
     for client in clients:
         mu_k = to_expectation(client.lam)
         consensus = max(consensus, dual_inf_norm(exp_sub(mu_k, mu_g)))
-        ng = natural_gradient(scale_loss(client.loss, server.tau), client.lam, estimator)
+    # The clients' natural gradients in one stacked call, as a lockstep VON step makes them.
+    losses = [scale_loss(c.loss, server.tau) for c in clients]
+    gradients = NaturalGradients(losses, [estimator] * len(clients), server.fam)
+    for client, ng in zip(clients, gradients.duals([c.lam for c in clients])):
         dual = max(dual, dual_inf_norm(dual_axpy(1.0, ng, client.eta)))
     gathered = dual_sum([server.eta0] + [c.eta for c in clients])
     gather = dual_inf_norm(dual_axpy(-1.0, gathered, lam_g.as_dual()))

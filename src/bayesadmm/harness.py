@@ -45,6 +45,7 @@ from .losses import (
     Quadratic,
     _chunks,
     _probs,
+    _rows,
     natural_gradient,
     scale_loss,
 )
@@ -387,7 +388,7 @@ def predict_proba(theta: Array, ds: Dataset) -> Array:
 
 def _batch_proba(thetas: Array, ds: Dataset) -> Array:
     """Class probabilities (S, C, n) at each row of ``thetas``, from the losses' kernel."""
-    probs = _probs(classification_losses([ds], ds.n_classes)[0], thetas, ds.X)
+    probs = _probs(_rows(classification_losses([ds], ds.n_classes)[0]), thetas[None])[0]
     return np.stack([1.0 - probs, probs], axis=1) if ds.n_classes == 2 else probs
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .families import (
     DualVec,
     Family,
     NatParam,
+    _exactly_symmetric,
+    _second_shape,
     _symmetrize,
     _wrap,
     pair_with_stat,
@@ -35,6 +38,12 @@ from .families import (
 # Draws per batch in the sampled estimators: bounds their temporaries to a
 # few DRAW_CHUNK * n * C floats.
 DRAW_CHUNK = 4096
+
+# Largest data, n * d floats, of a loss that NaturalGradients stacks.  A stack
+# copies its members' rows and makes K-fold temporaries, and it pays only
+# while the per-call overhead it saves outweighs the arithmetic: at 2^14
+# floats a client's logits alone are C * 2^14 multiply-adds.
+STACK_MAX = 1 << 14
 
 
 @functools.cache
@@ -194,7 +203,7 @@ def loss_value(loss: LossSpec, theta: Array) -> float:
         # -y log sigma(z) - (1-y) log sigma(-z), summed, stable via log_expit.
         log_expit = _special().log_expit
         return float(-np.sum(loss.y * log_expit(z) + (1.0 - loss.y) * log_expit(-z))) / loss.scale
-    logits = _logits(loss, theta[None], loss.X)[0]
+    logits = _logits(_rows(loss), theta[None, None])[0, 0]
     logz = _special().logsumexp(logits, axis=0)
     n = np.arange(loss.n_examples)
     return float(np.sum(logz - logits[loss.y, n])) / loss.scale
@@ -210,8 +219,8 @@ def minibatch_grad(loss: Logistic | MulticlassLogistic, theta: Array, rows: Arra
     Bit for bit :func:`loss_grad` of the same loss built on ``X[rows]`` and
     ``y[rows]``, without building and checking that loss.
     """
-    x, y = loss.X[rows], loss.y[rows]
-    return _prob_grads(loss, _probs(loss, theta[None], x), x, y)[0]
+    batch = _Rows(loss, loss.X[rows][None], loss.y[rows][None], loss.scale)
+    return _prob_grads(batch, _probs(batch, theta[None, None]))[0, 0]
 
 
 def loss_hess(loss: LossSpec, theta: Array, diag_only: bool = False) -> Array:
@@ -230,36 +239,84 @@ def loss_hess(loss: LossSpec, theta: Array, diag_only: bool = False) -> Array:
         if c.fam.kind == DIAG:
             return hess_diag_or_full if diag_only else np.diag(hess_diag_or_full)
         return np.diag(hess_diag_or_full).copy() if diag_only else hess_diag_or_full
-    probs = _probs(loss, theta[None], loss.X)
-    return _hess(loss, _weight_sum(loss, probs, diag_only), diag_only)
+    rows = _rows(loss)
+    probs = _probs(rows, theta[None, None])
+    return _hess(rows, _weight_sum(rows, probs, diag_only), diag_only)[0]
 
 
-# The logistic kernels below work on a batch of S parameter rows at once, so
-# the sampled estimators make one product with X per chunk of draws instead of
-# one per draw.  A single point is the batch of one.  They take the data rows
-# ``x`` (and labels ``y``) apart from the loss, which supplies the kind, the
-# class count and the scale, so a minibatch needs no loss of its own.
+# The logistic kernels below work on K clients' losses at once, each at a batch
+# of S parameter rows, so a lockstep solver makes one product per step for all
+# its clients and the sampled estimators one per chunk of draws.  A single loss
+# at a single point is the stack of one at the batch of one.  The data rows
+# come in a :class:`_Rows` apart from the loss, so a minibatch needs no loss of
+# its own.
 
 
-def _logits(loss: Logistic | MulticlassLogistic, thetas: Array, x: Array) -> Array:
-    """Logits at each row of ``thetas``: (S, n) binary, (S, C, n) multiclass."""
-    if isinstance(loss, Logistic):
-        return thetas @ x.T
-    n, d = x.shape
-    return (thetas.reshape(-1, d) @ x.T).reshape(len(thetas), loss.n_classes, n)
+class _Rows(NamedTuple):
+    """Data rows of K logistic losses of one kind, class count and data shape.
+
+    ``x`` is (K, n, d) and ``y`` (K, n).  ``loss`` is the first of the K and
+    supplies the kind and the class count; ``scale`` is a float or a
+    (K, 1, 1) array.  ``outer`` stacks the losses' :func:`_outer` for a full
+    multiclass Hessian; a stack of one may leave it to its loss.
+    """
+
+    loss: Logistic | MulticlassLogistic
+    x: Array
+    y: Array
+    scale: float | Array
+    outer: Array | None = None
 
 
-def _probs(loss: Logistic | MulticlassLogistic, thetas: Array, x: Array) -> Array:
+def _rows(loss: Logistic | MulticlassLogistic) -> _Rows:
+    """A loss's own data rows as the stack of one."""
+    return _Rows(loss, loss.X[None], loss.y[None], loss.scale)
+
+
+def _stack_rows(losses: list, full: bool) -> _Rows:
+    """The rows of several losses of one kind, class count and data shape, stacked.
+
+    The outer products, n d^2 floats a loss, are stacked only for ``full`` Hessians.
+    """
+    first = losses[0]
+    outer = None
+    if full and isinstance(first, MulticlassLogistic):
+        outer = np.stack([_outer(loss) for loss in losses])
+    return _Rows(first, np.stack([loss.X for loss in losses]), np.stack([loss.y for loss in losses]),
+                 np.array([loss.scale for loss in losses])[:, None, None], outer)
+
+
+def _outer(loss: MulticlassLogistic) -> Array:
+    """The rows' outer products ``x x^T``, shape ``(n, d^2)``, made once and kept on the loss."""
+    outer = loss._outer
+    if outer is None:
+        n, d = loss.X.shape
+        outer = (loss.X[:, :, None] * loss.X[:, None, :]).reshape(n, d * d)
+        outer.setflags(write=False)
+        object.__setattr__(loss, "_outer", outer)
+    return outer
+
+
+def _logits(rows: _Rows, thetas: Array) -> Array:
+    """Logits at each client's rows of ``thetas`` (K, S, dim): (K, S, n) binary, (K, S, C, n) multiclass."""
+    xt = rows.x.transpose(0, 2, 1)
+    if isinstance(rows.loss, Logistic):
+        return thetas @ xt
+    k, n, d = rows.x.shape
+    return (thetas.reshape(k, -1, d) @ xt).reshape(k, -1, rows.loss.n_classes, n)
+
+
+def _probs(rows: _Rows, thetas: Array) -> Array:
     """Predicted probabilities, shaped like :func:`_logits`.
 
     Works in place: fresh temporaries of this size cost more than the arithmetic.
     """
-    logits = _logits(loss, thetas, x)
-    if isinstance(loss, Logistic):
+    logits = _logits(rows, thetas)
+    if isinstance(rows.loss, Logistic):
         return _special().expit(logits, out=logits)
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=2, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= logits.sum(axis=2, keepdims=True)
     return logits
 
 
@@ -273,53 +330,59 @@ def _grads(loss: LossSpec, thetas: Array) -> Array:
         if c.b2 is None:
             return np.tile(-c.b1, (len(thetas), 1))
         return -c.b1 - 2.0 * (thetas * c.b2 if c.fam.kind == DIAG else thetas @ c.b2.T)
-    return _prob_grads(loss, _probs(loss, thetas, loss.X), loss.X, loss.y)
+    rows = _rows(loss)
+    return _prob_grads(rows, _probs(rows, thetas[None]))[0]
 
 
-def _prob_grads(loss: Logistic | MulticlassLogistic, probs: Array, x: Array, y: Array) -> Array:
-    """Gradients (S, dim) from predicted probabilities on rows ``x``, ``y``; linear in ``probs``."""
-    if isinstance(loss, Logistic):
-        return (probs - y) @ x / loss.scale
-    resid = probs.copy()
-    resid[:, y, np.arange(len(y))] -= 1.0
-    grads = resid.reshape(-1, len(y)) @ x  # (S*C, d), class-major
-    return grads.reshape(len(probs), loss.dim) / loss.scale
+def _prob_grads(rows: _Rows, probs: Array) -> Array:
+    """Gradients (K, S, dim) from predicted probabilities on ``rows``; linear in ``probs``."""
+    x, y = rows.x, rows.y
+    k, n, _ = x.shape
+    if isinstance(rows.loss, Logistic):
+        return (probs - y[:, None]) @ x / rows.scale
+    # Subtracting the labels' one-hot rows takes 1.0 at each label and 0.0, which changes no bit, elsewhere.
+    labels = y[:, None, :] == np.arange(rows.loss.n_classes)[:, None]
+    grads = (probs - labels[:, None]).reshape(k, -1, n) @ x  # (K, S*C, d), class-major
+    return grads.reshape(k, probs.shape[1], rows.loss.dim) / rows.scale
 
 
-def _weight_sum(loss: Logistic | MulticlassLogistic, probs: Array, diag_only: bool) -> Array:
-    """Per-example Hessian weights summed over the S rows of ``probs``.
+def _weight_sum(rows: _Rows, probs: Array, diag_only: bool) -> Array:
+    """Per-example Hessian weights summed over each client's S rows of ``probs``.
 
-    Binary: p(1-p), shape (n,).  Multiclass: diag(p) - p p^T, shape (C, C, n),
-    or only its diagonal p(1-p), shape (C, n), when ``diag_only``.  No entry
-    is -0.0: ``0.0 - p p^T`` keeps the sign of a zero product positive.
+    Binary: p(1-p), shape (K, n).  Multiclass: diag(p) - p p^T, shape
+    (K, C, C, n), or only its diagonal p(1-p), shape (K, C, n), when
+    ``diag_only``.  No entry is -0.0: ``0.0 - p p^T`` keeps the sign of a
+    zero product positive.
     """
-    if isinstance(loss, Logistic) or diag_only:
-        return np.sum(probs * (1.0 - probs), axis=0)
-    weights = np.einsum("sai,sbi->abi", probs, probs)
+    if isinstance(rows.loss, Logistic) or diag_only:
+        return np.sum(probs * (1.0 - probs), axis=1)
+    if probs.shape[1] == 1:  # the same products as the sum over one draw, made faster
+        weights = probs[:, 0, :, None, :] * probs[:, 0, None, :, :]
+    else:
+        weights = np.einsum("ksai,ksbi->kabi", probs, probs)
     np.subtract(0.0, weights, out=weights)
-    idx = np.arange(loss.n_classes)
-    weights[idx, idx] += probs.sum(axis=0)
+    k, c, _, n = weights.shape
+    # Every (c + 1)-th of the C^2 weight rows is one on the diagonal.
+    weights.reshape(k, c * c, n)[:, :: c + 1] += probs.sum(axis=1)
     return weights
 
 
-def _hess(loss: Logistic | MulticlassLogistic, weights: Array, diag_only: bool) -> Array:
-    """Hessian sum_i weights_i (x) x_i x_i^T / scale from :func:`_weight_sum`'s weights."""
-    x = loss.X
-    if isinstance(loss, Logistic):
-        hess = (x * x).T @ weights if diag_only else x.T @ (x * weights[:, None])
-        return hess / loss.scale
+def _hess(rows: _Rows, weights: Array, diag_only: bool) -> Array:
+    """Hessians sum_i weights_i (x) x_i x_i^T / scale from :func:`_weight_sum`'s weights, (K, ...)."""
+    x = rows.x
+    if isinstance(rows.loss, Logistic):
+        if diag_only:
+            return ((x * x).transpose(0, 2, 1) @ weights[..., None] / rows.scale)[..., 0]
+        return x.transpose(0, 2, 1) @ (x * weights[..., None]) / rows.scale
+    k = len(x)
     if diag_only:
-        return (weights @ (x * x)).ravel() / loss.scale
-    # H[(a,e),(b,f)] = sum_i w[a,b,i] x[i,e] x[i,f]: one (C^2, n) @ (n, d^2) product.
-    n, d = x.shape
-    c = loss.n_classes
-    outer = loss._outer
-    if outer is None:
-        outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-        outer.setflags(write=False)
-        object.__setattr__(loss, "_outer", outer)
-    hess = (weights.reshape(c * c, n) @ outer).reshape(c, c, d, d).transpose(0, 2, 1, 3)
-    return hess.reshape(loss.dim, loss.dim) / loss.scale
+        return (weights @ (x * x) / rows.scale).reshape(k, -1)
+    # H[(a,e),(b,f)] = sum_i w[a,b,i] x[i,e] x[i,f]: one (C^2, n) @ (n, d^2) product per client.
+    n, d = x.shape[1:]
+    c = rows.loss.n_classes
+    outer = _outer(rows.loss)[None] if rows.outer is None else rows.outer
+    hess = (weights.reshape(k, c * c, n) @ outer / rows.scale).reshape(k, c, c, d, d)
+    return hess.transpose(0, 1, 3, 2, 4).reshape(k, c * d, c * d)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +446,22 @@ def expected_moments(loss: LossSpec, lam: NatParam, estimator: Estimator) -> Mom
 
 
 def _chunks(thetas: Array):
-    """Consecutive row blocks of at most ``DRAW_CHUNK`` draws."""
-    return (thetas[i : i + DRAW_CHUNK] for i in range(0, len(thetas), DRAW_CHUNK))
+    """Consecutive blocks of at most ``DRAW_CHUNK`` draws along the draw axis, the last but one."""
+    return (thetas[..., i : i + DRAW_CHUNK, :] for i in range(0, thetas.shape[-2], DRAW_CHUNK))
 
 
 def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Array]:
-    """Mean gradient and Hessian over the rows of ``thetas``.
+    """Mean gradient and Hessian over the rows of ``thetas``."""
+    if isinstance(loss, (Quadratic, LinearInT)):
+        # Per-sample grad is affine in theta and the Hessian is constant,
+        # so the sample average collapses onto the mean draw.
+        return loss_grad(loss, thetas.mean(axis=0)), loss_hess(loss, thetas[0], diag_only=diag)
+    grad, hess = _logistic_moments(_rows(loss), thetas[None], diag)
+    return grad[0], hess[0]
+
+
+def _logistic_moments(rows: _Rows, thetas: Array, diag: bool) -> tuple[Array, Array]:
+    """Each client's mean gradient and Hessian over its S draws in ``thetas`` (K, S, dim).
 
     The logistic gradient is linear in the predicted probabilities and the
     Hessian in the per-example weights, so both come from the sums of those:
@@ -396,23 +469,18 @@ def _mean_moments(loss: LossSpec, thetas: Array, diag: bool) -> tuple[Array, Arr
     mean: neither its probabilities nor its weights hold a -0.0, so
     ``(0.0 + s) / 1`` would give back ``s`` bit for bit, and is skipped.
     """
-    if isinstance(loss, (Quadratic, LinearInT)):
-        # Per-sample grad is affine in theta and the Hessian is constant,
-        # so the sample average collapses onto the mean draw.
-        return loss_grad(loss, thetas.mean(axis=0)), loss_hess(loss, thetas[0], diag_only=diag)
-    count = len(thetas)
+    count = thetas.shape[1]
     prob_sum = weight_sum = 0.0
     for chunk in _chunks(thetas):
-        probs = _probs(loss, chunk, loss.X)
+        probs = _probs(rows, chunk)
         if count == 1:
-            prob_sum, weight_sum = probs, _weight_sum(loss, probs, diag)
+            prob_sum, weight_sum = probs, _weight_sum(rows, probs, diag)
             break
-        prob_sum = prob_sum + probs.sum(axis=0)
-        weight_sum = weight_sum + _weight_sum(loss, probs, diag)
+        prob_sum = prob_sum + probs.sum(axis=1)
+        weight_sum = weight_sum + _weight_sum(rows, probs, diag)
     else:
-        prob_sum, weight_sum = prob_sum[None] / count, weight_sum / count
-    grad = _prob_grads(loss, prob_sum, loss.X, loss.y)[0]
-    return grad, _hess(loss, weight_sum, diag)
+        prob_sum, weight_sum = prob_sum[:, None] / count, weight_sum / count
+    return _prob_grads(rows, prob_sum)[:, 0], _hess(rows, weight_sum, diag)
 
 
 def _reparam_moments(loss, lam, estimator) -> MomentEstimate:
@@ -432,20 +500,105 @@ def _reparam_moments(loss, lam, estimator) -> MomentEstimate:
 def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> DualVec:
     """Gradient of E_q[l] in expectation coordinates (ambient dual layout)."""
     mom = expected_moments(loss, lam, estimator)
-    kind = lam.fam.kind
+    b1, b2 = _natural_rows(lam.fam.kind, mom.g[None], None if mom.h is None else mom.h[None], lam.m[None],
+                           not isinstance(loss, (Quadratic, LinearInT)))
     # The moments are fresh arrays, so the blocks are wrapped, not copied.
+    return _wrap(DualVec, lam.fam, b1[0], None if b2 is None else b2[0])
+
+
+def _natural_rows(kind: str, g: Array, h: Array, m: Array, logistic: bool) -> tuple[Array, Array | None]:
+    """Natural-gradient blocks of each client from its moments ``g``, ``h`` at its mean ``m``, stacked.
+
+    The T-linear losses' Hessians are exactly symmetric (``Quadratic``'s A is
+    averaged with its transpose, ``LinearInT``'s is -2 c.b2); a logistic full
+    Hessian from a matrix product may not be symmetric bit for bit, and each
+    client's that is not is averaged as the public constructor would.
+    """
     if kind in (ISOTROPIC, FIXED):
-        return _wrap(DualVec, lam.fam, mom.g)
+        return g, None
     if kind == DIAG:
-        return _wrap(DualVec, lam.fam, mom.g - mom.h * lam.m, 0.5 * mom.h)
-    # The T-linear losses' Hessians are exactly symmetric (``Quadratic``'s A is
-    # averaged with its transpose, ``LinearInT``'s is -2 c.b2); a logistic
-    # Hessian from a matrix product is not symmetric bit for bit, and is
-    # averaged as the public constructor would.
-    half = 0.5 * mom.h
-    if not isinstance(loss, (Quadratic, LinearInT)):
-        half = _symmetrize(half, None)
-    return _wrap(DualVec, lam.fam, mom.g - mom.h @ lam.m, half)
+        return g - h * m, 0.5 * h
+    half = 0.5 * h
+    if logistic:
+        for k in np.flatnonzero(~_exactly_symmetric(half)):
+            half[k] = _symmetrize(half[k], None)
+    return g - (h @ m[..., None])[..., 0], half
+
+
+class NaturalGradients:
+    """Natural gradients of K losses, each at its own iterate, in one call.
+
+    Logistic losses of one kind and data shape whose estimator evaluates at
+    the mean (:class:`Delta`), with at most :data:`STACK_MAX` data floats,
+    form one stack, and each kernel runs once for the whole stack; any other
+    loss goes alone through :func:`natural_gradient`.  The stacks are built
+    once, so a solver can call this at every step.  :meth:`blocks` returns
+    stacked ambient blocks, :meth:`duals` one :class:`DualVec` per loss.  If
+    some loss raises, the first of them in order raises.
+    """
+
+    def __init__(self, losses: list[LossSpec], estimators: list[Estimator], fam: Family):
+        self.fam, self.losses, self.estimators = fam, list(losses), list(estimators)
+        stacks: dict = {}
+        self._alone = []
+        for i, (loss, est) in enumerate(zip(self.losses, self.estimators)):
+            small = isinstance(loss, (Logistic, MulticlassLogistic)) and loss.X.size <= STACK_MAX
+            if isinstance(est, Delta) and small and loss.dim == fam.dim:
+                stacks.setdefault((type(loss), loss.X.shape), []).append(i)
+            else:
+                self._alone.append(i)
+        full = fam.kind == FULL
+        self._stacks = [(idx, _stack_rows([self.losses[i] for i in idx], full)) for idx in stacks.values()]
+
+    def _pieces(self, lams: list[NatParam], means: Array | None) -> list:
+        """``(positions, b1, b2)`` per stack, and per lone loss as a stack of one."""
+        if self._stacks and means is None:
+            means = np.stack([lam.m for lam in lams])
+        whole = len(self._stacks) == 1 and not self._alone
+        pieces = [(idx, *delta_natural_rows(rows, means if whole else means[idx], self.fam.kind))
+                  for idx, rows in self._stacks]
+        for i in self._alone:
+            ng = natural_gradient(self.losses[i], lams[i], self.estimators[i])
+            pieces.append(([i], ng.b1[None], None if ng.b2 is None else ng.b2[None]))
+        return pieces
+
+    def blocks(self, lams: list[NatParam], means: Array | None = None) -> tuple[Array, Array | None]:
+        """Stacked (K, dim) and (K, ...) blocks, ``None`` for the second where ``fam`` has none.
+
+        ``means``, where given, is the ``lams``' means stacked.
+        """
+        pieces = self._pieces(lams, means)
+        if len(pieces) == 1:
+            return pieces[0][1:]
+        shape = _second_shape(self.fam)
+        b1 = np.empty((len(lams), self.fam.dim))
+        b2 = None if shape is None else np.empty((len(lams), *shape))
+        for idx, n1, n2 in pieces:
+            b1[idx] = n1
+            if b2 is not None:
+                b2[idx] = n2
+        return b1, b2
+
+    def duals(self, lams: list[NatParam]) -> list[DualVec]:
+        """One natural gradient per loss, each wrapping its rows of the stacked blocks."""
+        out: list = [None] * len(lams)
+        for idx, n1, n2 in self._pieces(lams, None):
+            for row, i in enumerate(idx):
+                out[i] = _wrap(DualVec, self.fam, n1[row], None if n2 is None else n2[row])
+        return out
+
+
+def delta_natural_rows(rows: _Rows, m: Array, kind: str) -> tuple[Array, Array | None]:
+    """Natural-gradient blocks of K stacked logistic losses, each at its mean in ``m`` (K, dim).
+
+    The delta method, as :func:`natural_gradient` with :class:`Delta` makes it
+    for each loss alone, bit for bit; the fixed-covariance kinds' natural
+    gradient is the gradient alone, so they skip the Hessian.
+    """
+    if kind in (ISOTROPIC, FIXED):
+        return _prob_grads(rows, _probs(rows, m[:, None]))[:, 0], None
+    g, h = _logistic_moments(rows, m[:, None], kind == DIAG)
+    return _natural_rows(kind, g, h, m, True)
 
 
 def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:

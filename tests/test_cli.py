@@ -1018,11 +1018,27 @@ def test_analytic_delta_and_auto_give_the_same_round_lines(tmp_path):
 
 
 def test_analytic_estimator_refuses_a_logistic_loss(tmp_path, capsys):
+    # The config alone decides it, so it is a config error before any output.
     text = BLOBS_INI.replace("family = diag", "family = full") + "solver = von\nestimator = analytic\n"
     code = main(["run", "--config", write(tmp_path, "analytic.ini", text), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: EstimatorUnsupported: Analytic moments unavailable for MulticlassLogistic" in err
+    assert ("config error: [inner] estimator: analytic needs a loss linear in T, "
+            "and MulticlassLogistic is not") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_conjugate_solver_on_classification_data_is_a_config_error_before_any_output(tmp_path, capsys):
+    text = BLOBS_INI.replace("family = diag", "family = full") + "solver = conjugate\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, "conjugate.ini", text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("config error: [inner] solver: conjugate needs a loss linear in T, "
+            "and MulticlassLogistic is not") in err
+    assert not out.exists()
+    # The same key is fine where no distribution round solves a logistic loss.
+    ivon = BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm") + "solver = conjugate\n"
+    assert main(["run", "--config", write(tmp_path, "ivon.ini", ivon), "--out", str(out)]) == 0
 
 
 def test_a_diag_reparam_run_is_seeded_and_the_delta_method_replaces_it(tmp_path):

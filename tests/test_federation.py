@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bayesadmm.federation as federation_mod
 from bayesadmm.errors import CheckpointError, PrecisionEscape
 from bayesadmm.families import (
     DualVec,
@@ -43,6 +44,7 @@ from bayesadmm.losses import (
     Delta,
     LinearInT,
     Logistic,
+    MulticlassLogistic,
     Quadratic,
     conjugate_coefficient,
     loss_grad,
@@ -583,6 +585,37 @@ def test_runs_identical_across_repeats_and_worker_counts():
     base = scenario_records(workers=1)
     assert scenario_records(workers=1) == base
     assert scenario_records(workers=3) == base
+
+
+def lockstep_scenario(method, repeats, repeat_tol, kind):
+    """A VON round's checkpoint and records after three rounds; client 2 has fewer examples."""
+    rng = np.random.default_rng(7)
+    d, sizes = 2, (12, 12, 9, 12)
+    losses = [MulticlassLogistic(rng.standard_normal((n, d)), rng.integers(0, 3, n), 3) for n in sizes]
+    fam = getattr(Family, kind)(3 * d)
+    prior = NatParam(fam, np.zeros(3 * d), None if kind == "isotropic" else
+                     (np.ones(3 * d) if kind == "diag" else np.eye(3 * d)))
+    server, clients = init_bayes_states(prior, losses, list(sizes), rho=0.8)
+    cfg = MethodConfig(method, inner=InnerConfig(solver="auto", tol=1e-6, steps=15),
+                       client_repeats=repeats, repeat_tol=repeat_tol)
+    result = run_rounds(server, clients, cfg, 3)
+    return json.dumps(checkpoint_to_jsonable(server, clients)), json.dumps(result.records), result.event
+
+
+@pytest.mark.parametrize("method, repeats, repeat_tol, kind", [
+    ("bayes_admm", 1, 0.0, "full"), ("bregman_admm", 1, 0.0, "full"), ("pvi", 1, 0.0, "diag"),
+    ("bayes_admm", 3, 0.0, "diag"), ("bayes_admm", 4, 1e-3, "full"), ("bayes_admm", 2, 0.0, "isotropic"),
+])
+def test_lockstep_rounds_equal_client_by_client_rounds_bit_for_bit(monkeypatch, method, repeats, repeat_tol,
+                                                                   kind):
+    calls = []
+    lockstep = federation_mod.von_lockstep
+    monkeypatch.setattr(federation_mod, "von_lockstep", lambda specs, *a: calls.append(len(specs)) or
+                        lockstep(specs, *a))
+    stacked = lockstep_scenario(method, repeats, repeat_tol, kind)
+    assert calls and max(calls) == 4
+    monkeypatch.setattr(federation_mod, "solves_with_von", lambda *a: False)
+    assert lockstep_scenario(method, repeats, repeat_tol, kind) == stacked
 
 
 def test_run_rounds_reports_divergence_event():

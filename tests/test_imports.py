@@ -74,6 +74,8 @@ def test_a_full_family_run_loads_lapack_in_setup_and_never_scipy_special(tmp_pat
     assert "scipy.linalg._flapack" in seen["at_rounds_entry"]
     assert "scipy.linalg" not in seen["after_run"] and not seen["f2py_after_run"]
     assert not any(m.startswith("scipy.special") for m in seen["after_run"])
+    # The extension module is found through the package's spec; scipy/__init__.py never runs.
+    assert seen["after_run"] == ["scipy.linalg._flapack"]
 
 
 LAPACK_IDENTITY = """
@@ -97,14 +99,17 @@ def test_lapack_routines_are_scipy_linalgs_own_whichever_loads_first(order):
 
 
 def test_a_missing_lapack_extension_is_an_import_error_naming_it(tmp_path):
-    code = ("import sys, scipy\n"
-            f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+    # A scipy package without a linalg directory, found ahead of the real one.
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(tmp_path)!r})\n"
             "from bayesadmm import families\n"
             "try:\n"
             "    families._lapack()\n"
             "except ImportError as exc:\n"
-            "    print(exc.name, 'scipy.linalg' in sys.modules)\n")
-    assert python_c(code).split() == ["scipy.linalg._flapack", "False"]
+            "    print(exc.name, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules)\n")
+    assert python_c(code).split() == ["scipy.linalg._flapack", "False", "False"]
 
 
 def test_a_binary_logistic_loss_loads_scipy_special_when_built():

@@ -372,7 +372,8 @@ def accumulated_mean_moments(loss, thetas, diag):
     The multiclass weights are written as ``-(p p^T)`` plus ``diag(p)``, which
     holds -0.0 wherever a product of probabilities is 0.
     """
-    probs = losses_mod._probs(loss, thetas, loss.X)
+    rows = losses_mod._rows(loss)
+    probs = losses_mod._probs(rows, thetas[None])[0]
     if isinstance(loss, Logistic) or diag:
         weights = np.sum(probs * (1.0 - probs), axis=0)
     else:
@@ -381,8 +382,8 @@ def accumulated_mean_moments(loss, thetas, diag):
         weights[idx, idx] += probs.sum(axis=0)
     count = len(thetas)
     prob_mean = (0.0 + probs.sum(axis=0))[None] / count
-    grad = losses_mod._prob_grads(loss, prob_mean, loss.X, loss.y)[0]
-    return grad, losses_mod._hess(loss, (0.0 + weights) / count, diag)
+    grad = losses_mod._prob_grads(rows, prob_mean[None])[0, 0]
+    return grad, losses_mod._hess(rows, ((0.0 + weights) / count)[None], diag)[0]
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -398,9 +399,10 @@ def test_mean_moments_equal_the_accumulated_average_bit_for_bit(multiclass, diag
     else:
         loss = Logistic(x, (rng.random(30) < 0.5).astype(float), scale=1.3)
     thetas = rng.standard_normal((count, loss.dim))
-    probs = losses_mod._probs(loss, thetas, loss.X)
+    rows = losses_mod._rows(loss)
+    probs = losses_mod._probs(rows, thetas[None])
     assert np.any(probs == 0.0)
-    weights = losses_mod._weight_sum(loss, probs, diag)
+    weights = losses_mod._weight_sum(rows, probs, diag)
     assert not np.any((weights == 0.0) & np.signbit(weights))
     grad, hess = losses_mod._mean_moments(loss, thetas, diag)
     want_grad, want_hess = accumulated_mean_moments(loss, thetas, diag)
@@ -652,7 +654,8 @@ def test_binary_kernels_equal_scipy_special_bit_for_bit():
     x = 6.0 * rng.standard_normal((50, 4))
     loss = Logistic(x, (rng.random(50) < 0.5).astype(float), scale=3.0)
     thetas = rng.standard_normal((7, 4))
-    assert np.array_equal(bits(losses_mod._probs(loss, thetas, loss.X)), bits(expit(thetas @ x.T)))
+    probs = losses_mod._probs(losses_mod._rows(loss), thetas[None])[0]
+    assert np.array_equal(bits(probs), bits(expit(thetas @ x.T)))
     z = x @ thetas[0]
     want = float(-np.sum(loss.y * log_expit(z) + (1.0 - loss.y) * log_expit(-z))) / 3.0
     assert loss_value(loss, thetas[0]) == want
@@ -661,3 +664,26 @@ def test_binary_kernels_equal_scipy_special_bit_for_bit():
     logits = theta.reshape(3, 4) @ x.T
     want = float(np.sum(logsumexp(logits, axis=0) - logits[multi.y, np.arange(50)]))
     assert loss_value(multi, theta) == want
+
+
+@pytest.mark.parametrize("kind", ["diag", "full"])
+def test_natural_gradients_stack_small_losses_and_leave_large_ones_alone(monkeypatch, kind):
+    # Two small losses of one shape share a stack; one above STACK_MAX rows * features is
+    # evaluated alone, so its rows are never copied into a stack.
+    rng = np.random.default_rng(21)
+    n_big = losses_mod.STACK_MAX // 2 + 1
+    losses = [MulticlassLogistic(rng.standard_normal((n, 2)), rng.integers(0, 3, n), 3) for n in (8, 8, n_big)]
+    fam = getattr(Family, kind)(6)
+    lams = [NatParam(fam, 0.1 * rng.standard_normal(6), np.ones(6) if kind == "diag" else np.eye(6))
+            for _ in losses]
+    stacked = []
+    stack_rows = losses_mod._stack_rows
+    monkeypatch.setattr(losses_mod, "_stack_rows",
+                        lambda members, full: stacked.append(len(members)) or stack_rows(members, full))
+    gradients = losses_mod.NaturalGradients(losses, [Delta()] * 3, fam)
+    assert stacked == [2]
+    b1, b2 = gradients.blocks(lams)
+    for k, (loss, lam, ng) in enumerate(zip(losses, lams, gradients.duals(lams))):
+        want = natural_gradient(loss, lam, Delta())
+        for got, ref in ((ng.b1, want.b1), (ng.b2, want.b2), (b1[k], want.b1), (b2[k], want.b2)):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

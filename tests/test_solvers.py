@@ -1,13 +1,17 @@
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bayesadmm.solvers as solvers_mod
 from bayesadmm.errors import (
     EstimatorUnsupported,
     NonFiniteUpdate,
     NonPositivePrecision,
+    PrecisionEscape,
     ResultNotInFamily,
 )
 from bayesadmm.families import (
@@ -40,6 +44,7 @@ from bayesadmm.solvers import (
     solve_conjugate,
     solve_ivon,
     solve_von,
+    solve_von_stack,
 )
 
 
@@ -243,13 +248,18 @@ def test_von_maps_the_server_once_and_each_new_iterate_once(monkeypatch, full3, 
         return coords(lam)
 
     monkeypatch.setattr(NatParam, "coords", counting)
+    # Each new iterate is mapped with the stack's own coordinate map, as a stack of one.
+    stacked = []
+    coords_rows = solvers_mod.coords_rows
+    monkeypatch.setattr(solvers_mod, "coords_rows",
+                        lambda fam, m, prec: stacked.append(m) or coords_rows(fam, m, prec))
     rng = np.random.default_rng(10)
     x = rng.standard_normal((25, 3))
     spec = SubproblemSpec(Logistic(x, (rng.random(25) < 0.5).astype(float)), dual_zero(full3), prior3, rho=0.5)
     _, report = solve_von(spec, steps=12, beta=0.5, estimator=Delta(), tol=0.0)
     assert report.steps == 12 and not report.converged
-    assert mapped[0] is prior3 and len(mapped) == 1 + report.steps
-    assert all(lam is not prior3 for lam in mapped[1:])
+    assert mapped == [prior3] and len(stacked) == report.steps
+    assert all(m.shape == (1, 3) for m in stacked)
 
 
 def test_a_von_solve_unpacks_to_result_and_report_and_reads_its_counts_through(full3, prior3):
@@ -450,3 +460,118 @@ def test_admm_client_iteration_cap_returns_best_iterate():
     theta, report = solve_admm_client(loss, np.zeros(2), np.zeros(2), rho=0.1, steps=2, tol=1e-14)
     assert not report.converged and report.steps == 2 and report.grad_norm > 1e-14
     assert np.all(np.isfinite(theta))
+
+
+# ---------------------------------------------------------------------------
+# VON solves in lockstep
+# ---------------------------------------------------------------------------
+
+
+def same_solve(got, want):
+    """Two solves agree bit for bit: mean, precision, factor and every report field."""
+    (lam, report), (ref, ref_report) = got, want
+    assert (report.steps, report.halvings, report.converged) == (ref_report.steps, ref_report.halvings,
+                                                               ref_report.converged)
+    assert report.grad_norm.hex() == ref_report.grad_norm.hex()
+    for a, b in ((lam.m, ref.m), (lam.prec, ref.prec), (lam._chol, ref._chol)):
+        assert (a is None and b is None) or np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def lone_solves(specs, estimators, **kw):
+    """``solve_von`` of each spec alone: its result, or what it raised."""
+    out = []
+    for spec, est in zip(specs, estimators):
+        try:
+            out.append(solve_von(spec, estimator=est, **kw))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def assert_stack_equals_lone_solves(specs, estimators, **kw):
+    lone = lone_solves(specs, estimators, **kw)
+    failure = next((o for o in lone if isinstance(o, Exception)), None)
+    if failure is not None:
+        with pytest.raises(type(failure), match=re.escape(str(failure))):
+            solve_von_stack(specs, estimator=estimators, **kw)
+        return lone
+    stacked = solve_von_stack(specs, estimator=estimators, **kw)
+    assert len(stacked) == len(specs)
+    for got, want in zip(stacked, lone):
+        same_solve(got, want)
+    return stacked
+
+
+def random_dual(rng, fam, scale, push):
+    """A small random dual; ``push`` > 0 lowers its second block, so that unit steps at a large rho
+    overshoot out of the family and halve."""
+    if fam.kind == "full":
+        second = -scale * random_spd(rng, fam.dim) - push * np.eye(fam.dim)
+        return DualVec(fam, scale * rng.standard_normal(fam.dim), second)
+    second = None if fam.kind == "isotropic" else scale * rng.standard_normal(fam.dim) - push
+    return DualVec(fam, scale * rng.standard_normal(fam.dim), second)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["isotropic", "diag", "full"]), multiclass=st.booleans(),
+       sizes=st.lists(st.sampled_from([6, 9]), min_size=1, max_size=4), sampled=st.booleans(),
+       push=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**16))
+def test_lockstep_solves_equal_lone_solves_bit_for_bit(kind, multiclass, sizes, sampled, push, seed):
+    # Clients with 6 and with 9 examples make two stacks; 3-draw Monte Carlo clients go alone.
+    rng = np.random.default_rng(seed)
+    d = 2
+    fam = getattr(Family, kind)(3 * d if multiclass else d)
+    prec = {"isotropic": None, "diag": rng.uniform(0.5, 2.0, fam.dim)}.get(kind, random_spd(rng, fam.dim))
+    prior = NatParam(fam, 0.3 * rng.standard_normal(fam.dim), prec)
+    specs, estimators = [], []
+    for k, n in enumerate(sizes):
+        x = rng.standard_normal((n, d))
+        loss = (MulticlassLogistic(x, rng.integers(0, 3, n), 3) if multiclass
+                else Logistic(x, (rng.random(n) < 0.5).astype(float)))
+        rho, tau = float(rng.uniform(0.3, 4.0)), float(rng.choice([1.0, 1.5]))
+        specs.append(SubproblemSpec(loss, random_dual(rng, fam, 0.05, push), prior, rho=rho, tau=tau))
+        estimators.append(MonteCarlo(3, seed=seed + k) if sampled else Delta())
+    assert_stack_equals_lone_solves(specs, estimators, steps=8, beta=float(rng.choice([0.5, 1.0])),
+                                    tol=float(rng.choice([0.0, 1e-3])))
+
+
+def halving_specs():
+    """Three diag clients; the quadratic one's first step leaves the family and halves once."""
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((30, 2)), (rng.random(30) < 0.5).astype(float)
+    diag = Family.diag(2)
+    prior = NatParam(diag, np.zeros(2), np.ones(2))
+    return [SubproblemSpec(Logistic(x[:20], y[:20]), dual_zero(diag), prior, rho=0.5),
+            SubproblemSpec(Quadratic(np.diag([-3.0, 1.0]), np.zeros(2)), dual_zero(diag), prior, rho=4.0),
+            SubproblemSpec(Logistic(x[10:], y[10:]), dual_zero(diag), prior, rho=0.5)]
+
+
+def test_a_client_halving_alone_in_a_stack_changes_no_other_client(monkeypatch):
+    rows = []
+    from_dual_rows = solvers_mod.from_dual_rows
+    monkeypatch.setattr(solvers_mod, "from_dual_rows", lambda fam, b1, b2: rows.append(len(b1)) or
+                        from_dual_rows(fam, b1, b2))
+    solved = assert_stack_equals_lone_solves(halving_specs(), [Delta()] * 3, steps=20, beta=0.5, tol=1e-10)
+    assert [report.halvings for _, report in solved] == [0, 1, 0]
+    # The quadratic client converges at step 1 and leaves the stack; the other two take all 20 steps.
+    assert [(r.steps, r.converged) for _, r in solved] == [(20, False), (1, True), (20, False)]
+    # The lone solves step one row at a time; the stack's steps are the rest.
+    assert [r for r in rows if r > 1] == [3] + [2] * 19
+
+
+def test_the_lowest_failing_client_id_is_raised_even_when_a_later_one_fails_first():
+    # Nonconvex quadratics on the diag family: no minimizer in the family, so the precision
+    # shrinks until no halving repairs a step; the steeper one fails sooner.
+    diag = Family.diag(2)
+    prior = NatParam(diag, np.zeros(2), np.ones(2))
+    specs = [SubproblemSpec(Quadratic(np.diag([a, 1.0]), np.zeros(2)), dual_zero(diag), prior, rho=1.0)
+             for a in (-5.0, -1000.0)]
+    lone = lone_solves(specs, [Delta()] * 2, steps=30, beta=0.5, tol=1e-10)
+    assert [str(exc) for exc in lone] == [f"iterate left the family at step {t} and halving did not repair it"
+                                          for t in (6, 1)]
+    with pytest.raises(PrecisionEscape, match="at step 6 "):
+        solve_von_stack(specs, steps=30, beta=0.5, tol=1e-10)
+    fine = halving_specs()[0]
+    outcomes = solvers_mod.von_lockstep([fine] + specs, steps=30, beta=0.5, tol=1e-10)
+    same_solve(outcomes[0], solve_von(fine, steps=30, beta=0.5, tol=1e-10))
+    assert [str(exc) for exc in outcomes[1:]] == [str(exc) for exc in lone]
