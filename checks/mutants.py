@@ -437,7 +437,7 @@ MUTANTS = (
     Mutant(
         "a checkpoint's client lam is not loaded",
         "src/bayesadmm/federation.py",
-        "            client.lam = nat_from_jsonable(fam, rec[\"lam\"])\n",
+        "            client.lam = nat_from_jsonable(fam, rec[\"lam\"], xor=server.lam_g)\n",
         "",
         ("tests/test_federation.py::test_checkpoint_roundtrip",
          "tests/test_cli.py::test_verify_rebuilds_the_run_residuals"),
@@ -454,8 +454,8 @@ MUTANTS = (
     Mutant(
         "the writer stores the lower triangle row by row",
         "src/bayesadmm/families.py",
-        "        a = a[_upper_indices(a.shape[0])]\n",
-        "        a = a[np.tril_indices(a.shape[0])]\n",
+        "        cut = _upper_indices(a.shape[0])\n",
+        "        cut = np.tril_indices(a.shape[0])\n",
         ("tests/test_families.py::test_triangle_codec_stores_the_upper_triangle_row_by_row_and_mirrors_it",
          "tests/test_cli.py::test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit"
          "[ridge-conjugate]"),
@@ -466,18 +466,26 @@ MUTANTS = (
         """    if len(raw) != 8 * count:
         what = "array" if triangle is None else "upper triangle"
         raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    cut = ... if triangle is None else _upper_indices(shape[0])
+    flat = np.frombuffer(raw, dtype="<u8")
+    if xor is not None:
+        flat = flat ^ np.asarray(xor, dtype="<f8")[cut].ravel().view("<u8")
+    flat = flat.view("<f8").astype(float)
     if triangle is None:
 """,
         """    if len(raw) not in (8 * count, 8 * math.prod(shape)):
         what = "array" if triangle is None else "upper triangle"
         raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    cut = ... if triangle is None or len(raw) != 8 * count else _upper_indices(shape[0])
+    flat = np.frombuffer(raw, dtype="<u8")
+    if xor is not None:
+        flat = flat ^ np.asarray(xor, dtype="<f8")[cut].ravel().view("<u8")
+    flat = flat.view("<f8").astype(float)
     if triangle is None or len(flat) != count:
 """,
         ("tests/test_families.py::test_triangle_codec_rejects_what_it_did_not_write[full-square]",
          "tests/test_cli.py::test_verify_rejects_a_full_block_that_is_not_its_upper_triangle"
-         "[lam-S-format-2-square-with-marker]"),
+         "[lam_g-S-format-2-square-with-marker]"),
     ),
     Mutant(
         "run and sweep record no fixed-point residuals",
@@ -560,6 +568,63 @@ MUTANTS = (
         " and loss.X.size <= STACK_MAX\n",
         "\n",
         ("tests/test_losses.py::test_natural_gradients_stack_small_losses_and_leave_large_ones_alone",),
+    ),
+    Mutant(
+        "decoding a client block skips the XOR",
+        "src/bayesadmm/families.py",
+        "        flat = flat ^ np.asarray(xor, dtype=\"<f8\")[cut].ravel().view(\"<u8\")\n",
+        "        flat = flat.copy()\n",
+        ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[full-every-word]",),
+    ),
+    Mutant(
+        "decoding a client's precision XORs against the server's mean",
+        "src/bayesadmm/families.py",
+        "_block_from_jsonable(fam, data, key, None if xor is None else xor.prec)",
+        "_block_from_jsonable(fam, data, key, None if xor is None else xor.m)",
+        ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[diag-every-word]",),
+    ),
+    Mutant(
+        "the decoded byte count is not checked",
+        "src/bayesadmm/families.py",
+        """    if len(raw) != 8 * count:
+        what = "array" if triangle is None else "upper triangle"
+        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
+""",
+        "",
+        ("tests/test_families.py::test_xor_codec_rejects_a_bad_stream_or_length[short]",),
+    ),
+    Mutant(
+        "a loaded checkpoint sets eta0 to dual_zero",
+        "src/bayesadmm/federation.py",
+        "            server.lam_g = nat_from_jsonable(fam, data[\"lam_g\"])\n",
+        "            server.lam_g = nat_from_jsonable(fam, data[\"lam_g\"])\n"
+        "            server.eta0 = dual_zero(fam)\n",
+        ("tests/test_federation.py::test_checkpoint_roundtrip",
+         "tests/test_cli.py::test_verify_rebuilds_the_run_residuals[ridge]"),
+    ),
+    Mutant(
+        "checkpoint_from_jsonable accepts any rounds_completed",
+        "src/bayesadmm/federation.py",
+        "    if type(done) is not int or done < 0:\n",
+        "    if done is None:\n",
+        ("tests/test_federation.py::test_a_checkpoints_rounds_completed_must_be_a_count",),
+    ),
+    Mutant(
+        "an engine's error propagates out of run_rounds",
+        "src/bayesadmm/federation.py",
+        """        except Exception as exc:
+            failure = event("failure", type(exc).__name__, str(exc), phase="round")
+            return stop(failure, first_event is not None, exc)
+""",
+        "",
+        ("tests/test_cli.py::test_run_keeps_its_record_when_an_engine_raises",),
+    ),
+    Mutant(
+        "the checkpoint counts a round whose metric failed as not committed",
+        "src/bayesadmm/cli.py",
+        "result.rounds_committed)",
+        "result.rounds_completed)",
+        ("tests/test_cli.py::test_run_streams_the_trace_before_a_failing_metric",),
     ),
     Mutant(
         "a conjugate solver on classification data fails only in round 0",

@@ -17,14 +17,25 @@ on its checkpoint, in a directory of its own with the same relative paths,
 BLAS on one thread.  The two sides' exit codes, stdout, stderr,
 ``trace.jsonl``, ``summary.json`` and ``checkpoint.json`` must be equal,
 except that source paths and line numbers in numpy warnings and tracebacks
-are masked.  Each case prints ``same`` or ``DIFF`` with the first differing
-output.  Exit 0 when no case differs, 1 when one does.
+are masked.
+
+When both sides wrote a checkpoint and the two carry different ``format``
+values, their bytes are not compared.  Instead each tree decodes its own ``checkpoint.json``
+with its own package into the states ``cli._assemble`` rebuilds from the
+stored config, and dumps every state array's raw bytes and the checkpoint's
+other keys (``DECODE``); both decoders must exit 0, and the dumps must be
+equal.  So a change of the checkpoint's encoding must keep every stored
+state bit for bit.
+
+Each case prints ``same`` or ``DIFF`` with the first differing output.
+Exit 0 when no case differs, 1 when one does.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import re
 import shutil
@@ -74,6 +85,38 @@ TEST_CONFIGS = (
     ("IVON_BLOWUP", "IVON_BLOWUP_INI", {}),
     ("RIDGE_WIDE", "RIDGE_WIDE_INI", {}),
 )
+
+# Run in a side's directory with its tree's package: decode out/checkpoint.json into the states
+# its stored config builds, then write every state array's name, shape and raw bytes, and the
+# checkpoint's keys that hold no state, as sorted JSON.
+DECODE = r"""
+import json, sys
+from bayesadmm.cli import _assemble, _resolve
+from bayesadmm.federation import checkpoint_from_jsonable
+
+
+def blocks(value):
+    if hasattr(value, "prec"):
+        return {"m": value.m, "prec": value.prec}
+    if hasattr(value, "b1"):
+        return {"b1": value.b1, "b2": value.b2}
+    return {"": value}
+
+
+with open("out/checkpoint.json") as fh:
+    data = json.load(fh)
+setup = _assemble(_resolve(data["config"]))
+checkpoint_from_jsonable(data, setup.server, setup.clients)
+out = sys.stdout.buffer
+for owner, state in [("server", setup.server)] + [(f"client {c.id}", c) for c in setup.clients]:
+    for field in ("lam_g", "eta0", "theta_g", "lam", "eta", "theta", "v"):
+        for part, a in blocks(getattr(state, field, None)).items():
+            out.write(f"{owner} {field} {part} {None if a is None else list(a.shape)}\n".encode())
+            if a is not None:
+                out.write(a.astype("<f8").tobytes() + b"\n")
+kept = ("format", "rounds_completed", "lam_g", "eta0", "theta_g", "clients")
+out.write(json.dumps({k: v for k, v in data.items() if k not in kept}, sort_keys=True).encode())
+"""
 
 # A numpy warning names the source file and line; a traceback frame does too.
 _WARNING = re.compile(r"[^\s\"']*/bayesadmm/(\w+\.py):\d+:")
@@ -166,21 +209,43 @@ def run_side(tree: str, side_dir: str, config: str, idx_seed: int | None) -> lis
     return outputs
 
 
+def checkpoint_format(outputs: list[tuple[str, bytes]]):
+    """The ``format`` of a side's ``checkpoint.json``; ``None`` when it has none or is missing."""
+    text = dict(outputs)["checkpoint.json"]
+    return None if text == b"<missing>" else json.loads(text).get("format")
+
+
+def decoded_state(tree: str, side_dir: str) -> list[tuple[str, bytes]]:
+    """``DECODE`` run on a side's checkpoint with its own tree's package."""
+    proc = subprocess.run([sys.executable, "-c", DECODE], cwd=side_dir, env=tree_env(tree),
+                          capture_output=True)
+    return [("decoded state exit code", str(proc.returncode).encode()),
+            ("decoded state", proc.stdout), ("decoded state stderr", mask(proc.stderr))]
+
+
 def compare(case: tuple, parent: str, work: str) -> tuple[str, str | None, str]:
     """(case name, first differing output or None, the change's exit codes)."""
     name, config, idx_seed = case
     case_dir = tempfile.mkdtemp(prefix="case-", dir=work)
+    sides = ((parent, os.path.join(case_dir, "parent")), (ROOT, os.path.join(case_dir, "change")))
     try:
-        theirs = run_side(parent, os.path.join(case_dir, "parent"), config, idx_seed)
-        ours = run_side(ROOT, os.path.join(case_dir, "change"), config, idx_seed)
+        theirs, ours = (run_side(tree, side_dir, config, idx_seed) for tree, side_dir in sides)
+        formats = checkpoint_format(theirs), checkpoint_format(ours)
+        decode = None not in formats and formats[0] != formats[1]
+        if decode:
+            theirs, ours = ([o for o in outputs if o[0] != "checkpoint.json"] + decoded_state(*side)
+                            for outputs, side in zip((theirs, ours), sides))
     finally:
         shutil.rmtree(case_dir, ignore_errors=True)
-    differs = None
     if [n for n, _ in theirs] != [n for n, _ in ours]:
         differs = "the set of outputs (verify ran on one side only)"
+    elif any(dict(outputs).get("decoded state exit code", b"0") != b"0" for outputs in (theirs, ours)):
+        differs = "decoded state exit code (a decoder failed, so no state was compared)"
     else:
         differs = next((n for (n, a), (_, b) in zip(theirs, ours) if a != b), None)
     codes = ", ".join(f"{n} {v.decode()}" for n, v in ours if n.endswith("exit code"))
+    if decode:
+        codes += f"; checkpoint format {formats[0]} -> {formats[1]}, decoded states compared"
     return name, differs, codes
 
 

@@ -449,7 +449,7 @@ def cmd_run(args) -> int:
         "final": {k: _sanitize(v) for k, v in (result.records[-1].items() if result.records else [])},
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary, indent=2)
-    checkpoint = checkpoint_to_jsonable(setup.server, setup.clients)
+    checkpoint = checkpoint_to_jsonable(setup.server, setup.clients, result.rounds_committed)
     checkpoint.update(config=conf, config_hash=config_hash, data_sha256=data_sha256)
     _write_json(os.path.join(out_dir, "checkpoint.json"), checkpoint)
     if args.svg:  # a run with neither metric has no points, so no chart

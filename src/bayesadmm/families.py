@@ -26,6 +26,7 @@ import functools
 import math
 import os
 import sys
+import zlib
 from dataclasses import dataclass, field, fields
 from importlib import machinery, util
 
@@ -749,24 +750,45 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def array_to_jsonable(a: Array, triangle: bool = False) -> dict:
+# The one encoding of an array stored against a reference array of its shape.
+XOR_DEFLATE = "xor-deflate"
+
+
+def array_to_jsonable(a: Array, triangle: bool = False, xor: Array | None = None) -> dict:
     """``{"dtype": "<f8", "shape", "b64"}``: little-endian float64 bytes in C order, base64.
 
     With ``triangle``, a square ``a`` keeps only its upper triangle, row by row
     with the diagonal, marked ``"triangle": "upper"``; :func:`array_from_jsonable`
-    mirrors it back, bit for bit when ``a`` is symmetric bit for bit.
+    mirrors it back, bit for bit when ``a`` is symmetric bit for bit.  With
+    ``xor``, an array of ``a``'s shape cut the same way, the stored words are
+    the bitwise XOR of ``a``'s float64 words with ``xor``'s, deflated by zlib
+    at level 1 and marked ``"encoding": "xor-deflate"``: near-copies of
+    ``xor`` deflate to a few bytes.
     """
     a = np.ascontiguousarray(a, dtype="<f8")
     out = {"dtype": "<f8", "shape": list(a.shape)}
+    cut = ...
     if triangle:
         out["triangle"] = "upper"
-        a = a[_upper_indices(a.shape[0])]
-    out["b64"] = base64.b64encode(a.tobytes()).decode("ascii")
+        cut = _upper_indices(a.shape[0])
+    if xor is None:
+        raw = a[cut].tobytes()
+    else:
+        ref = np.asarray(xor, dtype="<f8")
+        if ref.shape != a.shape:
+            raise ValueError(f"reference of shape {ref.shape} for an array of shape {a.shape}")
+        raw = zlib.compress((a[cut].view("<u8") ^ ref[cut].view("<u8")).tobytes(), 1)
+        out["encoding"] = XOR_DEFLATE
+    out["b64"] = base64.b64encode(raw).decode("ascii")
     return out
 
 
-def array_from_jsonable(data: dict) -> Array:
-    """Inverse of :func:`array_to_jsonable`; a writable copy, bit for bit."""
+def array_from_jsonable(data: dict, xor: Array | None = None) -> Array:
+    """Inverse of :func:`array_to_jsonable`; a writable copy, bit for bit.
+
+    ``xor`` is the reference an ``"xor-deflate"`` array was stored against, and
+    such an array is the only kind read with one.
+    """
     if not isinstance(data, dict) or data.get("dtype") != "<f8":
         raise ValueError("expected an array encoded as {'dtype': '<f8', 'shape': ..., 'b64': ...}")
     shape = tuple(int(n) for n in data["shape"])
@@ -777,15 +799,31 @@ def array_from_jsonable(data: dict) -> Array:
         count = shape[0] * (shape[0] + 1) // 2
     else:
         raise ValueError(f"triangle {triangle!r} of shape {shape} is not the upper triangle of a square")
+    encoding, want = data.get("encoding"), None if xor is None else XOR_DEFLATE
+    if encoding != want:
+        if encoding == XOR_DEFLATE:
+            raise ValueError(f"an {XOR_DEFLATE!r} array has no reference array to XOR against")
+        raise ValueError(f"encoding {encoding!r} is not {want or 'plain'!r}")
     raw = base64.b64decode(data["b64"], validate=True)
+    if xor is not None:
+        if xor.shape != shape:
+            raise ValueError(f"shape {shape} is not the reference's {xor.shape}")
+        try:
+            raw = zlib.decompress(raw)
+        except zlib.error as exc:
+            raise ValueError(f"corrupt or truncated deflate stream: {exc}") from None
     if len(raw) != 8 * count:
         what = "array" if triangle is None else "upper triangle"
         raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    cut = ... if triangle is None else _upper_indices(shape[0])
+    flat = np.frombuffer(raw, dtype="<u8")
+    if xor is not None:
+        flat = flat ^ np.asarray(xor, dtype="<f8")[cut].ravel().view("<u8")
+    flat = flat.view("<f8").astype(float)
     if triangle is None:
         return flat.reshape(shape)
     out = np.empty(shape)
-    rows, cols = _upper_indices(shape[0])
+    rows, cols = cut
     out[rows, cols] = flat
     out[cols, rows] = flat
     return out
@@ -804,35 +842,41 @@ def _upper_indices(d: int) -> tuple[Array, Array]:
 _JSON_KEYS = {DIAG: ("s", "u"), FULL: ("S", "V")}
 
 
-def _second_to_jsonable(fam: Family, block: Array) -> dict:
-    return array_to_jsonable(block, triangle=fam.kind == FULL)
+def _second_to_jsonable(fam: Family, block: Array, xor: Array | None = None) -> dict:
+    return array_to_jsonable(block, triangle=fam.kind == FULL, xor=xor)
 
 
-def _second_from_jsonable(fam: Family, data: dict, key: str) -> Array:
-    """The second block stored under ``key``; a ``ValueError`` names ``key``."""
+def _block_from_jsonable(fam: Family, data: dict, key: str, xor: Array | None = None) -> Array:
+    """The first (``m``/``v``) or second block stored under ``key``; a ``ValueError`` names ``key``."""
     block = data[key]
+    second = key not in ("m", "v")
     try:
-        if fam.kind == FULL and (not isinstance(block, dict) or block.get("triangle") != "upper"):
+        if second and fam.kind == FULL and (not isinstance(block, dict) or block.get("triangle") != "upper"):
             raise ValueError("a full family's block must be stored with 'triangle': 'upper'")
-        out = array_from_jsonable(block)
-        if out.shape != _second_shape(fam):
-            raise ValueError(f"shape {out.shape} is not {_second_shape(fam)}")
+        out = array_from_jsonable(block, xor)
+        shape = _second_shape(fam) if second else (fam.dim,)
+        if out.shape != shape:
+            raise ValueError(f"shape {out.shape} is not {shape}")
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
     return out
 
 
-def nat_to_jsonable(lam: NatParam) -> dict:
-    out = {"m": array_to_jsonable(lam.m)}
+def nat_to_jsonable(lam: NatParam, xor: NatParam | None = None) -> dict:
+    """``lam``'s blocks; with ``xor``, each stored ``"xor-deflate"`` against ``xor``'s block under its key."""
+    out = {"m": array_to_jsonable(lam.m, xor=None if xor is None else xor.m)}
     if lam.fam.two_block:
-        out[_JSON_KEYS[lam.fam.kind][0]] = _second_to_jsonable(lam.fam, lam.prec)
+        key = _JSON_KEYS[lam.fam.kind][0]
+        out[key] = _second_to_jsonable(lam.fam, lam.prec, None if xor is None else xor.prec)
     return out
 
 
-def nat_from_jsonable(fam: Family, data: dict) -> NatParam:
-    m = array_from_jsonable(data["m"])
+def nat_from_jsonable(fam: Family, data: dict, xor: NatParam | None = None) -> NatParam:
+    """Inverse of :func:`nat_to_jsonable`, given the same ``xor``."""
+    m = _block_from_jsonable(fam, data, "m", None if xor is None else xor.m)
     if fam.two_block:
-        return NatParam(fam, m, _second_from_jsonable(fam, data, _JSON_KEYS[fam.kind][0]))
+        key = _JSON_KEYS[fam.kind][0]
+        return NatParam(fam, m, _block_from_jsonable(fam, data, key, None if xor is None else xor.prec))
     return NatParam(fam, m)
 
 
@@ -844,7 +888,7 @@ def dual_to_jsonable(dual: DualVec) -> dict:
 
 
 def dual_from_jsonable(fam: Family, data: dict) -> DualVec:
-    v = array_from_jsonable(data["v"])
+    v = _block_from_jsonable(fam, data, "v")
     if fam.two_block:
-        return DualVec(fam, v, -0.5 * _second_from_jsonable(fam, data, _JSON_KEYS[fam.kind][1]))
+        return DualVec(fam, v, -0.5 * _block_from_jsonable(fam, data, _JSON_KEYS[fam.kind][1]))
     return DualVec(fam, v)

@@ -655,6 +655,12 @@ class RunResult:
         return len(self.records)
 
     @property
+    def rounds_committed(self) -> int:
+        """Rounds whose engine step committed: one more than :attr:`rounds_completed` after the
+        engine committed a round whose metrics or verification then failed."""
+        return len(self.records) + int(self.failed and self.event["phase"] != "round")
+
+    @property
     def failed(self) -> bool:
         return self.error is not None
 
@@ -671,7 +677,9 @@ def run_rounds(
 ) -> RunResult:
     """Drive an engine for up to ``n_rounds``; divergence becomes a trace event.
 
-    After each round, ``metrics_fn(server, clients)`` and then
+    An engine that raises anything other than a divergence ends the run with
+    a ``failure`` event of phase ``round``; the states stay as the last round
+    committed them.  After each round, ``metrics_fn(server, clients)`` and then
     ``verify_fn(server, clients)`` return values for its record.  If either
     raises any exception, a package error such as :class:`DegenerateMoment`
     included, the run ends with a ``failure`` event naming the round, the
@@ -697,6 +705,9 @@ def run_rounds(
             info = engine(server, clients, cfg, rnd, base_seed)
         except (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape) as exc:
             return stop(event("divergence", type(exc).__name__, str(exc)), True)
+        except Exception as exc:
+            failure = event("failure", type(exc).__name__, str(exc), phase="round")
+            return stop(failure, first_event is not None, exc)
         record = {"round": rnd, "method": cfg.method, **info}
         metric_values: dict = {}
         for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
@@ -728,25 +739,31 @@ def run_rounds(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# Version of the checkpoint layout; format 3 stores every array through
+# Version of the checkpoint layout; format 4 stores every array through
 # ``families.array_to_jsonable``, a full family's ``S`` and ``V`` blocks as their
-# upper triangles.  No other format is read.
-CHECKPOINT_FORMAT = 3
+# upper triangles, and each client's ``lam`` blocks "xor-deflate" against the
+# server's ``lam_g``.  No other format is read.
+CHECKPOINT_FORMAT = 4
 
 
-def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState]) -> dict:
-    """Server and client state only; the config that built them is the caller's to store."""
-    out: dict = {"format": CHECKPOINT_FORMAT}
+def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], rounds_completed: int) -> dict:
+    """Server and client state only; the config that built them is the caller's to store.
+
+    ``rounds_completed`` counts the rounds whose state this is (a run's
+    :attr:`RunResult.rounds_committed`).  ``eta0`` is not stored: the
+    config's prior determines it, and no round changes it.
+    """
+    out: dict = {"format": CHECKPOINT_FORMAT, "rounds_completed": rounds_completed}
     if server.fam is not None:
         out["lam_g"] = nat_to_jsonable(server.lam_g)
-        out["eta0"] = dual_to_jsonable(server.eta0)
     if server.theta_g is not None:
         out["theta_g"] = array_to_jsonable(server.theta_g)
     records = []
     for c in clients:
         rec: dict = {"id": c.id}
         if c.lam is not None:
-            rec["lam"] = nat_to_jsonable(c.lam)
+            # At the fixed point every client's lam equals lam_g, so their XOR deflates to almost nothing.
+            rec["lam"] = nat_to_jsonable(c.lam, xor=server.lam_g)
             rec["eta"] = dual_to_jsonable(c.eta)
         if c.theta is not None:
             rec["theta"] = array_to_jsonable(c.theta)
@@ -764,22 +781,35 @@ def require_checkpoint_format(data: dict) -> None:
                               "format this version reads; write a new checkpoint with this version")
 
 
-def checkpoint_from_jsonable(data: dict, server: ServerState, clients: list[ClientState]) -> None:
-    """Load :func:`checkpoint_to_jsonable`'s state into the server and clients a config built."""
+def checkpoint_from_jsonable(data: dict, server: ServerState, clients: list[ClientState]) -> int:
+    """Load :func:`checkpoint_to_jsonable`'s state into the server and clients a config built.
+
+    Returns the stored ``rounds_completed``.  The server keeps the ``eta0`` it
+    was built with.  A malformed array is a :class:`CheckpointError` that
+    names its record and key.
+    """
     require_checkpoint_format(data)
+    done = data.get("rounds_completed")
+    if type(done) is not int or done < 0:
+        raise CheckpointError(f"checkpoint rounds_completed {done!r} is not an int >= 0")
     ids = [int(rec["id"]) for rec in data["clients"]]
     if ids != list(range(len(clients))):
         raise CheckpointError(f"checkpoint client ids {ids} are not the {len(clients)} rebuilt clients")
     fam = server.fam
-    if fam is not None:
-        server.lam_g = nat_from_jsonable(fam, data["lam_g"])
-        server.eta0 = dual_from_jsonable(fam, data["eta0"])
-    else:
-        server.theta_g = array_from_jsonable(data["theta_g"])
-    for client, rec in zip(clients, data["clients"]):
+    where = "lam_g" if fam is not None else "theta_g"
+    try:
         if fam is not None:
-            client.lam = nat_from_jsonable(fam, rec["lam"])
-            client.eta = dual_from_jsonable(fam, rec["eta"])
+            server.lam_g = nat_from_jsonable(fam, data["lam_g"])
         else:
-            client.theta = array_from_jsonable(rec["theta"])
-            client.v = array_from_jsonable(rec["v"])
+            server.theta_g = array_from_jsonable(data["theta_g"])
+        for client, rec in zip(clients, data["clients"]):
+            where = f"clients[{client.id}]"
+            if fam is not None:
+                client.lam = nat_from_jsonable(fam, rec["lam"], xor=server.lam_g)
+                client.eta = dual_from_jsonable(fam, rec["eta"])
+            else:
+                client.theta = array_from_jsonable(rec["theta"])
+                client.v = array_from_jsonable(rec["v"])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {where}: {exc}") from exc
+    return done

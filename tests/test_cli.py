@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -677,8 +678,11 @@ def test_verify_rejects_a_list_array_checkpoint_without_a_format(tmp_path, monke
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
     del data["format"]
+    lam_g = {key: array_from_jsonable(block) for key, block in data["lam_g"].items()}
+    for rec in data["clients"]:
+        rec["lam"] = {key: array_from_jsonable(block, lam_g[key]).tolist() for key, block in rec["lam"].items()}
 
-    def as_lists(node):  # the float-list arrays of the previous format
+    def as_lists(node):  # the float-list arrays of the formats before 3
         if isinstance(node, dict):
             if "b64" in node:
                 return array_from_jsonable(node).tolist()
@@ -686,7 +690,7 @@ def test_verify_rejects_a_list_array_checkpoint_without_a_format(tmp_path, monke
         return [as_lists(v) for v in node] if isinstance(node, list) else node
 
     path.write_text(json.dumps(as_lists(data)))
-    assert "checkpoint format None is not 3" in verify_error(capsys, out)
+    assert "checkpoint format None is not 4" in verify_error(capsys, out)
 
 
 @pytest.mark.parametrize("edit, want", [
@@ -721,16 +725,72 @@ def triangle(a, count=None, **edit):
     (lambda a: triangle(a, shape=[10, 11]),
      "triangle 'upper' of shape (10, 11) is not the upper triangle of a square"),
 ], ids=["byte-count", "format-2-square-with-marker", "format-2-square", "shape", "not-square"])
-@pytest.mark.parametrize("record, key", [("lam", "S"), ("eta", "V")])
+@pytest.mark.parametrize("record, key", [("lam_g", "S"), ("eta", "V")])
 def test_verify_rejects_a_full_block_that_is_not_its_upper_triangle(tmp_path, monkeypatch, capsys,
                                                                      edit, want, record, key):
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
-    block = data["clients"][1][record]
+    block = data[record] if record == "lam_g" else data["clients"][1][record]
     block[key] = edit(array_from_jsonable(block[key]))
     path.write_text(json.dumps(data))
     assert f"{key}: {want}" in verify_error(capsys, out)
+
+
+def rewritten(block, edit):
+    """``block`` with its stored bytes replaced by ``edit(bytes)``."""
+    return {**block, "b64": base64.b64encode(edit(base64.b64decode(block["b64"]))).decode("ascii")}
+
+
+def redeflated(edit):
+    """An edit of a deflated block: ``edit`` applied to its XOR words, deflated again."""
+    return lambda raw: zlib.compress(edit(zlib.decompress(raw)), 1)
+
+
+@pytest.mark.parametrize("key, edit, want", [
+    ("S", lambda b: rewritten(b, lambda raw: raw[:-4]), "S: corrupt or truncated deflate stream"),
+    ("m", lambda b: rewritten(b, lambda raw: raw[:len(raw) // 2]), "m: corrupt or truncated deflate stream"),
+    ("S", lambda b: rewritten(b, lambda raw: b"\x00" + raw[1:]),
+     "S: corrupt or truncated deflate stream: Error -3 while decompressing data: incorrect header check"),
+    ("S", lambda b: rewritten(b, redeflated(lambda words: words[:-8])),
+     "S: upper triangle of shape (10, 10) needs 440 bytes, got 432"),
+    ("m", lambda b: rewritten(b, redeflated(lambda words: words + words[:8])),
+     "m: array of shape (10,) needs 80 bytes, got 88"),
+    ("S", lambda b: {k: v for k, v in b.items() if k != "encoding"}, "S: encoding None is not 'xor-deflate'"),
+    ("m", lambda b: array_to_jsonable(np.zeros(10)), "m: encoding None is not 'xor-deflate'"),
+], ids=["truncated", "truncated-m", "corrupt", "short", "long-m", "unmarked", "plain-m"])
+def test_verify_rejects_a_corrupt_client_block_naming_its_key(tmp_path, monkeypatch, capsys, key, edit, want):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    lam = data["clients"][1]["lam"]
+    lam[key] = edit(lam[key])
+    path.write_text(json.dumps(data))
+    assert f"CheckpointError: checkpoint clients[1]: {want}" in verify_error(capsys, out)
+
+
+@pytest.mark.parametrize("drop", ["lam_g", "S"])
+def test_verify_rejects_client_blocks_without_a_server_block_to_xor_against(tmp_path, monkeypatch, capsys,
+                                                                           drop):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    path = out / "checkpoint.json"
+    data = json.loads(path.read_text())
+    del (data if drop == "lam_g" else data["lam_g"])[drop]
+    path.write_text(json.dumps(data))
+    assert f"KeyError({drop!r})" in verify_error(capsys, out)
+
+
+def test_a_converged_runs_client_blocks_deflate_against_the_server(tmp_path, monkeypatch):
+    out = run_for_verify(tmp_path, monkeypatch, "ridge")
+    data = json.loads((out / "checkpoint.json").read_text())
+    assert data["rounds_completed"] == 3 and "eta0" not in data
+    server = data["lam_g"]
+    for rec in data["clients"]:
+        assert set(rec["lam"]) == set(server) == {"m", "S"}
+        for key, block in rec["lam"].items():
+            assert block["encoding"] == "xor-deflate" and "encoding" not in server[key]
+        assert len(rec["lam"]["S"]["b64"]) < len(server["S"]["b64"]) / 10
+        assert all("encoding" not in block for block in rec["eta"].values())
 
 
 FULL_CASES = {
@@ -760,29 +820,31 @@ def test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit
     committed = []
     real = cli.checkpoint_to_jsonable
 
-    def capture(server, clients):
-        committed.append((server, clients))
-        return real(server, clients)
+    def capture(server, clients, rounds):
+        committed.append((server, clients, rounds))
+        return real(server, clients, rounds)
 
     monkeypatch.setattr(cli, "checkpoint_to_jsonable", capture)
     # bregman_admm on blobs leaves the family in round 0: a divergence, exit 2.
     assert main(["run", "--config", write(tmp_path, "full.ini", text),
                  "--out", str(tmp_path / "out")]) in (0, 2)
-    server, clients = committed[0]
+    server, clients, rounds = committed[0]
+    eta0 = server.eta0
 
     def arrays():
-        out = [server.lam_g.m, server.lam_g.prec, server.eta0.v, server.eta0.u]
+        out = [server.lam_g.m, server.lam_g.prec]
         for c in clients:
             out += [c.lam.m, c.lam.prec, c.eta.v, c.eta.u]
         return out
 
     before = arrays()
-    for block in before[1::2]:
+    for block in (eta0.u, *before[1::2]):
         bits = block.view(np.uint64)
         assert block.shape == (server.fam.dim,) * 2 and np.array_equal(bits, bits.T)
-    data = json.loads(json.dumps(real(server, clients)))
+    data = json.loads(json.dumps(real(server, clients, rounds)))
     assert data["lam_g"]["S"]["triangle"] == data["clients"][0]["eta"]["V"]["triangle"] == "upper"
-    checkpoint_from_jsonable(data, server, clients)
+    assert checkpoint_from_jsonable(data, server, clients) == rounds
+    assert server.eta0 is eta0  # the config's prior, never stored
     after = arrays()
     assert all(a is not b for a, b in zip(after, before))
     for got, want in zip(after, before):
@@ -855,6 +917,42 @@ def assert_verify_failure_keeps_the_record(tmp_path, monkeypatch, error):
     assert committed_state(tmp_path / "out") == committed_state(tmp_path / "one")
 
 
+def test_run_keeps_its_record_when_an_engine_raises(tmp_path, monkeypatch, capsys):
+    import bayesadmm.federation as federation
+    from bayesadmm.errors import DegenerateMoment
+
+    two = write(tmp_path, "two.ini", PROP2_INI.replace("rounds = 3", "rounds = 2"))
+    assert main(["run", "--config", two, "--out", str(tmp_path / "two")]) == 0
+    calls = []
+    real = federation.solve_conjugate
+
+    def failing(spec):
+        calls.append(None)
+        if len(calls) == 5:  # two clients a round: round 2's first client step
+            raise DegenerateMoment("implied covariance is not positive definite")
+        return real(spec)
+
+    monkeypatch.setattr(federation, "solve_conjugate", failing)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    five = write(tmp_path, "five.ini", PROP2_INI.replace("rounds = 3", "rounds = 5"))
+    assert main(["run", "--config", five, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "in failing" in err
+    assert err.endswith("error: round 2 round: DegenerateMoment: implied covariance is not positive definite\n")
+    lines = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert [line["type"] for line in lines] == ["header", "round", "round"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["event"] == {"type": "failure", "round": 2, "method": "bayes_admm", "phase": "round",
+                                "reason": "DegenerateMoment",
+                                "detail": "implied covariance is not positive definite"}
+    assert summary["rounds_completed"] == 2 and not summary["diverged"]
+    # The checkpoint holds the state round 1 committed, as a two-round run leaves it.
+    assert committed_state(out)["rounds_completed"] == 2
+    assert committed_state(out) == committed_state(tmp_path / "two")
+    assert main(["verify", str(out / "checkpoint.json")]) == 0
+
+
 def test_run_keeps_its_record_when_verify_raises(tmp_path, monkeypatch):
     assert_verify_failure_keeps_the_record(tmp_path, monkeypatch, ZeroDivisionError("verifier failed"))
 
@@ -891,9 +989,10 @@ def test_verify_rejects_a_checkpoint_with_an_infinite_precision(tmp_path, monkey
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
-    prec = array_from_jsonable(data["clients"][0]["lam"]["S"])
+    server_prec = array_from_jsonable(data["lam_g"]["S"])
+    prec = array_from_jsonable(data["clients"][0]["lam"]["S"], server_prec)
     prec[0, 0] = np.inf
-    data["clients"][0]["lam"]["S"] = array_to_jsonable(prec, triangle=True)
+    data["clients"][0]["lam"]["S"] = array_to_jsonable(prec, triangle=True, xor=server_prec)
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1

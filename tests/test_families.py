@@ -2,6 +2,7 @@ import base64
 import copy
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -729,6 +730,79 @@ def test_triangle_codec_rejects_what_it_did_not_write(edit, message):
     data = {**array_to_jsonable(np.eye(3), triangle=True), **edit}
     with pytest.raises(ValueError, match=message):
         array_from_jsonable(data)
+
+
+def xor_pair(kind: str, case: str) -> tuple[NatParam, NatParam]:
+    """A server's and a client's natural parameter of one ``kind`` for an XOR-codec ``case``."""
+    rng = np.random.default_rng(33)
+    fam = Family(kind, 4)
+    server = random_nat(rng, fam)
+    if case == "equal":
+        return server, NatParam(fam, server.m.copy(), None if server.prec is None else server.prec.copy())
+    if case == "every-word":  # a new sign bit in every mean word, a new exponent in every precision word
+        return server, NatParam(fam, -server.m, None if server.prec is None else 2.0 * server.prec)
+    # -0.0 where the server holds +0.0, and subnormal entries on both sides.
+    server = NatParam(fam, np.array([0.0, -5e-324, 1.0, 2.0]), server.prec)
+    m = np.array([-0.0, 5e-324, 1.0, -5e-324])
+    if kind == "diag":
+        return server, NatParam(fam, m, np.array([5e-324, 1.0, 2.0, 3.0]))
+    if kind == "full":
+        prec = np.eye(4)
+        prec[0, 1] = prec[1, 0] = -0.0
+        prec[2, 3] = prec[3, 2] = 5e-324
+        return server, NatParam(fam, m, prec)
+    return server, NatParam(fam, m)
+
+
+@pytest.mark.parametrize("case", ["equal", "every-word", "edges"])
+@pytest.mark.parametrize("kind", ["isotropic", "diag", "full"])
+def test_xor_codec_round_trips_a_client_block_bit_for_bit(kind, case):
+    server, client = xor_pair(kind, case)
+    blocks = [(client.m, server.m)] + ([] if client.prec is None else [(client.prec, server.prec)])
+    if case == "every-word":
+        assert all(np.all(a.view(np.uint64) != b.view(np.uint64)) for a, b in blocks)
+    data = json.loads(json.dumps(nat_to_jsonable(client, xor=server)))
+    assert set(data) == set(nat_to_jsonable(client))
+    for (block, ref), stored in zip(blocks, data.values()):
+        assert stored["encoding"] == "xor-deflate" and stored["shape"] == list(block.shape)
+        words = np.frombuffer(zlib.decompress(base64.b64decode(stored["b64"])), dtype="<u8")
+        cut = np.triu_indices(4) if kind == "full" and block.ndim == 2 else ...
+        assert np.array_equal(words, block[cut].ravel().view(np.uint64) ^ ref[cut].ravel().view(np.uint64))
+        assert (case == "equal") == (not words.any())
+    back = nat_from_jsonable(client.fam, data, xor=server)
+    assert same_bits(back.m, client.m)
+    assert client.prec is None and back.prec is None or same_bits(back.prec, client.prec)
+
+
+def test_xor_codec_reads_only_xor_blocks_and_only_with_their_reference():
+    server, client = xor_pair("full", "every-word")
+    data = nat_to_jsonable(client, xor=server)
+    with pytest.raises(ValueError, match="^m: an 'xor-deflate' array has no reference array to XOR against$"):
+        nat_from_jsonable(client.fam, data)
+    with pytest.raises(ValueError, match="^m: encoding None is not 'xor-deflate'$"):
+        nat_from_jsonable(client.fam, nat_to_jsonable(client), xor=server)
+    with pytest.raises(ValueError, match="^encoding 'gzip' is not 'plain'$"):
+        array_from_jsonable({**array_to_jsonable(client.m), "encoding": "gzip"})
+    with pytest.raises(ValueError, match=re.escape("shape (4, 4) is not the reference's (4,)")):
+        array_from_jsonable(data["S"], server.m)
+    with pytest.raises(ValueError, match=re.escape("reference of shape (4,) for an array of shape (4, 4)")):
+        array_to_jsonable(client.prec, triangle=True, xor=server.m)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:-4], "corrupt or truncated deflate stream"),
+    (lambda raw: b"\x00" + raw[1:], "corrupt or truncated deflate stream: .*incorrect header check"),
+    (lambda raw: zlib.compress(zlib.decompress(raw)[:-8], 1),
+     re.escape("upper triangle of shape (4, 4) needs 80 bytes, got 72")),
+    (lambda raw: zlib.compress(zlib.decompress(raw) * 2, 1),
+     re.escape("upper triangle of shape (4, 4) needs 80 bytes, got 160")),
+], ids=["truncated", "corrupt", "short", "long"])
+def test_xor_codec_rejects_a_bad_stream_or_length(edit, message):
+    server, client = xor_pair("full", "every-word")
+    data = nat_to_jsonable(client, xor=server)
+    data["S"]["b64"] = base64.b64encode(edit(base64.b64decode(data["S"]["b64"]))).decode("ascii")
+    with pytest.raises(ValueError, match=f"^S: {message}"):
+        nat_from_jsonable(client.fam, data, xor=server)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -599,7 +600,8 @@ def lockstep_scenario(method, repeats, repeat_tol, kind):
     cfg = MethodConfig(method, inner=InnerConfig(solver="auto", tol=1e-6, steps=15),
                        client_repeats=repeats, repeat_tol=repeat_tol)
     result = run_rounds(server, clients, cfg, 3)
-    return json.dumps(checkpoint_to_jsonable(server, clients)), json.dumps(result.records), result.event
+    return (json.dumps(checkpoint_to_jsonable(server, clients, result.rounds_committed)),
+            json.dumps(result.records), result.event)
 
 
 @pytest.mark.parametrize("method, repeats, repeat_tol, kind", [
@@ -720,9 +722,16 @@ def test_checkpoint_roundtrip():
     server, clients = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
     cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver="von", estimator="delta"))
     bayes_admm_round(server, clients, cfg, 0)
-    blob = json.dumps(checkpoint_to_jsonable(server, clients))
+    blob = json.dumps(checkpoint_to_jsonable(server, clients, 1))
+    assert "eta0" not in json.loads(blob)
     server2, clients2 = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
-    checkpoint_from_jsonable(json.loads(blob), server2, clients2)
+    eta0 = server2.eta0
+    assert checkpoint_from_jsonable(json.loads(blob), server2, clients2) == 1
+    assert server2.eta0 is eta0  # the prior's, rebuilt with the states
+    for c, c2 in zip(clients, clients2):
+        for got, want in ((c2.lam.m, c.lam.m), (c2.lam.prec, c.lam.prec), (c2.eta.b1, c.eta.b1),
+                          (c2.eta.b2, c.eta.b2)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert server2.tau == pytest.approx(1.5)
     assert dual_inf_norm(nat_sub(server2.lam_g, server.lam_g)) == 0.0
     r1 = verify_fixed_point(server, clients, estimator=Delta())
@@ -735,24 +744,39 @@ def test_point_checkpoint_roundtrip_is_bit_exact():
     losses, _ = ridge_problem(rng, 2, 3, 10)
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     admm_round(server, clients, MethodConfig("admm"), 0)
-    data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients)))
-    assert data["format"] == 3
+    data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients, 1)))
+    assert data["format"] == 4
     server2, clients2 = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
-    checkpoint_from_jsonable(data, server2, clients2)
+    assert checkpoint_from_jsonable(data, server2, clients2) == 1
     assert np.array_equal(server2.theta_g, server.theta_g)
     for c, c2 in zip(clients, clients2):
         assert np.array_equal(c2.theta, c.theta) and np.array_equal(c2.v, c.v)
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 2])
+@pytest.mark.parametrize("fmt", [None, 1, 2, 3])
 def test_checkpoint_of_another_format_is_rejected(fmt):
     rng = np.random.default_rng(3)
     losses, _ = ridge_problem(rng, 2, 3, 10)
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
-    data = checkpoint_to_jsonable(server, clients)
+    data = checkpoint_to_jsonable(server, clients, 0)
     if fmt is None:
         del data["format"]
     else:
         data["format"] = fmt
-    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 3"):
+    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 4"):
+        checkpoint_from_jsonable(data, server, clients)
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, True, "2", None, "missing"])
+def test_a_checkpoints_rounds_completed_must_be_a_count(value):
+    rng = np.random.default_rng(3)
+    losses, _ = ridge_problem(rng, 2, 3, 10)
+    server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
+    data = checkpoint_to_jsonable(server, clients, 0)
+    if value == "missing":
+        del data["rounds_completed"]
+    else:
+        data["rounds_completed"] = value
+    shown = None if value == "missing" else value
+    with pytest.raises(CheckpointError, match=re.escape(f"checkpoint rounds_completed {shown!r} is not an int >= 0")):
         checkpoint_from_jsonable(data, server, clients)
