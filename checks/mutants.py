@@ -315,11 +315,18 @@ MUTANTS = (
         ("tests/test_families.py::test_dual_axpy_and_dual_scale_equal_their_expressions_bit_for_bit",),
     ),
     Mutant(
-        "natural_gradient wraps every full Hessian, logistic included",
+        "a delta-method logistic natural gradient wraps its full Hessian",
         "src/bayesadmm/losses.py",
-        "not isinstance(loss, (Quadratic, LinearInT)))\n",
-        "not isinstance(loss, (Quadratic, LinearInT, Logistic)))\n",
+        "    return _natural_rows(kind, g, h, m, True)\n",
+        "    return _natural_rows(kind, g, h, m, False)\n",
         ("tests/test_losses.py::test_logistic_natural_gradient_is_exactly_symmetric",),
+    ),
+    Mutant(
+        "a sampled logistic natural gradient wraps its full Hessian",
+        "src/bayesadmm/losses.py",
+        "            logistic = not isinstance(self.losses[i], (Quadratic, LinearInT))\n",
+        "            logistic = not isinstance(self.losses[i], (Quadratic, LinearInT, Logistic))\n",
+        ("tests/test_losses.py::test_logistic_natural_gradient_equals_the_public_constructor_bit_for_bit",),
     ),
     Mutant(
         "the wrapped logistic gradient skips _symmetrize",
@@ -331,8 +338,8 @@ MUTANTS = (
     Mutant(
         "a VON update steps from the server's coordinates, not the iterate's",
         "src/bayesadmm/solvers.py",
-        "_take(coords, keep))]\n",
-        "_take(server, keep))]\n",
+        "        grad, coords = _take(grad, keep), _take(self.coords, keep)\n",
+        "        grad, coords = _take(grad, keep), _take(self.server, keep)\n",
         ("tests/test_solvers.py::test_von_equals_the_loop_that_maps_every_coordinate_bit_for_bit",),
     ),
     Mutant(
@@ -536,21 +543,22 @@ MUTANTS = (
     Mutant(
         "a converged client keeps stepping in the lockstep",
         "src/bayesadmm/solvers.py",
-        "            keep = [j for j, gnorm in enumerate(gnorms) if not (gnorm <= tol or taken == steps)]\n",
-        "            keep = [j for j, gnorm in enumerate(gnorms) if taken < steps]\n",
+        "        keep = [j for j, gnorm in enumerate(gnorms) if not (gnorm <= tol or taken == steps)]\n",
+        "        keep = [j for j, gnorm in enumerate(gnorms) if taken < steps]\n",
         ("tests/test_solvers.py::test_a_client_halving_alone_in_a_stack_changes_no_other_client",),
     ),
     Mutant(
         "one failing factorization halves every client's step",
         "src/bayesadmm/solvers.py",
-        "lams[j], beta, tol,\n",
-        "lams[j], 0.5 * beta, tol,\n",
+        "                parts.append((rows, *stack.take(rows).step(beta, tol, taken, steps)))\n",
+        "                parts.append((rows, *stack.take(rows).step(beta if rows is groups[0] else 0.5 * beta, tol,\n"
+        "                                                           taken, steps)))\n",
         ("tests/test_solvers.py::test_a_client_halving_alone_in_a_stack_changes_no_other_client",),
     ),
     Mutant(
         "the first failure in time is raised, not the lowest client id's",
         "src/bayesadmm/solvers.py",
-        "                    outcomes[k] = exc\n                    break\n",
+        "                    outcomes[stack.ids[rows[0]]] = exc\n                    break\n",
         "                    raise exc\n",
         ("tests/test_solvers.py::test_the_lowest_failing_client_id_is_raised_even_when_a_later_one_fails_first",),
     ),
@@ -565,8 +573,8 @@ MUTANTS = (
     Mutant(
         "a loss of any size joins a stack",
         "src/bayesadmm/losses.py",
-        " and loss.X.size <= STACK_MAX\n",
-        "\n",
+        " if loss.X.size <= STACK_MAX else i, []).append(i)\n",
+        ", []).append(i)\n",
         ("tests/test_losses.py::test_natural_gradients_stack_small_losses_and_leave_large_ones_alone",),
     ),
     Mutant(
@@ -634,6 +642,36 @@ MUTANTS = (
 """,
         "",
         ("tests/test_cli.py::test_a_conjugate_solver_on_classification_data_is_a_config_error_before_any_output",),
+    ),
+    Mutant(
+        "the solver picker sends a quadratic the diag family cannot represent to the conjugate solve",
+        "src/bayesadmm/federation.py",
+        "    if in_conjugate_form(loss, fam):\n",
+        "    if isinstance(loss, Quadratic) or in_conjugate_form(loss, fam):\n",
+        ("tests/test_federation.py::test_lockstep_rounds_equal_client_by_client_rounds_bit_for_bit"
+         "[bayes_admm-1-0.0-diag-ridge]",),
+    ),
+    Mutant(
+        "a stack of more than one client halves its step instead of splitting",
+        "src/bayesadmm/solvers.py",
+        "                if len(self.ids) > 1:\n                    raise\n",
+        "",
+        ("tests/test_solvers.py::test_a_client_halving_alone_in_a_stack_changes_no_other_client",),
+    ),
+    Mutant(
+        "a delta-method logistic natural gradient on a fixed-covariance family builds the Hessian",
+        "src/bayesadmm/losses.py",
+        "    if kind in (ISOTROPIC, FIXED):\n        return _prob_grads(rows, _probs(rows, m[:, None]))[:, 0], None\n",
+        "",
+        ("tests/test_losses.py::test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian",),
+    ),
+    Mutant(
+        "a logistic loss above STACK_MAX goes alone through its expected moments",
+        "src/bayesadmm/losses.py",
+        "isinstance(loss, (Logistic, MulticlassLogistic)) and loss.dim == fam.dim:\n",
+        "isinstance(loss, (Logistic, MulticlassLogistic)) and loss.dim == fam.dim \\\n"
+        "                    and loss.X.size <= STACK_MAX:\n",
+        ("tests/test_losses.py::test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian",),
     ),
 )
 

@@ -64,6 +64,10 @@ TEST_CONFIGS = (
      {"inner.solver": "von", "inner.estimator": "mc", "inner.mc_count": "5"}),
     ("PROP2 diag VON mc 5", "PROP2_INI",
      {"experiment.family": "diag", "inner.solver": "von", "inner.estimator": "mc", "inner.mc_count": "5"}),
+    ("PROP2 diag auto", "PROP2_INI", {"experiment.family": "diag", "inner.solver": "auto"}),
+    ("PROP2 isotropic auto", "PROP2_INI", {"experiment.family": "isotropic", "inner.solver": "auto"}),
+    ("PROP2 isotropic auto delta_method", "PROP2_INI",
+     {"experiment.family": "isotropic", "inner.solver": "auto", "experiment.delta_method": "true"}),
     ("BLOBS diag", "BLOBS_INI", {}),
     ("BLOBS full", "BLOBS_INI", {"experiment.family": "full"}),
     ("BLOBS full VON mc 1", "BLOBS_INI",

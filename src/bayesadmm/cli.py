@@ -52,9 +52,9 @@ from .federation import (
     checkpoint_to_jsonable,
     init_bayes_states,
     init_point_states,
+    pick_solver,
     require_checkpoint_format,
     run_rounds,
-    solves_with_von,
     verify_fixed_point,
 )
 from .harness import (
@@ -330,17 +330,18 @@ def _assemble(c) -> _Setup:
     cfg = MethodConfig(e["method"], inner=inner, delta_method=e["delta_method"],
                        damping=h["damping"], local_steps=i["local_steps"],
                        lr=0.1 if i["lr"] is None else i["lr"], workers=e["workers"])
+    prior = None if cfg.method in ("admm", "fedavg") else _prior(e["family"], dim, h["delta"])
     if train.n_classes and cfg.method in ("bayes_admm", "bregman_admm", "pvi"):
         # A logistic loss is not linear in T: no client solve could start.
         name = type(losses[0]).__name__
         if inner.solver == "conjugate":
             raise ConfigError(f"[inner] solver: conjugate needs a loss linear in T, and {name} is not")
-        if inner.estimator == "analytic" and solves_with_von(inner, cfg, losses[0], e["family"]):
+        if inner.estimator == "analytic" and pick_solver(inner, cfg, losses[0], prior.fam) == "von":
             raise ConfigError(f"[inner] estimator: analytic needs a loss linear in T, and {name} is not")
-    if cfg.method in ("admm", "fedavg"):
+    if prior is None:
         server, clients = init_point_states(dim, losses, ns, h["rho"], delta=h["delta"])
     else:
-        server, clients = init_bayes_states(_prior(e["family"], dim, h["delta"]), losses, ns, h["rho"],
+        server, clients = init_bayes_states(prior, losses, ns, h["rho"],
                                             gamma=h["gamma"], tau=h["tau"], alpha_override=h["alpha"])
     return _Setup(server, clients, cfg, oracle, test)
 

@@ -3,9 +3,10 @@
 Every engine runs one round skeleton: independent client steps, which may run
 on parallel workers and are reduced in client-id order so the outcome does not
 depend on the worker count; a server combine over the clients' new fields; a
-finiteness check; then one commit, so a failing round changes no state.  A
-round whose clients all solve with VON runs their solves in lockstep on the
-calling thread instead (``solvers.von_lockstep``), with the same results.
+finiteness check; then one commit, so a failing round changes no state.  The
+clients of a round that solve by VON (:func:`pick_solver`) instead step in
+lockstep on the calling thread (``solvers.von_lockstep``), with the same
+results as solving each alone.
 
 The distribution-valued engines share one client step and one server combine,
 
@@ -69,13 +70,12 @@ from .losses import (
     Delta,
     Estimator,
     LinearInT,
-    Logistic,
     LossSpec,
     MonteCarlo,
-    MulticlassLogistic,
     NaturalGradients,
     Quadratic,
     Reparam,
+    in_conjugate_form,
     loss_grad,
     scale_loss,
 )
@@ -86,7 +86,6 @@ from .solvers import (
     solve_admm_client,
     solve_conjugate,
     solve_ivon,
-    solve_von,
     von_lockstep,
 )
 
@@ -323,19 +322,26 @@ def _round(server: ServerState, clients: list[ClientState], rnd: int, results: l
 # ---------------------------------------------------------------------------
 
 
-def _solve_client(
-    spec: SubproblemSpec, inner: InnerConfig, cfg: MethodConfig, seed: int, n_examples: int
-) -> tuple[NatParam, SolveReport]:
-    solver = inner.solver
+def pick_solver(inner: InnerConfig, cfg: MethodConfig, loss: LossSpec, fam: Family) -> str:
+    """The inner solver of a distribution round's client whose subproblem has the tempered ``loss``.
+
+    ``auto`` takes the conjugate solve where ``loss`` has a conjugate form in
+    ``fam``; otherwise the proximal step on the isotropic family with the
+    delta method, and VON everywhere else.
+    """
+    if inner.solver != "auto":
+        return inner.solver
+    if in_conjugate_form(loss, fam):
+        return "conjugate"
+    return "prox" if fam.kind == ISOTROPIC and cfg.delta_method else "von"
+
+
+def _solve_client(spec: SubproblemSpec, solver: str, inner: InnerConfig, seed: int,
+                  n_examples: int) -> tuple[NatParam, SolveReport]:
+    """One client's solve by the conjugate, proximal or IVON solver; VON clients go to :func:`von_lockstep`."""
     loss = spec.loss
-    if solver in ("auto", "conjugate"):
-        try:
-            return solve_conjugate(spec)
-        except (EstimatorUnsupported, FamilyMismatch):
-            if solver == "conjugate":
-                raise
-        # ``auto`` on a loss that is not linear in the sufficient statistic.
-        solver = "prox" if spec.lam_g.fam.kind == ISOTROPIC and cfg.delta_method else "von"
+    if solver == "conjugate":
+        return solve_conjugate(spec)
     if solver == "prox":
         # Isotropic family with the delta method: the subproblem collapses to
         # the classical proximal step on the mean.
@@ -344,16 +350,13 @@ def _solve_client(
         theta, report = solve_admm_client(scale_loss(loss, spec.tau), spec.eta.b1, spec.lam_g.m, spec.rho,
                                           steps=inner.steps, lr=inner.lr, tol=inner.tol)
         return NatParam(spec.lam_g.fam, theta), report
-    if solver == "von":
-        est = resolve_estimator(inner, loss, seed, cfg.delta_method)
-        return solve_von(spec, steps=inner.steps, beta=inner.beta, estimator=est, tol=inner.tol)
     if solver == "ivon":
         # The stochastic solver works on the mean per-example loss, so the
         # subproblem's weights move into its loss scale and multipliers.
         n, tau = max(n_examples, 1), spec.tau
         return solve_ivon(scale_loss(loss, n), spec.lam_g, n / (spec.rho * tau), (tau / n) * spec.eta.v,
                           (tau / n) * spec.eta.u, replace(inner.ivon, seed=seed))
-    raise ValueError(f"unknown inner solver {inner.solver!r}")
+    raise ValueError(f"unknown inner solver {solver!r}")
 
 
 def _distribution_round(
@@ -378,29 +381,33 @@ def _distribution_round(
     inner = cfg.inner if solver is None else replace(cfg.inner, solver=solver)
 
     seeds = [seed_for(base_seed, rnd, c.id) for c in clients]
-    von = all(solves_with_von(inner, cfg, c.loss, lam_g.fam.kind) for c in clients)
-    if von:
-        estimators = [resolve_estimator(inner, c.loss, seed, cfg.delta_method)
-                      for c, seed in zip(clients, seeds)]
+    picks = [pick_solver(inner, cfg, scale_loss(c.loss, server.tau), lam_g.fam) for c in clients]
+    estimators = [resolve_estimator(inner, c.loss, seed, cfg.delta_method) if pick == "von" else None
+                  for c, seed, pick in zip(clients, seeds, picks)]
 
     def solve(going: list[int], etas: list[DualVec]) -> list:
         """The outcome of each going client's solve: its ``(lam, report)``, or what it raised.
 
-        A VON round solves them in lockstep on this thread; any other solves
-        each client alone on the workers.
+        The VON clients solve in lockstep on this thread; the others each
+        alone, on the workers.
         """
         specs = [SubproblemSpec(clients[i].loss, etas[i], lam_g, rho=kl_weight, tau=server.tau,
                                 _lam_g_dual=lam_g_dual) for i in going]
-        if von:
-            return von_lockstep(specs, inner.steps, inner.beta, [estimators[i] for i in going], inner.tol)
+        von = [j for j, i in enumerate(going) if picks[i] == "von"]
+        rest = [j for j, i in enumerate(going) if picks[i] != "von"]
 
         def alone(j: int):
+            i = going[j]
             try:
-                return _solve_client(specs[j], inner, cfg, seeds[going[j]], clients[going[j]].n_examples)
+                return _solve_client(specs[j], picks[i], inner, seeds[i], clients[i].n_examples)
             except Exception as exc:
                 return exc
 
-        return _map_clients(alone, list(range(len(going))), cfg.workers)
+        outcomes = dict(zip(rest, _map_clients(alone, rest, cfg.workers)))
+        if von:
+            outcomes.update(zip(von, von_lockstep([specs[j] for j in von], inner.steps, inner.beta,
+                                                  [estimators[going[j]] for j in von], inner.tol)))
+        return [outcomes[j] for j in range(len(going))]
 
     # Each client repeats its solve and dual update up to client_repeats times.  A
     # failure is raised as a loop over the clients in id order would raise it: the
@@ -437,19 +444,6 @@ def _distribution_round(
 
     results = [({"lam": lam, "eta": eta}, report) for (lam, report), eta in zip(solved, etas)]
     return _round(server, clients, rnd, results, combine)
-
-
-def solves_with_von(inner: InnerConfig, cfg: MethodConfig, loss: LossSpec, kind: str) -> bool:
-    """Whether a distribution round's client solves a subproblem with ``loss`` by VON.
-
-    ``auto`` does for a logistic loss, which no conjugate solve can take,
-    except on the isotropic family (``kind``) with the delta method, where
-    the proximal step solves it.
-    """
-    if inner.solver == "auto":
-        logistic = isinstance(loss, (Logistic, MulticlassLogistic))
-        return logistic and not (kind == ISOTROPIC and cfg.delta_method)
-    return inner.solver == "von"
 
 
 def bayes_admm_round(

@@ -498,12 +498,8 @@ def _reparam_moments(loss, lam, estimator) -> MomentEstimate:
 
 
 def natural_gradient(loss: LossSpec, lam: NatParam, estimator: Estimator) -> DualVec:
-    """Gradient of E_q[l] in expectation coordinates (ambient dual layout)."""
-    mom = expected_moments(loss, lam, estimator)
-    b1, b2 = _natural_rows(lam.fam.kind, mom.g[None], None if mom.h is None else mom.h[None], lam.m[None],
-                           not isinstance(loss, (Quadratic, LinearInT)))
-    # The moments are fresh arrays, so the blocks are wrapped, not copied.
-    return _wrap(DualVec, lam.fam, b1[0], None if b2 is None else b2[0])
+    """Gradient of E_q[l] in expectation coordinates (ambient dual layout): :class:`NaturalGradients` of one."""
+    return NaturalGradients([loss], [estimator], lam.fam).duals([lam])[0]
 
 
 def _natural_rows(kind: str, g: Array, h: Array, m: Array, logistic: bool) -> tuple[Array, Array | None]:
@@ -530,11 +526,12 @@ class NaturalGradients:
 
     Logistic losses of one kind and data shape whose estimator evaluates at
     the mean (:class:`Delta`), with at most :data:`STACK_MAX` data floats,
-    form one stack, and each kernel runs once for the whole stack; any other
-    loss goes alone through :func:`natural_gradient`.  The stacks are built
-    once, so a solver can call this at every step.  :meth:`blocks` returns
-    stacked ambient blocks, :meth:`duals` one :class:`DualVec` per loss.  If
-    some loss raises, the first of them in order raises.
+    form one stack, and each kernel runs once for the whole stack; a larger
+    one is a stack of one on its own rows, and any other loss goes alone
+    through :func:`expected_moments`.  The stacks are built once, so a solver
+    can call this at every step.  :meth:`blocks` returns stacked ambient
+    blocks, :meth:`duals` one :class:`DualVec` per loss.  If some loss
+    raises, the first of them in order raises.
     """
 
     def __init__(self, losses: list[LossSpec], estimators: list[Estimator], fam: Family):
@@ -542,13 +539,13 @@ class NaturalGradients:
         stacks: dict = {}
         self._alone = []
         for i, (loss, est) in enumerate(zip(self.losses, self.estimators)):
-            small = isinstance(loss, (Logistic, MulticlassLogistic)) and loss.X.size <= STACK_MAX
-            if isinstance(est, Delta) and small and loss.dim == fam.dim:
-                stacks.setdefault((type(loss), loss.X.shape), []).append(i)
+            if isinstance(est, Delta) and isinstance(loss, (Logistic, MulticlassLogistic)) and loss.dim == fam.dim:
+                stacks.setdefault((type(loss), loss.X.shape) if loss.X.size <= STACK_MAX else i, []).append(i)
             else:
                 self._alone.append(i)
         full = fam.kind == FULL
-        self._stacks = [(idx, _stack_rows([self.losses[i] for i in idx], full)) for idx in stacks.values()]
+        self._stacks = [(idx, _rows(self.losses[idx[0]]) if len(idx) == 1 else
+                         _stack_rows([self.losses[i] for i in idx], full)) for idx in stacks.values()]
 
     def _pieces(self, lams: list[NatParam], means: Array | None) -> list:
         """``(positions, b1, b2)`` per stack, and per lone loss as a stack of one."""
@@ -558,8 +555,10 @@ class NaturalGradients:
         pieces = [(idx, *delta_natural_rows(rows, means if whole else means[idx], self.fam.kind))
                   for idx, rows in self._stacks]
         for i in self._alone:
-            ng = natural_gradient(self.losses[i], lams[i], self.estimators[i])
-            pieces.append(([i], ng.b1[None], None if ng.b2 is None else ng.b2[None]))
+            mom = expected_moments(self.losses[i], lams[i], self.estimators[i])
+            logistic = not isinstance(self.losses[i], (Quadratic, LinearInT))
+            pieces.append(([i], *_natural_rows(self.fam.kind, mom.g[None], None if mom.h is None else mom.h[None],
+                                               lams[i].m[None], logistic)))
         return pieces
 
     def blocks(self, lams: list[NatParam], means: Array | None = None) -> tuple[Array, Array | None]:
@@ -591,7 +590,7 @@ class NaturalGradients:
 def delta_natural_rows(rows: _Rows, m: Array, kind: str) -> tuple[Array, Array | None]:
     """Natural-gradient blocks of K stacked logistic losses, each at its mean in ``m`` (K, dim).
 
-    The delta method, as :func:`natural_gradient` with :class:`Delta` makes it
+    The delta method, as :func:`expected_moments` with :class:`Delta` makes it
     for each loss alone, bit for bit; the fixed-covariance kinds' natural
     gradient is the gradient alone, so they skip the Hessian.
     """
@@ -601,8 +600,20 @@ def delta_natural_rows(rows: _Rows, m: Array, kind: str) -> tuple[Array, Array |
     return _natural_rows(kind, g, h, m, True)
 
 
+def in_conjugate_form(loss: LossSpec, fam: Family) -> bool:
+    """Whether :func:`conjugate_coefficient` represents ``loss`` in ``fam`` rather than raising."""
+    if isinstance(loss, LinearInT):
+        return loss.c.fam == fam
+    if not isinstance(loss, Quadratic) or fam.kind == FULL:
+        return isinstance(loss, Quadratic)
+    if fam.kind == DIAG:
+        off = loss.A - np.diag(np.diag(loss.A))
+        return not float(np.max(np.abs(off))) > 1e-12 * max(1.0, float(np.max(np.abs(loss.A))))
+    return not float(np.max(np.abs(loss.A))) > 0.0
+
+
 def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:
-    """Represent a T-linear loss as l = -<c, T>; raises when not representable."""
+    """Represent a T-linear loss as l = -<c, T>; raises where :func:`in_conjugate_form` is false."""
     if isinstance(loss, LinearInT):
         if loss.c.fam != fam:
             raise FamilyMismatch("LinearInT coefficient family differs from target family")
@@ -613,10 +624,9 @@ def conjugate_coefficient(loss: Quadratic | LinearInT, fam: Family) -> DualVec:
         # A is exactly symmetric, so the fresh blocks need no copy or check.
         return _wrap(DualVec, fam, -loss.b, -0.5 * loss.A)
     if fam.kind == DIAG:
-        off = loss.A - np.diag(np.diag(loss.A))
-        if float(np.max(np.abs(off))) > 1e-12 * max(1.0, float(np.max(np.abs(loss.A)))):
+        if not in_conjugate_form(loss, fam):
             raise EstimatorUnsupported("quadratic with off-diagonal A is not T-linear for diag")
         return DualVec(fam, -loss.b, -0.5 * np.diag(loss.A))
-    if float(np.max(np.abs(loss.A))) > 0.0:
+    if not in_conjugate_form(loss, fam):
         raise EstimatorUnsupported("quadratic term is not T-linear for a fixed-covariance family")
     return DualVec(fam, -loss.b)

@@ -6,11 +6,12 @@ The Bayesian client subproblem is
 
 whose stationarity condition reads  grad_mu L + eta + rho * (lam - lam_g) = 0.
 ``solve_conjugate`` exploits it in closed form for T-linear losses,
-``solve_von`` runs natural-gradient descent on it (``solve_von_stack`` on
-several clients' subproblems in lockstep), and ``solve_ivon`` is the
-stochastic diagonal-Gaussian variant with the two extra Lagrange-multiplier
-terms.  ``solve_admm_client`` is the classical point-estimate proximal step.
-Each returns its result and a :class:`SolveReport`.
+``von_lockstep`` runs natural-gradient descent on several clients'
+subproblems in lockstep (``solve_von`` is its stack of one), and
+``solve_ivon`` is the stochastic diagonal-Gaussian variant with the two extra
+Lagrange-multiplier terms.  ``solve_admm_client`` is the classical
+point-estimate proximal step.  Each returns its result and a
+:class:`SolveReport`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .families import (
     check_same_family,
     coords_rows,
     dual_axpy,
-    dual_inf_norm,
-    dual_sub,
     from_dual_rows,
     nat_rows,
 )
@@ -53,7 +52,6 @@ from .losses import (
     conjugate_coefficient,
     loss_grad,
     minibatch_grad,
-    natural_gradient,
     scale_loss,
 )
 
@@ -155,30 +153,72 @@ def solve_von(
     new ``lam`` once.  If a step leaves the family, beta is halved for that
     step only (at most 10 halvings, then :class:`PrecisionEscape`); the report
     counts the halvings of all steps.  Converges linearly on quadratic losses
-    with exact moments.  This is :func:`solve_von_stack` of one.
+    with exact moments.  This is :func:`von_lockstep` of one.
     """
-    return solve_von_stack([spec], steps, beta, estimator, tol)[0]
+    outcome = von_lockstep([spec], steps, beta, estimator, tol)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def solve_von_stack(
-    specs: list[SubproblemSpec],
-    steps: int = 500,
-    beta: float = 0.5,
-    estimator: Estimator | list[Estimator] = Delta(),
-    tol: float = 1e-8,
-) -> list[Solved]:
-    """:func:`solve_von` of each spec, the solves run in lockstep.
+class _Stack(NamedTuple):
+    """The clients of a lockstep solve that are still stepping, in stacked blocks.
 
-    ``estimator`` is one for every spec or a list with one per spec.  Each
-    result equals the lone solve's bit for bit.  If solves fail, the first
-    failing spec's exception is raised, as a loop over the specs would raise
-    it; see :func:`von_lockstep`.
+    ``ids`` are their specs' positions; ``server``, ``eta`` and ``rho`` hold
+    their server coordinates, duals and KL weights, and ``lams``, ``means``
+    and ``coords`` their iterates, the iterates' means and coordinates.
     """
-    outcomes = von_lockstep(specs, steps, beta, estimator, tol)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+
+    ids: list[int]
+    gradients: NaturalGradients
+    server: tuple
+    eta: tuple
+    rho: Array
+    lams: list[NatParam]
+    means: Array
+    coords: tuple
+
+    def take(self, rows: list[int]) -> _Stack:
+        """The stack of the clients at ``rows``; this one when that is every client."""
+        if len(rows) == len(self.ids):
+            return self
+        g = self.gradients
+        return _Stack([self.ids[j] for j in rows],
+                      NaturalGradients([g.losses[j] for j in rows], [g.estimators[j] for j in rows], g.fam),
+                      _take(self.server, rows), _take(self.eta, rows), self.rho[rows],
+                      [self.lams[j] for j in rows], self.means[rows], _take(self.coords, rows))
+
+    def step(self, beta: float, tol: float, taken: int, steps: int) -> tuple:
+        """Step ``taken`` of every client: ``(gnorms, keep, halved, new)``.
+
+        ``keep`` are the rows of the clients that step on, ``halved`` the
+        halvings the step took, and ``new`` their next iterates, means and
+        coordinates, or ``None`` when no client steps on.  Only a stack of one
+        halves its step; a larger one raises instead.
+        """
+        fam = self.gradients.fam
+        ng = self.gradients.blocks(self.lams, self.means)
+        # grad = rho (coords - server) + (eta + ng), block by block as dual_axpy and dual_sub make it.
+        grad = tuple(None if c is None else _axpy(self.rho.reshape(-1, *[1] * (c.ndim - 1)), c - s,
+                                                  _axpy(1.0, e, n))
+                     for c, s, e, n in zip(self.coords, self.server, self.eta, ng))
+        norms = [np.max(np.abs(b), axis=tuple(range(1, b.ndim))) for b in grad if b is not None]
+        gnorms = [max(float(norm[j]) for norm in norms) for j in range(len(self.ids))]
+        keep = [j for j, gnorm in enumerate(gnorms) if not (gnorm <= tol or taken == steps)]
+        if not keep:
+            return gnorms, keep, 0, None
+        grad, coords = _take(grad, keep), _take(self.coords, keep)
+        trial = beta
+        for halved in range(11):
+            try:
+                m, prec, low = from_dual_rows(fam, *(None if g is None else _axpy(-trial, g, c)
+                                                     for g, c in zip(grad, coords)))
+                return gnorms, keep, halved, (nat_rows(fam, m, prec, low), m, coords_rows(fam, m, prec))
+            except NonPositivePrecision:
+                if len(self.ids) > 1:
+                    raise
+                trial *= 0.5
+        raise PrecisionEscape(f"iterate left the family at step {taken} and halving did not repair it")
 
 
 def von_lockstep(
@@ -190,16 +230,17 @@ def von_lockstep(
 ) -> list:
     """Each spec's :func:`solve_von` outcome, in order: its :class:`Solved`, or what it raised.
 
-    The specs share one family.  Each step evaluates the natural gradients of
-    every client still stepping in one :class:`NaturalGradients` call, and
-    does their dual arithmetic, precision factors and coordinate maps on
-    stacked blocks, so each numpy call is paid once per step.  Each client
-    keeps its own step count, tolerance test, halvings and report: one that
-    converges or reaches ``steps`` leaves the stack.  If any part of a
-    stacked step raises, a failed factorization included, the step is redone
-    one client at a time by :func:`_lone_step`, so each client halves or
-    fails alone.  Once a client fails, the clients after it stop: each
-    outcome is then ``None``, or what it had raised already.
+    ``estimator`` is one for every spec or a list with one per spec, and the
+    specs share one family.  Each step is one :meth:`_Stack.step` of the
+    clients still stepping: one :class:`NaturalGradients` call, and their dual
+    arithmetic, precision factors and coordinate maps on stacked blocks, so
+    each numpy call is paid once per step.  Each client keeps its own step
+    count, tolerance test, halvings and report: one that converges or reaches
+    ``steps`` leaves the stack.  If a step of more than one client raises, a
+    failed factorization included, the step is redone for each client as a
+    stack of one, so each client halves or fails alone.  Once a client fails,
+    the clients after it stop: each outcome is then ``None``, or what it had
+    raised already.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
@@ -212,85 +253,39 @@ def von_lockstep(
     for spec in specs:
         check_same_family(spec.lam_g, specs[0].lam_g)
     estimators = list(estimator) if isinstance(estimator, (list, tuple)) else [estimator] * len(specs)
-    losses = [spec.tempered_loss() for spec in specs]
-    # Per client still stepping, in stacked blocks: the server's coordinates,
-    # the dual and the KL weight; and the iterate, its mean and its coordinates.
-    ids = list(range(len(specs)))
     server = _stack([spec._lam_g_dual for spec in specs])
-    eta = _stack([spec.eta for spec in specs])
-    rho = np.array([spec.rho for spec in specs])
-    lams = [spec.lam_g for spec in specs]
-    means, coords = np.stack([lam.m for lam in lams]), server
+    stack = _Stack(list(range(len(specs))),
+                   NaturalGradients([spec.tempered_loss() for spec in specs], estimators, fam),
+                   server, _stack([spec.eta for spec in specs]), np.array([spec.rho for spec in specs]),
+                   [spec.lam_g for spec in specs], np.stack([spec.lam_g.m for spec in specs]), server)
     halvings = [0] * len(specs)
-    gradients = NaturalGradients(losses, estimators, fam)
     for taken in range(steps + 1):
-        try:
-            ng = gradients.blocks(lams, means)
-            # grad = rho (coords - server) + (eta + ng), block by block as dual_axpy and dual_sub make it.
-            grad = tuple(None if c is None else _axpy(rho.reshape(-1, *[1] * (c.ndim - 1)), c - s,
-                                                      _axpy(1.0, e, n))
-                         for c, s, e, n in zip(coords, server, eta, ng))
-            norms = [np.max(np.abs(b), axis=tuple(range(1, b.ndim))) for b in grad if b is not None]
-            gnorms = [max(float(norm[j]) for norm in norms) for j in range(len(ids))]
-            keep = [j for j, gnorm in enumerate(gnorms) if not (gnorm <= tol or taken == steps)]
-            if keep:
-                moved = [None if g is None else _axpy(-beta, g, c) for g, c in zip(_take(grad, keep),
-                                                                                 _take(coords, keep))]
-                m, prec, low = from_dual_rows(fam, *moved)
-                new, new_means, new_coords = nat_rows(fam, m, prec, low), m, coords_rows(fam, m, prec)
-        except Exception:
-            # Redo the step one client at a time, as a lone solve makes it.
-            gnorms, keep, new = [], [], []
-            for j, k in enumerate(ids):
-                try:
-                    gnorm, lam, halved = _lone_step(specs[k], losses[k], estimators[k], lams[j], beta, tol,
-                                                    taken, steps)
-                except Exception as exc:
-                    outcomes[k] = exc
+        groups, parts = [list(range(len(stack.ids)))], []
+        for rows in groups:
+            try:
+                parts.append((rows, *stack.take(rows).step(beta, tol, taken, steps)))
+            except Exception as exc:
+                if len(rows) == 1:
+                    outcomes[stack.ids[rows[0]]] = exc
                     break
-                gnorms.append(gnorm)
+                groups += [[j] for j in rows]
+        keep, new = [], []
+        for rows, gnorms, kept, halved, moved in parts:
+            for i, (j, gnorm) in enumerate(zip(rows, gnorms)):
+                k = stack.ids[j]
                 halvings[k] += halved
-                if lam is not None:
-                    keep.append(j)
-                    new.append(lam)
-            if new:
-                new_means = np.stack([lam.m for lam in new])
-                new_coords = _stack([lam.as_dual() for lam in new])
-        for j, gnorm in enumerate(gnorms):
-            if gnorm <= tol or taken == steps:
-                k = ids[j]
-                outcomes[k] = Solved(lams[j], SolveReport(taken, halvings[k], gnorm, gnorm <= tol))
+                if i not in kept:
+                    outcomes[k] = Solved(stack.lams[j], SolveReport(taken, halvings[k], gnorm, gnorm <= tol))
+            keep += [rows[j] for j in kept]
+            new += [moved] if moved else []
         if not keep:
             break
-        if len(keep) < len(ids):
-            ids = [ids[j] for j in keep]
-            server, eta, rho = _take(server, keep), _take(eta, keep), rho[keep]
-            gradients = NaturalGradients([losses[k] for k in ids], [estimators[k] for k in ids], fam)
-        lams, means, coords = new, new_means, new_coords
+        if len(new) > 1:
+            new = [([lam for lams, _, _ in new for lam in lams], np.concatenate([m for _, m, _ in new]),
+                    tuple(None if b[0] is None else np.concatenate(b) for b in zip(*(c for _, _, c in new))))]
+        lams, means, coords = new[0]
+        stack = stack.take(keep)._replace(lams=lams, means=means, coords=coords)
     return outcomes
-
-
-def _lone_step(spec, loss, estimator, lam, beta, tol, taken, steps) -> tuple[float, NatParam | None, int]:
-    """One step of one client's solve at ``lam``, with :class:`DualVec` arithmetic.
-
-    Returns the gradient norm, the next iterate (``None`` once the solve
-    stops at this step) and the step-halvings it took; raises
-    :class:`PrecisionEscape` when the 11th try still leaves the family.
-    This is the arithmetic of the stacked step for one row, bit for bit.
-    """
-    coords = lam.as_dual()
-    ng = natural_gradient(loss, lam, estimator)
-    grad = dual_axpy(spec.rho, dual_sub(coords, spec._lam_g_dual), dual_axpy(1.0, spec.eta, ng))
-    gnorm = dual_inf_norm(grad)
-    if gnorm <= tol or taken == steps:
-        return gnorm, None, 0
-    trial = beta
-    for halved in range(11):
-        try:
-            return gnorm, NatParam.from_dual(dual_axpy(-trial, grad, coords)), halved
-        except NonPositivePrecision:
-            trial *= 0.5
-    raise PrecisionEscape(f"iterate left the family at step {taken} and halving did not repair it")
 
 
 def _stack(duals: list[DualVec]) -> tuple[Array, Array | None]:
@@ -304,7 +299,6 @@ def _take(blocks: tuple, rows: list[int]) -> tuple:
     if len(rows) == len(blocks[0]):
         return blocks
     return tuple(None if b is None else b[rows] for b in blocks)
-
 
 
 # ---------------------------------------------------------------------------

@@ -588,11 +588,20 @@ def test_runs_identical_across_repeats_and_worker_counts():
     assert scenario_records(workers=3) == base
 
 
-def lockstep_scenario(method, repeats, repeat_tol, kind):
-    """A VON round's checkpoint and records after three rounds; client 2 has fewer examples."""
+def lockstep_scenario(method, repeats, repeat_tol, kind, data="logistic"):
+    """A round's checkpoint, records and event after three rounds, with ``solver = auto``.
+
+    ``data`` is ``logistic`` (multiclass losses; client 2 has fewer examples),
+    ``ridge`` (quadratics, which the diag family cannot represent) or
+    ``mixed`` (client 1's logistic loss swapped for a quadratic).
+    """
     rng = np.random.default_rng(7)
     d, sizes = 2, (12, 12, 9, 12)
     losses = [MulticlassLogistic(rng.standard_normal((n, d)), rng.integers(0, 3, n), 3) for n in sizes]
+    if data == "ridge":
+        losses, _ = ridge_problem(rng, len(sizes), 3 * d, 12)
+    elif data == "mixed":
+        losses[1] = ridge_problem(rng, 1, 3 * d, 12)[0][0]
     fam = getattr(Family, kind)(3 * d)
     prior = NatParam(fam, np.zeros(3 * d), None if kind == "isotropic" else
                      (np.ones(3 * d) if kind == "diag" else np.eye(3 * d)))
@@ -604,20 +613,31 @@ def lockstep_scenario(method, repeats, repeat_tol, kind):
             json.dumps(result.records), result.event)
 
 
-@pytest.mark.parametrize("method, repeats, repeat_tol, kind", [
-    ("bayes_admm", 1, 0.0, "full"), ("bregman_admm", 1, 0.0, "full"), ("pvi", 1, 0.0, "diag"),
-    ("bayes_admm", 3, 0.0, "diag"), ("bayes_admm", 4, 1e-3, "full"), ("bayes_admm", 2, 0.0, "isotropic"),
+@pytest.mark.parametrize("method, repeats, repeat_tol, kind, data", [
+    ("bayes_admm", 1, 0.0, "full", "logistic"), ("bregman_admm", 1, 0.0, "full", "logistic"),
+    ("pvi", 1, 0.0, "diag", "logistic"), ("bayes_admm", 3, 0.0, "diag", "logistic"),
+    ("bayes_admm", 4, 1e-3, "full", "logistic"), ("bayes_admm", 2, 0.0, "isotropic", "logistic"),
+    ("bayes_admm", 1, 0.0, "diag", "ridge"), ("bayes_admm", 2, 0.0, "full", "mixed"),
 ])
 def test_lockstep_rounds_equal_client_by_client_rounds_bit_for_bit(monkeypatch, method, repeats, repeat_tol,
-                                                                   kind):
+                                                                   kind, data):
     calls = []
     lockstep = federation_mod.von_lockstep
-    monkeypatch.setattr(federation_mod, "von_lockstep", lambda specs, *a: calls.append(len(specs)) or
-                        lockstep(specs, *a))
-    stacked = lockstep_scenario(method, repeats, repeat_tol, kind)
-    assert calls and max(calls) == 4
-    monkeypatch.setattr(federation_mod, "solves_with_von", lambda *a: False)
-    assert lockstep_scenario(method, repeats, repeat_tol, kind) == stacked
+    monkeypatch.setattr(federation_mod, "von_lockstep", lambda specs, *a: calls.append([s.loss for s in specs])
+                        or lockstep(specs, *a))
+    stacked = lockstep_scenario(method, repeats, repeat_tol, kind, data)
+    # One call per repeat, with the VON clients still going: every client but the mixed round's quadratic.
+    von = 3 if data == "mixed" else 4
+    assert calls and len(calls[0]) == von
+    if repeat_tol == 0.0 and stacked[2] is None:
+        assert [len(call) for call in calls] == [von] * (repeats * 3)
+    assert all(isinstance(loss, Quadratic) == (data == "ridge") for call in calls for loss in call)
+
+    def stacks_of_one(specs, steps, beta, estimators, tol):
+        return [lockstep([spec], steps, beta, [est], tol)[0] for spec, est in zip(specs, estimators)]
+
+    monkeypatch.setattr(federation_mod, "von_lockstep", stacks_of_one)
+    assert lockstep_scenario(method, repeats, repeat_tol, kind, data) == stacked
 
 
 def test_run_rounds_reports_divergence_event():

@@ -668,11 +668,12 @@ def test_binary_kernels_equal_scipy_special_bit_for_bit():
 
 @pytest.mark.parametrize("kind", ["diag", "full"])
 def test_natural_gradients_stack_small_losses_and_leave_large_ones_alone(monkeypatch, kind):
-    # Two small losses of one shape share a stack; one above STACK_MAX rows * features is
-    # evaluated alone, so its rows are never copied into a stack.
+    # Two small losses of one shape share a stack; two above STACK_MAX rows * features are
+    # each a stack of one on their own rows, so their rows are never copied into a stack.
     rng = np.random.default_rng(21)
     n_big = losses_mod.STACK_MAX // 2 + 1
-    losses = [MulticlassLogistic(rng.standard_normal((n, 2)), rng.integers(0, 3, n), 3) for n in (8, 8, n_big)]
+    losses = [MulticlassLogistic(rng.standard_normal((n, 2)), rng.integers(0, 3, n), 3)
+              for n in (8, 8, n_big, n_big)]
     fam = getattr(Family, kind)(6)
     lams = [NatParam(fam, 0.1 * rng.standard_normal(6), np.ones(6) if kind == "diag" else np.eye(6))
             for _ in losses]
@@ -680,10 +681,28 @@ def test_natural_gradients_stack_small_losses_and_leave_large_ones_alone(monkeyp
     stack_rows = losses_mod._stack_rows
     monkeypatch.setattr(losses_mod, "_stack_rows",
                         lambda members, full: stacked.append(len(members)) or stack_rows(members, full))
-    gradients = losses_mod.NaturalGradients(losses, [Delta()] * 3, fam)
+    gradients = losses_mod.NaturalGradients(losses, [Delta()] * 4, fam)
     assert stacked == [2]
     b1, b2 = gradients.blocks(lams)
     for k, (loss, lam, ng) in enumerate(zip(losses, lams, gradients.duals(lams))):
         want = natural_gradient(loss, lam, Delta())
         for got, ref in ((ng.b1, want.b1), (ng.b2, want.b2), (b1[k], want.b1), (b2[k], want.b2)):
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "fixed"])
+def test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian(monkeypatch, kind):
+    # The fixed-covariance kinds' natural gradient is the gradient alone.  A loss above STACK_MAX
+    # is a stack of one on its own rows, so neither a Hessian nor the rows' outer products are made.
+    rng = np.random.default_rng(22)
+    n, d = 400, 42
+    assert n * d > losses_mod.STACK_MAX
+    loss = MulticlassLogistic(rng.standard_normal((n, d)), rng.integers(0, 3, n), 3)
+    a = rng.standard_normal((3 * d, 3 * d))
+    fam = Family.isotropic(3 * d) if kind == "isotropic" else Family.fixed(a @ a.T / d + np.eye(3 * d))
+    lam = NatParam(fam, 0.1 * rng.standard_normal(3 * d))
+    monkeypatch.setattr(losses_mod, "_hess", lambda *args: pytest.fail("a Hessian was built"))
+    ng = natural_gradient(loss, lam, Delta())
+    b1, b2 = losses_mod.delta_natural_rows(losses_mod._rows(loss), lam.m[None], kind)
+    assert ng.b2 is None and b2 is None and np.array_equal(bits(ng.b1), bits(b1[0]))
+    assert loss._outer is None
