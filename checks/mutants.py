@@ -442,6 +442,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_nonpositive_config_value_rejected",),
     ),
     Mutant(
+        "workers accepts 2 again",
+        "src/bayesadmm/cli.py",
+        "(lambda v: v == 1, ",
+        "(lambda v: v in (1, 2), ",
+        ("tests/test_cli.py::test_workers_other_than_one_is_a_config_error_naming_the_removed_pool",),
+    ),
+    Mutant(
         "a checkpoint's client lam is not loaded",
         "src/bayesadmm/federation.py",
         "            client.lam = nat_from_jsonable(fam, rec[\"lam\"], xor=server.lam_g)\n",
@@ -650,6 +657,13 @@ MUTANTS = (
         "    if isinstance(loss, Quadratic) or in_conjugate_form(loss, fam):\n",
         ("tests/test_federation.py::test_lockstep_rounds_equal_client_by_client_rounds_bit_for_bit"
          "[bayes_admm-1-0.0-diag-ridge]",),
+    ),
+    Mutant(
+        "auto sends an isotropic quadratic to VON",
+        "src/bayesadmm/federation.py",
+        "(cfg.delta_method or isinstance(loss, Quadratic))",
+        "cfg.delta_method",
+        ("tests/test_cli.py::test_auto_solves_isotropic_quadratics_by_the_proximal_step",),
     ),
     Mutant(
         "a stack of more than one client halves its step instead of splitting",

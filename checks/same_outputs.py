@@ -28,7 +28,11 @@ equal.  So a change of the checkpoint's encoding must keep every stored
 state bit for bit.
 
 Each case prints ``same`` or ``DIFF`` with the first differing output.
-Exit 0 when no case differs, 1 when one does.
+``--expected FILE`` names the cases a change means to alter: each line holds
+a case name, a colon and the reason (blank lines and ``#`` lines are
+skipped).  A listed case may differ; a listed case that comes out ``same``,
+or that names no case run, is a stale entry.  Exit 0 when no unlisted case
+differs and no entry is stale, 1 otherwise, 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -253,6 +257,20 @@ def compare(case: tuple, parent: str, work: str) -> tuple[str, str | None, str]:
     return name, differs, codes
 
 
+def read_expected(path: str) -> dict[str, str]:
+    """``{case name: reason}`` from an expected-differences file."""
+    expected = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                name, sep, reason = line.partition(":")
+                if not sep or not reason.strip():
+                    raise ValueError(f"{path}: no reason after a colon in {line!r}")
+                expected[name.strip()] = reason.strip()
+    return expected
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="the parent checkout to compare against")
@@ -262,10 +280,17 @@ def main() -> int:
     parser.add_argument("--no-test-configs", action="store_true", help="skip TEST_CONFIGS")
     parser.add_argument("--jobs", type=int, default=1, help="cases run at once (each runs one process)")
     parser.add_argument("--work", default=None, help="scratch directory (default: a temporary one)")
+    parser.add_argument("--expected", default=None,
+                        help="file of 'case name: reason' lines, the cases allowed to differ")
     args = parser.parse_args()
     parent = os.path.abspath(args.parent)
     if not os.path.isfile(os.path.join(parent, "src", "bayesadmm", "cli.py")):
         print(f"no bayesadmm sources under {parent}", file=sys.stderr)
+        return 2
+    try:
+        expected = {} if args.expected is None else read_expected(args.expected)
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     sys.path.insert(0, PERFBENCH)
@@ -283,17 +308,26 @@ def main() -> int:
         cases += [(name, with_keys(texts[ini], edits), None) for name, ini, edits in TEST_CONFIGS]
 
     work = tempfile.mkdtemp(prefix="same-outputs-", dir=args.work)
-    differing = 0
+    differing = unexpected = 0
+    stale = set(expected) - {name for name, _, _ in cases}
     try:
         with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
             for name, differs, codes in pool.map(lambda case: compare(case, parent, work), cases):
                 differing += differs is not None
+                unexpected += differs is not None and name not in expected
+                if differs is None and name in expected:
+                    stale.add(name)
                 print(f"{'same' if differs is None else 'DIFF'}  {name} ({codes})"
-                      + ("" if differs is None else f": {differs} differs"), flush=True)
+                      + ("" if differs is None else f": {differs} differs")
+                      + (f" [expected: {expected[name]}]" if name in expected else ""), flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{len(cases) - differing} of {len(cases)} cases have the same outputs")
-    return 1 if differing else 0
+    if expected:
+        print(f"{differing - unexpected} of {len(expected)} expected differences seen")
+    for name in sorted(stale):
+        print(f"stale expected difference: {name!r} has the same outputs or names no case run")
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":

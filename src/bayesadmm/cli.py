@@ -21,7 +21,8 @@ Sections and keys (``_TABLE`` gives each one's type, default and allowed values)
 A missing key takes its default.  An empty value means "unset" for gamma,
 alpha, lr, ivon_batch, test_seed, assignments, images, labels and path, and
 is a config error anywhere else.  Every value is checked before a run writes
-anything.
+anything.  ``workers`` accepts only 1, since clients run in id order on one
+thread; the key stays so that configs and traces that set it keep their hash.
 
 Exit codes: 0 completed, 2 completed with a reported divergence, 1 error.
 """
@@ -110,7 +111,7 @@ _TABLE = (
     _Key("experiment", "family", str, "full", _one_of("isotropic", "diag", "full"), "--family"),
     _Key("experiment", "rounds", int, "20", _NONNEGATIVE, "--rounds"),
     _Key("experiment", "seed", int, "0", _NONNEGATIVE, "--seed"),
-    _Key("experiment", "workers", int, "1", _POSITIVE),
+    _Key("experiment", "workers", int, "1", (lambda v: v == 1, "1 (the client thread pool it sized was removed)")),
     _Key("experiment", "tol_dist", float, "1e-8", _POSITIVE),
     _Key("experiment", "delta_method", _bool, "false"),
     _Key("data", "kind", str, "ridge", _one_of("ridge", "blobs", "outlier_toy", "mnist", "csv")),
@@ -329,7 +330,7 @@ def _assemble(c) -> _Setup:
                         lr=i["lr"], estimator=i["estimator"], mc_count=i["mc_count"], ivon=ivon)
     cfg = MethodConfig(e["method"], inner=inner, delta_method=e["delta_method"],
                        damping=h["damping"], local_steps=i["local_steps"],
-                       lr=0.1 if i["lr"] is None else i["lr"], workers=e["workers"])
+                       lr=0.1 if i["lr"] is None else i["lr"])
     prior = None if cfg.method in ("admm", "fedavg") else _prior(e["family"], dim, h["delta"])
     if train.n_classes and cfg.method in ("bayes_admm", "bregman_admm", "pvi"):
         # A logistic loss is not linear in T: no client solve could start.

@@ -1,12 +1,11 @@
 """Round engines for six federated methods, plus fixed-point verifiers.
 
-Every engine runs one round skeleton: independent client steps, which may run
-on parallel workers and are reduced in client-id order so the outcome does not
-depend on the worker count; a server combine over the clients' new fields; a
-finiteness check; then one commit, so a failing round changes no state.  The
-clients of a round that solve by VON (:func:`pick_solver`) instead step in
-lockstep on the calling thread (``solvers.von_lockstep``), with the same
-results as solving each alone.
+Every engine runs one round skeleton: independent client steps, run in
+client-id order on the calling thread; a server combine over the clients' new
+fields; a finiteness check; then one commit, so a failing round changes no
+state.  The clients of a round that solve by VON (:func:`pick_solver`) step in
+lockstep (``solvers.von_lockstep``), with the same results as solving each
+alone.
 
 The distribution-valued engines share one client step and one server combine,
 
@@ -27,7 +26,6 @@ a structured trace event.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -164,7 +162,6 @@ class MethodConfig:
     lr: float = 0.1  # fedavg
     client_repeats: int = 1
     repeat_tol: float = 0.0  # > 0 stops repeats once the dual stops moving
-    workers: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -240,14 +237,6 @@ def init_point_states(
         for i, (loss, n) in enumerate(zip(losses, n_examples))
     ]
     return server, clients
-
-
-def _map_clients(fn, items: list, workers: int) -> list:
-    """Apply fn to every client (or client index); results come back in list order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +315,23 @@ def pick_solver(inner: InnerConfig, cfg: MethodConfig, loss: LossSpec, fam: Fami
     """The inner solver of a distribution round's client whose subproblem has the tempered ``loss``.
 
     ``auto`` takes the conjugate solve where ``loss`` has a conjugate form in
-    ``fam``; otherwise the proximal step on the isotropic family with the
-    delta method, and VON everywhere else.
+    ``fam``; otherwise the proximal step on the isotropic family, with the
+    delta method or for a quadratic ``loss``, and VON everywhere else.
+
+    The isotropic family fixes the covariance at I, so the subproblem, E_q[l]
+    plus the dual's term linear in m plus rho KL(q || q_g) = rho/2 ||m - m_g||^2,
+    moves only m.  For l = 0.5 theta^T A theta + b^T theta, E_q[l] = l(m) +
+    0.5 tr(A): the subproblem is the proximal step on l from m_g, which ``prox``
+    solves exactly with one linear solve, while VON there is a plain gradient
+    step on m that no step halving keeps stable once A's curvature outgrows it.
+    The ``fixed`` family also fixes the covariance, but its KL is the S-metric
+    1/2 ||m - m_g||_S^2, whose proximal step no solver implements: it keeps VON.
     """
     if inner.solver != "auto":
         return inner.solver
     if in_conjugate_form(loss, fam):
         return "conjugate"
-    return "prox" if fam.kind == ISOTROPIC and cfg.delta_method else "von"
+    return "prox" if fam.kind == ISOTROPIC and (cfg.delta_method or isinstance(loss, Quadratic)) else "von"
 
 
 def _solve_client(spec: SubproblemSpec, solver: str, inner: InnerConfig, seed: int,
@@ -388,22 +386,18 @@ def _distribution_round(
     def solve(going: list[int], etas: list[DualVec]) -> list:
         """The outcome of each going client's solve: its ``(lam, report)``, or what it raised.
 
-        The VON clients solve in lockstep on this thread; the others each
-        alone, on the workers.
+        The VON clients solve together in lockstep; the others each alone.
         """
         specs = [SubproblemSpec(clients[i].loss, etas[i], lam_g, rho=kl_weight, tau=server.tau,
                                 _lam_g_dual=lam_g_dual) for i in going]
         von = [j for j, i in enumerate(going) if picks[i] == "von"]
-        rest = [j for j, i in enumerate(going) if picks[i] != "von"]
-
-        def alone(j: int):
-            i = going[j]
-            try:
-                return _solve_client(specs[j], picks[i], inner, seeds[i], clients[i].n_examples)
-            except Exception as exc:
-                return exc
-
-        outcomes = dict(zip(rest, _map_clients(alone, rest, cfg.workers)))
+        outcomes = {}
+        for j, i in enumerate(going):
+            if picks[i] != "von":
+                try:
+                    outcomes[j] = _solve_client(specs[j], picks[i], inner, seeds[i], clients[i].n_examples)
+                except Exception as exc:
+                    outcomes[j] = exc
         if von:
             outcomes.update(zip(von, von_lockstep([specs[j] for j in von], inner.steps, inner.beta,
                                                   [estimators[going[j]] for j in von], inner.tol)))
@@ -523,7 +517,7 @@ def admm_round(
         thetas, vs = [f["theta"] for f in new], [f["v"] for f in new]
         return {"theta_g": _admm_server(server, thetas, vs, inner)}
 
-    return _round(server, clients, rnd, _map_clients(step, clients, cfg.workers), combine)
+    return _round(server, clients, rnd, [step(c) for c in clients], combine)
 
 
 def _admm_server(
@@ -560,7 +554,7 @@ def fedavg_round(
     def combine(new: list[dict]) -> dict:
         return {"theta_g": _kahan([w * f["theta"] for w, f in zip(weights, new)])}
 
-    return _round(server, clients, rnd, _map_clients(step, clients, cfg.workers), combine)
+    return _round(server, clients, rnd, [step(c) for c in clients], combine)
 
 
 ROUND_ENGINES = {

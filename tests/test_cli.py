@@ -177,21 +177,20 @@ steps = 200
     assert summary["diverged"] and summary["event"]["type"] == "divergence"
 
 
-def test_ivon_admm_run_is_deterministic_across_worker_counts(tmp_path):
-    ivon = BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm")
-    parallel = ivon.replace("[experiment]\n", "[experiment]\nworkers = 2\n")
-    traces = {}
-    for name, text in (("a", ivon), ("b", ivon), ("workers2", parallel)):
+def test_ivon_admm_run_is_deterministic_across_repeats(tmp_path):
+    cfg = write(tmp_path, "ivon.ini", BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm"))
+    traces = []
+    for name in ("a", "b"):
         out = tmp_path / name
-        cfg = write(tmp_path, f"{name}.ini", text)
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        traces[name] = (out / "trace.jsonl").read_bytes()
-    assert traces["a"] == traces["b"]
-    rounds = {
-        name: [rec for rec in map(json.loads, trace.splitlines()) if rec["type"] == "round"]
-        for name, trace in traces.items()
-    }
-    assert len(rounds["a"]) == 2 and rounds["workers2"] == rounds["a"]
+        traces.append((out / "trace.jsonl").read_bytes())
+    assert traces[0] == traces[1] and len(traces[0].splitlines()) == 3
+
+
+def test_workers_other_than_one_is_a_config_error_naming_the_removed_pool(tmp_path, capsys):
+    text = with_value(PROP2_INI, "experiment", "workers", "2")
+    assert_rejected(tmp_path, capsys, text, [],
+                    "[experiment] workers: must be 1 (the client thread pool it sized was removed), got 2")
 
 
 def test_module_docstring_lists_every_config_key():
@@ -1114,6 +1113,25 @@ def test_analytic_delta_and_auto_give_the_same_round_lines(tmp_path):
         lines[name] = round_lines(out)
     assert len(lines["auto"]) == 3
     assert lines["analytic"] == lines["auto"] and lines["delta"] == lines["auto"]
+
+
+def test_auto_solves_isotropic_quadratics_by_the_proximal_step(tmp_path):
+    # Under a fixed covariance the expected quadratic is the quadratic at the mean plus a
+    # constant, so the proximal step is exact; VON's plain gradient steps diverge here.
+    iso = with_value(PROP2_INI, "experiment", "family", "isotropic")
+    runs = {
+        "auto": with_value(iso, "inner", "solver", "auto"),
+        "prox": with_value(iso, "inner", "solver", "prox"),
+        "delta_method": with_value(with_value(iso, "inner", "solver", "auto"),
+                                   "experiment", "delta_method", "true"),
+    }
+    lines = {}
+    for name, text in runs.items():
+        out = tmp_path / name
+        assert main(["run", "--config", write(tmp_path, f"{name}.ini", text), "--out", str(out)]) == 0
+        lines[name] = round_lines(out)
+    assert len(lines["auto"]) == 3
+    assert lines["prox"] == lines["auto"] and lines["delta_method"] == lines["auto"]
 
 
 def test_analytic_estimator_refuses_a_logistic_loss(tmp_path, capsys):

