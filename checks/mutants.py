@@ -89,12 +89,12 @@ MUTANTS = (
     Mutant(
         "a package error in a metric or the verifier is re-raised",
         "src/bayesadmm/federation.py",
-        """            except Exception as exc:
-                failure = event(""",
-        """            except Exception as exc:
-                if type(exc).__module__ == "bayesadmm.errors":
-                    raise
-                failure = event(""",
+        """                except Exception as exc:
+                    failure = event(""",
+        """                except Exception as exc:
+                    if type(exc).__module__ == "bayesadmm.errors":
+                        raise
+                    failure = event(""",
         ("tests/test_cli.py::test_run_keeps_its_record_when_verify_raises_a_package_error",),
     ),
     Mutant(
@@ -345,8 +345,8 @@ MUTANTS = (
     Mutant(
         "a round maps the server once per client",
         "src/bayesadmm/federation.py",
-        "_lam_g_dual=lam_g_dual) for i in going]\n",
-        ") for i in going]\n",
+        "_lam_g_dual=lam_g_dual) for i in von]\n",
+        ") for i in von]\n",
         ("tests/test_federation.py::test_a_round_maps_the_server_to_coordinates_once",),
     ),
     Mutant(
@@ -627,9 +627,9 @@ MUTANTS = (
     Mutant(
         "an engine's error propagates out of run_rounds",
         "src/bayesadmm/federation.py",
-        """        except Exception as exc:
-            failure = event("failure", type(exc).__name__, str(exc), phase="round")
-            return stop(failure, first_event is not None, exc)
+        """            except Exception as exc:
+                failure = event("failure", type(exc).__name__, str(exc), phase="round")
+                return stop(failure, first_event is not None, exc)
 """,
         "",
         ("tests/test_cli.py::test_run_keeps_its_record_when_an_engine_raises",),
@@ -664,6 +664,33 @@ MUTANTS = (
         "(cfg.delta_method or isinstance(loss, Quadratic))",
         "cfg.delta_method",
         ("tests/test_cli.py::test_auto_solves_isotropic_quadratics_by_the_proximal_step",),
+    ),
+    Mutant(
+        "a pooled round takes its outcomes in the order the workers finish",
+        "src/bayesadmm/federation.py",
+        "                    outcomes[k] = pickle.load(results)\n",
+        "                    outcomes[outcomes.index(None)] = pickle.load(results)\n",
+        ("tests/test_workers.py::test_a_pooled_round_raises_its_lowest_failing_clients_error",),
+    ),
+    Mutant(
+        "run_rounds reaps its workers only when its last round ends",
+        "src/bayesadmm/federation.py",
+        """        return RunResult(records, first_event is not None, first_event, server, clients)
+    finally:
+        _pool.close()
+""",
+        """        _pool.close()
+        return RunResult(records, first_event is not None, first_event, server, clients)
+    finally:
+""",
+        ("tests/test_workers.py::test_run_rounds_reaps_its_workers_on_every_way_out",),
+    ),
+    Mutant(
+        "a worker keeps the write end of its own task pipe",
+        "src/bayesadmm/federation.py",
+        "                    ends = [task_w, result_r, ",
+        "                    ends = [result_r, ",
+        ("tests/test_workers.py::test_no_worker_outlives_a_killed_run",),
     ),
     Mutant(
         "a stack of more than one client halves its step instead of splitting",

@@ -278,7 +278,8 @@ def main() -> int:
                         help="comma-separated benchmark workloads; empty for none")
     parser.add_argument("--seeds", default="1-12", help="workload seeds, such as 1-240,1801-1960")
     parser.add_argument("--no-test-configs", action="store_true", help="skip TEST_CONFIGS")
-    parser.add_argument("--jobs", type=int, default=1, help="cases run at once (each runs one process)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="cases run at once (each runs one process, and an IVON case its solve workers)")
     parser.add_argument("--work", default=None, help="scratch directory (default: a temporary one)")
     parser.add_argument("--expected", default=None,
                         help="file of 'case name: reason' lines, the cases allowed to differ")

@@ -21,8 +21,10 @@ Sections and keys (``_TABLE`` gives each one's type, default and allowed values)
 A missing key takes its default.  An empty value means "unset" for gamma,
 alpha, lr, ivon_batch, test_seed, assignments, images, labels and path, and
 is a config error anywhere else.  Every value is checked before a run writes
-anything.  ``workers`` accepts only 1, since clients run in id order on one
-thread; the key stays so that configs and traces that set it keep their hash.
+anything.  ``workers`` accepts only 1 and sizes nothing: a run's IVON solves
+use one forked worker per usable CPU (``federation.run_rounds``), and every
+other client step runs on the calling thread, with the same outputs either
+way; the key stays so that configs and traces that set it keep their hash.
 
 Exit codes: 0 completed, 2 completed with a reported divergence, 1 error.
 """

@@ -1,11 +1,15 @@
 """Round engines for six federated methods, plus fixed-point verifiers.
 
-Every engine runs one round skeleton: independent client steps, run in
-client-id order on the calling thread; a server combine over the clients' new
-fields; a finiteness check; then one commit, so a failing round changes no
-state.  The clients of a round that solve by VON (:func:`pick_solver`) step in
-lockstep (``solvers.von_lockstep``), with the same results as solving each
-alone.
+Every engine runs one round skeleton: independent client steps; a server
+combine over the clients' new fields; a finiteness check; then one commit, so
+a failing round changes no state.  The clients of a round that solve by VON
+(:func:`pick_solver`) step in lockstep (``solvers.von_lockstep``), with the
+same results as solving each alone.  Within :func:`run_rounds`, a round's IVON
+solves, when there are two or more, run on worker processes forked once per
+run, as many as there are usable CPUs and no more than the IVON clients
+(:class:`_Pool`); every other client step runs in client-id order on the
+calling thread.  Outcomes are taken in client-id order, so no output depends
+on the number of CPUs.
 
 The distribution-valued engines share one client step and one server combine,
 
@@ -26,7 +30,9 @@ a structured trace event.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -79,7 +85,6 @@ from .losses import (
 )
 from .solvers import (
     IvonConfig,
-    SolveReport,
     SubproblemSpec,
     solve_admm_client,
     solve_conjugate,
@@ -334,27 +339,126 @@ def pick_solver(inner: InnerConfig, cfg: MethodConfig, loss: LossSpec, fam: Fami
     return "prox" if fam.kind == ISOTROPIC and (cfg.delta_method or isinstance(loss, Quadratic)) else "von"
 
 
-def _solve_client(spec: SubproblemSpec, solver: str, inner: InnerConfig, seed: int,
-                  n_examples: int) -> tuple[NatParam, SolveReport]:
-    """One client's solve by the conjugate, proximal or IVON solver; VON clients go to :func:`von_lockstep`."""
-    loss = spec.loss
-    if solver == "conjugate":
-        return solve_conjugate(spec)
-    if solver == "prox":
-        # Isotropic family with the delta method: the subproblem collapses to
-        # the classical proximal step on the mean.
-        if spec.lam_g.fam.kind != ISOTROPIC:
-            raise FamilyMismatch("prox inner solver requires the isotropic family")
-        theta, report = solve_admm_client(scale_loss(loss, spec.tau), spec.eta.b1, spec.lam_g.m, spec.rho,
-                                          steps=inner.steps, lr=inner.lr, tol=inner.tol)
-        return NatParam(spec.lam_g.fam, theta), report
-    if solver == "ivon":
-        # The stochastic solver works on the mean per-example loss, so the
-        # subproblem's weights move into its loss scale and multipliers.
-        n, tau = max(n_examples, 1), spec.tau
-        return solve_ivon(scale_loss(loss, n), spec.lam_g, n / (spec.rho * tau), (tau / n) * spec.eta.v,
-                          (tau / n) * spec.eta.u, replace(inner.ivon, seed=seed))
-    raise ValueError(f"unknown inner solver {solver!r}")
+def _solve_client(clients: list[ClientState], i: int, solver: str, eta: DualVec, lam_g: NatParam,
+                  lam_g_dual: DualVec, kl_weight: float, tau: float, inner: InnerConfig, seed: int):
+    """Client ``i``'s solve by the conjugate, proximal or IVON solver: its ``(lam, report)``, or what it raised.
+
+    The arguments after ``clients`` are one task of :func:`_distribution_round`,
+    all that a worker forked with ``clients`` needs to run it.  VON clients go
+    to :func:`von_lockstep` instead.
+    """
+    client = clients[i]
+    try:
+        spec = SubproblemSpec(client.loss, eta, lam_g, rho=kl_weight, tau=tau, _lam_g_dual=lam_g_dual)
+        if solver == "conjugate":
+            return solve_conjugate(spec)
+        if solver == "prox":
+            # Isotropic family with the delta method: the subproblem collapses to
+            # the classical proximal step on the mean.
+            if lam_g.fam.kind != ISOTROPIC:
+                raise FamilyMismatch("prox inner solver requires the isotropic family")
+            theta, report = solve_admm_client(scale_loss(client.loss, tau), eta.b1, lam_g.m, kl_weight,
+                                              steps=inner.steps, lr=inner.lr, tol=inner.tol)
+            return NatParam(lam_g.fam, theta), report
+        if solver == "ivon":
+            # The stochastic solver works on the mean per-example loss, so the
+            # subproblem's weights move into its loss scale and multipliers.
+            n = max(client.n_examples, 1)
+            return solve_ivon(scale_loss(client.loss, n), lam_g, n / (kl_weight * tau), (tau / n) * eta.v,
+                              (tau / n) * eta.u, replace(inner.ivon, seed=seed))
+        raise ValueError(f"unknown inner solver {solver!r}")
+    except Exception as exc:
+        return exc
+
+
+# The worker pool of the run_rounds call in progress; a round outside run_rounds solves in-process.
+_pool: _Pool | None = None
+
+
+class _Worker(NamedTuple):
+    pid: int
+    tasks: int  # the write end of its task pipe
+    results: BinaryIO  # the read end of its result pipe
+
+
+class _Pool:
+    """Worker processes that solve a run's IVON clients, forked once, at its first round with two.
+
+    A worker is a fork of the run, so it holds every client's loss: a task
+    carries only the arguments of :func:`_solve_client` after ``clients``, and
+    its outcome comes back pickled, an exception included (without its
+    traceback).  Each worker reads tasks from a pipe that only the parent
+    writes, so it exits at the pipe's end when the parent dies, and it leaves
+    by ``os._exit``, flushing none of the buffers it inherited.
+    """
+
+    def __init__(self, clients: list[ClientState]):
+        self.clients = clients
+        self.workers: list[_Worker] = []
+
+    def start(self, count: int) -> bool:
+        """Whether workers run; if none does, fork one per usable CPU, up to ``count``, and none on one CPU.
+
+        A platform with no ``os.sched_getaffinity`` (macOS, Windows) counts as one CPU.
+        """
+        import pickle
+
+        size = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, count)
+        for _ in range(size if size > 1 and not self.workers else 0):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:  # the worker: each task's outcome, until its task pipe ends
+                    # Only the parent keeps a write end of a worker's task pipe.
+                    ends = [task_w, result_r, *[fd for w in self.workers for fd in (w.tasks, w.results.fileno())]]
+                    for fd in ends:
+                        os.close(fd)
+                    tasks, results = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
+                    while True:
+                        outcome = _solve_client(self.clients, *pickle.load(tasks))
+                        pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
+                        results.flush()
+                finally:
+                    os._exit(0)
+            os.close(task_r)
+            os.close(result_w)
+            self.workers.append(_Worker(pid, task_w, os.fdopen(result_r, "rb")))
+        return bool(self.workers)
+
+    def map(self, tasks: list[tuple]) -> list:
+        """Each task's outcome, in task order; each task goes to the first worker free."""
+        import pickle
+        import select
+
+        outcomes: list = [None] * len(tasks)
+        pending, idle, busy = list(enumerate(tasks)), list(self.workers), {}
+        while pending or busy:
+            while pending and idle:
+                worker, (k, task) = idle.pop(), pending.pop(0)
+                data = memoryview(pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
+                while data:
+                    data = data[os.write(worker.tasks, data):]
+                busy[worker.results] = worker, k
+            for results in select.select(list(busy), [], [])[0]:
+                worker, k = busy.pop(results)
+                try:
+                    outcomes[k] = pickle.load(results)
+                except EOFError:
+                    raise ChildProcessError(f"IVON worker {worker.pid} ended without a result") from None
+                idle.append(worker)
+        return outcomes
+
+    def close(self) -> None:
+        """Kill and reap every worker: none holds anything the run needs."""
+        import signal
+
+        for worker in self.workers:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+            os.close(worker.tasks)
+            worker.results.close()
+        self.workers = []
 
 
 def _distribution_round(
@@ -386,22 +490,21 @@ def _distribution_round(
     def solve(going: list[int], etas: list[DualVec]) -> list:
         """The outcome of each going client's solve: its ``(lam, report)``, or what it raised.
 
-        The VON clients solve together in lockstep; the others each alone.
+        The VON clients solve together in lockstep; the others each alone, two or more
+        IVON solves on the run's worker pool (:class:`_Pool`).
         """
-        specs = [SubproblemSpec(clients[i].loss, etas[i], lam_g, rho=kl_weight, tau=server.tau,
-                                _lam_g_dual=lam_g_dual) for i in going]
-        von = [j for j, i in enumerate(going) if picks[i] == "von"]
-        outcomes = {}
-        for j, i in enumerate(going):
-            if picks[i] != "von":
-                try:
-                    outcomes[j] = _solve_client(specs[j], picks[i], inner, seeds[i], clients[i].n_examples)
-                except Exception as exc:
-                    outcomes[j] = exc
+        von = [i for i in going if picks[i] == "von"]
+        alone = [i for i in going if picks[i] != "von"]
+        tasks = [(i, picks[i], etas[i], lam_g, lam_g_dual, kl_weight, server.tau, inner, seeds[i])
+                 for i in alone]
+        pooled = _pool is not None and inner.solver == "ivon" and len(tasks) > 1 and _pool.start(len(tasks))
+        outcomes = dict(zip(alone, _pool.map(tasks) if pooled else [_solve_client(clients, *t) for t in tasks]))
         if von:
-            outcomes.update(zip(von, von_lockstep([specs[j] for j in von], inner.steps, inner.beta,
-                                                  [estimators[going[j]] for j in von], inner.tol)))
-        return [outcomes[j] for j in range(len(going))]
+            specs = [SubproblemSpec(clients[i].loss, etas[i], lam_g, rho=kl_weight, tau=server.tau,
+                                    _lam_g_dual=lam_g_dual) for i in von]
+            outcomes.update(zip(von, von_lockstep(specs, inner.steps, inner.beta,
+                                                  [estimators[i] for i in von], inner.tol)))
+        return [outcomes[i] for i in going]
 
     # Each client repeats its solve and dual update up to client_repeats times.  A
     # failure is raised as a loop over the clients in id order would raise it: the
@@ -674,6 +777,9 @@ def run_rounds(
     phase (``metrics`` or ``verify``) and the exception; the states stay as
     the engine committed them.  ``on_record(record)`` is called with each
     round record as it is appended.
+
+    The run owns the worker pool its rounds' IVON solves use (:class:`_Pool`),
+    and reaps it on every way out, an exception included.
     """
     engine = ROUND_ENGINES[cfg.method]
     records: list[dict] = []
@@ -688,39 +794,45 @@ def run_rounds(
             last["preceded_by"] = first_event
         return RunResult(records, diverged, last, server, clients, error)
 
-    for rnd in range(n_rounds):
-        try:
-            info = engine(server, clients, cfg, rnd, base_seed)
-        except (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape) as exc:
-            return stop(event("divergence", type(exc).__name__, str(exc)), True)
-        except Exception as exc:
-            failure = event("failure", type(exc).__name__, str(exc), phase="round")
-            return stop(failure, first_event is not None, exc)
-        record = {"round": rnd, "method": cfg.method, **info}
-        metric_values: dict = {}
-        for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
-            if fn is None:
-                continue
+    global _pool
+    outer, _pool = _pool, _Pool(clients)
+    try:
+        for rnd in range(n_rounds):
             try:
-                metric_values.update(fn(server, clients))
+                info = engine(server, clients, cfg, rnd, base_seed)
+            except (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape) as exc:
+                return stop(event("divergence", type(exc).__name__, str(exc)), True)
             except Exception as exc:
-                failure = event("failure", type(exc).__name__, str(exc), phase=phase)
+                failure = event("failure", type(exc).__name__, str(exc), phase="round")
                 return stop(failure, first_event is not None, exc)
-        bad = [
-            k
-            for k, val in metric_values.items()
-            if isinstance(val, float) and not math.isfinite(val)
-        ]
-        if bad and first_event is None:
-            # Non-finite metrics are a reportable divergence, but the
-            # states are still valid, so the run itself continues; only
-            # state-level failures above are terminal.
-            first_event = event("divergence", "NonFiniteMetric", f"non-finite metrics: {bad}")
-        record.update(metric_values)
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-    return RunResult(records, first_event is not None, first_event, server, clients)
+            record = {"round": rnd, "method": cfg.method, **info}
+            metric_values: dict = {}
+            for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
+                if fn is None:
+                    continue
+                try:
+                    metric_values.update(fn(server, clients))
+                except Exception as exc:
+                    failure = event("failure", type(exc).__name__, str(exc), phase=phase)
+                    return stop(failure, first_event is not None, exc)
+            bad = [
+                k
+                for k, val in metric_values.items()
+                if isinstance(val, float) and not math.isfinite(val)
+            ]
+            if bad and first_event is None:
+                # Non-finite metrics are a reportable divergence, but the
+                # states are still valid, so the run itself continues; only
+                # state-level failures above are terminal.
+                first_event = event("divergence", "NonFiniteMetric", f"non-finite metrics: {bad}")
+            record.update(metric_values)
+            records.append(record)
+            if on_record is not None:
+                on_record(record)
+        return RunResult(records, first_event is not None, first_event, server, clients)
+    finally:
+        _pool.close()
+        _pool = outer
 
 
 # ---------------------------------------------------------------------------
