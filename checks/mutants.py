@@ -89,12 +89,14 @@ MUTANTS = (
     Mutant(
         "a package error in a metric or the verifier is re-raised",
         "src/bayesadmm/federation.py",
-        """                except Exception as exc:
-                    failure = event(""",
-        """                except Exception as exc:
-                    if type(exc).__module__ == "bayesadmm.errors":
-                        raise
-                    failure = event(""",
+        """            except Exception as exc:
+                return phase, exc
+""",
+        """            except Exception as exc:
+                if type(exc).__module__ == "bayesadmm.errors":
+                    raise
+                return phase, exc
+""",
         ("tests/test_cli.py::test_run_keeps_its_record_when_verify_raises_a_package_error",),
     ),
     Mutant(
@@ -254,8 +256,8 @@ MUTANTS = (
     Mutant(
         "the transposed triangular solve passes the wrong trans",
         "src/bayesadmm/families.py",
-        "        x, info = trtrs(a.T, b, lower=not lower, trans=1)\n",
-        "        x, info = trtrs(a.T, b, lower=not lower, trans=0)\n",
+        "        a, lower, trans = np.ascontiguousarray(a, dtype=float).T, not lower, b\"T\"\n",
+        "        a, lower, trans = np.ascontiguousarray(a, dtype=float).T, not lower, b\"N\"\n",
         ("tests/test_families.py::test_triangular_solve_matches_scipy_bit_for_bit",),
     ),
     Mutant(
@@ -296,14 +298,14 @@ MUTANTS = (
     Mutant(
         "dpotri is told the wrong triangle",
         "src/bayesadmm/families.py",
-        "    inv, info = potri(low.T, lower=0)\n",
-        "    inv, info = potri(low.T, lower=1)\n",
+        "    potri(b\"U\", ctypes.c_int(n), out.ctypes.data, size, info, 1)\n",
+        "    potri(b\"L\", ctypes.c_int(n), out.ctypes.data, size, info, 1)\n",
         ("tests/test_families.py::test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound",),
     ),
     Mutant(
         "the compensated sum drops carry -= y",
         "src/bayesadmm/families.py",
-        "        carry -= y\n",
+        "        self.carry -= self._y\n",
         "",
         ("tests/test_families.py::test_dual_sum_equals_the_four_temporary_loop_bit_for_bit",),
     ),
@@ -627,11 +629,13 @@ MUTANTS = (
     Mutant(
         "an engine's error propagates out of run_rounds",
         "src/bayesadmm/federation.py",
-        """            except Exception as exc:
-                failure = event("failure", type(exc).__name__, str(exc), phase="round")
-                return stop(failure, first_event is not None, exc)
+        """            if ended is not None:
+                failure = event("failure", type(ended).__name__, str(ended), rnd, phase="round")
+                return stop(failure, first_event is not None, ended)
 """,
-        "",
+        """            if ended is not None:
+                raise ended
+""",
         ("tests/test_cli.py::test_run_keeps_its_record_when_an_engine_raises",),
     ),
     Mutant(
@@ -677,11 +681,15 @@ MUTANTS = (
         "src/bayesadmm/federation.py",
         """        return RunResult(records, first_event is not None, first_event, server, clients)
     finally:
+        if pending is not None:
+            pending[1].wait()
         _pool.close()
 """,
         """        _pool.close()
         return RunResult(records, first_event is not None, first_event, server, clients)
     finally:
+        if pending is not None:
+            pending[1].wait()
 """,
         ("tests/test_workers.py::test_run_rounds_reaps_its_workers_on_every_way_out",),
     ),
@@ -713,6 +721,74 @@ MUTANTS = (
         "isinstance(loss, (Logistic, MulticlassLogistic)) and loss.dim == fam.dim \\\n"
         "                    and loss.X.size <= STACK_MAX:\n",
         ("tests/test_losses.py::test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian",),
+    ),
+    Mutant(
+        "a failed check keeps the next round's state",
+        "src/bayesadmm/federation.py",
+        "        if phase is not None:\n            restore(*committed)\n",
+        "        if phase is not None:\n",
+        ("tests/test_overlap.py::test_a_failing_metric_ends_the_run_at_its_round_with_that_rounds_states",),
+    ),
+    Mutant(
+        "a round's checks settle after the next round's event",
+        "src/bayesadmm/federation.py",
+        """            if pending is not None:
+                (done, helper, committed), pending = pending, None
+                if (result := settle(done, helper.result, committed)) is not None:
+                    return result
+            if isinstance(ended, (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape)):
+                return stop(event("divergence", type(ended).__name__, str(ended), rnd), True)
+""",
+        """            if isinstance(ended, (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape)):
+                return stop(event("divergence", type(ended).__name__, str(ended), rnd), True)
+            if pending is not None:
+                (done, helper, committed), pending = pending, None
+                if (result := settle(done, helper.result, committed)) is not None:
+                    return result
+""",
+        ("tests/test_overlap.py::test_a_divergence_after_a_non_finite_metric_is_preceded_by_it",),
+    ),
+    Mutant(
+        "rounds that solve by VON in lockstep check beside the next",
+        "src/bayesadmm/federation.py",
+        "    return any(pick_solver(cfg.inner, cfg, scale_loss(c.loss, server.tau), server.fam) == \"von\" for c in clients)\n",
+        "    return False\n",
+        ("tests/test_overlap.py::test_only_rounds_outside_the_lockstep_check_beside_the_next",),
+    ),
+    Mutant(
+        "an engine's warnings show while the checks before it still run",
+        "src/bayesadmm/federation.py",
+        "            self._held.append(shown)\n",
+        "            self._show(*shown)\n",
+        ("tests/test_overlap.py::test_an_engines_warnings_wait_for_the_checks_before_it",),
+    ),
+    Mutant(
+        "run_rounds does not wait for its last checks on the way out",
+        "src/bayesadmm/federation.py",
+        "        if pending is not None:\n            pending[1].wait()\n",
+        "",
+        ("tests/test_overlap.py::test_an_interrupted_engine_leaves_the_round_before_it_in_the_trace",),
+    ),
+    Mutant(
+        "a pooled solve's warnings bypass the parent's registry",
+        "src/bayesadmm/federation.py",
+        "registry = None if module is None else module.setdefault(\"__warningregistry__\", {})\n",
+        "registry = None\n",
+        ("tests/test_overlap.py::test_a_pooled_solves_warnings_show_as_they_do_in_process",),
+    ),
+    Mutant(
+        "the LAPACK routines hold the GIL",
+        "src/bayesadmm/families.py",
+        "    trtrs = ctypes.CFUNCTYPE(",
+        "    trtrs = ctypes.PYFUNCTYPE(",
+        ("tests/test_families.py::test_lapack_routines_release_the_gil",),
+    ),
+    Mutant(
+        "the stacked Cholesky solve skips its check between the two solves",
+        "src/bayesadmm/families.py",
+        "    solve(b\"T\")\n    _require_finite(x)\n",
+        "    solve(b\"T\")\n",
+        ("tests/test_families.py::test_stacked_cholesky_solves_keep_the_row_solves_errors",),
     ),
 )
 

@@ -22,11 +22,14 @@ across threads.
 from __future__ import annotations
 
 import base64
+import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from importlib import machinery, util
 
@@ -101,19 +104,30 @@ def chol_spd(mat: Array) -> Array:
 
 @functools.cache
 def _lapack():
-    """LAPACK ``dtrtrs`` and ``dpotri`` for float64, loaded on first use.
+    """LAPACK ``dtrtrs`` and ``dpotri`` for float64, loaded on first use, called without the GIL.
 
-    They are the Fortran objects ``scipy.linalg.get_lapack_funcs`` returns,
-    from the compiled module ``scipy.linalg._flapack``.  The import system's
-    own finder loads that module without running ``scipy/linalg/__init__.py``,
-    which takes about a third of a second (through scipy's array-API layer it
-    pulls in ``numpy.f2py``, ``numpy.testing`` and more), and the ``scipy``
-    package's directory comes from its spec, without running
-    ``scipy/__init__.py`` either.  The module goes into ``sys.modules`` under
-    its own name, or is reused from there, so ``scipy.linalg`` shares it
-    whichever loads first.  Only the ``fixed`` and ``full`` families need it;
-    constructing such a :class:`Family` calls this, so a run pays for the
-    load in its setup.
+    They are the Fortran routines behind the f2py objects
+    ``scipy.linalg.get_lapack_funcs`` returns, from the compiled module
+    ``scipy.linalg._flapack``, called through the function pointer in each
+    object's ``_cpointer`` capsule by ``ctypes``: the same code on the same
+    arguments, so the same bits.  The f2py wrappers hold the GIL for the whole
+    call, and a ``ctypes`` foreign call releases it, so a round's checks on a
+    second thread (``federation.run_rounds``) invert and solve beside the next
+    round's engine.  Each routine takes, after its own arguments, gfortran's
+    hidden ``size_t`` length of each character argument.  (The same routines
+    in ``scipy.linalg.cython_lapack`` take none, but loading that module
+    runs ``scipy/__init__.py`` and took about four times as long.)
+
+    The import system's own finder loads the module without running
+    ``scipy/linalg/__init__.py``, which takes about a third of a second
+    (through scipy's array-API layer it pulls in ``numpy.f2py``,
+    ``numpy.testing`` and more), and the ``scipy`` package's directory comes
+    from its spec, without running ``scipy/__init__.py`` either.  Loading an
+    extension module enters it in ``sys.modules``; one this function loaded
+    is taken out again, so a later ``import scipy.linalg`` loads the module
+    itself, from the same routines, and sets its ``_flapack`` attribute.  Only
+    the ``fixed`` and ``full`` families need it; constructing such a
+    :class:`Family` calls this, so a run pays for the load in its setup.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -127,8 +141,14 @@ def _lapack():
             raise ImportError(f"no LAPACK extension module {name} in scipy", name=name)
         module = util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        module = sys.modules.setdefault(name, module)
-    return module.dtrtrs, module.dpotri
+        sys.modules.pop(name, None)
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    char, size, data, length = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_size_t
+    # dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info) and dpotri(uplo, n, a, lda, info).
+    trtrs = ctypes.CFUNCTYPE(None, char, char, char, size, size, data, size, data, size, size, length, length, length)
+    potri = ctypes.CFUNCTYPE(None, char, size, data, size, size, length)
+    return trtrs(pointer(module.dtrtrs._cpointer, None)), potri(pointer(module.dpotri._cpointer, None))
 
 
 def _require_finite(a: Array) -> None:
@@ -157,20 +177,22 @@ def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
 
 
 def _trtrs(a: Array, b: Array, lower: bool) -> Array:
-    """:func:`_solve_triangular` for an ``a`` already checked to be finite."""
+    """:func:`_solve_triangular` for an ``a`` already checked to be finite: a new Fortran-ordered array, as scipy's."""
     _require_finite(b)
-    return _dtrtrs(a, b, lower)
-
-
-def _dtrtrs(a: Array, b: Array, lower: bool) -> Array:
-    """The LAPACK call of :func:`_solve_triangular`, for an ``a`` and ``b`` already checked to be finite."""
     trtrs, _ = _lapack()
     if a.flags.f_contiguous:
-        x, info = trtrs(a, b, lower=lower, trans=0)
+        a, trans = np.asfortranarray(a, dtype=float), b"N"
     else:
         # dtrtrs reads Fortran order: solve the transposed system instead.
-        x, info = trtrs(a.T, b, lower=not lower, trans=1)
-    return _lapack_result(x, info, "trtrs")
+        a, lower, trans = np.ascontiguousarray(a, dtype=float).T, not lower, b"T"
+    x = np.array(b, dtype=float, order="F")
+    n = len(a)
+    if a.shape != (n, n) or x.ndim not in (1, 2) or len(x) != n:
+        raise ValueError(f"cannot solve a {a.shape} triangular system for a right-hand side of shape {x.shape}")
+    size, info = ctypes.c_int(max(n, 1)), ctypes.c_int()
+    trtrs(b"L" if lower else b"U", trans, b"N", ctypes.c_int(n), ctypes.c_int(1 if x.ndim == 1 else x.shape[1]),
+          a.ctypes.data, size, x.ctypes.data, size, info, 1, 1, 1)
+    return _lapack_result(x, info.value, "trtrs")
 
 
 def _chol_solve(low: Array, rhs: Array) -> Array:
@@ -183,13 +205,32 @@ def _chol_solve(low: Array, rhs: Array) -> Array:
 def _chol_solve_rows(lows: Array, rhs: Array) -> Array:
     """:func:`_chol_solve` of each factor of a (K, d, d) stack with its row of ``rhs`` (K, d).
 
-    The same two ``dtrtrs`` calls per row, with each stacked array checked once.
+    The same two ``dtrtrs`` calls per row, solving in place in one (K, d)
+    copy of ``rhs``, with each stacked array checked once.  Each C-ordered
+    factor ``low`` is its Fortran-ordered transpose, the upper factor, so the
+    first solve transposes it and the second does not.
     """
     _require_finite(lows)
     _require_finite(rhs)
-    half = np.stack([_dtrtrs(low, row, True) for low, row in zip(lows, rhs)])
-    _require_finite(half)
-    return np.stack([_dtrtrs(low.T, row, False) for low, row in zip(lows, half)])
+    x = np.array(rhs, dtype=float)
+    count, d = x.shape
+    if lows.shape != (count, d, d):
+        raise ValueError(f"cannot solve with factors of shape {lows.shape} for rows of shape {x.shape}")
+    if lows.dtype != np.float64 or lows.strides[1:] != (8 * d, 8):
+        lows = np.ascontiguousarray(lows, dtype=float)
+    trtrs, _ = _lapack()
+    n, one, info = ctypes.c_int(d), ctypes.c_int(1), ctypes.c_int()
+
+    def solve(trans: bytes) -> None:
+        for k in range(count):
+            trtrs(b"U", trans, b"N", n, one, factors + k * lows.strides[0], n, rows + 8 * k * d, n, info, 1, 1, 1)
+            _lapack_result(x, info.value, "trtrs")
+
+    factors, rows = lows.ctypes.data, x.ctypes.data
+    solve(b"T")
+    _require_finite(x)
+    solve(b"N")
+    return x
 
 
 @functools.cache
@@ -206,13 +247,18 @@ def _chol_inverse(low: Array) -> Array:
     too) and C-ordered.  Errors as in :func:`_solve_triangular`.
     """
     _require_finite(low)
-    # dpotri reads Fortran order, where a C-ordered ``low`` is its upper factor ``low.T``.
     _, potri = _lapack()
-    inv, info = potri(low.T, lower=0)
-    # Transposed, the Fortran-ordered result is C-ordered with the inverse below the diagonal.
-    out = _lapack_result(inv, info, "potri").T
+    # dpotri reads Fortran order, where a C-ordered copy of ``low`` is its upper factor ``low.T``,
+    # and writes the inverse's upper triangle there: the lower one in C order.
+    out = np.array(low, dtype=float, order="C")
+    n = len(out)
+    if out.shape != (n, n):
+        raise ValueError(f"cannot invert from a factor of shape {out.shape}")
+    size, info = ctypes.c_int(max(n, 1)), ctypes.c_int()
+    potri(b"U", ctypes.c_int(n), out.ctypes.data, size, info, 1)
+    _lapack_result(out, info.value, "potri")
     out += 0.0
-    upper = _strict_upper(out.shape[0])
+    upper = _strict_upper(n)
     out[upper] = out.T[upper]
     return out
 
@@ -560,30 +606,47 @@ def dual_scale(a: float, x: DualVec) -> DualVec:
     return _wrap(DualVec, x.fam, _axpy(a, x.b1, 0.0))
 
 
-def dual_sum(vecs: list[DualVec]) -> DualVec:
-    """Sum in the given (client-id) order with compensated summation."""
-    if not vecs:
+def dual_sum(vecs: Iterable[DualVec]) -> DualVec:
+    """Sum in the given (client-id) order with compensated summation.
+
+    Each vector is added as it comes, so summing a generator holds one of
+    its vectors at a time, with the same bits as summing their list.
+    """
+    vecs = iter(vecs)
+    first = next(vecs, None)
+    if first is None:
         raise ValueError("dual_sum of an empty list")
-    fam = vecs[0].fam
-    for v in vecs[1:]:
-        check_same_family(vecs[0], v)
-    b1 = _kahan([v.b1 for v in vecs])
-    if fam.two_block:
-        return _wrap(DualVec, fam, b1, _kahan([v.b2 for v in vecs]))
-    return _wrap(DualVec, fam, b1)
+    sums = [_Kahan(first.b1)] + ([_Kahan(first.b2)] if first.fam.two_block else [])
+    for v in itertools.chain([first], vecs):
+        check_same_family(first, v)
+        for kahan, block in zip(sums, (v.b1, v.b2)):
+            kahan.add(block)
+    return _wrap(DualVec, first.fam, *(kahan.total for kahan in sums))
 
 
-def _kahan(arrays: list[Array]) -> Array:
-    """Compensated sum: ``y = a - carry; t = total + y; carry = (t - total) - y; total = t``."""
-    total, carry = np.zeros_like(arrays[0]), np.zeros_like(arrays[0])
-    y, t = np.empty_like(total), np.empty_like(total)
-    for a in arrays:
-        np.subtract(a, carry, out=y)
-        np.add(total, y, out=t)
-        np.subtract(t, total, out=carry)
-        carry -= y
-        total, t = t, total
-    return total
+class _Kahan:
+    """Compensated sum fed one array at a time: ``y = a - carry; t = total + y; carry = (t - total) - y``."""
+
+    def __init__(self, like: Array):
+        self.total, self.carry = np.zeros_like(like), np.zeros_like(like)
+        self._y, self._t = np.empty_like(like), np.empty_like(like)
+
+    def add(self, a: Array) -> None:
+        np.subtract(a, self.carry, out=self._y)
+        np.add(self.total, self._y, out=self._t)
+        np.subtract(self._t, self.total, out=self.carry)
+        self.carry -= self._y
+        self.total, self._t = self._t, self.total
+
+
+def _kahan(arrays: Iterable[Array]) -> Array:
+    """:class:`_Kahan` of ``arrays`` in order."""
+    arrays = iter(arrays)
+    first = next(arrays)
+    total = _Kahan(first)
+    for a in itertools.chain([first], arrays):
+        total.add(a)
+    return total.total
 
 
 def dual_inf_norm(x: DualVec) -> float:

@@ -9,7 +9,10 @@ solves, when there are two or more, run on worker processes forked once per
 run, as many as there are usable CPUs and no more than the IVON clients
 (:class:`_Pool`); every other client step runs in client-id order on the
 calling thread.  Outcomes are taken in client-id order, so no output depends
-on the number of CPUs.
+on the number of CPUs.  With a second usable CPU, :func:`run_rounds` checks
+a round on a helper thread while the next round's engine runs, unless its
+clients solve by VON in lockstep (:func:`_in_lockstep`), and settles each
+round's checks in round order.
 
 The distribution-valued engines share one client step and one server combine,
 
@@ -29,8 +32,12 @@ a structured trace event.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+import sys
+import threading
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import BinaryIO, NamedTuple
 
@@ -253,8 +260,9 @@ def server_combine(
     lam_ks: list[NatParam], eta_ks: list[DualVec], eta0: DualVec, alpha: float
 ) -> NatParam:
     """lam_g = (1 - alpha) mean(lam_k) + alpha (eta_0 + sum eta_k), id order, Kahan sums."""
-    gathered = dual_sum([eta0] + list(eta_ks))
-    mean_lam = dual_scale(1.0 / len(lam_ks), dual_sum([lam.as_dual() for lam in lam_ks]))
+    gathered = dual_sum([eta0, *eta_ks])
+    # Each client's ambient coordinates are summed as they are made, so one d x d block lives at a time.
+    mean_lam = dual_scale(1.0 / len(lam_ks), dual_sum(lam.as_dual() for lam in lam_ks))
     return NatParam.from_dual(dual_axpy(alpha, gathered, dual_scale(1.0 - alpha, mean_lam)))
 
 
@@ -375,6 +383,11 @@ def _solve_client(clients: list[ClientState], i: int, solver: str, eta: DualVec,
 _pool: _Pool | None = None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; a platform with no ``os.sched_getaffinity`` (macOS, Windows) has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 class _Worker(NamedTuple):
     pid: int
     tasks: int  # the write end of its task pipe
@@ -387,9 +400,12 @@ class _Pool:
     A worker is a fork of the run, so it holds every client's loss: a task
     carries only the arguments of :func:`_solve_client` after ``clients``, and
     its outcome comes back pickled, an exception included (without its
-    traceback).  Each worker reads tasks from a pipe that only the parent
-    writes, so it exits at the pipe's end when the parent dies, and it leaves
-    by ``os._exit``, flushing none of the buffers it inherited.
+    traceback), with every warning the solve issued.  The parent issues those
+    again, task by task, through its own filters and registries, so each
+    shows as often, and in the same order, as it would in-process.  Each
+    worker reads tasks from a pipe that only the parent writes, so it exits
+    at the pipe's end when the parent dies, and it leaves by ``os._exit``,
+    flushing none of the buffers it inherited.
     """
 
     def __init__(self, clients: list[ClientState]):
@@ -397,13 +413,10 @@ class _Pool:
         self.workers: list[_Worker] = []
 
     def start(self, count: int) -> bool:
-        """Whether workers run; if none does, fork one per usable CPU, up to ``count``, and none on one CPU.
-
-        A platform with no ``os.sched_getaffinity`` (macOS, Windows) counts as one CPU.
-        """
+        """Whether workers run; if none does, fork one per usable CPU, up to ``count``, and none on one CPU."""
         import pickle
 
-        size = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, count)
+        size = min(_usable_cpus(), count)
         for _ in range(size if size > 1 and not self.workers else 0):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
@@ -416,8 +429,12 @@ class _Pool:
                         os.close(fd)
                     tasks, results = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
                     while True:
-                        outcome = _solve_client(self.clients, *pickle.load(tasks))
-                        pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
+                        task = pickle.load(tasks)
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            outcome = _solve_client(self.clients, *task)
+                        shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+                        pickle.dump((outcome, shown), results, pickle.HIGHEST_PROTOCOL)
                         results.flush()
                 finally:
                     os._exit(0)
@@ -427,7 +444,12 @@ class _Pool:
         return bool(self.workers)
 
     def map(self, tasks: list[tuple]) -> list:
-        """Each task's outcome, in task order; each task goes to the first worker free."""
+        """Each task's outcome, in task order; each task goes to the first worker free.
+
+        Then each task's warnings are issued in task order.  One that a filter
+        turns into an error becomes its task's outcome, as it would have
+        ended the solve in-process.
+        """
         import pickle
         import select
 
@@ -447,6 +469,17 @@ class _Pool:
                 except EOFError:
                     raise ChildProcessError(f"IVON worker {worker.pid} ended without a result") from None
                 idle.append(worker)
+        for k, (outcome, shown) in enumerate(outcomes):
+            try:
+                for text, category, filename, lineno in shown:
+                    module = next((vars(m) for m in list(sys.modules.values())
+                                   if getattr(m, "__file__", None) == filename), None)
+                    registry = None if module is None else module.setdefault("__warningregistry__", {})
+                    warnings.warn_explicit(text, category, filename, lineno, module and module["__name__"],
+                                           registry, module)
+            except Warning as exc:
+                outcome = exc
+            outcomes[k] = outcome
         return outcomes
 
     def close(self) -> None:
@@ -756,6 +789,67 @@ class RunResult:
         return self.error is not None
 
 
+def _in_lockstep(server: ServerState, clients: list[ClientState], cfg: MethodConfig) -> bool:
+    """Whether the rounds of ``cfg``'s engine solve some client by VON, in lockstep.
+
+    :func:`von_lockstep` holds the GIL between its small stacked numpy
+    calls, so a round's checks beside such a round only slow it down.
+    """
+    if server.lam_g is None or cfg.method == "ivon_admm":
+        return False
+    return any(pick_solver(cfg.inner, cfg, scale_loss(c.loss, server.tau), server.fam) == "von" for c in clients)
+
+
+class _Beside(threading.Thread):
+    """``fn(*args)`` on a helper thread while the calling thread goes on.
+
+    While it runs, a warning the calling thread shows is held, and shown when
+    :meth:`wait` returns: the helper's work comes first in the serial order
+    the run's output keeps, and its warnings show as they come.
+    """
+
+    def __init__(self, fn, *args):
+        super().__init__(name="round checks")
+        self._call, self._outcome, self._held = (fn, args), None, []
+        self._show = warnings.showwarning
+        warnings.showwarning = self._hold
+        try:
+            self.start()
+        except BaseException:  # no thread, so nothing will end the hold
+            warnings.showwarning = self._show
+            raise
+
+    def _hold(self, *shown) -> None:
+        if threading.current_thread() is self:
+            self._show(*shown)
+        else:
+            self._held.append(shown)
+
+    def run(self) -> None:
+        (fn, args), self._call = self._call, None  # what fn reads is not kept past its end
+        try:
+            self._outcome = fn(*args), None
+        except BaseException as exc:  # raised again on the calling thread by result()
+            self._outcome = None, exc
+
+    def wait(self) -> None:
+        """Join the helper, then show the calling thread's held warnings."""
+        try:
+            self.join()
+        finally:
+            warnings.showwarning = self._show
+            for shown in self._held:
+                self._show(*shown)
+
+    def result(self):
+        """What ``fn`` returned, or raise what it raised, once it has ended."""
+        self.wait()
+        value, exc = self._outcome
+        if exc is not None:
+            raise exc
+        return value
+
+
 def run_rounds(
     server: ServerState,
     clients: list[ClientState],
@@ -778,14 +872,26 @@ def run_rounds(
     the engine committed them.  ``on_record(record)`` is called with each
     round record as it is appended.
 
+    With a second usable CPU, and unless the rounds solve by VON in lockstep
+    (:func:`_in_lockstep`), a round's checks run on a helper thread beside the
+    next round's engine (:class:`_Beside`).  They read shallow copies of the
+    committed states, which no later round changes: :func:`_round` replaces
+    fields and never writes an array in place.  The helper keeps the record
+    and calls ``on_record`` as soon as the checks end.  The calling thread
+    settles a round's checks before it handles the next round's outcome, and
+    a failed check puts every state back as its round committed them, so the
+    records, events, states and warnings are those of checking each round
+    before the next.
+
     The run owns the worker pool its rounds' IVON solves use (:class:`_Pool`),
-    and reaps it on every way out, an exception included.
+    and reaps it on every way out, an exception included, after its last
+    checks have ended.
     """
     engine = ROUND_ENGINES[cfg.method]
     records: list[dict] = []
     first_event: dict | None = None
 
-    def event(kind: str, reason: str, detail: str, **extra) -> dict:
+    def event(kind: str, reason: str, detail: str, rnd: int, **extra) -> dict:
         return {"type": kind, "round": rnd, "method": cfg.method, "reason": reason, "detail": detail,
                 **extra}
 
@@ -794,43 +900,79 @@ def run_rounds(
             last["preceded_by"] = first_event
         return RunResult(records, diverged, last, server, clients, error)
 
+    def checks(record: dict, server: ServerState, clients: list[ClientState]) -> tuple:
+        """``(phase, exception)`` of the first check that raises; else keep ``record``, ``(None, non-finite keys)``."""
+        metric_values: dict = {}
+        for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
+            if fn is None:
+                continue
+            try:
+                metric_values.update(fn(server, clients))
+            except Exception as exc:
+                return phase, exc
+        record.update(metric_values)
+        records.append(record)
+        if on_record is not None:
+            on_record(record)
+        return None, [k for k, val in metric_values.items() if isinstance(val, float) and not math.isfinite(val)]
+
+    def settle(rnd: int, outcome, committed: tuple) -> RunResult | None:
+        """Round ``rnd``'s checks, ``outcome()``: the run's result if one failed, with every state as ``committed``."""
+        nonlocal first_event
+        try:
+            phase, found = outcome()
+        except BaseException:
+            restore(*committed)
+            raise
+        if phase is not None:
+            restore(*committed)
+            return stop(event("failure", type(found).__name__, str(found), rnd, phase=phase),
+                        first_event is not None, found)
+        if found and first_event is None:
+            # Non-finite metrics are a reportable divergence, but the
+            # states are still valid, so the run itself continues; only
+            # state-level failures are terminal.
+            first_event = event("divergence", "NonFiniteMetric", f"non-finite metrics: {found}", rnd)
+        return None
+
+    def restore(kept: ServerState, kept_clients: list[ClientState]) -> None:
+        vars(server).update(vars(kept))
+        for client, kept_client in zip(clients, kept_clients):
+            vars(client).update(vars(kept_client))
+
     global _pool
     outer, _pool = _pool, _Pool(clients)
+    beside = _usable_cpus() > 1 and not _in_lockstep(server, clients, cfg)
+    pending = None  # (round, its checks on the helper thread, the states it committed)
     try:
         for rnd in range(n_rounds):
             try:
-                info = engine(server, clients, cfg, rnd, base_seed)
-            except (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape) as exc:
-                return stop(event("divergence", type(exc).__name__, str(exc)), True)
+                info, ended = engine(server, clients, cfg, rnd, base_seed), None
             except Exception as exc:
-                failure = event("failure", type(exc).__name__, str(exc), phase="round")
-                return stop(failure, first_event is not None, exc)
+                ended = exc
+            if pending is not None:
+                (done, helper, committed), pending = pending, None
+                if (result := settle(done, helper.result, committed)) is not None:
+                    return result
+            if isinstance(ended, (ResultNotInFamily, NonFiniteUpdate, PrecisionEscape)):
+                return stop(event("divergence", type(ended).__name__, str(ended), rnd), True)
+            if ended is not None:
+                failure = event("failure", type(ended).__name__, str(ended), rnd, phase="round")
+                return stop(failure, first_event is not None, ended)
             record = {"round": rnd, "method": cfg.method, **info}
-            metric_values: dict = {}
-            for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
-                if fn is None:
-                    continue
-                try:
-                    metric_values.update(fn(server, clients))
-                except Exception as exc:
-                    failure = event("failure", type(exc).__name__, str(exc), phase=phase)
-                    return stop(failure, first_event is not None, exc)
-            bad = [
-                k
-                for k, val in metric_values.items()
-                if isinstance(val, float) and not math.isfinite(val)
-            ]
-            if bad and first_event is None:
-                # Non-finite metrics are a reportable divergence, but the
-                # states are still valid, so the run itself continues; only
-                # state-level failures above are terminal.
-                first_event = event("divergence", "NonFiniteMetric", f"non-finite metrics: {bad}")
-            record.update(metric_values)
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
+            committed = copy.copy(server), [copy.copy(c) for c in clients]
+            if beside:
+                pending = rnd, _Beside(checks, record, *committed), committed
+            elif (result := settle(rnd, lambda: checks(record, *committed), committed)) is not None:
+                return result
+        if pending is not None:
+            (done, helper, committed), pending = pending, None
+            if (result := settle(done, helper.result, committed)) is not None:
+                return result
         return RunResult(records, first_event is not None, first_event, server, clients)
     finally:
+        if pending is not None:
+            pending[1].wait()
         _pool.close()
         _pool = outer
 

@@ -1,12 +1,13 @@
 import base64
 import copy
+import ctypes
 import json
 import re
 import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
@@ -841,6 +842,45 @@ def test_triangular_solve_matches_scipy_bit_for_bit(low):
         assert same_bits(families._chol_solve(low, rhs), want)
 
 
+def test_stacked_cholesky_solves_equal_one_solve_per_row_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for d, count in ((1, 3), (30, 5), (201, 2)):
+        lows = np.stack([chol_spd(random_spd(rng, d)) for _ in range(count)])
+        rhs = rng.standard_normal((count, d))
+        want = np.stack([families._chol_solve(low, row) for low, row in zip(lows, rhs)])
+        # A fixed family's rows share one factor through a zero stride.
+        shared = np.broadcast_to(lows[0], lows.shape)
+        for stack, expected in ((lows, want), (np.asfortranarray(lows), want),
+                                (shared, np.stack([families._chol_solve(lows[0], row) for row in rhs]))):
+            got = families._chol_solve_rows(stack, rhs)
+            assert same_bits(got, expected) and got.flags.c_contiguous
+
+
+def test_stacked_cholesky_solves_keep_the_row_solves_errors():
+    low = chol_spd(np.eye(3) + 0.5)
+    singular = low.copy()
+    singular[1, 1] = 0.0
+    # A diagonal entry so small that the first solve overflows, which only the check between the solves catches.
+    tiny = low.copy()
+    tiny[0, 0] = 1e-300
+    bad_rhs = np.ones(3)
+    bad_rhs[2] = np.inf
+    cases = [(np.stack([low, singular]), np.ones((2, 3))), (np.stack([low, low]), np.stack([np.ones(3), bad_rhs])),
+             (np.stack([low, tiny]), np.full((2, 3), 1e10))]
+    for lows, rhs in cases:
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
+            for tri, row in zip(lows, rhs):
+                families._chol_solve(tri, row)
+        with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
+            families._chol_solve_rows(lows, rhs)
+
+
+def test_lapack_routines_release_the_gil():
+    # A ctypes function type made by CFUNCTYPE drops the GIL for the call; one made by PYFUNCTYPE keeps it.
+    for routine in families._lapack():
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
 def test_triangular_solve_keeps_scipys_errors():
     low = chol_spd(np.eye(3) + 0.5)
     cases = []
@@ -916,9 +956,8 @@ def test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound(low):
 
 
 def chol_inverse_reference(low):
-    """``dpotri`` mirrored by two ``np.tril`` copies, as ``_chol_inverse`` once did."""
-    _, potri = families._lapack()
-    inv, info = potri(low.T, lower=0)
+    """scipy's ``dpotri`` mirrored by two ``np.tril`` copies, as ``_chol_inverse`` once did."""
+    inv, info = lapack.dpotri(low.T, lower=0)
     assert info == 0
     tri = inv.T
     out = np.tril(tri)
@@ -946,8 +985,7 @@ def test_dpotri_leaves_negative_zeros_that_the_mirror_clears():
     # dpotri writes -0.0 off the diagonal of a diagonal factor's inverse; the
     # mirror's ``+ 0.0`` turns each into +0.0, as the two np.tril copies did.
     low = np.diag([1.0, 2.0, 0.5, 3.0])
-    _, potri = families._lapack()
-    filled = np.tril(potri(low.T, lower=0)[0].T)
+    filled = np.tril(lapack.dpotri(low.T, lower=0)[0].T)
     assert np.any((filled == 0.0) & np.signbit(filled))
     inv = families._chol_inverse(low)
     assert same_bits(inv, chol_inverse_reference(low)) and not np.signbit(inv).any()

@@ -2,7 +2,8 @@
 
 scipy is imported only where a run calls it: LAPACK's extension module
 ``scipy.linalg._flapack`` (never the ``scipy.linalg`` package) when a ``fixed``
-or ``full`` family is built, ``scipy.special`` when a binary ``Logistic`` loss is.
+or ``full`` family is built, left out of ``sys.modules`` for ``scipy.linalg``
+to load itself, and ``scipy.special`` when a binary ``Logistic`` loss is built.
 """
 
 import json
@@ -21,6 +22,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(bayesadmm.__file__)))
 PROBE = """
 import json, sys
 import bayesadmm.cli as cli
+from bayesadmm import families
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -30,6 +32,7 @@ inner = cli.run_rounds
 
 def run_rounds(*args, **kwargs):
     seen["at_rounds_entry"] = scipy_modules()
+    seen["lapack_at_rounds_entry"] = families._lapack.cache_info().currsize
     return inner(*args, **kwargs)
 
 cli.run_rounds = run_rounds
@@ -71,31 +74,40 @@ def test_a_diag_ivon_admm_run_loads_no_scipy(tmp_path):
 
 def test_a_full_family_run_loads_lapack_in_setup_and_never_scipy_special(tmp_path):
     seen = run_probe(tmp_path, BLOBS_INI.replace("family = diag", "family = full"))
-    assert "scipy.linalg._flapack" in seen["at_rounds_entry"]
-    assert "scipy.linalg" not in seen["after_run"] and not seen["f2py_after_run"]
-    assert not any(m.startswith("scipy.special") for m in seen["after_run"])
-    # The extension module is found through the package's spec; scipy/__init__.py never runs.
-    assert seen["after_run"] == ["scipy.linalg._flapack"]
+    assert seen["lapack_at_rounds_entry"] == 1 and not seen["f2py_after_run"]
+    # The extension module is found through the package's spec, so scipy/__init__.py never
+    # runs, and it leaves sys.modules once its routines are taken.
+    assert seen["at_rounds_entry"] == seen["after_run"] == []
 
 
+# argv[1] says whether a full family is built before or after scipy.linalg is imported.
 LAPACK_IDENTITY = """
-import sys
+import ctypes, sys
 import numpy as np
-from bayesadmm import families
+from bayesadmm.families import Family, _lapack
 
-if sys.argv[1] == "after":
-    ours = families._lapack()
+if sys.argv[1] == "family first":
+    Family.full(3)
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 import scipy.linalg
+flapack = scipy.linalg._flapack
+if sys.argv[1] == "scipy.linalg first":
+    Family.full(3)
+pointer = ctypes.pythonapi.PyCapsule_GetPointer
+pointer.restype, pointer.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
 theirs = scipy.linalg.get_lapack_funcs(("trtrs", "potri"), dtype=np.float64)
-if sys.argv[1] == "before":
-    ours = families._lapack()
-print(all(a is b for a, b in zip(ours, theirs)), sum(m.endswith("._flapack") for m in sys.modules))
+print([ctypes.cast(f, ctypes.c_void_p).value for f in _lapack()] == [pointer(f._cpointer, None) for f in theirs],
+      all(f is g for f, g in zip(theirs, (flapack.dtrtrs, flapack.dpotri))), sum(m.endswith("._flapack") for m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("order", ["after", "before"])
+@pytest.mark.parametrize("order", ["family first", "scipy.linalg first"])
 def test_lapack_routines_are_scipy_linalgs_own_whichever_loads_first(order):
-    assert python_c(LAPACK_IDENTITY, order).split() == ["True", "1"]
+    """``scipy.linalg._flapack`` is an attribute after either import order, and ``_lapack`` calls its routines."""
+    lines = python_c(LAPACK_IDENTITY, order).splitlines()
+    if order == "family first":
+        assert lines.pop(0) == "[]"
+    assert lines == ["True True 1"]
 
 
 def test_a_missing_lapack_extension_is_an_import_error_naming_it(tmp_path):

@@ -34,10 +34,12 @@ forks = pytest.mark.skipif(len(CPUS) < 2, reason="a run forks workers only on tw
 IVON_INI = BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm").replace("k = 2", "k = 4")
 
 # ``bayesadmm run`` that appends each pid it forks to the file argv[1] as it forks it.  When
-# argv[2] is not "-", the second round's metrics create that file and then wait forever.
+# argv[2] is not "-", the calling thread creates that file before the second round's engine and
+# then waits forever, with every worker idle: the first round's checks may run beside it.
 RECORDING = """
 import os, sys, time
 import bayesadmm.cli as cli
+from bayesadmm import federation
 
 log = open(sys.argv[1], "a")
 fork = os.fork
@@ -50,17 +52,17 @@ def recording_fork():
     return pid
 
 os.fork = recording_fork
-metrics = cli.metrics
 
-def stalling(*args, **kwargs):
-    stalling.calls += 1
-    if stalling.calls == 2 and sys.argv[2] != "-":
-        open(sys.argv[2], "w").close()
-        time.sleep(600)
-    return metrics(*args, **kwargs)
+def stalling(engine):
+    def stalled(server, clients, cfg, rnd, base_seed):
+        if rnd == 1 and sys.argv[2] != "-":
+            open(sys.argv[2], "w").close()
+            time.sleep(600)
+        return engine(server, clients, cfg, rnd, base_seed)
+    return stalled
 
-stalling.calls = 0
-cli.metrics = stalling
+for method, engine in list(federation.ROUND_ENGINES.items()):
+    federation.ROUND_ENGINES[method] = stalling(engine)
 sys.exit(cli.main(sys.argv[3:]))
 """
 
