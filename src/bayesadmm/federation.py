@@ -12,7 +12,9 @@ calling thread.  Outcomes are taken in client-id order, so no output depends
 on the number of CPUs.  With a second usable CPU, :func:`run_rounds` checks
 a round on a helper thread while the next round's engine runs, unless its
 clients solve by VON in lockstep (:func:`_in_lockstep`), and settles each
-round's checks in round order.
+round's checks in round order.  A round's engine call and its checks each
+ignore numpy's floating-point errors: a state that overflows is reported by
+the checks and the divergence events, not by numpy warnings.
 
 The distribution-valued engines share one client step and one server combine,
 
@@ -35,9 +37,8 @@ from __future__ import annotations
 import copy
 import math
 import os
-import sys
 import threading
-import warnings
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 from typing import BinaryIO, NamedTuple
 
@@ -379,8 +380,8 @@ def _solve_client(clients: list[ClientState], i: int, solver: str, eta: DualVec,
         return exc
 
 
-# The worker pool of the run_rounds call in progress; a round outside run_rounds solves in-process.
-_pool: _Pool | None = None
+# The worker pool of this context's run_rounds call; a round outside run_rounds solves in-process.
+_pool: ContextVar[_Pool | None] = ContextVar("_pool", default=None)
 
 
 def _usable_cpus() -> int:
@@ -393,6 +394,9 @@ class _Worker(NamedTuple):
     tasks: int  # the write end of its task pipe
     results: BinaryIO  # the read end of its result pipe
 
+    def ended(self) -> ChildProcessError:
+        return ChildProcessError(f"IVON worker {self.pid} ended without a result")
+
 
 class _Pool:
     """Worker processes that solve a run's IVON clients, forked once, at its first round with two.
@@ -400,12 +404,10 @@ class _Pool:
     A worker is a fork of the run, so it holds every client's loss: a task
     carries only the arguments of :func:`_solve_client` after ``clients``, and
     its outcome comes back pickled, an exception included (without its
-    traceback), with every warning the solve issued.  The parent issues those
-    again, task by task, through its own filters and registries, so each
-    shows as often, and in the same order, as it would in-process.  Each
-    worker reads tasks from a pipe that only the parent writes, so it exits
-    at the pipe's end when the parent dies, and it leaves by ``os._exit``,
-    flushing none of the buffers it inherited.
+    traceback).  It is forked inside a round's engine call, so it keeps that
+    call's numpy error state.  Each worker reads tasks from a pipe that only
+    the parent writes, so it exits at the pipe's end when the parent dies,
+    and it leaves by ``os._exit``, flushing none of the buffers it inherited.
     """
 
     def __init__(self, clients: list[ClientState]):
@@ -413,10 +415,15 @@ class _Pool:
         self.workers: list[_Worker] = []
 
     def start(self, count: int) -> bool:
-        """Whether workers run; if none does, fork one per usable CPU, up to ``count``, and none on one CPU."""
+        """Whether workers run; if none does, fork one per usable CPU, up to ``count``.
+
+        None is forked on one CPU, nor while the process runs another
+        thread: a fork copies only the calling thread, so a lock another
+        thread holds would stay locked in the worker.
+        """
         import pickle
 
-        size = min(_usable_cpus(), count)
+        size = min(_usable_cpus(), count) if threading.active_count() == 1 else 0
         for _ in range(size if size > 1 and not self.workers else 0):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
@@ -429,12 +436,8 @@ class _Pool:
                         os.close(fd)
                     tasks, results = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
                     while True:
-                        task = pickle.load(tasks)
-                        with warnings.catch_warnings(record=True) as caught:
-                            warnings.simplefilter("always")
-                            outcome = _solve_client(self.clients, *task)
-                        shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-                        pickle.dump((outcome, shown), results, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_solve_client(self.clients, *pickle.load(tasks)), results,
+                                    pickle.HIGHEST_PROTOCOL)
                         results.flush()
                 finally:
                     os._exit(0)
@@ -444,12 +447,7 @@ class _Pool:
         return bool(self.workers)
 
     def map(self, tasks: list[tuple]) -> list:
-        """Each task's outcome, in task order; each task goes to the first worker free.
-
-        Then each task's warnings are issued in task order.  One that a filter
-        turns into an error becomes its task's outcome, as it would have
-        ended the solve in-process.
-        """
+        """Each task's outcome, in task order; each task goes to the first worker free."""
         import pickle
         import select
 
@@ -459,27 +457,19 @@ class _Pool:
             while pending and idle:
                 worker, (k, task) = idle.pop(), pending.pop(0)
                 data = memoryview(pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
-                while data:
-                    data = data[os.write(worker.tasks, data):]
+                try:
+                    while data:
+                        data = data[os.write(worker.tasks, data):]
+                except BrokenPipeError:  # it ended after its last task
+                    raise worker.ended() from None
                 busy[worker.results] = worker, k
             for results in select.select(list(busy), [], [])[0]:
                 worker, k = busy.pop(results)
                 try:
                     outcomes[k] = pickle.load(results)
                 except EOFError:
-                    raise ChildProcessError(f"IVON worker {worker.pid} ended without a result") from None
+                    raise worker.ended() from None
                 idle.append(worker)
-        for k, (outcome, shown) in enumerate(outcomes):
-            try:
-                for text, category, filename, lineno in shown:
-                    module = next((vars(m) for m in list(sys.modules.values())
-                                   if getattr(m, "__file__", None) == filename), None)
-                    registry = None if module is None else module.setdefault("__warningregistry__", {})
-                    warnings.warn_explicit(text, category, filename, lineno, module and module["__name__"],
-                                           registry, module)
-            except Warning as exc:
-                outcome = exc
-            outcomes[k] = outcome
         return outcomes
 
     def close(self) -> None:
@@ -530,8 +520,9 @@ def _distribution_round(
         alone = [i for i in going if picks[i] != "von"]
         tasks = [(i, picks[i], etas[i], lam_g, lam_g_dual, kl_weight, server.tau, inner, seeds[i])
                  for i in alone]
-        pooled = _pool is not None and inner.solver == "ivon" and len(tasks) > 1 and _pool.start(len(tasks))
-        outcomes = dict(zip(alone, _pool.map(tasks) if pooled else [_solve_client(clients, *t) for t in tasks]))
+        pool = _pool.get()
+        pooled = pool is not None and inner.solver == "ivon" and len(tasks) > 1 and pool.start(len(tasks))
+        outcomes = dict(zip(alone, pool.map(tasks) if pooled else [_solve_client(clients, *t) for t in tasks]))
         if von:
             specs = [SubproblemSpec(clients[i].loss, etas[i], lam_g, rho=kl_weight, tau=server.tau,
                                     _lam_g_dual=lam_g_dual) for i in von]
@@ -801,29 +792,12 @@ def _in_lockstep(server: ServerState, clients: list[ClientState], cfg: MethodCon
 
 
 class _Beside(threading.Thread):
-    """``fn(*args)`` on a helper thread while the calling thread goes on.
-
-    While it runs, a warning the calling thread shows is held, and shown when
-    :meth:`wait` returns: the helper's work comes first in the serial order
-    the run's output keeps, and its warnings show as they come.
-    """
+    """``fn(*args)`` on a helper thread while the calling thread goes on."""
 
     def __init__(self, fn, *args):
         super().__init__(name="round checks")
-        self._call, self._outcome, self._held = (fn, args), None, []
-        self._show = warnings.showwarning
-        warnings.showwarning = self._hold
-        try:
-            self.start()
-        except BaseException:  # no thread, so nothing will end the hold
-            warnings.showwarning = self._show
-            raise
-
-    def _hold(self, *shown) -> None:
-        if threading.current_thread() is self:
-            self._show(*shown)
-        else:
-            self._held.append(shown)
+        self._call, self._outcome = (fn, args), None
+        self.start()
 
     def run(self) -> None:
         (fn, args), self._call = self._call, None  # what fn reads is not kept past its end
@@ -832,18 +806,9 @@ class _Beside(threading.Thread):
         except BaseException as exc:  # raised again on the calling thread by result()
             self._outcome = None, exc
 
-    def wait(self) -> None:
-        """Join the helper, then show the calling thread's held warnings."""
-        try:
-            self.join()
-        finally:
-            warnings.showwarning = self._show
-            for shown in self._held:
-                self._show(*shown)
-
     def result(self):
         """What ``fn`` returned, or raise what it raised, once it has ended."""
-        self.wait()
+        self.join()
         value, exc = self._outcome
         if exc is not None:
             raise exc
@@ -880,12 +845,18 @@ def run_rounds(
     and calls ``on_record`` as soon as the checks end.  The calling thread
     settles a round's checks before it handles the next round's outcome, and
     a failed check puts every state back as its round committed them, so the
-    records, events, states and warnings are those of checking each round
-    before the next.
+    records, events and states are those of checking each round before the
+    next.
+
+    Each engine call, and each round's checks, ignore numpy's floating-point
+    errors, so the package's own solves and checks show no warning; another
+    warning, such as one a caller's ``metrics_fn`` issues, shows when it is
+    issued.
 
     The run owns the worker pool its rounds' IVON solves use (:class:`_Pool`),
     and reaps it on every way out, an exception included, after its last
-    checks have ended.
+    checks have ended.  The pool is the run's context's, so runs in two
+    threads each use and reap their own.
     """
     engine = ROUND_ENGINES[cfg.method]
     records: list[dict] = []
@@ -903,13 +874,14 @@ def run_rounds(
     def checks(record: dict, server: ServerState, clients: list[ClientState]) -> tuple:
         """``(phase, exception)`` of the first check that raises; else keep ``record``, ``(None, non-finite keys)``."""
         metric_values: dict = {}
-        for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
-            if fn is None:
-                continue
-            try:
-                metric_values.update(fn(server, clients))
-            except Exception as exc:
-                return phase, exc
+        with np.errstate(all="ignore"):  # its own: a helper thread starts at numpy's defaults
+            for phase, fn in (("metrics", metrics_fn), ("verify", verify_fn)):
+                if fn is None:
+                    continue
+                try:
+                    metric_values.update(fn(server, clients))
+                except Exception as exc:
+                    return phase, exc
         record.update(metric_values)
         records.append(record)
         if on_record is not None:
@@ -940,14 +912,15 @@ def run_rounds(
         for client, kept_client in zip(clients, kept_clients):
             vars(client).update(vars(kept_client))
 
-    global _pool
-    outer, _pool = _pool, _Pool(clients)
     beside = _usable_cpus() > 1 and not _in_lockstep(server, clients, cfg)
+    pool = _Pool(clients)
+    token = _pool.set(pool)
     pending = None  # (round, its checks on the helper thread, the states it committed)
     try:
         for rnd in range(n_rounds):
             try:
-                info, ended = engine(server, clients, cfg, rnd, base_seed), None
+                with np.errstate(all="ignore"):
+                    info, ended = engine(server, clients, cfg, rnd, base_seed), None
             except Exception as exc:
                 ended = exc
             if pending is not None:
@@ -972,9 +945,9 @@ def run_rounds(
         return RunResult(records, first_event is not None, first_event, server, clients)
     finally:
         if pending is not None:
-            pending[1].wait()
-        _pool.close()
-        _pool = outer
+            pending[1].join()
+        pool.close()
+        _pool.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,10 @@ def solve_ivon(
     delta = 1 / (loss_scale * sigma_p^2) = s_p / loss_scale, and the returned
     ``NatParam`` of the prior's family has precision loss_scale * (h + delta).
     The Hessian recursion keeps h + delta > 0 by construction; non-finite
-    iterates abort with the last finite state attached.  The schedule is
-    fixed, so the report claims no convergence.
+    iterates abort with the last finite state attached, and numpy warns of
+    the overflow unless the caller's error state says otherwise (a round in
+    ``federation.run_rounds`` ignores it).  The schedule is fixed, so the
+    report claims no convergence.
     """
     if prior.fam.kind != DIAG:
         raise EstimatorUnsupported("solve_ivon requires a diagonal-precision prior")
@@ -418,9 +420,8 @@ def solve_ivon(
     for t in range(cfg.steps):
         sigma2 = 1.0 / (loss_scale * (state.h + delta))
         theta = state.m + np.sqrt(sigma2) * rng.standard_normal(dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ghat = _stochastic_gradient(loss, theta, cfg.batch_size, rng)
-            new = _ivon_step(state, theta, ghat, sigma2, cfg.rate(t), cfg, delta, m_p, v, u)
+        ghat = _stochastic_gradient(loss, theta, cfg.batch_size, rng)
+        new = _ivon_step(state, theta, ghat, sigma2, cfg.rate(t), cfg, delta, m_p, v, u)
         if not (np.all(np.isfinite(new.m)) and np.all(np.isfinite(new.h))):
             raise NonFiniteUpdate(
                 f"non-finite iterate at step {t}",

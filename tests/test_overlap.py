@@ -84,78 +84,40 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, case):
         "ridge_wide": (workload_config(tmp_path, "ridge_wide"), 0, 24),
         # VON in lockstep: its checks stay on the calling thread.
         "BLOBS full": (BLOBS_INI.replace("family = diag", "family = full"), 0, 0),
-        # A NonFiniteMetric divergence from round 1 on, and all 20 rounds run; its two numpy
-        # warnings come from the checks.
+        # A NonFiniteMetric divergence from round 1 on, and all 20 rounds run; the overflows of its
+        # checks show no numpy warning.
         "IVON_BLOWUP": (IVON_BLOWUP_INI, 2, 20),
     }[case]
     one, every = (run_on(tmp_path, text, cpus) for cpus in ("one", "all"))
     assert one[0] == every[0] == code
     assert one[1] == every[1] and one[2] == every[2]
     assert checks_threads(one[3]) == 0 and checks_threads(every[3]) == beside
-    if case == "IVON_BLOWUP":
-        assert every[1].count(b"RuntimeWarning") == 2
+    assert b"RuntimeWarning" not in one[1] and b"RuntimeWarning" not in every[1]
 
 
-# Forced into every pooled IVON solve before the fork: numpy's overflow warning, which shows once a
-# process, and a warning of its own text for each client and round.
-FORCED_WARNINGS = """
-import warnings
+# Forced into every pooled IVON solve before the fork: a numpy overflow, which the engine call's
+# error state keeps quiet in-process and in every worker forked inside it.
+FORCED_OVERFLOW = """
 import numpy as np
 from bayesadmm import federation
 
 solve_ivon = federation.solve_ivon
 
-def warning(loss, prior, loss_scale, v, u, cfg):
+def overflowing(loss, prior, loss_scale, v, u, cfg):
     np.float64(1e308) * np.float64(10.0)
-    warnings.warn(f"solve with seed {cfg.seed}", RuntimeWarning)
     return solve_ivon(loss, prior, loss_scale, v, u, cfg)
 
-federation.solve_ivon = warning
+federation.solve_ivon = overflowing
 """
 
 
 @forks
 def test_a_pooled_solves_warnings_show_as_they_do_in_process(tmp_path):
-    (tmp_path / "forced_warnings.py").write_text(FORCED_WARNINGS)
-    one, every = (run_on(tmp_path, IVON_INI, cpus, "forced_warnings") for cpus in ("one", "all"))
+    (tmp_path / "forced_overflow.py").write_text(FORCED_OVERFLOW)
+    one, every = (run_on(tmp_path, IVON_INI, cpus, "forced_overflow") for cpus in ("one", "all"))
     assert one[0] == every[0] == 0 and one[2] == every[2]
     assert one[1] == every[1]
-    assert every[1].count(b"overflow encountered") == 1 and every[1].count(b"RuntimeWarning: solve with seed") == 8
-
-
-# The checks of each round wait a little and then warn; each engine warns at once.  Checking every
-# round before the next shows them in turn, engine 0, checks 0, engine 1, and so on.
-ORDERED_WARNINGS = """
-import time, warnings
-import bayesadmm.cli as cli
-from bayesadmm import federation
-
-metrics, engine, calls = cli.metrics, federation.ROUND_ENGINES["bayes_admm"], []
-
-def checks(*args, **kwargs):
-    calls.append(None)
-    time.sleep(0.2)
-    warnings.warn(f"checks of round {len(calls) - 1}")
-    return metrics(*args, **kwargs)
-
-def warning_engine(server, clients, cfg, rnd, base_seed):
-    warnings.warn(f"engine of round {rnd}")
-    return engine(server, clients, cfg, rnd, base_seed)
-
-cli.metrics = checks
-federation.ROUND_ENGINES["bayes_admm"] = warning_engine
-"""
-
-
-@forks
-def test_an_engines_warnings_wait_for_the_checks_before_it(tmp_path):
-    (tmp_path / "ordered_warnings.py").write_text(ORDERED_WARNINGS)
-    one, every = (run_on(tmp_path, PROP2_INI, cpus, "ordered_warnings") for cpus in ("one", "all"))
-    assert checks_threads(every[3]) == 3
-    assert one[0] == every[0] == 0 and one[2] == every[2]
-    assert one[1] == every[1]
-    shown = [line.split("UserWarning: ")[1] for line in every[1].decode().splitlines() if "UserWarning" in line]
-    assert shown == [f"{who} of round {r}" for r in range(3) for who in ("engine", "checks")]
+    assert b"overflow encountered" not in every[1]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +207,7 @@ def test_an_interrupted_engine_leaves_the_round_before_it_in_the_trace(tmp_path,
     lines = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
     assert [line["round"] for line in lines if line["type"] == "round"] == [0]
     assert len(helpers) == 1 and not any(t.name == "round checks" for t in threading.enumerate())
-    assert started and not any(alive(pid) for pid in started) and federation._pool is None
+    assert started and not any(alive(pid) for pid in started) and federation._pool.get() is None
 
 
 def test_a_divergence_after_a_non_finite_metric_is_preceded_by_it(tmp_path, monkeypatch, cpus):

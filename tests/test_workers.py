@@ -11,7 +11,9 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +146,7 @@ def test_run_rounds_reaps_its_workers_on_every_way_out(tmp_path, monkeypatch, en
         return running
 
     monkeypatch.setattr(federation._Pool, "start", recording)
+    errors_before = np.geterr()
     text, code = (IVON_BLOWUP_INI, 2) if ending == "diverges" else (IVON_INI, 0)
     if ending == "fails":
         solve_ivon, code = federation.solve_ivon, 1
@@ -172,7 +175,7 @@ def test_run_rounds_reaps_its_workers_on_every_way_out(tmp_path, monkeypatch, en
     else:
         assert cli.main(run) == code
     assert started and not any(alive(pid) for pid in started)
-    assert federation._pool is None
+    assert federation._pool.get() is None and np.geterr() == errors_before
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +291,109 @@ def test_a_pooled_round_raises_its_lowest_failing_clients_error(tmp_path, monkey
 
 
 @forks
-def test_a_worker_that_dies_fails_the_run_instead_of_hanging(tmp_path, monkeypatch):
-    solve_ivon, parent = federation.solve_ivon, os.getpid()
+@pytest.mark.parametrize("when", ["mid-task", "between rounds"])
+def test_a_worker_that_dies_fails_the_run_instead_of_hanging(tmp_path, monkeypatch, when):
+    if when == "mid-task":
+        solve_ivon, parent, rnd = federation.solve_ivon, os.getpid(), 0
 
-    def dying(loss, prior, loss_scale, v, u, cfg):
-        if cfg.seed == seed_for(1, 0, 2) and os.getpid() != parent:
-            os._exit(1)
-        return solve_ivon(loss, prior, loss_scale, v, u, cfg)
+        def dying(loss, prior, loss_scale, v, u, cfg):
+            if cfg.seed == seed_for(1, 0, 2) and os.getpid() != parent:
+                os._exit(1)
+            return solve_ivon(loss, prior, loss_scale, v, u, cfg)
 
-    monkeypatch.setattr(federation, "solve_ivon", dying)
+        monkeypatch.setattr(federation, "solve_ivon", dying)
+    else:
+        engine, start, pools, rnd = federation.ROUND_ENGINES["ivon_admm"], federation._Pool.start, [], 1
+
+        def recording(pool, count):
+            pools.append(pool)
+            return start(pool, count)
+
+        def killing(server, clients, cfg, rnd, base_seed):
+            # Before round 1 sends its first task, a worker is killed and left unreaped.
+            if rnd == 1:
+                pid = pools[0].workers[0].pid
+                os.kill(pid, signal.SIGKILL)
+                assert still_alive([pid]) == []
+            return engine(server, clients, cfg, rnd, base_seed)
+
+        monkeypatch.setattr(federation._Pool, "start", recording)
+        monkeypatch.setitem(federation.ROUND_ENGINES, "ivon_admm", killing)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", write(tmp_path, "run.ini", IVON_INI), "--out", str(out)]) == 1
     event = json.loads((out / "summary.json").read_text())["event"]
-    assert event["reason"] == "ChildProcessError" and event["round"] == 0
+    assert event["reason"] == "ChildProcessError" and event["round"] == rnd
     assert re.fullmatch(r"IVON worker \d+ ended without a result", event["detail"])
+
+
+# ---------------------------------------------------------------------------
+# a run's pool is its own, and forked only in a process with one thread
+# ---------------------------------------------------------------------------
+
+
+def test_runs_in_two_threads_each_close_their_own_pool():
+    # Run "first" enters run_rounds before run "second", and returns while "second" still runs.
+    show = warnings.showwarning
+    first_in, second_in, returned, failures = threading.Event(), threading.Event(), threading.Event(), {}
+
+    def metrics(mine, other):
+        def record(server, clients):
+            mine.set()
+            if not other.wait(30):
+                raise TimeoutError("the other run did not get there")
+            return {}
+        return record
+
+    def run(name, metrics_fn):
+        fam = Family.diag(2)
+        prior = NatParam(fam, np.zeros(2), np.ones(2))
+        losses = [Quadratic(np.diag([0.5, 0.2 * k]), np.ones(2), 5) for k in range(1, 4)]
+        server, clients = init_bayes_states(prior, losses, [5, 5, 5], rho=1.0)
+        try:
+            result = federation.run_rounds(server, clients, MethodConfig("bayes_admm"), 2, metrics_fn=metrics_fn)
+            if result.error is not None:
+                failures[name] = result.error
+        except Exception as exc:
+            failures[name] = exc
+        finally:
+            if name == "first":
+                returned.set()
+
+    first = threading.Thread(target=run, args=("first", metrics(first_in, second_in)))
+    first.start()
+    assert first_in.wait(30)
+    second = threading.Thread(target=run, args=("second", metrics(second_in, returned)))
+    second.start()
+    first.join()
+    second.join()
+    assert failures == {}
+    assert warnings.showwarning is show
+
+
+@forks
+def test_a_run_forks_only_while_it_has_one_thread(tmp_path, monkeypatch):
+    counts, fork = [], os.fork  # the number of Python threads at each fork
+
+    def recording():
+        threads = threading.active_count()
+        pid = fork()
+        if pid:
+            counts.append(threads)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    text = write(tmp_path, "run.ini", IVON_INI)
+    assert cli.main(["run", "--config", text, "--out", str(tmp_path / "alone")]) == 0
+    assert counts == [1] * min(len(CPUS), 4)
+    counts.clear()
+    # A second thread is alive for the whole run: its IVON solves stay in-process.
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(60,))
+    other.start()
+    try:
+        assert cli.main(["run", "--config", text, "--out", str(tmp_path / "beside")]) == 0
+    finally:
+        done.set()
+        other.join()
+    assert counts == []
+    assert (tmp_path / "alone" / "trace.jsonl").read_bytes() == (tmp_path / "beside" / "trace.jsonl").read_bytes()
