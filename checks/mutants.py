@@ -165,13 +165,6 @@ MUTANTS = (
         ("tests/test_losses.py::test_multiclass_hessian_matches_einsum",),
     ),
     Mutant(
-        "a fixed Family's from_dual factors its precision again",
-        "src/bayesadmm/families.py",
-        "np.broadcast_to(fam._chol, ",
-        "np.broadcast_to(chol_spd(fam.fixed_precision), ",
-        ("tests/test_families.py::test_a_fixed_family_factors_its_precision_once",),
-    ),
-    Mutant(
         "the layout check skips the second block's shape",
         "src/bayesadmm/families.py",
         """    if b2.shape != shape:
@@ -371,24 +364,6 @@ MUTANTS = (
         "    np.subtract(0.0, weights, out=weights)\n",
         "    np.negative(weights, out=weights)\n",
         ("tests/test_losses.py::test_mean_moments_equal_the_accumulated_average_bit_for_bit",),
-    ),
-    Mutant(
-        "a fixed family skips the shape check of its precision",
-        "src/bayesadmm/families.py",
-        """            if prec.shape != (self.dim, self.dim):
-                raise FamilyMismatch(f"fixed precision shape {prec.shape} != {(self.dim, self.dim)}")
-""",
-        "",
-        ("tests/test_families.py::test_a_fixed_precision_off_the_layout_is_a_family_mismatch",),
-    ),
-    Mutant(
-        "a fixed family skips the finite check of its precision",
-        "src/bayesadmm/families.py",
-        """            if not np.isfinite(prec).all():
-                raise NonPositivePrecision("fixed precision has non-finite entries")
-""",
-        "",
-        ("tests/test_families.py::test_a_fixed_precision_must_be_finite",),
     ),
     Mutant(
         "verify skips the config-hash comparison",
@@ -708,11 +683,11 @@ MUTANTS = (
         ("tests/test_solvers.py::test_a_client_halving_alone_in_a_stack_changes_no_other_client",),
     ),
     Mutant(
-        "a delta-method logistic natural gradient on a fixed-covariance family builds the Hessian",
+        "a delta-method logistic natural gradient on the isotropic family builds the Hessian",
         "src/bayesadmm/losses.py",
-        "    if kind in (ISOTROPIC, FIXED):\n        return _prob_grads(rows, _probs(rows, m[:, None]))[:, 0], None\n",
+        "    if kind == ISOTROPIC:\n        return _prob_grads(rows, _probs(rows, m[:, None]))[:, 0], None\n",
         "",
-        ("tests/test_losses.py::test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian",),
+        ("tests/test_losses.py::test_a_large_loss_on_the_isotropic_family_builds_no_hessian",),
     ),
     Mutant(
         "a logistic loss above STACK_MAX goes alone through its expected moments",
@@ -720,7 +695,7 @@ MUTANTS = (
         "isinstance(loss, (Logistic, MulticlassLogistic)) and loss.dim == fam.dim:\n",
         "isinstance(loss, (Logistic, MulticlassLogistic)) and loss.dim == fam.dim \\\n"
         "                    and loss.X.size <= STACK_MAX:\n",
-        ("tests/test_losses.py::test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian",),
+        ("tests/test_losses.py::test_a_large_loss_on_the_isotropic_family_builds_no_hessian",),
     ),
     Mutant(
         "a failed check keeps the next round's state",
@@ -803,6 +778,90 @@ MUTANTS = (
         "    solve(b\"T\")\n    _require_finite(x)\n",
         "    solve(b\"T\")\n",
         ("tests/test_families.py::test_stacked_cholesky_solves_keep_the_row_solves_errors",),
+    ),
+    Mutant(
+        "a Family compares and hashes by identity",
+        "src/bayesadmm/families.py",
+        "@dataclass(frozen=True)\nclass Family:\n",
+        "@dataclass(frozen=True, eq=False)\nclass Family:\n",
+        ("tests/test_families.py::test_a_family_is_its_kind_and_dim",),
+    ),
+    Mutant(
+        "the fixed kind is still a family kind",
+        "src/bayesadmm/families.py",
+        "KINDS = (ISOTROPIC, DIAG, FULL)\n",
+        "KINDS = (ISOTROPIC, \"fixed\", DIAG, FULL)\n",
+        ("tests/test_families.py::test_a_kind_outside_the_three_is_a_family_mismatch[fixed]",),
+    ),
+    Mutant(
+        "the multiclass logistic step bound takes the binary loss's 1/4",
+        "src/bayesadmm/solvers.py",
+        "        return 0.5 * float(np.linalg.eigvalsh(gram)[-1]) / loss.scale\n",
+        "        return 0.25 * float(np.linalg.eigvalsh(gram)[-1]) / loss.scale\n",
+        ("tests/test_cli.py::test_admm_on_blobs_steps_by_the_multiclass_curvature_bound",),
+    ),
+    Mutant(
+        "a diagonal LinearInT step bound drops the absolute value",
+        "src/bayesadmm/solvers.py",
+        "        return float(np.max(np.abs(payload)))\n",
+        "        return float(np.max(payload))\n",
+        ("tests/test_solvers.py::test_admm_client_bound_of_a_linear_in_t_loss_is_its_largest_curvature[diag]",),
+    ),
+    Mutant(
+        "a full LinearInT step bound takes the largest eigenvalue, not the largest magnitude",
+        "src/bayesadmm/solvers.py",
+        "    return float(np.max(np.abs(np.linalg.eigvalsh(payload))))\n",
+        "    return float(np.linalg.eigvalsh(payload)[-1])\n",
+        ("tests/test_solvers.py::test_admm_client_bound_of_a_linear_in_t_loss_is_its_largest_curvature[full]",),
+    ),
+    Mutant(
+        "a linear LinearInT loss gets a unit step bound",
+        "src/bayesadmm/solvers.py",
+        "    if loss.c.b2 is None:\n        return 0.0\n",
+        "    if loss.c.b2 is None:\n        return 1.0\n",
+        ("tests/test_solvers.py::test_admm_client_bound_of_a_linear_in_t_loss_is_its_largest_curvature[isotropic]",),
+    ),
+    Mutant(
+        "the regression test metric adds the targets to the predictions",
+        "src/bayesadmm/harness.py",
+        "        resid = test.X @ mean - test.y\n",
+        "        resid = test.X @ mean + test.y\n",
+        ("tests/test_harness.py::test_metrics_on_a_regression_test_set_is_the_mean_squared_error",),
+    ),
+    Mutant(
+        "a class_partition split leaves a class out without a word",
+        "src/bayesadmm/harness.py",
+        "        if covered.size != n:\n",
+        "        if covered.size > n:\n",
+        ("tests/test_harness.py::test_a_dataset_or_split_off_its_layout_is_refused[partition-class-left-out]",),
+    ),
+    Mutant(
+        "a method takes a damping above one",
+        "src/bayesadmm/federation.py",
+        "        if not 0.0 < self.damping <= 1.0:\n",
+        "        if not 0.0 < self.damping:\n",
+        ("tests/test_federation.py::test_a_server_or_method_setting_out_of_range_is_refused[damping-above-one]",),
+    ),
+    Mutant(
+        "an IVON schedule shorter than its steps is taken",
+        "src/bayesadmm/solvers.py",
+        "        if self.lr_schedule is not None and len(self.lr_schedule) < self.steps:\n",
+        "        if self.lr_schedule is not None and len(self.lr_schedule) < self.steps - 1:\n",
+        ("tests/test_solvers.py::test_a_solver_argument_out_of_range_is_refused[ivon-schedule]",),
+    ),
+    Mutant(
+        "a multiclass logistic loss takes a single class",
+        "src/bayesadmm/losses.py",
+        "        if self.n_classes < 2 or y.min(initial=0) < 0",
+        "        if y.min(initial=0) < 0",
+        ("tests/test_losses.py::test_a_loss_or_estimator_off_its_layout_is_refused[multiclass-one-class]",),
+    ),
+    Mutant(
+        "a sweep drops a cell whose setup fails",
+        "src/bayesadmm/cli.py",
+        "            except BayesAdmmError as exc:\n                row = [rho, tau, \"\", 0, False, None, None, type(exc).__name__]\n",
+        "            except BayesAdmmError:\n                continue\n",
+        ("tests/test_cli.py::test_a_sweep_cell_that_cannot_be_set_up_is_a_row_naming_its_error",),
     ),
 )
 

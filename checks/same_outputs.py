@@ -27,7 +27,7 @@ other keys (``DECODE``); both decoders must exit 0, and the dumps must be
 equal.  So a change of the checkpoint's encoding must keep every stored
 state bit for bit.
 
-Each case prints ``same`` or ``DIFF`` with the first differing output.
+Each case prints ``same``, or ``DIFF`` with every differing output.
 ``--expected FILE`` names the cases a change means to alter: each line holds
 a case name, a colon and the reason (blank lines and ``#`` lines are
 skipped).  A listed case may differ; a listed case that comes out ``same``,
@@ -232,7 +232,7 @@ def decoded_state(tree: str, side_dir: str) -> list[tuple[str, bytes]]:
 
 
 def compare(case: tuple, parent: str, work: str) -> tuple[str, str | None, str]:
-    """(case name, first differing output or None, the change's exit codes)."""
+    """(case name, the differing outputs or None, the change's exit codes)."""
     name, config, idx_seed = case
     case_dir = tempfile.mkdtemp(prefix="case-", dir=work)
     sides = ((parent, os.path.join(case_dir, "parent")), (ROOT, os.path.join(case_dir, "change")))
@@ -250,7 +250,7 @@ def compare(case: tuple, parent: str, work: str) -> tuple[str, str | None, str]:
     elif any(dict(outputs).get("decoded state exit code", b"0") != b"0" for outputs in (theirs, ours)):
         differs = "decoded state exit code (a decoder failed, so no state was compared)"
     else:
-        differs = next((n for (n, a), (_, b) in zip(theirs, ours) if a != b), None)
+        differs = ", ".join(n for (n, a), (_, b) in zip(theirs, ours) if a != b) or None
     codes = ", ".join(f"{n} {v.decode()}" for n, v in ours if n.endswith("exit code"))
     if decode:
         codes += f"; checkpoint format {formats[0]} -> {formats[1]}, decoded states compared"
@@ -319,7 +319,7 @@ def main() -> int:
                 if differs is None and name in expected:
                     stale.add(name)
                 print(f"{'same' if differs is None else 'DIFF'}  {name} ({codes})"
-                      + ("" if differs is None else f": {differs} differs")
+                      + ("" if differs is None else f"; differing: {differs}")
                       + (f" [expected: {expected[name]}]" if name in expected else ""), flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)

@@ -1,4 +1,4 @@
-"""Exponential-family algebra for four Gaussian families.
+"""Exponential-family algebra for three Gaussian families.
 
 The families differ only in how the precision is constrained:
 
@@ -6,7 +6,6 @@ The families differ only in how the precision is constrained:
 kind            natural coordinates     sufficient statistic       expectation coordinates
 ==============  ======================  =========================  ==========================
 ``isotropic``   m                       theta                      m
-``fixed``       S m  (S fixed)          theta                      m
 ``diag``        (s*m, -s/2)             (theta, theta^2)           (m, m^2 + 1/s)
 ``full``        (S m, -S/2)             (theta, theta theta^T)     (m, m m^T + S^-1)
 ==============  ======================  =========================  ==========================
@@ -42,10 +41,9 @@ Array = np.ndarray
 LOG_2PI = math.log(2.0 * math.pi)
 
 ISOTROPIC = "isotropic"
-FIXED = "fixed"
 DIAG = "diag"
 FULL = "full"
-KINDS = (ISOTROPIC, FIXED, DIAG, FULL)
+KINDS = (ISOTROPIC, DIAG, FULL)
 
 # Families whose ambient layout has a second (precision-carrying) block.
 TWO_BLOCK = (DIAG, FULL)
@@ -126,8 +124,8 @@ def _lapack():
     extension module enters it in ``sys.modules``; one this function loaded
     is taken out again, so a later ``import scipy.linalg`` loads the module
     itself, from the same routines, and sets its ``_flapack`` attribute.  Only
-    the ``fixed`` and ``full`` families need it; constructing such a
-    :class:`Family` calls this, so a run pays for the load in its setup.
+    the ``full`` family needs it; constructing a full :class:`Family` calls
+    this, so a run pays for the load in its setup.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -216,8 +214,7 @@ def _chol_solve_rows(lows: Array, rhs: Array) -> Array:
     count, d = x.shape
     if lows.shape != (count, d, d):
         raise ValueError(f"cannot solve with factors of shape {lows.shape} for rows of shape {x.shape}")
-    if lows.dtype != np.float64 or lows.strides[1:] != (8 * d, 8):
-        lows = np.ascontiguousarray(lows, dtype=float)
+    lows = np.ascontiguousarray(lows, dtype=float)
     trtrs, _ = _lapack()
     n, one, info = ctypes.c_int(d), ctypes.c_int(1), ctypes.c_int()
 
@@ -275,37 +272,18 @@ def _chol_logdet(low: Array) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """Which Gaussian family, its dimension, and any fixed hyperstructure.
-
-    A ``fixed`` family keeps in ``_chol`` the exact lower Cholesky factor of
-    its precision, made once here, as a full :class:`NatParam` does.
-    """
+    """Which Gaussian family, and its dimension."""
 
     kind: str
     dim: int
-    fixed_precision: Array | None = None
-    _chol: Array | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise FamilyMismatch(f"unknown family kind {self.kind!r}")
         if self.dim < 1:
             raise FamilyMismatch("dim must be >= 1")
-        if self.kind in (FIXED, FULL):
+        if self.kind == FULL:
             _lapack()
-        if self.kind == FIXED:
-            if self.fixed_precision is None:
-                raise FamilyMismatch("fixed family requires fixed_precision")
-            prec = np.asarray(self.fixed_precision, dtype=float)
-            if prec.shape != (self.dim, self.dim):
-                raise FamilyMismatch(f"fixed precision shape {prec.shape} != {(self.dim, self.dim)}")
-            if not np.isfinite(prec).all():
-                raise NonPositivePrecision("fixed precision has non-finite entries")
-            prec = _frozen(_symmetrize(prec))
-            object.__setattr__(self, "fixed_precision", prec)
-            object.__setattr__(self, "_chol", _frozen(chol_spd(prec)))
-        elif self.fixed_precision is not None:
-            raise FamilyMismatch(f"{self.kind} family takes no fixed_precision")
 
     # -- constructors ------------------------------------------------------
 
@@ -313,11 +291,6 @@ class Family:
     def isotropic(cls, dim: int) -> "Family":
         """Unit-precision Gaussian N(m, I); recovers plain gradient methods."""
         return cls(ISOTROPIC, dim)
-
-    @classmethod
-    def fixed(cls, precision: Array) -> "Family":
-        precision = np.asarray(precision, dtype=float)
-        return cls(FIXED, precision.shape[0], precision)
 
     @classmethod
     def diag(cls, dim: int) -> "Family":
@@ -332,18 +305,6 @@ class Family:
     @property
     def two_block(self) -> bool:
         return self.kind in TWO_BLOCK
-
-    def __eq__(self, other):
-        if not isinstance(other, Family):
-            return NotImplemented
-        if self.kind != other.kind or self.dim != other.dim:
-            return False
-        if self.kind == FIXED:
-            return bool(np.array_equal(self.fixed_precision, other.fixed_precision))
-        return True
-
-    def __hash__(self):
-        return hash((self.kind, self.dim))
 
 
 def check_same_family(a, b):
@@ -365,7 +326,7 @@ def _blocks(fam: Family, first, second, tol: float | None = 1e-8) -> tuple[Array
     """Read-only copies of a container's two blocks, checked against ``fam``'s layout.
 
     The first block has shape ``(dim,)``.  The second is absent for
-    ``isotropic`` and ``fixed``, a length-``dim`` vector for ``diag`` and a
+    ``isotropic``, a length-``dim`` vector for ``diag`` and a
     square matrix for ``full``, symmetrized by :func:`_symmetrize` with ``tol``.
     Any other layout raises :class:`FamilyMismatch`.
     """
@@ -392,7 +353,7 @@ class NatParam:
     """Natural parameter, stored as mean plus precision (where the family has one).
 
     ``prec`` is the precision vector (``diag``) or matrix (``full``); it is
-    ``None`` for the fixed-covariance families.  The constructor enforces
+    ``None`` for the isotropic family, whose precision is I.  The constructor enforces
     strict positivity of the encoded precision and finiteness of every
     entry (``np.linalg.cholesky`` factors ``[[inf]]``).  A full precision keeps in
     ``_chol`` the exact lower Cholesky factor of ``prec`` itself, so a full
@@ -460,8 +421,6 @@ def from_dual_rows(fam: Family, b1: Array, b2: Array | None) -> tuple[Array, Arr
     """
     if fam.kind == ISOTROPIC:
         return b1, None, None
-    if fam.kind == FIXED:
-        return _chol_solve_rows(np.broadcast_to(fam._chol, (len(b1), *fam._chol.shape)), b1), None, None
     prec = -2.0 * b2
     if fam.kind == DIAG:
         if not np.all(prec > 0.0):
@@ -479,8 +438,6 @@ def coords_rows(fam: Family, m: Array, prec: Array | None) -> tuple[Array, Array
     """Ambient coordinate blocks of each row of stacked means (K, dim) and precisions (K, ...)."""
     if fam.kind == ISOTROPIC:
         return m, None
-    if fam.kind == FIXED:
-        return (fam.fixed_precision @ m[..., None])[..., 0], None
     if fam.kind == DIAG:
         return prec * m, -0.5 * prec
     return (prec @ m[..., None])[..., 0], -0.5 * prec
@@ -706,7 +663,7 @@ def to_expectation(lam: NatParam) -> ExpParam:
     :class:`DegenerateMoment` then, without factoring the covariance.
     """
     kind = lam.fam.kind
-    if kind in (ISOTROPIC, FIXED):
+    if kind == ISOTROPIC:
         return _wrap(ExpParam, lam.fam, lam.m)
     if kind == DIAG:
         cov = 1.0 / lam.prec
@@ -728,7 +685,7 @@ def to_natural(mu: ExpParam) -> NatParam:
     definite or its inverse overflows.
     """
     kind = mu.fam.kind
-    if kind in (ISOTROPIC, FIXED):
+    if kind == ISOTROPIC:
         return NatParam(mu.fam, mu.m)
     try:
         return NatParam(mu.fam, mu.m, 1.0 / mu._cov if kind == DIAG else _chol_inverse(chol_spd(mu._cov)))
@@ -748,8 +705,7 @@ def log_partition(lam: NatParam) -> float:
             - 0.5 * float(np.sum(np.log(lam.prec)))
             + 0.5 * d * LOG_2PI
         )
-    prec, low = (lam.fam.fixed_precision, lam.fam._chol) if kind == FIXED else (lam.prec, lam._chol)
-    return 0.5 * float(lam.m @ prec @ lam.m) - 0.5 * _chol_logdet(low) + 0.5 * d * LOG_2PI
+    return 0.5 * float(lam.m @ lam.prec @ lam.m) - 0.5 * _chol_logdet(lam._chol) + 0.5 * d * LOG_2PI
 
 
 def log_density(lam: NatParam, theta: Array) -> float:
@@ -765,8 +721,6 @@ def kl(lam_a: NatParam, lam_b: NatParam) -> float:
     dm = lam_a.m - lam_b.m
     if kind == ISOTROPIC:
         return 0.5 * float(dm @ dm)
-    if kind == FIXED:
-        return 0.5 * float(dm @ lam_a.fam.fixed_precision @ dm)
     if kind == DIAG:
         ratio = lam_b.prec / lam_a.prec
         return 0.5 * float(
@@ -803,9 +757,8 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
         return lam.m + z
     if kind == DIAG:
         return lam.m + z / np.sqrt(lam.prec)
-    low = lam.fam._chol if kind == FIXED else lam._chol
     # theta = m + L^-T z  gives covariance (L L^T)^-1 = S^-1.
-    return lam.m + _solve_triangular(low.T, z.T, lower=False).T
+    return lam.m + _solve_triangular(lam._chol.T, z.T, lower=False).T
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,6 @@ class ServerState:
     eta0: DualVec | None = None
     theta_g: Array | None = None
     delta: float = 1.0  # regularizer precision for the point engines
-    l0: LossSpec | None = None  # non-quadratic regularizer forces the inner-solve server
     alpha_override: float | None = None
 
     def __post_init__(self):
@@ -338,8 +337,6 @@ def pick_solver(inner: InnerConfig, cfg: MethodConfig, loss: LossSpec, fam: Fami
     0.5 tr(A): the subproblem is the proximal step on l from m_g, which ``prox``
     solves exactly with one linear solve, while VON there is a plain gradient
     step on m that no step halving keeps stable once A's curvature outgrows it.
-    The ``fixed`` family also fixes the covariance, but its KL is the S-metric
-    1/2 ||m - m_g||_S^2, whose proximal step no solver implements: it keeps VON.
     """
     if inner.solver != "auto":
         return inner.solver
@@ -642,18 +639,12 @@ def admm_round(
 
     def combine(new: list[dict]) -> dict:
         thetas, vs = [f["theta"] for f in new], [f["v"] for f in new]
-        return {"theta_g": _admm_server(server, thetas, vs, inner)}
+        return {"theta_g": _admm_server(server, thetas, vs)}
 
     return _round(server, clients, rnd, [step(c) for c in clients], combine)
 
 
-def _admm_server(
-    server: ServerState, thetas: list[Array], vs: list[Array], inner: InnerConfig
-) -> Array:
-    if server.l0 is not None:
-        # Generic regularizer: solve the server objective with its own proximal step.
-        return solve_admm_client(server.l0, -np.sum(vs, axis=0), np.mean(thetas, axis=0),
-                                 server.rho * server.K, steps=inner.steps, lr=inner.lr, tol=inner.tol).result
+def _admm_server(server: ServerState, thetas: list[Array], vs: list[Array]) -> Array:
     sum_v = _kahan(vs)
     sum_t = _kahan(thetas)
     if server.delta == 1.0:

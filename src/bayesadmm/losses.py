@@ -4,7 +4,7 @@ Expected gradients/Hessians feed the natural-gradient identity
 
     grad_mu E_q[l] = (g - H m, H/2),   g = E_q[grad l],  H = E_q[hess l],
 
-with the second block dropped for the fixed-covariance families (where the
+with the second block dropped for the isotropic family (where the
 expectation coordinate is just the mean and the natural gradient is ``g``).
 Temperature enters by dividing the data loss, never the linear dual terms.
 """
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimensionMismatch, EstimatorUnsupported, FamilyMismatch
 from .families import (
     DIAG,
-    FIXED,
     FULL,
     ISOTROPIC,
     Array,
@@ -510,7 +509,7 @@ def _natural_rows(kind: str, g: Array, h: Array, m: Array, logistic: bool) -> tu
     Hessian from a matrix product may not be symmetric bit for bit, and each
     client's that is not is averaged as the public constructor would.
     """
-    if kind in (ISOTROPIC, FIXED):
+    if kind == ISOTROPIC:
         return g, None
     if kind == DIAG:
         return g - h * m, 0.5 * h
@@ -591,10 +590,10 @@ def delta_natural_rows(rows: _Rows, m: Array, kind: str) -> tuple[Array, Array |
     """Natural-gradient blocks of K stacked logistic losses, each at its mean in ``m`` (K, dim).
 
     The delta method, as :func:`expected_moments` with :class:`Delta` makes it
-    for each loss alone, bit for bit; the fixed-covariance kinds' natural
-    gradient is the gradient alone, so they skip the Hessian.
+    for each loss alone, bit for bit; the isotropic family's natural
+    gradient is the gradient alone, so it skips the Hessian.
     """
-    if kind in (ISOTROPIC, FIXED):
+    if kind == ISOTROPIC:
         return _prob_grads(rows, _probs(rows, m[:, None]))[:, 0], None
     g, h = _logistic_moments(rows, m[:, None], kind == DIAG)
     return _natural_rows(kind, g, h, m, True)

@@ -9,8 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
+from bayesadmm import solvers
 from bayesadmm.cli import main
 from bayesadmm.families import array_from_jsonable, array_to_jsonable
+from bayesadmm.losses import MulticlassLogistic, loss_hess
 
 
 PROP2_INI = """
@@ -274,6 +276,7 @@ def test_bad_config_name_or_empty_value_rejected(tmp_path, capsys, section, key,
     assert_rejected(tmp_path, capsys, text, flags, f"[{section}] {key}")
 
 
+
 def test_missing_key_takes_its_default_and_empty_means_unset(tmp_path):
     cfg = write(tmp_path, "prop2.ini", PROP2_INI)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -364,6 +367,18 @@ def test_sweep_cell_with_a_failing_metric_is_not_converged(tmp_path, monkeypatch
     assert cell["rounds"] == "0"
 
 
+def test_a_sweep_cell_that_cannot_be_set_up_is_a_row_naming_its_error(tmp_path, capsys):
+    # Class 2 of the three is in no client's group, so each cell's split raises EmptyClient.
+    text = BLOBS_INI.replace("kind = homogeneous", "kind = class_partition\nassignments = 0|1")
+    cfg = write(tmp_path, "partition.ini", text + "\n[sweep]\nrho = 0.5,1.0\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "error: EmptyClient: class_partition leaves some examples unassigned" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert rows[1:] == ["0.5,1.0,,0,False,,,EmptyClient", "1.0,1.0,,0,False,,,EmptyClient"]
+
+
+
 def test_verify_checkpoint_paths(tmp_path):
     cfg = write(tmp_path, "prop2.ini", PROP2_INI)
     out = tmp_path / "out"
@@ -379,6 +394,17 @@ def test_verify_fresh_state_fails(tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", cfg, "--out", str(out)])
     assert main(["verify", str(out / "checkpoint.json")]) == 3
+
+
+def test_verify_of_a_point_checkpoint_is_an_error(tmp_path, capsys):
+    cfg = write(tmp_path, "admm.ini", PROP2_INI.replace("method = bayes_admm", "method = admm"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: CheckpointError: checkpoint has no distribution-valued server state to verify\n"
+
 
 
 def test_verify_corrupt_checkpoint_is_an_error(tmp_path, capsys):
@@ -404,6 +430,25 @@ def test_svg_output(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out), "--svg"]) == 0
     svg = (out / "chart.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("vals, labels", [
+    ([2.0, 2.0, None, 2.0], ("2", "3")),
+    ([None, math.nan, math.inf], None),
+], ids=["flat", "nothing-finite"])
+def test_svg_of_a_flat_series_spans_one_unit_and_of_no_finite_value_is_not_written(tmp_path, vals, labels):
+    import bayesadmm.cli as cli
+
+    path = tmp_path / "chart.svg"
+    cli._write_svg(str(path), "dist_to_oracle", vals, "title")
+    if labels is None:
+        assert not path.exists()
+    else:
+        svg = path.read_text()
+        ymin, ymax = labels
+        assert f'text-anchor="end">{ymin}</text>' in svg and f'text-anchor="end">{ymax}</text>' in svg
+        assert "nan" not in svg and "inf" not in svg
+
 
 
 def test_a_run_clears_the_previous_runs_record(tmp_path, monkeypatch, capsys):
@@ -475,6 +520,29 @@ delta = 0.2
     rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
     assert rows[0]["type"] == "header"
     assert all("acc_mean" in r for r in rows[1:])
+
+
+def test_admm_on_blobs_steps_by_the_multiclass_curvature_bound(tmp_path, monkeypatch):
+    # The softmax loss's Hessian is sum_i (diag(p_i) - p_i p_i^T) (x) x_i x_i^T / scale, and
+    # diag(p) - p p^T has spectral norm at most 1/2: each client's gradient step comes from
+    # 0.5 lambda_max(X^T X) / scale.  At theta = 0, p = 1/3 for three classes, so the Hessian's
+    # largest eigenvalue is lambda_max(X^T X) / (3 scale), above the binary loss's 1/4.
+    seen = []
+    real = solvers._gd_lipschitz
+
+    def recording(loss):
+        seen.append((loss, real(loss)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solvers, "_gd_lipschitz", recording)
+    cfg = write(tmp_path, "admm.ini", BLOBS_INI.replace("method = bayes_admm", "method = admm"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == 4  # two clients, two rounds
+    for loss, bound in seen:
+        assert isinstance(loss, MulticlassLogistic)
+        gram_max = np.linalg.eigvalsh(loss.X.T @ loss.X)[-1]
+        assert bound == pytest.approx(0.5 * gram_max / loss.scale, rel=1e-12)
+        assert bound >= np.linalg.eigvalsh(loss_hess(loss, np.zeros(loss.dim)))[-1]
 
 
 def test_flag_overrides_config(tmp_path):
@@ -568,6 +636,28 @@ def write_csv(tmp_path):
     y = x @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(30)
     rows = ["x0,x1,x2,y"] + [",".join(f"{v:.17g}" for v in (*xi, yi)) for xi, yi in zip(x, y)]
     return write(tmp_path, "table.csv", "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("text, command, where", [
+    (CSV_INI.replace("path = {path}\n", ""), "run", "[data] csv kind needs a path"),
+    (BLOBS_INI.replace("kind = homogeneous", "kind = class_partition"), "run",
+     "[split] class_partition needs assignments"),
+    (with_value(PROP2_INI, "experiment", "family", "fixed"), "run", "[experiment] family: must be one of"),
+    (with_value(PROP2_INI, "experiment", "delta_method", "maybe"), "run",
+     "[experiment] delta_method: not a boolean: 'maybe'"),
+    (PROP2_INI + "\n[wombat]\nx = 1\n", "run", "{path}: unknown section [wombat]"),
+    (BLOBS_INI, "oracle", "the conjugate oracle needs a regression (ridge) dataset"),
+], ids=["csv-without-path", "class-partition-without-assignments", "removed-family", "not-a-boolean",
+        "unknown-section", "oracle-without-ridge"])
+def test_a_config_that_cannot_be_built_is_rejected(tmp_path, capsys, text, command, where):
+    assert_rejected(tmp_path, capsys, text, [], where.format(path=tmp_path / "bad.ini"), command=command)
+
+
+def test_an_unreadable_config_file_is_rejected(tmp_path, capsys):
+    missing = str(tmp_path / "missing.ini")
+    assert main(["run", "--config", missing, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {missing!r}")
+    assert not (tmp_path / "out").exists()
 
 
 def run_for_verify(tmp_path, monkeypatch, kind):

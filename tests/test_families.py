@@ -1,6 +1,7 @@
 import base64
 import copy
 import ctypes
+import dataclasses
 import json
 import re
 import zlib
@@ -62,14 +63,8 @@ def random_nat(rng, fam):
     return NatParam(fam, rng.standard_normal(fam.dim))
 
 
-def all_families(d=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return [
-        Family.isotropic(d),
-        Family.fixed(random_spd(rng, d)),
-        Family.diag(d),
-        Family.full(d),
-    ]
+def all_families(d=3):
+    return [Family.isotropic(d), Family.diag(d), Family.full(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +323,6 @@ def test_sampling_diag_variance():
     lam = NatParam(fam, np.zeros(1), np.array([4.0]))
     draws = sample(lam, 1_000_000, seed=2)
     assert draws.var() == pytest.approx(0.25, abs=2e-3)
-
-
-def test_sampling_fixed_family_covariance():
-    rng = np.random.default_rng(8)
-    prec = random_spd(rng, 2)
-    fam = Family.fixed(prec)
-    lam = NatParam(fam, np.array([1.0, -1.0]))
-    draws = sample(lam, 200_000, seed=4)
-    cov = np.cov(draws.T)
-    assert np.allclose(cov, np.linalg.inv(prec), atol=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +833,7 @@ def test_stacked_cholesky_solves_equal_one_solve_per_row_bit_for_bit():
         lows = np.stack([chol_spd(random_spd(rng, d)) for _ in range(count)])
         rhs = rng.standard_normal((count, d))
         want = np.stack([families._chol_solve(low, row) for low, row in zip(lows, rhs)])
-        # A fixed family's rows share one factor through a zero stride.
+        # Rows may share one factor through a zero stride.
         shared = np.broadcast_to(lows[0], lows.shape)
         for stack, expected in ((lows, want), (np.asfortranarray(lows), want),
                                 (shared, np.stack([families._chol_solve(lows[0], row) for row in rhs]))):
@@ -1135,7 +1120,7 @@ def test_constructors_do_not_share_the_callers_arrays(kind, read_only):
 
 
 # ---------------------------------------------------------------------------
-# one layout rule for the containers, one factor per fixed precision
+# one layout rule for the containers
 # ---------------------------------------------------------------------------
 
 
@@ -1165,54 +1150,40 @@ def test_a_block_off_the_family_layout_is_a_family_mismatch(cls, fam, first, sec
         cls(fam, first, second)
 
 
-def test_a_fixed_family_factors_its_precision_once(monkeypatch):
-    rng = np.random.default_rng(13)
-    fam = Family.fixed(random_spd(rng, 4))
-    low = chol_spd(fam.fixed_precision)
-    assert same_bits(fam._chol, low) and not fam._chol.flags.writeable
-    assert "_chol" not in repr(fam) and fam == Family.fixed(fam.fixed_precision)
-    dual = DualVec(fam, rng.standard_normal(4))
-    calls = []
-    real = families.chol_spd
-
-    def counting(mat):
-        calls.append(mat)
-        return real(mat)
-
-    monkeypatch.setattr(families, "chol_spd", counting)
-    lam = NatParam.from_dual(dual)
-    draws = sample(lam, 5, seed=3)
-    log_z = log_partition(lam)
-    assert calls == []
-    monkeypatch.undo()
-    # The expressions that factored the fixed precision on every call.
-    assert same_bits(lam.m, families._chol_solve(chol_spd(fam.fixed_precision), dual.b1))
-    z = np.random.default_rng(3).standard_normal((5, 4))
-    want = lam.m + solve_triangular(chol_spd(fam.fixed_precision).T, z.T, lower=False).T
-    assert same_bits(draws, want)
-    s = fam.fixed_precision
-    assert log_z == (0.5 * float(lam.m @ s @ lam.m)
-                     - 0.5 * families._chol_logdet(chol_spd(s)) + 0.5 * 4 * LOG_2PI)
+def test_a_family_is_its_kind_and_dim():
+    # Equality and hash are the dataclass's own, over the two fields.
+    assert [f.name for f in dataclasses.fields(Family)] == ["kind", "dim"]
+    assert Family.full(3) == Family("full", 3) and hash(Family.diag(2)) == hash(Family("diag", 2))
+    assert len({Family.isotropic(3), Family.diag(3), Family.full(3), Family.full(4), Family.full(4)}) == 4
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Family("fixed", 3, np.eye(2)),
-    lambda: Family("fixed", 2, np.ones((2, 3))),
-    lambda: Family.fixed(np.ones(3)),
-], ids=["wrong-side", "not-square", "vector"])
-def test_a_fixed_precision_off_the_layout_is_a_family_mismatch(make):
-    with pytest.raises(FamilyMismatch, match="fixed precision shape"):
-        make()
+@pytest.mark.parametrize("kind", ["fixed", "Full", ""], ids=["fixed", "capitalized", "empty"])
+def test_a_kind_outside_the_three_is_a_family_mismatch(kind):
+    with pytest.raises(FamilyMismatch, match="unknown family kind"):
+        Family(kind, 3)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-def test_a_fixed_precision_must_be_finite(bad, where):
-    # np.linalg.cholesky factors [[inf]], so the factor alone would not catch it.
-    prec = np.eye(2) if where != (0, 0) else np.array([[1.0]])
-    prec[where] = prec[where[::-1]] = bad
-    with pytest.raises(NonPositivePrecision, match="non-finite"):
-        Family.fixed(prec)
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Family.isotropic(0), FamilyMismatch, "dim must be >= 1"),
+    (lambda: DualVec(Family.isotropic(2), np.ones(2)).u, FamilyMismatch, "isotropic family has no second block"),
+    (lambda: dual_sum([]), ValueError, "dual_sum of an empty list"),
+    (lambda: sample(NatParam(Family.isotropic(2), np.zeros(2)), 0), ValueError, "count must be >= 1"),
+    (lambda: families._symmetrize(np.ones(3)), NonPositivePrecision, "expected a square matrix, got shape (3,)"),
+    (lambda: families._solve_triangular(np.eye(2), np.ones(3), lower=True), ValueError,
+     "cannot solve a (2, 2) triangular system for a right-hand side of shape (3,)"),
+    (lambda: families._chol_solve_rows(np.ones((2, 3, 3)), np.ones((2, 2))), ValueError,
+     "cannot solve with factors of shape (2, 3, 3) for rows of shape (2, 2)"),
+    (lambda: families._chol_inverse(np.ones((2, 3))), ValueError, "cannot invert from a factor of shape (2, 3)"),
+], ids=["zero-dim", "second-block-of-one", "empty-sum", "no-draws", "not-square", "triangular-rhs",
+        "stacked-factors", "inverse-factor"])
+def test_an_argument_off_its_layout_is_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_a_one_block_dual_pairs_with_the_parameter_alone():
+    dual = DualVec(Family.isotropic(3), np.array([1.0, -2.0, 0.5]))
+    assert pair_with_stat(dual, np.array([4.0, 1.0, 2.0])) == 3.0
 
 
 @pytest.mark.parametrize("kind, keys", [("diag", ("s", "u")), ("full", ("S", "V"))])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bayesadmm.federation as federation_mod
-from bayesadmm.errors import CheckpointError, PrecisionEscape
+from bayesadmm.errors import CheckpointError, FamilyMismatch, PrecisionEscape
 from bayesadmm.families import (
     DualVec,
     Family,
@@ -23,7 +23,6 @@ from bayesadmm.families import (
 )
 from bayesadmm.federation import (
     ROUND_ENGINES,
-    ClientState,
     InnerConfig,
     MethodConfig,
     ServerState,
@@ -37,6 +36,7 @@ from bayesadmm.federation import (
     init_point_states,
     ivon_admm_round,
     pvi_round,
+    resolve_estimator,
     run_rounds,
     seed_for,
     verify_fixed_point,
@@ -120,16 +120,39 @@ def test_alpha_formula():
     assert server.alpha == 1.0
 
 
-def test_admm_generic_regularizer_server_path():
-    rng = np.random.default_rng(2)
-    losses, _ = ridge_problem(rng, 2, 2, 8)
-    theta_star, _ = joint_ridge_solution(losses, 1.0)
-    server, clients = init_point_states(2, losses, [8, 8], rho=0.8, delta=1.0)
-    server.l0 = Quadratic(np.eye(2), np.zeros(2))
-    cfg = MethodConfig("admm")
-    for r in range(120):
-        admm_round(server, clients, cfg, r)
-    assert np.max(np.abs(server.theta_g - theta_star)) < 1e-6
+@pytest.mark.parametrize("call, message", [
+    (lambda: ServerState(rho=0.0, K=1), "need rho > 0, tau > 0 and K >= 1"),
+    (lambda: ServerState(rho=1.0, K=0), "need rho > 0, tau > 0 and K >= 1"),
+    (lambda: ServerState(rho=1.0, K=1, tau=0.0), "need rho > 0, tau > 0 and K >= 1"),
+    (lambda: MethodConfig("gossip"), "unknown method 'gossip'"),
+    (lambda: MethodConfig("pvi", damping=0.0), "damping must lie in (0, 1]"),
+    (lambda: MethodConfig("pvi", damping=1.5), "damping must lie in (0, 1]"),
+    (lambda: MethodConfig("admm", client_repeats=0), "client_repeats must be >= 1"),
+    (lambda: resolve_estimator(InnerConfig(estimator="exact"), Quadratic(np.eye(1), np.zeros(1)), 0),
+     "unknown estimator 'exact'"),
+], ids=["rho", "k", "tau", "method", "damping-zero", "damping-above-one", "client-repeats", "estimator"])
+def test_a_server_or_method_setting_out_of_range_is_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def two_ridge_clients(fam):
+    prior = NatParam(fam, np.zeros(2), {"diag": np.ones(2), "full": np.eye(2)}[fam.kind])
+    return init_bayes_states(prior, [Quadratic(np.eye(2), np.ones(2))] * 2, [3, 3], rho=1.0)
+
+
+@pytest.mark.parametrize("fam, round_fn, cfg, error, message", [
+    (Family.diag(2), bayes_admm_round, MethodConfig("bayes_admm", inner=InnerConfig(solver="prox")), FamilyMismatch,
+     "prox inner solver requires the isotropic family"),
+    (Family.full(2), bayes_admm_round, MethodConfig("bayes_admm", inner=InnerConfig(solver="newton")), ValueError,
+     "unknown inner solver 'newton'"),
+    (Family.full(2), ivon_admm_round, MethodConfig("ivon_admm"), FamilyMismatch,
+     "ivon_admm requires the diagonal-precision family"),
+], ids=["prox-on-diag", "unknown-solver", "ivon-on-full"])
+def test_a_round_whose_solver_cannot_serve_its_family_raises(fam, round_fn, cfg, error, message):
+    server, clients = two_ridge_clients(fam)
+    with pytest.raises(error, match=re.escape(message)):
+        round_fn(server, clients, cfg, 0)
 
 
 # ---------------------------------------------------------------------------

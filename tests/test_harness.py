@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -12,10 +13,9 @@ from bayesadmm.errors import (
     SingularSystem,
     TruncatedFile,
 )
-from bayesadmm import harness, losses
-from bayesadmm.families import Family, NatParam, dual_inf_norm, nat_sub, sample
+from bayesadmm import losses
+from bayesadmm.families import Family, NatParam, sample
 from bayesadmm.federation import (
-    ClientState,
     ServerState,
     init_bayes_states,
     verify_fixed_point,
@@ -192,6 +192,33 @@ def test_empty_client_raises():
         split_indices(ds, SplitPlan("class_partition", 2, assignments=((0, 1), ())))
 
 
+BLOBS3 = gen_blobs(3, n_classes=3, seed=7)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Dataset(np.ones(3), np.ones(3)), DimensionMismatch, "X must be (n, d) with a matching label vector"),
+    (lambda: Dataset(np.ones((2, 1)), np.array([1.0, np.nan])), DimensionMismatch,
+     "dataset contains non-finite entries"),
+    (lambda: Dataset(np.ones((2, 1)), np.array([0, 2]), n_classes=2), DimensionMismatch,
+     "labels outside the declared class range"),
+    (lambda: gen_ridge(0, 2, 0.1, seed=0), DimensionMismatch, "need n, d >= 1"),
+    (lambda: SplitPlan("random", 2), ValueError, "unknown split kind 'random'"),
+    (lambda: SplitPlan("homogeneous", 0), ValueError, "K must be >= 1"),
+    (lambda: SplitPlan("class_partition", 2, assignments=((0,),)), ValueError,
+     "class_partition needs one class tuple per client"),
+    (lambda: split_indices(BLOBS3, SplitPlan("class_partition", 2, assignments=((0, 1), (1, 2)))), ValueError,
+     "class_partition assigns a class to two clients"),
+    (lambda: split_indices(BLOBS3, SplitPlan("class_partition", 2, assignments=((0,), (1,)))), EmptyClient,
+     "class_partition leaves some examples unassigned"),
+    (lambda: split_indices(gen_ridge(6, 2, 0.1, seed=0), SplitPlan("dirichlet", 2)), DimensionMismatch,
+     "dirichlet split needs class labels"),
+], ids=["dataset-shape", "dataset-non-finite", "dataset-label-range", "ridge-size", "split-kind", "split-k",
+        "partition-groups", "partition-class-twice", "partition-class-left-out", "dirichlet-regression"])
+def test_a_dataset_or_split_off_its_layout_is_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -232,6 +259,17 @@ def test_conjugate_oracle_passes_fixed_point_check():
 def test_conjugate_oracle_rejects_bad_delta():
     with pytest.raises(SingularSystem):
         conjugate_oracle(0.0, [gen_ridge(5, 2, 0.1, seed=0)])
+
+
+def test_conjugate_oracle_needs_a_shard():
+    with pytest.raises(SingularSystem, match="need at least one"):
+        conjugate_oracle(1.0, [])
+
+
+def test_conjugate_oracle_of_a_precision_singular_in_floating_point_is_a_singular_system():
+    # delta I + x x^T with x = (1, 1) rounds to the all-ones matrix, which has no Cholesky factor.
+    with pytest.raises(SingularSystem, match="posterior precision not positive definite"):
+        conjugate_oracle(1e-40, [Dataset(np.ones((1, 2)), np.zeros(1))])
 
 
 def test_reference_solution_passes_own_check():
@@ -275,6 +313,17 @@ def test_metrics_zero_at_oracle():
     record = metrics(server, oracle=oracle)
     assert record["dist_to_oracle"] == 0.0
     assert record["kl_to_oracle"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["point", "distribution"])
+def test_metrics_on_a_regression_test_set_is_the_mean_squared_error(kind):
+    test = gen_ridge(15, 3, 0.5, seed=16)
+    m = np.array([0.5, -1.0, 2.0])
+    fam = Family.isotropic(3)
+    server = (ServerState(rho=1.0, K=1, theta_g=m) if kind == "point" else
+              ServerState(rho=1.0, K=1, fam=fam, lam_g=NatParam(fam, m), eta0=NatParam(fam, m).as_dual()))
+    resid = test.X @ m - test.y
+    assert metrics(server, test=test) == {"mse": float(np.mean(resid * resid))}
 
 
 def test_metrics_single_example_accuracy_binary():

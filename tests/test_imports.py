@@ -1,9 +1,9 @@
 """Which scipy modules a process loads, each checked in a fresh interpreter.
 
 scipy is imported only where a run calls it: LAPACK's extension module
-``scipy.linalg._flapack`` (never the ``scipy.linalg`` package) when a ``fixed``
-or ``full`` family is built, left out of ``sys.modules`` for ``scipy.linalg``
-to load itself, and ``scipy.special`` when a binary ``Logistic`` loss is built.
+``scipy.linalg._flapack`` (never the ``scipy.linalg`` package) when a ``full``
+family is built, left out of ``sys.modules`` for ``scipy.linalg`` to load
+itself, and ``scipy.special`` when a binary ``Logistic`` loss is built.
 """
 
 import json

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit, softmax
 
 from bayesadmm import losses as losses_mod
-from bayesadmm.errors import DimensionMismatch, EstimatorUnsupported
-from bayesadmm.families import DualVec, Family, NatParam, dual_inf_norm, sample, to_expectation, to_natural
+from bayesadmm.errors import DimensionMismatch, EstimatorUnsupported, FamilyMismatch
+from bayesadmm.families import DualVec, Family, NatParam, sample, to_expectation
 from bayesadmm.federation import InnerConfig, resolve_estimator
 from bayesadmm.losses import (
     Delta,
@@ -622,6 +624,45 @@ def test_conjugate_coefficient_round_trips_quadratic():
     assert np.allclose(diag_ok.u, [1.0, 2.0])
 
 
+def test_conjugate_coefficient_of_a_linear_loss_on_the_isotropic_family_is_minus_b():
+    b = np.array([0.5, -1.5])
+    c = conjugate_coefficient(Quadratic(np.zeros((2, 2)), b), Family.isotropic(2))
+    assert c.fam == Family.isotropic(2) and c.b2 is None and np.array_equal(c.b1, -b)
+
+
+DIAG2 = NatParam(Family.diag(2), np.zeros(2), np.ones(2))
+LOGIT2 = Logistic(np.eye(2), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Quadratic(np.eye(2), np.zeros(3)), DimensionMismatch, "A shape (2, 2) incompatible with b of size 3"),
+    (lambda: Quadratic(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2)), DimensionMismatch, "A must be symmetric"),
+    (lambda: Logistic(np.ones((3, 2)), np.ones(2)), DimensionMismatch, "X must be (n, d) with matching label vector"),
+    (lambda: Logistic(np.ones((3, 2)), np.ones(3), scale=0.0), DimensionMismatch, "scale must be > 0"),
+    (lambda: MulticlassLogistic(np.ones(3), np.zeros(3), 2), DimensionMismatch,
+     "X must be (n, d) with matching label vector"),
+    (lambda: MulticlassLogistic(np.ones((3, 2)), np.array([0, 1, 2]), 2), DimensionMismatch,
+     "labels out of range for declared class count"),
+    (lambda: MulticlassLogistic(np.ones((3, 2)), np.zeros(3), 1), DimensionMismatch,
+     "labels out of range for declared class count"),
+    (lambda: MulticlassLogistic(np.ones((3, 2)), np.zeros(3), 2, scale=-1.0), DimensionMismatch, "scale must be > 0"),
+    (lambda: scale_loss(LOGIT2, 0.0), ValueError, "divisor must be > 0"),
+    (lambda: expected_moments(Quadratic(np.eye(3), np.zeros(3)), DIAG2, Delta()), DimensionMismatch,
+     "loss dim 3 != family dim 2"),
+    (lambda: expected_moments(LOGIT2, DIAG2, MonteCarlo(count=0)), EstimatorUnsupported, "MonteCarlo needs count >= 1"),
+    (lambda: expected_moments(LOGIT2, DIAG2, Reparam(count=0)), EstimatorUnsupported, "Reparam needs count >= 1"),
+    (lambda: expected_moments(LOGIT2, DIAG2, "delta"), EstimatorUnsupported, "unknown estimator 'delta'"),
+    (lambda: conjugate_coefficient(LinearInT(DualVec(Family.diag(2), np.zeros(2), np.zeros(2))), Family.full(2)),
+     FamilyMismatch, "LinearInT coefficient family differs from target family"),
+    (lambda: conjugate_coefficient(LOGIT2, Family.diag(2)), EstimatorUnsupported, "Logistic is not linear in T"),
+], ids=["quadratic-shape", "quadratic-asymmetric", "logistic-labels", "logistic-scale", "multiclass-rows",
+        "multiclass-label-range", "multiclass-one-class", "multiclass-scale", "scale-divisor", "moments-dim",
+        "mc-count", "reparam-count", "unknown-estimator", "coefficient-family", "coefficient-not-t-linear"])
+def test_a_loss_or_estimator_off_its_layout_is_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # minibatches and the scipy.special kernels
 # ---------------------------------------------------------------------------
@@ -690,19 +731,16 @@ def test_natural_gradients_stack_small_losses_and_leave_large_ones_alone(monkeyp
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "fixed"])
-def test_a_large_loss_on_a_fixed_covariance_family_builds_no_hessian(monkeypatch, kind):
-    # The fixed-covariance kinds' natural gradient is the gradient alone.  A loss above STACK_MAX
+def test_a_large_loss_on_the_isotropic_family_builds_no_hessian(monkeypatch):
+    # The isotropic family's natural gradient is the gradient alone.  A loss above STACK_MAX
     # is a stack of one on its own rows, so neither a Hessian nor the rows' outer products are made.
     rng = np.random.default_rng(22)
     n, d = 400, 42
     assert n * d > losses_mod.STACK_MAX
     loss = MulticlassLogistic(rng.standard_normal((n, d)), rng.integers(0, 3, n), 3)
-    a = rng.standard_normal((3 * d, 3 * d))
-    fam = Family.isotropic(3 * d) if kind == "isotropic" else Family.fixed(a @ a.T / d + np.eye(3 * d))
-    lam = NatParam(fam, 0.1 * rng.standard_normal(3 * d))
+    lam = NatParam(Family.isotropic(3 * d), 0.1 * rng.standard_normal(3 * d))
     monkeypatch.setattr(losses_mod, "_hess", lambda *args: pytest.fail("a Hessian was built"))
     ng = natural_gradient(loss, lam, Delta())
-    b1, b2 = losses_mod.delta_natural_rows(losses_mod._rows(loss), lam.m[None], kind)
+    b1, b2 = losses_mod.delta_natural_rows(losses_mod._rows(loss), lam.m[None], "isotropic")
     assert ng.b2 is None and b2 is None and np.array_equal(bits(ng.b1), bits(b1[0]))
     assert loss._outer is None

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import bayesadmm.solvers as solvers_mod
 from bayesadmm.errors import (
     EstimatorUnsupported,
+    FamilyMismatch,
     NonFiniteUpdate,
     NonPositivePrecision,
     ResultNotInFamily,
@@ -29,7 +31,6 @@ from bayesadmm.losses import (
     MulticlassLogistic,
     Quadratic,
     Reparam,
-    conjugate_coefficient,
     loss_grad,
     natural_gradient,
 )
@@ -462,6 +463,18 @@ def test_admm_client_iteration_cap_returns_best_iterate():
     assert np.all(np.isfinite(theta))
 
 
+@pytest.mark.parametrize("fam, b2, bound", [
+    (Family.isotropic(2), None, 0.0),
+    (Family.diag(3), np.array([-0.5, 2.0, -1.5]), 4.0),
+    (Family.full(2), np.array([[0.5, -1.5], [-1.5, 0.5]]), 4.0),
+], ids=["isotropic", "diag", "full"])
+def test_admm_client_bound_of_a_linear_in_t_loss_is_its_largest_curvature(fam, b2, bound):
+    # l = -<c, T>, whose Hessian is the payload -2 c.b2: none (l is linear), the diagonal
+    # [1, -4, 3], or the matrix [[-1, 3], [3, -1]] with eigenvalues 2 and -4.
+    loss = LinearInT(DualVec(fam, np.zeros(fam.dim), b2))
+    assert solvers_mod._gd_lipschitz(loss) == pytest.approx(bound, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # VON solves in lockstep
 # ---------------------------------------------------------------------------
@@ -586,3 +599,43 @@ def test_a_client_whose_gradient_raises_stops_the_clients_after_it():
     outcomes = von_lockstep(specs, steps=5, beta=0.5, estimator=estimators, tol=1e-10)
     same_solve(outcomes[0], solve_von(specs[0], steps=5, beta=0.5, tol=1e-10))
     assert isinstance(outcomes[1], EstimatorUnsupported) and outcomes[2] is None
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+# ---------------------------------------------------------------------------
+
+
+QUAD2 = Quadratic(np.eye(2), np.zeros(2))
+DIAG2 = NatParam(Family.diag(2), np.zeros(2), np.ones(2))
+SPEC2 = SubproblemSpec(QUAD2, dual_zero(Family.diag(2)), DIAG2, rho=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SubproblemSpec(QUAD2, dual_zero(Family.diag(2)), DIAG2, rho=0.0), ValueError, "rho must be > 0"),
+    (lambda: SubproblemSpec(QUAD2, dual_zero(Family.diag(2)), DIAG2, rho=1.0, tau=0.0), ValueError, "tau must be > 0"),
+    (lambda: SubproblemSpec(QUAD2, dual_zero(Family.full(2)), DIAG2, rho=1.0), FamilyMismatch,
+     "eta and lam_g families differ"),
+    (lambda: von_lockstep([SPEC2], beta=0.0), ValueError, "beta must lie in (0, 1]"),
+    (lambda: von_lockstep([SPEC2], beta=1.5), ValueError, "beta must lie in (0, 1]"),
+    (lambda: von_lockstep([SPEC2], steps=-1), ValueError, "steps must be >= 0"),
+    (lambda: IvonConfig(steps=-1), ValueError, "steps must be >= 0"),
+    (lambda: IvonConfig(beta1=1.0), ValueError, "beta1, beta2 must lie in (0, 1)"),
+    (lambda: IvonConfig(beta2=0.0), ValueError, "beta1, beta2 must lie in (0, 1)"),
+    (lambda: IvonConfig(h0=-0.1), ValueError, "h0 must be >= 0"),
+    (lambda: IvonConfig(steps=3, lr_schedule=(0.1, 0.1)), ValueError, "lr_schedule shorter than steps"),
+    (lambda: solve_ivon(QUAD2, DIAG2, 0.0, np.zeros(2), np.zeros(2), IvonConfig()), ValueError,
+     "loss_scale must be > 0"),
+    (lambda: solve_ivon(QUAD2, DIAG2, 1.0, np.zeros(3), np.zeros(2), IvonConfig()), FamilyMismatch,
+     "multiplier vectors must match the parameter dimension"),
+    (lambda: solve_admm_client(QUAD2, np.zeros(2), np.zeros(2), 0.0), ValueError, "rho must be > 0"),
+], ids=["spec-rho", "spec-tau", "spec-families", "lockstep-beta-zero", "lockstep-beta-above-one",
+        "lockstep-steps", "ivon-steps", "ivon-beta1", "ivon-beta2", "ivon-h0", "ivon-schedule",
+        "ivon-loss-scale", "ivon-multipliers", "admm-rho"])
+def test_a_solver_argument_out_of_range_is_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_lockstep_of_no_subproblems_has_no_outcomes():
+    assert von_lockstep([]) == []
