@@ -445,8 +445,8 @@ MUTANTS = (
     Mutant(
         "the writer stores the lower triangle row by row",
         "src/bayesadmm/families.py",
-        "        cut = _upper_indices(a.shape[0])\n",
-        "        cut = np.tril_indices(a.shape[0])\n",
+        "    cut = _upper_indices(a.shape[0]) if triangle else ...\n",
+        "    cut = np.tril_indices(a.shape[0]) if triangle else ...\n",
         ("tests/test_families.py::test_triangle_codec_stores_the_upper_triangle_row_by_row_and_mirrors_it",
          "tests/test_cli.py::test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit"
          "[ridge-conjugate]"),
@@ -454,29 +454,17 @@ MUTANTS = (
     Mutant(
         "a triangle's byte count check accepts the full square",
         "src/bayesadmm/families.py",
-        """    if len(raw) != 8 * count:
-        what = "array" if triangle is None else "upper triangle"
-        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
-    cut = ... if triangle is None else _upper_indices(shape[0])
-    flat = np.frombuffer(raw, dtype="<u8")
-    if xor is not None:
-        flat = flat ^ np.asarray(xor, dtype="<f8")[cut].ravel().view("<u8")
-    flat = flat.view("<f8").astype(float)
-    if triangle is None:
+        """    if len(planes) != 8 * count:
+        what = "upper triangle" if triangle else "array"
 """,
-        """    if len(raw) not in (8 * count, 8 * math.prod(shape)):
-        what = "array" if triangle is None else "upper triangle"
-        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
-    cut = ... if triangle is None or len(raw) != 8 * count else _upper_indices(shape[0])
-    flat = np.frombuffer(raw, dtype="<u8")
-    if xor is not None:
-        flat = flat ^ np.asarray(xor, dtype="<f8")[cut].ravel().view("<u8")
-    flat = flat.view("<f8").astype(float)
-    if triangle is None or len(flat) != count:
+        """    if len(planes) == 8 * math.prod(shape):
+        triangle, count = False, math.prod(shape)
+    if len(planes) != 8 * count:
+        what = "upper triangle" if triangle else "array"
 """,
         ("tests/test_families.py::test_triangle_codec_rejects_what_it_did_not_write[full-square]",
          "tests/test_cli.py::test_verify_rejects_a_full_block_that_is_not_its_upper_triangle"
-         "[lam_g-S-format-2-square-with-marker]"),
+         "[lam_g-S-full-square]"),
     ),
     Mutant(
         "run and sweep record no fixed-point residuals",
@@ -564,26 +552,60 @@ MUTANTS = (
     Mutant(
         "decoding a client block skips the XOR",
         "src/bayesadmm/families.py",
-        "        flat = flat ^ np.asarray(xor, dtype=\"<f8\")[cut].ravel().view(\"<u8\")\n",
-        "        flat = flat.copy()\n",
+        "        words = words ^ np.ascontiguousarray(xor, dtype=\"<f8\").view(\"<u8\")[cut].ravel()\n",
+        "        words = words.copy()\n",
         ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[full-every-word]",),
     ),
     Mutant(
         "decoding a client's precision XORs against the server's mean",
         "src/bayesadmm/families.py",
-        "_block_from_jsonable(fam, data, key, None if xor is None else xor.prec)",
-        "_block_from_jsonable(fam, data, key, None if xor is None else xor.m)",
+        """_second_shape(fam), fam.kind == FULL,
+                                   None if xor is None else xor.prec)""",
+        """_second_shape(fam), fam.kind == FULL,
+                                   None if xor is None else xor.m)""",
         ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[diag-every-word]",),
     ),
     Mutant(
         "the decoded byte count is not checked",
         "src/bayesadmm/families.py",
-        """    if len(raw) != 8 * count:
-        what = "array" if triangle is None else "upper triangle"
-        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
+        """    if len(planes) != 8 * count:
+        what = "upper triangle" if triangle else "array"
+        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(planes)}")
 """,
         "",
         ("tests/test_families.py::test_xor_codec_rejects_a_bad_stream_or_length[short]",),
+    ),
+    Mutant(
+        "the reader takes the byte planes for whole words",
+        "src/bayesadmm/families.py",
+        "np.frombuffer(planes, dtype=np.uint8).reshape(8, count).T.copy()",
+        "np.frombuffer(planes, dtype=np.uint8).reshape(count, 8).copy()",
+        ("tests/test_families.py::test_array_codec_is_bit_exact_at_the_float_edges",
+         "tests/test_federation.py::test_point_checkpoint_roundtrip_is_bit_exact"),
+    ),
+    Mutant(
+        "the writer stores a client's second block without the XOR",
+        "src/bayesadmm/families.py",
+        """array_to_jsonable(lam.prec, fam.kind == FULL,
+                                                         None if xor is None else xor.prec)""",
+        """array_to_jsonable(lam.prec, fam.kind == FULL,
+                                                         None)""",
+        ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[diag-every-word]",
+         "tests/test_federation.py::test_checkpoint_roundtrip[full]"),
+    ),
+    Mutant(
+        "IVON draws with variance N (h + delta), not its inverse",
+        "src/bayesadmm/solvers.py",
+        "        sigma2 = 1.0 / (loss_scale * (state.h + delta))\n",
+        "        sigma2 = loss_scale * (state.h + delta)\n",
+        ("tests/test_solvers.py::test_ivon_draws_with_variance_one_over_n_times_h0_plus_delta",),
+    ),
+    Mutant(
+        "gen_ridge refuses a single feature",
+        "src/bayesadmm/harness.py",
+        "    if n < 1 or d < 1:\n",
+        "    if n < 1 or d <= 1:\n",
+        ("tests/test_harness.py::test_gen_ridge_at_its_dimension_boundary",),
     ),
     Mutant(
         "a loaded checkpoint sets eta0 to dual_zero",

@@ -380,7 +380,7 @@ def _write_json(path: str, obj, indent: int | None = None) -> None:
     """``obj`` as JSON at ``path``, whole or not at all: written beside it, then renamed over it."""
     part = path + ".part"
     with open(part, "w") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
+        json.dump(obj, fh, indent=indent, sort_keys=True, separators=None if indent else (",", ":"))
     os.replace(part, path)
 
 

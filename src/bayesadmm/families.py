@@ -766,83 +766,72 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
 # ---------------------------------------------------------------------------
 
 
-# The one encoding of an array stored against a reference array of its shape.
-XOR_DEFLATE = "xor-deflate"
+def array_to_jsonable(a: Array, triangle: bool = False, xor: Array | None = None) -> str:
+    """``a``'s little-endian float64 words in C order as one base64 string, bit for bit.
 
-
-def array_to_jsonable(a: Array, triangle: bool = False, xor: Array | None = None) -> dict:
-    """``{"dtype": "<f8", "shape", "b64"}``: little-endian float64 bytes in C order, base64.
-
-    With ``triangle``, a square ``a`` keeps only its upper triangle, row by row
-    with the diagonal, marked ``"triangle": "upper"``; :func:`array_from_jsonable`
-    mirrors it back, bit for bit when ``a`` is symmetric bit for bit.  With
-    ``xor``, an array of ``a``'s shape cut the same way, the stored words are
-    the bitwise XOR of ``a``'s float64 words with ``xor``'s, deflated by zlib
-    at level 1 and marked ``"encoding": "xor-deflate"``: near-copies of
-    ``xor`` deflate to a few bytes.
+    The words are stored as byte planes, byte 0 of every word, then byte 1,
+    and so on, deflated by zlib's run-length strategy at level 1: a float
+    array's sign and exponent planes repeat where its mantissa planes are
+    noise, which is what the shuffle filters of HDF5 and Blosc exploit.  With
+    ``triangle``, a square ``a`` keeps only its upper triangle, row by row with
+    the diagonal.  With ``xor``, an array of ``a``'s shape cut the same way,
+    each word is XORed with ``xor``'s: near-copies of ``xor`` leave planes of
+    zero bits.  The string holds no shape; :func:`array_from_jsonable` is given it.
     """
     a = np.ascontiguousarray(a, dtype="<f8")
-    out = {"dtype": "<f8", "shape": list(a.shape)}
-    cut = ...
-    if triangle:
-        out["triangle"] = "upper"
-        cut = _upper_indices(a.shape[0])
-    if xor is None:
-        raw = a[cut].tobytes()
-    else:
-        ref = np.asarray(xor, dtype="<f8")
-        if ref.shape != a.shape:
-            raise ValueError(f"reference of shape {ref.shape} for an array of shape {a.shape}")
-        raw = zlib.compress((a[cut].view("<u8") ^ ref[cut].view("<u8")).tobytes(), 1)
-        out["encoding"] = XOR_DEFLATE
-    out["b64"] = base64.b64encode(raw).decode("ascii")
-    return out
+    cut = _upper_indices(a.shape[0]) if triangle else ...
+    words = a.view("<u8")[cut]
+    if xor is not None:
+        words = words ^ np.ascontiguousarray(xor, dtype="<f8").view("<u8")[cut]
+    planes = words.reshape(-1, 1).view(np.uint8).T.tobytes()
+    deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+    return base64.b64encode(deflate.compress(planes) + deflate.flush()).decode("ascii")
 
 
-def array_from_jsonable(data: dict, xor: Array | None = None) -> Array:
-    """Inverse of :func:`array_to_jsonable`; a writable copy, bit for bit.
+def array_from_jsonable(data: str, shape: tuple[int, ...], triangle: bool = False,
+                        xor: Array | None = None) -> Array:
+    """Inverse of :func:`array_to_jsonable` for an array of ``shape``; a writable copy, bit for bit.
 
-    ``xor`` is the reference an ``"xor-deflate"`` array was stored against, and
-    such an array is the only kind read with one.
+    ``triangle`` and ``xor`` must be the writer's; a ``triangle`` is mirrored
+    back into the lower half.  A value that is not a string, corrupt base64, a
+    corrupt or truncated deflate stream, or a byte count other than ``shape``'s
+    is a ``ValueError``; zlib's Adler-32 checksum guards the stream itself.
     """
-    if not isinstance(data, dict) or data.get("dtype") != "<f8":
-        raise ValueError("expected an array encoded as {'dtype': '<f8', 'shape': ..., 'b64': ...}")
-    shape = tuple(int(n) for n in data["shape"])
-    triangle = data.get("triangle")
-    if triangle is None:
-        count = math.prod(shape)
-    elif triangle == "upper" and len(shape) == 2 and shape[0] == shape[1]:
-        count = shape[0] * (shape[0] + 1) // 2
-    else:
-        raise ValueError(f"triangle {triangle!r} of shape {shape} is not the upper triangle of a square")
-    encoding, want = data.get("encoding"), None if xor is None else XOR_DEFLATE
-    if encoding != want:
-        if encoding == XOR_DEFLATE:
-            raise ValueError(f"an {XOR_DEFLATE!r} array has no reference array to XOR against")
-        raise ValueError(f"encoding {encoding!r} is not {want or 'plain'!r}")
-    raw = base64.b64decode(data["b64"], validate=True)
+    if not isinstance(data, str):
+        raise ValueError(f"expected a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"corrupt base64: {exc}") from None
+    try:
+        planes = zlib.decompress(raw)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt or truncated deflate stream: {exc}") from None
+    count = shape[0] * (shape[0] + 1) // 2 if triangle else math.prod(shape)
+    if len(planes) != 8 * count:
+        what = "upper triangle" if triangle else "array"
+        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(planes)}")
+    words = np.frombuffer(planes, dtype=np.uint8).reshape(8, count).T.copy().view("<u8").ravel()
+    cut = _upper_indices(shape[0]) if triangle else ...
     if xor is not None:
-        if xor.shape != shape:
-            raise ValueError(f"shape {shape} is not the reference's {xor.shape}")
-        try:
-            raw = zlib.decompress(raw)
-        except zlib.error as exc:
-            raise ValueError(f"corrupt or truncated deflate stream: {exc}") from None
-    if len(raw) != 8 * count:
-        what = "array" if triangle is None else "upper triangle"
-        raise ValueError(f"{what} of shape {shape} needs {8 * count} bytes, got {len(raw)}")
-    cut = ... if triangle is None else _upper_indices(shape[0])
-    flat = np.frombuffer(raw, dtype="<u8")
-    if xor is not None:
-        flat = flat ^ np.asarray(xor, dtype="<f8")[cut].ravel().view("<u8")
-    flat = flat.view("<f8").astype(float)
-    if triangle is None:
+        words = words ^ np.ascontiguousarray(xor, dtype="<f8").view("<u8")[cut].ravel()
+    flat = words.view("<f8").astype(float, copy=False)
+    if not triangle:
         return flat.reshape(shape)
     out = np.empty(shape)
     rows, cols = cut
     out[rows, cols] = flat
     out[cols, rows] = flat
     return out
+
+
+def entry_from_jsonable(data: dict, key: str, shape: tuple[int, ...], triangle: bool = False,
+                        xor: Array | None = None) -> Array:
+    """The array :func:`array_to_jsonable` stored under ``data[key]``; a ``ValueError`` names ``key``."""
+    try:
+        return array_from_jsonable(data[key], shape, triangle, xor)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @functools.cache
@@ -858,53 +847,36 @@ def _upper_indices(d: int) -> tuple[Array, Array]:
 _JSON_KEYS = {DIAG: ("s", "u"), FULL: ("S", "V")}
 
 
-def _second_to_jsonable(fam: Family, block: Array, xor: Array | None = None) -> dict:
-    return array_to_jsonable(block, triangle=fam.kind == FULL, xor=xor)
-
-
-def _block_from_jsonable(fam: Family, data: dict, key: str, xor: Array | None = None) -> Array:
-    """The first (``m``/``v``) or second block stored under ``key``; a ``ValueError`` names ``key``."""
-    block = data[key]
-    second = key not in ("m", "v")
-    try:
-        if second and fam.kind == FULL and (not isinstance(block, dict) or block.get("triangle") != "upper"):
-            raise ValueError("a full family's block must be stored with 'triangle': 'upper'")
-        out = array_from_jsonable(block, xor)
-        shape = _second_shape(fam) if second else (fam.dim,)
-        if out.shape != shape:
-            raise ValueError(f"shape {out.shape} is not {shape}")
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-    return out
-
-
 def nat_to_jsonable(lam: NatParam, xor: NatParam | None = None) -> dict:
-    """``lam``'s blocks; with ``xor``, each stored ``"xor-deflate"`` against ``xor``'s block under its key."""
+    """``lam``'s blocks; with ``xor``, each stored against ``xor``'s block under its key."""
+    fam = lam.fam
     out = {"m": array_to_jsonable(lam.m, xor=None if xor is None else xor.m)}
-    if lam.fam.two_block:
-        key = _JSON_KEYS[lam.fam.kind][0]
-        out[key] = _second_to_jsonable(lam.fam, lam.prec, None if xor is None else xor.prec)
+    if fam.two_block:
+        out[_JSON_KEYS[fam.kind][0]] = array_to_jsonable(lam.prec, fam.kind == FULL,
+                                                         None if xor is None else xor.prec)
     return out
 
 
 def nat_from_jsonable(fam: Family, data: dict, xor: NatParam | None = None) -> NatParam:
-    """Inverse of :func:`nat_to_jsonable`, given the same ``xor``."""
-    m = _block_from_jsonable(fam, data, "m", None if xor is None else xor.m)
+    """Inverse of :func:`nat_to_jsonable`, given the same ``xor``; each shape is ``fam``'s."""
+    m = entry_from_jsonable(data, "m", (fam.dim,), xor=None if xor is None else xor.m)
     if fam.two_block:
-        key = _JSON_KEYS[fam.kind][0]
-        return NatParam(fam, m, _block_from_jsonable(fam, data, key, None if xor is None else xor.prec))
+        prec = entry_from_jsonable(data, _JSON_KEYS[fam.kind][0], _second_shape(fam), fam.kind == FULL,
+                                   None if xor is None else xor.prec)
+        return NatParam(fam, m, prec)
     return NatParam(fam, m)
 
 
 def dual_to_jsonable(dual: DualVec) -> dict:
     out = {"v": array_to_jsonable(dual.b1)}
     if dual.fam.two_block:
-        out[_JSON_KEYS[dual.fam.kind][1]] = _second_to_jsonable(dual.fam, dual.u)
+        out[_JSON_KEYS[dual.fam.kind][1]] = array_to_jsonable(dual.u, dual.fam.kind == FULL)
     return out
 
 
 def dual_from_jsonable(fam: Family, data: dict) -> DualVec:
-    v = _block_from_jsonable(fam, data, "v")
+    v = entry_from_jsonable(data, "v", (fam.dim,))
     if fam.two_block:
-        return DualVec(fam, v, -0.5 * _block_from_jsonable(fam, data, _JSON_KEYS[fam.kind][1]))
+        u = entry_from_jsonable(data, _JSON_KEYS[fam.kind][1], _second_shape(fam), fam.kind == FULL)
+        return DualVec(fam, v, -0.5 * u)
     return DualVec(fam, v)

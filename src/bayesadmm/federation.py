@@ -71,6 +71,7 @@ from .families import (
     dual_sum,
     dual_to_jsonable,
     dual_zero,
+    entry_from_jsonable,
     exp_sub,
     nat_from_jsonable,
     nat_sub,
@@ -945,11 +946,11 @@ def run_rounds(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# Version of the checkpoint layout; format 4 stores every array through
-# ``families.array_to_jsonable``, a full family's ``S`` and ``V`` blocks as their
-# upper triangles, and each client's ``lam`` blocks "xor-deflate" against the
-# server's ``lam_g``.  No other format is read.
-CHECKPOINT_FORMAT = 4
+# Version of the checkpoint layout; format 5 stores every array as one string of
+# ``families.array_to_jsonable``, its shape implied by the family or the rebuilt
+# state, a full family's ``S`` and ``V`` blocks as their upper triangles, and each
+# client's ``lam`` blocks XORed with the server's ``lam_g``.  No other format is read.
+CHECKPOINT_FORMAT = 5
 
 
 def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], rounds_completed: int) -> dict:
@@ -1007,15 +1008,15 @@ def checkpoint_from_jsonable(data: dict, server: ServerState, clients: list[Clie
         if fam is not None:
             server.lam_g = nat_from_jsonable(fam, data["lam_g"])
         else:
-            server.theta_g = array_from_jsonable(data["theta_g"])
+            server.theta_g = array_from_jsonable(data["theta_g"], server.theta_g.shape)
         for client, rec in zip(clients, data["clients"]):
             where = f"clients[{client.id}]"
             if fam is not None:
                 client.lam = nat_from_jsonable(fam, rec["lam"], xor=server.lam_g)
                 client.eta = dual_from_jsonable(fam, rec["eta"])
             else:
-                client.theta = array_from_jsonable(rec["theta"])
-                client.v = array_from_jsonable(rec["v"])
+                client.theta = entry_from_jsonable(rec, "theta", client.theta.shape)
+                client.v = entry_from_jsonable(rec, "v", client.v.shape)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {where}: {exc}") from exc
     return done

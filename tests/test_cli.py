@@ -762,58 +762,57 @@ def test_verify_rejects_a_truncated_config(tmp_path, monkeypatch, capsys, rehash
     assert want in verify_error(capsys, out)
 
 
-def test_verify_rejects_a_list_array_checkpoint_without_a_format(tmp_path, monkeypatch, capsys):
+def stored_words(text):
+    """The words a stored string holds, decoded by hand: base64, inflate, byte planes back into words."""
+    planes = zlib.decompress(base64.b64decode(text, validate=True))
+    return np.frombuffer(planes, dtype=np.uint8).reshape(8, -1).T.copy().view("<u8").ravel()
+
+
+def rewritten(text, edit):
+    """A stored string with its deflated bytes replaced by ``edit(bytes)``."""
+    return base64.b64encode(edit(base64.b64decode(text))).decode("ascii")
+
+
+@pytest.mark.parametrize("fmt", [None, 4], ids=["lists-without-format", "format-4"])
+def test_verify_rejects_a_checkpoint_of_an_earlier_format_by_name(tmp_path, monkeypatch, capsys, fmt):
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
-    del data["format"]
-    lam_g = {key: array_from_jsonable(block) for key, block in data["lam_g"].items()}
-    for rec in data["clients"]:
-        rec["lam"] = {key: array_from_jsonable(block, lam_g[key]).tolist() for key, block in rec["lam"].items()}
-
-    def as_lists(node):  # the float-list arrays of the formats before 3
-        if isinstance(node, dict):
-            if "b64" in node:
-                return array_from_jsonable(node).tolist()
-            return {k: as_lists(v) for k, v in node.items()}
-        return [as_lists(v) for v in node] if isinstance(node, list) else node
-
-    path.write_text(json.dumps(as_lists(data)))
-    assert "checkpoint format None is not 4" in verify_error(capsys, out)
+    if fmt is None:  # the formats before 3: float lists, and no format key
+        del data["format"]
+        old = lambda text: stored_words(text).view("<f8").tolist()
+    else:  # format 4: each array a dict of its raw words
+        data["format"] = 4
+        old = lambda text: {"dtype": "<f8", "shape": [len(stored_words(text))],
+                            "b64": base64.b64encode(stored_words(text).tobytes()).decode("ascii")}
+    for rec in [data["lam_g"]] + [c[part] for c in data["clients"] for part in ("lam", "eta")]:
+        rec.update({key: old(text) for key, text in rec.items()})
+    path.write_text(json.dumps(data))
+    assert (f"checkpoint format {fmt!r} is not 5, the only format this version reads"
+            in verify_error(capsys, out))
 
 
 @pytest.mark.parametrize("edit, want", [
-    ({"dtype": "<f4"}, "'<f8'"),
-    ({"shape": [3]}, "needs 24 bytes"),
-    ({"b64": "*"}, "base64"),
-], ids=["dtype", "byte-count", "base64"])
+    (lambda text: {"dtype": "<f8", "shape": [10], "b64": text}, "expected a base64 string, got dict"),
+    (lambda text: array_to_jsonable(np.zeros(3)), "array of shape (10,) needs 80 bytes, got 24"),
+    (lambda text: "*", "corrupt base64"),
+    (lambda text: rewritten(text, lambda raw: raw[:-5]), "corrupt or truncated deflate stream"),
+], ids=["format-4-dict", "byte-count", "base64", "truncated"])
 def test_verify_rejects_a_corrupt_array(tmp_path, monkeypatch, capsys, edit, want):
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
-    data["clients"][1]["eta"]["v"].update(edit)
+    eta = data["clients"][1]["eta"]
+    eta["v"] = edit(eta["v"])
     path.write_text(json.dumps(data))
-    assert want in verify_error(capsys, out)
-
-
-def triangle(a, count=None, **edit):
-    """``a``'s stored upper triangle, cut to ``count`` floats, with ``edit`` applied."""
-    data = array_to_jsonable(a, triangle=True)
-    if count is not None:
-        upper = np.frombuffer(base64.b64decode(data["b64"]), dtype="<f8")[:count]
-        data["b64"] = base64.b64encode(upper.tobytes()).decode("ascii")
-    return {**data, **edit}
+    assert f"CheckpointError: checkpoint clients[1]: v: {want}" in verify_error(capsys, out)
 
 
 @pytest.mark.parametrize("edit, want", [
-    (lambda a: triangle(a, count=54), "upper triangle of shape (10, 10) needs 440 bytes, got 432"),
-    (lambda a: {**array_to_jsonable(a), "triangle": "upper"},
-     "upper triangle of shape (10, 10) needs 440 bytes, got 800"),
-    (lambda a: array_to_jsonable(a), "a full family's block must be stored with 'triangle': 'upper'"),
-    (lambda a: triangle(a[:9, :9]), "shape (9, 9) is not (10, 10)"),
-    (lambda a: triangle(a, shape=[10, 11]),
-     "triangle 'upper' of shape (10, 11) is not the upper triangle of a square"),
-], ids=["byte-count", "format-2-square-with-marker", "format-2-square", "shape", "not-square"])
+    (lambda a: array_to_jsonable(a[np.triu_indices(10)][:54]), "needs 440 bytes, got 432"),
+    (lambda a: array_to_jsonable(a), "needs 440 bytes, got 800"),
+    (lambda a: array_to_jsonable(a[:9, :9], triangle=True), "needs 440 bytes, got 360"),
+], ids=["byte-count", "full-square", "shape"])
 @pytest.mark.parametrize("record, key", [("lam_g", "S"), ("eta", "V")])
 def test_verify_rejects_a_full_block_that_is_not_its_upper_triangle(tmp_path, monkeypatch, capsys,
                                                                      edit, want, record, key):
@@ -821,39 +820,32 @@ def test_verify_rejects_a_full_block_that_is_not_its_upper_triangle(tmp_path, mo
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
     block = data[record] if record == "lam_g" else data["clients"][1][record]
-    block[key] = edit(array_from_jsonable(block[key]))
+    block[key] = edit(array_from_jsonable(block[key], (10, 10), triangle=True))
     path.write_text(json.dumps(data))
-    assert f"{key}: {want}" in verify_error(capsys, out)
-
-
-def rewritten(block, edit):
-    """``block`` with its stored bytes replaced by ``edit(bytes)``."""
-    return {**block, "b64": base64.b64encode(edit(base64.b64decode(block["b64"]))).decode("ascii")}
+    assert f"{key}: upper triangle of shape (10, 10) {want}" in verify_error(capsys, out)
 
 
 def redeflated(edit):
-    """An edit of a deflated block: ``edit`` applied to its XOR words, deflated again."""
+    """An edit of a stored block: ``edit`` applied to its inflated byte planes, deflated again."""
     return lambda raw: zlib.compress(edit(zlib.decompress(raw)), 1)
 
 
 @pytest.mark.parametrize("key, edit, want", [
-    ("S", lambda b: rewritten(b, lambda raw: raw[:-4]), "S: corrupt or truncated deflate stream"),
-    ("m", lambda b: rewritten(b, lambda raw: raw[:len(raw) // 2]), "m: corrupt or truncated deflate stream"),
-    ("S", lambda b: rewritten(b, lambda raw: b"\x00" + raw[1:]),
+    ("S", lambda raw: raw[:-4], "S: corrupt or truncated deflate stream"),
+    ("m", lambda raw: raw[:len(raw) // 2], "m: corrupt or truncated deflate stream"),
+    ("S", lambda raw: b"\x00" + raw[1:],
      "S: corrupt or truncated deflate stream: Error -3 while decompressing data: incorrect header check"),
-    ("S", lambda b: rewritten(b, redeflated(lambda words: words[:-8])),
-     "S: upper triangle of shape (10, 10) needs 440 bytes, got 432"),
-    ("m", lambda b: rewritten(b, redeflated(lambda words: words + words[:8])),
-     "m: array of shape (10,) needs 80 bytes, got 88"),
-    ("S", lambda b: {k: v for k, v in b.items() if k != "encoding"}, "S: encoding None is not 'xor-deflate'"),
-    ("m", lambda b: array_to_jsonable(np.zeros(10)), "m: encoding None is not 'xor-deflate'"),
-], ids=["truncated", "truncated-m", "corrupt", "short", "long-m", "unmarked", "plain-m"])
+    ("S", lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+     "S: corrupt or truncated deflate stream: Error -3 while decompressing data: incorrect data check"),
+    ("S", redeflated(lambda planes: planes[:-8]), "S: upper triangle of shape (10, 10) needs 440 bytes, got 432"),
+    ("m", redeflated(lambda planes: planes + planes[:8]), "m: array of shape (10,) needs 80 bytes, got 88"),
+], ids=["truncated", "truncated-m", "corrupt", "checksum", "short", "long-m"])
 def test_verify_rejects_a_corrupt_client_block_naming_its_key(tmp_path, monkeypatch, capsys, key, edit, want):
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
     lam = data["clients"][1]["lam"]
-    lam[key] = edit(lam[key])
+    lam[key] = rewritten(lam[key], edit)
     path.write_text(json.dumps(data))
     assert f"CheckpointError: checkpoint clients[1]: {want}" in verify_error(capsys, out)
 
@@ -871,15 +863,17 @@ def test_verify_rejects_client_blocks_without_a_server_block_to_xor_against(tmp_
 
 def test_a_converged_runs_client_blocks_deflate_against_the_server(tmp_path, monkeypatch):
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
-    data = json.loads((out / "checkpoint.json").read_text())
+    text = (out / "checkpoint.json").read_text()
+    data = json.loads(text)
+    # Compact, sorted-key JSON: no space after a separator.
+    assert text == json.dumps(data, sort_keys=True, separators=(",", ":"))
     assert data["rounds_completed"] == 3 and "eta0" not in data
     server = data["lam_g"]
     for rec in data["clients"]:
         assert set(rec["lam"]) == set(server) == {"m", "S"}
-        for key, block in rec["lam"].items():
-            assert block["encoding"] == "xor-deflate" and "encoding" not in server[key]
-        assert len(rec["lam"]["S"]["b64"]) < len(server["S"]["b64"]) / 10
-        assert all("encoding" not in block for block in rec["eta"].values())
+        # The XOR with lam_g's words leaves zero bits, which deflate to a tenth of lam_g's own.
+        assert len(rec["lam"]["S"]) < len(server["S"]) / 10
+        assert len(stored_words(rec["lam"]["S"])) == len(stored_words(server["S"])) == 55
 
 
 FULL_CASES = {
@@ -931,7 +925,9 @@ def test_a_runs_full_blocks_are_symmetric_and_survive_the_checkpoint_bit_for_bit
         bits = block.view(np.uint64)
         assert block.shape == (server.fam.dim,) * 2 and np.array_equal(bits, bits.T)
     data = json.loads(json.dumps(real(server, clients, rounds)))
-    assert data["lam_g"]["S"]["triangle"] == data["clients"][0]["eta"]["V"]["triangle"] == "upper"
+    # A full family's S and V blocks are stored as their upper triangles.
+    upper = server.fam.dim * (server.fam.dim + 1) // 2
+    assert len(stored_words(data["lam_g"]["S"])) == len(stored_words(data["clients"][0]["eta"]["V"])) == upper
     assert checkpoint_from_jsonable(data, server, clients) == rounds
     assert server.eta0 is eta0  # the config's prior, never stored
     after = arrays()
@@ -1078,8 +1074,8 @@ def test_verify_rejects_a_checkpoint_with_an_infinite_precision(tmp_path, monkey
     out = run_for_verify(tmp_path, monkeypatch, "ridge")
     path = out / "checkpoint.json"
     data = json.loads(path.read_text())
-    server_prec = array_from_jsonable(data["lam_g"]["S"])
-    prec = array_from_jsonable(data["clients"][0]["lam"]["S"], server_prec)
+    server_prec = array_from_jsonable(data["lam_g"]["S"], (10, 10), triangle=True)
+    prec = array_from_jsonable(data["clients"][0]["lam"]["S"], (10, 10), triangle=True, xor=server_prec)
     prec[0, 0] = np.inf
     data["clients"][0]["lam"]["S"] = array_to_jsonable(prec, triangle=True, xor=server_prec)
     path.write_text(json.dumps(data))

@@ -750,7 +750,8 @@ def test_failing_verifier_ends_the_run_after_an_earlier_metric_event():
     # The state is the one round 1 committed, not round 0's.
     assert server.lam_g is seen[1]
 
-def test_checkpoint_roundtrip():
+@pytest.mark.parametrize("kind", ["isotropic", "diag", "full"])
+def test_checkpoint_roundtrip(kind):
     rng = np.random.default_rng(18)
     d, K = 2, 2
     losses = []
@@ -758,19 +759,25 @@ def test_checkpoint_roundtrip():
         x = rng.standard_normal((8, d))
         y = (rng.random(8) < 0.5).astype(float)
         losses.append(Logistic(x, y))
-    prior = NatParam(Family.full(d), np.zeros(d), np.eye(d))
+    prior = NatParam(Family(kind, d), np.zeros(d), {"isotropic": None, "diag": np.ones(d), "full": np.eye(d)}[kind])
     server, clients = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
     cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver="von", estimator="delta"))
     bayes_admm_round(server, clients, cfg, 0)
     blob = json.dumps(checkpoint_to_jsonable(server, clients, 1))
-    assert "eta0" not in json.loads(blob)
+    data = json.loads(blob)
+    assert "eta0" not in data
+    # Every array is one string; its shape is the family's.
+    records = [data["lam_g"]] + [c[part] for c in data["clients"] for part in ("lam", "eta")]
+    assert all(isinstance(a, str) for rec in records for a in rec.values())
     server2, clients2 = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
     eta0 = server2.eta0
     assert checkpoint_from_jsonable(json.loads(blob), server2, clients2) == 1
     assert server2.eta0 is eta0  # the prior's, rebuilt with the states
     for c, c2 in zip(clients, clients2):
-        for got, want in ((c2.lam.m, c.lam.m), (c2.lam.prec, c.lam.prec), (c2.eta.b1, c.eta.b1),
-                          (c2.eta.b2, c.eta.b2)):
+        pairs = [(c2.lam.m, c.lam.m), (c2.eta.b1, c.eta.b1)]
+        if kind != "isotropic":
+            pairs += [(c2.lam.prec, c.lam.prec), (c2.eta.b2, c.eta.b2)]
+        for got, want in pairs:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert server2.tau == pytest.approx(1.5)
     assert dual_inf_norm(nat_sub(server2.lam_g, server.lam_g)) == 0.0
@@ -785,7 +792,9 @@ def test_point_checkpoint_roundtrip_is_bit_exact():
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     admm_round(server, clients, MethodConfig("admm"), 0)
     data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients, 1)))
-    assert data["format"] == 4
+    assert data["format"] == 5
+    assert isinstance(data["theta_g"], str)
+    assert all(isinstance(rec[k], str) for rec in data["clients"] for k in ("theta", "v"))
     server2, clients2 = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     assert checkpoint_from_jsonable(data, server2, clients2) == 1
     assert np.array_equal(server2.theta_g, server.theta_g)
@@ -793,7 +802,19 @@ def test_point_checkpoint_roundtrip_is_bit_exact():
         assert np.array_equal(c2.theta, c.theta) and np.array_equal(c2.v, c.v)
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 2, 3])
+@pytest.mark.parametrize("record, key", [(None, "theta_g"), (1, "theta"), (1, "v")])
+def test_a_point_checkpoints_corrupt_array_names_its_record_and_key(record, key):
+    rng = np.random.default_rng(3)
+    losses, _ = ridge_problem(rng, 2, 3, 10)
+    server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
+    data = checkpoint_to_jsonable(server, clients, 0)
+    (data if record is None else data["clients"][record])[key] = 3
+    where = key if record is None else f"clients[{record}]: {key}"
+    with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {where}: expected a base64 string, got int")):
+        checkpoint_from_jsonable(data, server, clients)
+
+
+@pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
 def test_checkpoint_of_another_format_is_rejected(fmt):
     rng = np.random.default_rng(3)
     losses, _ = ridge_problem(rng, 2, 3, 10)
@@ -803,7 +824,7 @@ def test_checkpoint_of_another_format_is_rejected(fmt):
         del data["format"]
     else:
         data["format"] = fmt
-    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 4"):
+    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 5"):
         checkpoint_from_jsonable(data, server, clients)
 
 

@@ -59,6 +59,13 @@ def test_gen_ridge_noise_free_is_exactly_linear():
     assert np.max(np.abs(ds.X @ oracle.lam.m - ds.y)) < 1e-6
 
 
+def test_gen_ridge_at_its_dimension_boundary():
+    ds = gen_ridge(5, 1, 0.1, seed=3)
+    assert ds.X.shape == (5, 1) and ds.y.shape == (5,)
+    with pytest.raises(DimensionMismatch, match="need n, d >= 1"):
+        gen_ridge(5, 0, 0.1, seed=3)
+
+
 def test_outlier_toy_has_exactly_one_inconsistent_label():
     toy = gen_outlier_toy(seed=0)
     ds = toy.data

@@ -375,6 +375,24 @@ def test_ivon_matches_tempered_quadratic_posterior():
     assert report.steps == steps and report.converged is None
 
 
+def test_ivon_draws_with_variance_one_over_n_times_h0_plus_delta(monkeypatch):
+    # The first draw is m_p + sqrt(1 / (N (h0 + delta))) z with delta = s_p / N, z from the seed.
+    m_p, s_p, n, h0 = np.array([0.3, -1.0, 2.0]), np.array([2.0, 0.5, 8.0]), 40.0, 0.1
+    thetas = []
+    real = solvers_mod._stochastic_gradient
+
+    def capture(loss, theta, batch_size, rng):
+        thetas.append(theta.copy())
+        return real(loss, theta, batch_size, rng)
+
+    monkeypatch.setattr(solvers_mod, "_stochastic_gradient", capture)
+    prior = NatParam(Family.diag(3), m_p, s_p)
+    cfg = IvonConfig(steps=1, h0=h0, seed=17)
+    solve_ivon(Quadratic(np.eye(3), np.zeros(3)), prior, n, np.zeros(3), np.zeros(3), cfg)
+    z = np.random.default_rng(17).standard_normal(3)
+    np.testing.assert_allclose(thetas, [m_p + np.sqrt(1.0 / (n * (h0 + s_p / n))) * z], rtol=1e-15, atol=0)
+
+
 def test_ivon_deterministic_given_seed():
     fam = Family.diag(2)
     prior = NatParam(fam, np.zeros(2), np.ones(2))
