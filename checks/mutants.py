@@ -227,31 +227,39 @@ MUTANTS = (
         ("tests/test_families.py::test_symmetric_shortcut_equals_the_average_bit_for_bit",),
     ),
     Mutant(
-        "the triangular solve drops its finite check",
+        "the triangular solves do not check their right-hand sides",
         "src/bayesadmm/families.py",
-        """    _require_finite(a)
-    return _trtrs(a, b, lower)
-""",
-        """    return _trtrs(a, b, lower)
-""",
-        ("tests/test_families.py::test_triangular_solve_keeps_scipys_errors",),
+        "    _require_finite(lows)\n    _require_finite(rhs)\n",
+        "    _require_finite(lows)\n",
+        ("tests/test_families.py::test_triangular_solves_keep_scipys_errors",),
     ),
     Mutant(
-        "_chol_solve does not check its factor",
+        "the Cholesky solve does not check its factor",
         "src/bayesadmm/families.py",
-        """    _require_finite(low)
-    half = _trtrs(low, rhs, lower=True)
-""",
-        """    half = _trtrs(low, rhs, lower=True)
-""",
-        ("tests/test_families.py::test_chol_solve_keeps_the_two_triangular_solves_errors",),
+        "    _require_finite(lows)\n    _require_finite(rhs)\n",
+        "    _require_finite(rhs)\n",
+        ("tests/test_families.py::test_triangular_solves_keep_scipys_errors",),
     ),
     Mutant(
-        "the transposed triangular solve passes the wrong trans",
+        "sample solves with the lower factor, not its transpose",
         "src/bayesadmm/families.py",
-        "        a, lower, trans = np.ascontiguousarray(a, dtype=float).T, not lower, b\"T\"\n",
-        "        a, lower, trans = np.ascontiguousarray(a, dtype=float).T, not lower, b\"N\"\n",
-        ("tests/test_families.py::test_triangular_solve_matches_scipy_bit_for_bit",),
+        "    return lam.m + _chol_solve_rows(lam._chol[None], z[None], b\"N\")[0]\n",
+        "    return lam.m + _chol_solve_rows(lam._chol[None], z[None], b\"T\")[0]\n",
+        ("tests/test_families.py::test_full_from_dual_factors_once_and_matches_two_factor_path",),
+    ),
+    Mutant(
+        "the stacked solves step one right-hand side per factor",
+        "src/bayesadmm/families.py",
+        "rows + 8 * k * r * d,",
+        "rows + 8 * k * d,",
+        ("tests/test_families.py::test_stacked_cholesky_solves_equal_one_solve_per_row_bit_for_bit",),
+    ),
+    Mutant(
+        "no matrix is exactly symmetric",
+        "src/bayesadmm/families.py",
+        "    return (bits == np.swapaxes(bits, -1, -2)).reshape(*bits.shape[:-2], -1).all(axis=-1)\n",
+        "    return np.zeros(bits.shape[:-2], dtype=bool)\n",
+        ("tests/test_families.py::test_a_precision_near_the_float_limit_survives_the_symmetry_shortcut_bit_for_bit",),
     ),
     Mutant(
         "to_natural inverts m2 - m m^T, full",
@@ -797,8 +805,8 @@ MUTANTS = (
     Mutant(
         "the stacked Cholesky solve skips its check between the two solves",
         "src/bayesadmm/families.py",
-        "    solve(b\"T\")\n    _require_finite(x)\n",
-        "    solve(b\"T\")\n",
+        "        if i:\n            _require_finite(x)\n",
+        "",
         ("tests/test_families.py::test_stacked_cholesky_solves_keep_the_row_solves_errors",),
     ),
     Mutant(
@@ -884,6 +892,34 @@ MUTANTS = (
         "            except BayesAdmmError as exc:\n                row = [rho, tau, \"\", 0, False, None, None, type(exc).__name__]\n",
         "            except BayesAdmmError:\n                continue\n",
         ("tests/test_cli.py::test_a_sweep_cell_that_cannot_be_set_up_is_a_row_naming_its_error",),
+    ),
+    Mutant(
+        "the CLI's ivon_beta2 default is not IvonConfig's",
+        "src/bayesadmm/cli.py",
+        '_Key("inner", "ivon_beta2", float, "0.99999", _OPEN_UNIT),',
+        '_Key("inner", "ivon_beta2", float, "0.9999", _OPEN_UNIT),',
+        ("tests/test_cli.py::test_a_config_without_optional_keys_builds_the_librarys_defaults",),
+    ),
+    Mutant(
+        "a run counts the machine's CPUs, not its own",
+        "src/bayesadmm/federation.py",
+        "    return len(os.sched_getaffinity(0)) if hasattr(os, \"sched_getaffinity\") else 1\n",
+        "    return os.cpu_count() or 1\n",
+        ("tests/test_overlap.py::test_the_usable_cpus_are_the_processs_affinity_set",),
+    ),
+    Mutant(
+        "a run on one CPU forks a worker",
+        "src/bayesadmm/federation.py",
+        "        for _ in range(size if size > 1 and not self.workers else 0):\n",
+        "        for _ in range(size if size > 0 and not self.workers else 0):\n",
+        ("tests/test_overlap.py::test_outputs_do_not_depend_on_the_cpu_count[BLOBS ivon_admm]",),
+    ),
+    Mutant(
+        "a run on one CPU checks each round beside the next",
+        "src/bayesadmm/federation.py",
+        "    beside = _usable_cpus() > 1 and not _in_lockstep(server, clients, cfg)\n",
+        "    beside = not _in_lockstep(server, clients, cfg)\n",
+        ("tests/test_overlap.py::test_outputs_do_not_depend_on_the_cpu_count[ridge_wide]",),
     ),
 )
 

@@ -163,70 +163,38 @@ def _lapack_result(x: Array, info: int, routine: str) -> Array:
     return x
 
 
-def _solve_triangular(a: Array, b: Array, lower: bool) -> Array:
-    """``scipy.linalg.solve_triangular(a, b, lower=lower)`` for float64 arrays.
+def _chol_solve_rows(lows: Array, rhs: Array, trans: bytes = b"TN") -> Array:
+    """Triangular solves with each lower factor of a (K, d, d) stack for its rows of ``rhs``.
 
-    The same LAPACK ``dtrtrs`` call with the same arguments, so the same bits,
-    and the same ``ValueError`` on non-finite input and ``LinAlgError`` on a
-    zero diagonal, without the wrapper's per-call dispatch.
-    """
-    _require_finite(a)
-    return _trtrs(a, b, lower)
-
-
-def _trtrs(a: Array, b: Array, lower: bool) -> Array:
-    """:func:`_solve_triangular` for an ``a`` already checked to be finite: a new Fortran-ordered array, as scipy's."""
-    _require_finite(b)
-    trtrs, _ = _lapack()
-    if a.flags.f_contiguous:
-        a, trans = np.asfortranarray(a, dtype=float), b"N"
-    else:
-        # dtrtrs reads Fortran order: solve the transposed system instead.
-        a, lower, trans = np.ascontiguousarray(a, dtype=float).T, not lower, b"T"
-    x = np.array(b, dtype=float, order="F")
-    n = len(a)
-    if a.shape != (n, n) or x.ndim not in (1, 2) or len(x) != n:
-        raise ValueError(f"cannot solve a {a.shape} triangular system for a right-hand side of shape {x.shape}")
-    size, info = ctypes.c_int(max(n, 1)), ctypes.c_int()
-    trtrs(b"L" if lower else b"U", trans, b"N", ctypes.c_int(n), ctypes.c_int(1 if x.ndim == 1 else x.shape[1]),
-          a.ctypes.data, size, x.ctypes.data, size, info, 1, 1, 1)
-    return _lapack_result(x, info.value, "trtrs")
-
-
-def _chol_solve(low: Array, rhs: Array) -> Array:
-    """Solve ``(low @ low.T) @ x = rhs`` given the lower Cholesky factor, checked once."""
-    _require_finite(low)
-    half = _trtrs(low, rhs, lower=True)
-    return _trtrs(low.T, half, lower=False)
-
-
-def _chol_solve_rows(lows: Array, rhs: Array) -> Array:
-    """:func:`_chol_solve` of each factor of a (K, d, d) stack with its row of ``rhs`` (K, d).
-
-    The same two ``dtrtrs`` calls per row, solving in place in one (K, d)
-    copy of ``rhs``, with each stacked array checked once.  Each C-ordered
-    factor ``low`` is its Fortran-ordered transpose, the upper factor, so the
-    first solve transposes it and the second does not.
+    ``rhs`` is (K, d), or (K, r, d) for r right-hand sides per factor.  Each
+    letter of ``trans`` is one LAPACK ``dtrtrs`` call per factor, solving in
+    place in one C-ordered copy of ``rhs``: a C-ordered factor ``low`` is its
+    Fortran-ordered transpose, the upper factor, so ``b"T"`` solves
+    ``low @ x = b`` and ``b"N"`` solves ``low.T @ x = b``, the calls
+    ``scipy.linalg.solve_triangular`` makes with the same arguments, so the
+    same bits.  The default ``b"TN"`` solves ``(low @ low.T) @ x = rhs``.
+    Each stacked array is checked once, and each solve's result before the
+    next: a non-finite entry is scipy's ``ValueError``, a zero diagonal its
+    ``LinAlgError``.
     """
     _require_finite(lows)
     _require_finite(rhs)
-    x = np.array(rhs, dtype=float)
-    count, d = x.shape
-    if lows.shape != (count, d, d):
+    x = np.array(rhs, dtype=float, order="C")
+    count, d = len(x), x.shape[-1]
+    if x.ndim not in (2, 3) or lows.shape != (count, d, d):
         raise ValueError(f"cannot solve with factors of shape {lows.shape} for rows of shape {x.shape}")
     lows = np.ascontiguousarray(lows, dtype=float)
     trtrs, _ = _lapack()
-    n, one, info = ctypes.c_int(d), ctypes.c_int(1), ctypes.c_int()
-
-    def solve(trans: bytes) -> None:
+    r = 1 if x.ndim == 2 else x.shape[1]
+    n, nrhs, info = ctypes.c_int(d), ctypes.c_int(r), ctypes.c_int()
+    factors, rows, step = lows.ctypes.data, x.ctypes.data, lows.strides[0]
+    for i in range(len(trans)):
+        if i:
+            _require_finite(x)
+        how = trans[i:i + 1]
         for k in range(count):
-            trtrs(b"U", trans, b"N", n, one, factors + k * lows.strides[0], n, rows + 8 * k * d, n, info, 1, 1, 1)
+            trtrs(b"U", how, b"N", n, nrhs, factors + k * step, n, rows + 8 * k * r * d, n, info, 1, 1, 1)
             _lapack_result(x, info.value, "trtrs")
-
-    factors, rows = lows.ctypes.data, x.ctypes.data
-    solve(b"T")
-    _require_finite(x)
-    solve(b"N")
     return x
 
 
@@ -241,7 +209,7 @@ def _chol_inverse(low: Array) -> Array:
 
     ``dpotri`` fills one triangle.  The other is its mirror image, and both
     are ``entry + 0.0``, so the result is symmetric bit for bit (signed zeros
-    too) and C-ordered.  Errors as in :func:`_solve_triangular`.
+    too) and C-ordered.  Errors as in :func:`_chol_solve_rows`.
     """
     _require_finite(low)
     _, potri = _lapack()
@@ -758,7 +726,7 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
     if kind == DIAG:
         return lam.m + z / np.sqrt(lam.prec)
     # theta = m + L^-T z  gives covariance (L L^T)^-1 = S^-1.
-    return lam.m + _solve_triangular(lam._chol.T, z.T, lower=False).T
+    return lam.m + _chol_solve_rows(lam._chol[None], z[None], b"N")[0]
 
 
 # ---------------------------------------------------------------------------

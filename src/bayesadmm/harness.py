@@ -26,7 +26,7 @@ from .families import (
     Array,
     Family,
     NatParam,
-    _chol_solve,
+    _chol_solve_rows,
     chol_spd,
     dual_axpy,
     dual_inf_norm,
@@ -328,7 +328,7 @@ def conjugate_oracle(delta: float, shards: list[Dataset]) -> OracleSolution:
         low = chol_spd(prec)
     except NonPositivePrecision as exc:
         raise SingularSystem(f"posterior precision not positive definite: {exc}") from exc
-    lam = NatParam(Family.full(d), _chol_solve(low, rhs), prec, _chol=low)
+    lam = NatParam(Family.full(d), _chol_solve_rows(low[None], rhs[None])[0], prec, _chol=low)
     return OracleSolution("conjugate", lam=lam)
 
 

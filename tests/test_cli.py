@@ -12,7 +12,9 @@ import pytest
 from bayesadmm import solvers
 from bayesadmm.cli import main
 from bayesadmm.families import array_from_jsonable, array_to_jsonable
+from bayesadmm.federation import METHODS, InnerConfig, MethodConfig, ServerState
 from bayesadmm.losses import MulticlassLogistic, loss_hess
+from bayesadmm.solvers import IvonConfig
 
 
 PROP2_INI = """
@@ -202,6 +204,23 @@ def test_module_docstring_lists_every_config_key():
     for entry in cli._TABLE:
         block = doc.split(f"[{entry.section}]", 1)[1].split("\n    [", 1)[0]
         assert re.search(rf"(?<![\w|]){entry.key}(?![\w|])", block), (entry.section, entry.key)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_config_without_optional_keys_builds_the_librarys_defaults(method):
+    # _TABLE holds its own copy of each default, as a string; each must equal the dataclass's.
+    import argparse
+
+    import bayesadmm.cli as cli
+
+    flags = {k.key: None for k in cli._TABLE if k.flag}
+    args = argparse.Namespace(config=None, **{**flags, "method": method, "family": "diag"})
+    setup = cli._assemble(cli._configure(args)[1])
+    assert setup.cfg == MethodConfig(method)
+    assert setup.cfg.inner == InnerConfig() and setup.cfg.inner.ivon == IvonConfig()
+    defaults = ServerState(rho=setup.server.rho, K=setup.server.K)
+    for name in ("tau", "gamma", "alpha_override", "delta"):
+        assert getattr(setup.server, name) == getattr(defaults, name), name
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

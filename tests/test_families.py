@@ -574,7 +574,7 @@ def test_full_from_dual_factors_once_and_matches_two_factor_path(monkeypatch, du
     monkeypatch.undo()
     # The path that factored twice: a solve through a fresh factor for the mean, the constructor again.
     prec = -2.0 * dual.b2
-    assert np.array_equal(lam.m, families._chol_solve(chol_spd(prec), dual.b1))
+    assert np.array_equal(lam.m, families._chol_solve_rows(chol_spd(prec)[None], dual.b1[None])[0])
     assert np.array_equal(lam.prec, 0.5 * (prec + prec.T))
     assert np.array_equal(lam._chol, chol_spd(lam.prec))
     z = np.random.default_rng(3).standard_normal((5, lam.fam.dim))
@@ -834,41 +834,45 @@ def same_bits(got, want):
     )
 
 
+def chol_solve_reference(low, rhs):
+    """scipy's two triangular solves of ``(low @ low.T) @ x = rhs``."""
+    return solve_triangular(low.T, solve_triangular(low, rhs, lower=True), lower=False)
+
+
 def lower_factors():
     rng = np.random.default_rng(5)
     lows = [chol_spd(random_spd(rng, d)) for d in (1, 30, 201)]
     # The second full_duals case's precision has a condition number of about 2e9.
     lows += [NatParam.from_dual(dual)._chol for dual in full_duals()]
-    for low in lows:
-        yield pytest.param(low, id=f"C-d{low.shape[0]}")
-        yield pytest.param(np.asfortranarray(low), id=f"F-d{low.shape[0]}")
+    return [pytest.param(low, id=f"d{low.shape[0]}-{i}") for i, low in enumerate(lows)]
 
 
-@pytest.mark.parametrize("low", list(lower_factors()))
-def test_triangular_solve_matches_scipy_bit_for_bit(low):
+@pytest.mark.parametrize("low", lower_factors())
+def test_triangular_solves_match_scipy_bit_for_bit(low):
+    # The two orientations the package solves in: a Cholesky solve, and sample's solve with low.T.
     d = low.shape[0]
     rng = np.random.default_rng(d)
-    rhs_cases = [rng.standard_normal(d), rng.standard_normal((d, 3)), np.eye(d),
-                 rng.standard_normal((4, d)).T]
-    for rhs in rhs_cases:
-        for tri, lower in ((low, True), (low.T, False)):
-            assert same_bits(families._solve_triangular(tri, rhs, lower), solve_triangular(tri, rhs, lower=lower))
-        want = solve_triangular(low.T, solve_triangular(low, rhs, lower=True), lower=False)
-        assert same_bits(families._chol_solve(low, rhs), want)
+    rhs = rng.standard_normal(d)
+    assert same_bits(families._chol_solve_rows(low[None], rhs[None])[0], chol_solve_reference(low, rhs))
+    for r in (1, 3, d):
+        rows = rng.standard_normal((r, d))
+        assert same_bits(families._chol_solve_rows(low[None], rows[None])[0], chol_solve_reference(low, rows.T).T)
+        assert same_bits(families._chol_solve_rows(low[None], rows[None], b"N")[0],
+                         solve_triangular(low.T, rows.T, lower=False).T)
 
 
 def test_stacked_cholesky_solves_equal_one_solve_per_row_bit_for_bit():
     rng = np.random.default_rng(11)
     for d, count in ((1, 3), (30, 5), (201, 2)):
         lows = np.stack([chol_spd(random_spd(rng, d)) for _ in range(count)])
-        rhs = rng.standard_normal((count, d))
-        want = np.stack([families._chol_solve(low, row) for low, row in zip(lows, rhs)])
-        # Rows may share one factor through a zero stride.
-        shared = np.broadcast_to(lows[0], lows.shape)
-        for stack, expected in ((lows, want), (np.asfortranarray(lows), want),
-                                (shared, np.stack([families._chol_solve(lows[0], row) for row in rhs]))):
-            got = families._chol_solve_rows(stack, rhs)
-            assert same_bits(got, expected) and got.flags.c_contiguous
+        for rhs in (rng.standard_normal((count, d)), rng.standard_normal((count, 4, d))):
+            want = np.stack([chol_solve_reference(low, row.T).T for low, row in zip(lows, rhs)])
+            # Rows may share one factor through a zero stride.
+            shared = np.broadcast_to(lows[0], lows.shape)
+            for stack, expected in ((lows, want), (np.asfortranarray(lows), want),
+                                    (shared, np.stack([chol_solve_reference(lows[0], row.T).T for row in rhs]))):
+                got = families._chol_solve_rows(stack, rhs)
+                assert same_bits(got, expected) and got.flags.c_contiguous
 
 
 def test_stacked_cholesky_solves_keep_the_row_solves_errors():
@@ -885,7 +889,7 @@ def test_stacked_cholesky_solves_keep_the_row_solves_errors():
     for lows, rhs in cases:
         with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
             for tri, row in zip(lows, rhs):
-                families._chol_solve(tri, row)
+                chol_solve_reference(tri, row)
         with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
             families._chol_solve_rows(lows, rhs)
 
@@ -896,27 +900,7 @@ def test_lapack_routines_release_the_gil():
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
-def test_triangular_solve_keeps_scipys_errors():
-    low = chol_spd(np.eye(3) + 0.5)
-    cases = []
-    for bad in (np.nan, np.inf, -np.inf):
-        rhs = np.ones(3)
-        rhs[1] = bad
-        tri = low.copy()
-        tri[2, 0] = bad
-        cases += [(ValueError, low, rhs), (ValueError, tri, np.ones(3))]
-    singular = low.copy()
-    singular[1, 1] = 0.0
-    cases += [(np.linalg.LinAlgError, singular, np.ones(3)),
-              (np.linalg.LinAlgError, np.asfortranarray(singular), np.ones((3, 2)))]
-    for error, tri, rhs in cases:
-        with pytest.raises(error) as theirs:
-            solve_triangular(tri, rhs, lower=True)
-        with pytest.raises(error, match=f"^{re.escape(str(theirs.value))}$"):
-            families._solve_triangular(tri, rhs, True)
-
-
-def test_chol_solve_keeps_the_two_triangular_solves_errors():
+def test_triangular_solves_keep_scipys_errors():
     # An infinite diagonal entry solves to finite values, so only the check of the factor catches it.
     low = chol_spd(np.eye(3) + 0.5)
     cases = []
@@ -932,10 +916,15 @@ def test_chol_solve_keeps_the_two_triangular_solves_errors():
     singular[1, 1] = 0.0
     cases.append((singular, np.ones((3, 2))))
     for tri, rhs in cases:
+        rows = rhs.T[None] if rhs.ndim == 2 else rhs[None]
         with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
-            solve_triangular(tri.T, solve_triangular(tri, rhs, lower=True), lower=False)
+            chol_solve_reference(tri, rhs)
         with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
-            families._chol_solve(tri, rhs)
+            families._chol_solve_rows(tri[None], rows)
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
+            solve_triangular(tri.T, rhs, lower=False)
+        with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
+            families._chol_solve_rows(tri[None], rows, b"N")
 
 
 def inverse_factors():
@@ -964,7 +953,7 @@ def test_chol_inverse_is_symmetric_and_within_the_inverse_error_bound(low):
     assert inv.flags.c_contiguous and inv.dtype == np.float64
     assert same_bits(inv, inv.T)
     assert same_bits(families._chol_inverse(np.asfortranarray(low)), inv)
-    solved = families._chol_solve(low, np.eye(d))
+    solved = families._chol_solve_rows(low[None], np.eye(d)[None])[0]
     sing = np.linalg.svd(low @ low.T, compute_uv=False)
     bound = 2.0 * d * np.finfo(float).eps * (sing[0] / sing[-1]) / sing[-1]
     assert np.max(np.abs(inv - 0.5 * (solved + solved.T))) <= bound
@@ -1017,7 +1006,7 @@ def test_chol_inverse_keeps_the_triangular_solves_errors():
         cases.append(tri)
     for tri in cases:
         with pytest.raises((ValueError, np.linalg.LinAlgError)) as theirs:
-            families._chol_solve(tri, np.eye(3))
+            families._chol_solve_rows(tri[None], np.eye(3)[None])
         with pytest.raises(type(theirs.value), match=f"^{re.escape(str(theirs.value))}$"):
             families._chol_inverse(tri)
 
@@ -1093,6 +1082,13 @@ def test_symmetric_shortcut_equals_the_average_bit_for_bit(order):
         families._symmetrize(far)
     for got in (families._symmetrize(far, tol=None), DualVec(fam, np.zeros(5), far).b2):
         assert same_bits(got, 0.5 * (far + far.T)) and got.flags.c_contiguous
+
+
+def test_a_precision_near_the_float_limit_survives_the_symmetry_shortcut_bit_for_bit():
+    # 1e308 + 1e308 overflows: averaging this matrix with its transpose would give it an inf diagonal.
+    prec = np.array([[1e308, 2.0], [2.0, 1e308]])
+    lam = NatParam(Family.full(2), np.zeros(2), prec)
+    assert same_bits(families._symmetrize(prec), prec) and same_bits(lam.prec, prec)
 
 
 def private_results(fam):
@@ -1199,12 +1195,12 @@ def test_a_kind_outside_the_three_is_a_family_mismatch(kind):
     (lambda: dual_sum([]), ValueError, "dual_sum of an empty list"),
     (lambda: sample(NatParam(Family.isotropic(2), np.zeros(2)), 0), ValueError, "count must be >= 1"),
     (lambda: families._symmetrize(np.ones(3)), NonPositivePrecision, "expected a square matrix, got shape (3,)"),
-    (lambda: families._solve_triangular(np.eye(2), np.ones(3), lower=True), ValueError,
-     "cannot solve a (2, 2) triangular system for a right-hand side of shape (3,)"),
+    (lambda: families._chol_solve_rows(np.ones((1, 2, 2)), np.ones((1, 4, 3))), ValueError,
+     "cannot solve with factors of shape (1, 2, 2) for rows of shape (1, 4, 3)"),
     (lambda: families._chol_solve_rows(np.ones((2, 3, 3)), np.ones((2, 2))), ValueError,
      "cannot solve with factors of shape (2, 3, 3) for rows of shape (2, 2)"),
     (lambda: families._chol_inverse(np.ones((2, 3))), ValueError, "cannot invert from a factor of shape (2, 3)"),
-], ids=["zero-dim", "second-block-of-one", "empty-sum", "no-draws", "not-square", "triangular-rhs",
+], ids=["zero-dim", "second-block-of-one", "empty-sum", "no-draws", "not-square", "right-hand-sides",
         "stacked-factors", "inverse-factor"])
 def test_an_argument_off_its_layout_is_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -3,126 +3,30 @@
 With a second usable CPU, ``run_rounds`` runs round r's metrics and
 verification while round r+1's engine runs, except in rounds that solve by
 VON in lockstep.  Every output must be what checking each round before the
-next gives: traces, summaries, checkpoints, exit codes and stderr.  The
-subprocess tests pin the process to one CPU or let it use all of them; the
-in-process ones set the CPU count the run sees, so they also run on a
-one-CPU box.
+next gives: traces, summaries, checkpoints, exit codes and stderr.  A run
+reads its CPU count only from ``federation._usable_cpus``, so the tests set
+it in-process, and run on a one-CPU box too; a subprocess is started only
+to pin a run to one CPU, or to see a forked worker's stderr.
 """
 
 import json
 import math
 import os
-import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
-import bayesadmm
 import bayesadmm.cli as cli
 from bayesadmm import federation
 from bayesadmm.errors import ResultNotInFamily
 
 from test_cli import BLOBS_INI, IVON_BLOWUP_INI, PROP2_INI, write
-from test_workers import CPUS, alive, forks, workload_config
+from test_workers import CPUS, IVON_INI, alive, finished, forks, logged, run_cli
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(bayesadmm.__file__)))
-IVON_INI = BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm").replace("k = 2", "k = 4")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 OUTPUTS = ("trace.jsonl", "summary.json", "checkpoint.json")
-
-# ``bayesadmm run`` that appends the name of each thread it starts to the file argv[1], after
-# importing the modules named in argv[2] (comma-separated; "-" for none) from PYTHONPATH.
-RUN = """
-import sys, threading
-import bayesadmm.cli as cli
-
-log = open(sys.argv[1], "a")
-start = threading.Thread.start
-
-def recording_start(thread):
-    log.write(thread.name + "\\n")
-    log.flush()
-    start(thread)
-
-threading.Thread.start = recording_start
-for name in filter(None, sys.argv[2].strip("-").split(",")):
-    __import__(name)
-sys.exit(cli.main(sys.argv[3:]))
-"""
-
-
-def run_on(tmp_path, text, cpus: str, patches: str = "-") -> tuple[int, bytes, list[bytes], list[str]]:
-    """``bayesadmm run`` of ``text`` on one CPU or all: exit code, stderr, output files, threads started."""
-    side = tmp_path / cpus
-    side.mkdir()
-    threads, out = side / "threads", side / "out"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)]), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    one = (lambda: os.sched_setaffinity(0, CPUS[:1])) if cpus == "one" else None
-    cmd = [sys.executable, "-c", RUN, str(threads), patches, "run", "--config",
-           write(side, "run.ini", text), "--out", str(out)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, preexec_fn=one, timeout=300)
-    files = [(out / name).read_bytes() for name in OUTPUTS]
-    started = threads.read_text().split("\n")[:-1] if threads.exists() else []
-    return proc.returncode, proc.stderr, files, started
-
-
-def checks_threads(started: list[str]) -> int:
-    return started.count("round checks")
-
-
-# ---------------------------------------------------------------------------
-# outputs do not depend on the number of CPUs
-# ---------------------------------------------------------------------------
-
-
-@forks
-@pytest.mark.parametrize("case", ["ridge_wide", "BLOBS full", "IVON_BLOWUP"])
-def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, case):
-    text, code, beside = {
-        "ridge_wide": (workload_config(tmp_path, "ridge_wide"), 0, 24),
-        # VON in lockstep: its checks stay on the calling thread.
-        "BLOBS full": (BLOBS_INI.replace("family = diag", "family = full"), 0, 0),
-        # A NonFiniteMetric divergence from round 1 on, and all 20 rounds run; the overflows of its
-        # checks show no numpy warning.
-        "IVON_BLOWUP": (IVON_BLOWUP_INI, 2, 20),
-    }[case]
-    one, every = (run_on(tmp_path, text, cpus) for cpus in ("one", "all"))
-    assert one[0] == every[0] == code
-    assert one[1] == every[1] and one[2] == every[2]
-    assert checks_threads(one[3]) == 0 and checks_threads(every[3]) == beside
-    assert b"RuntimeWarning" not in one[1] and b"RuntimeWarning" not in every[1]
-
-
-# Forced into every pooled IVON solve before the fork: a numpy overflow, which the engine call's
-# error state keeps quiet in-process and in every worker forked inside it.
-FORCED_OVERFLOW = """
-import numpy as np
-from bayesadmm import federation
-
-solve_ivon = federation.solve_ivon
-
-def overflowing(loss, prior, loss_scale, v, u, cfg):
-    np.float64(1e308) * np.float64(10.0)
-    return solve_ivon(loss, prior, loss_scale, v, u, cfg)
-
-federation.solve_ivon = overflowing
-"""
-
-
-@forks
-def test_a_pooled_solves_warnings_show_as_they_do_in_process(tmp_path):
-    (tmp_path / "forced_overflow.py").write_text(FORCED_OVERFLOW)
-    one, every = (run_on(tmp_path, IVON_INI, cpus, "forced_overflow") for cpus in ("one", "all"))
-    assert one[0] == every[0] == 0 and one[2] == every[2]
-    assert one[1] == every[1]
-    assert b"overflow encountered" not in every[1]
-
-
-# ---------------------------------------------------------------------------
-# how a run ends
-# ---------------------------------------------------------------------------
 
 
 @pytest.fixture
@@ -145,10 +49,116 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-def run_in_process(tmp_path, name: str, text: str) -> tuple[int, dict, bytes]:
+def run_in_process(tmp_path, name: str, text: str, *flags: str) -> tuple[int, dict, bytes]:
+    """``bayesadmm run`` of ``text`` in this process, into ``tmp_path / name``: exit code, summary, checkpoint."""
     out = tmp_path / name
-    code = cli.main(["run", "--config", write(tmp_path, f"{name}.ini", text), "--out", str(out)])
+    code = cli.main(["run", "--config", write(tmp_path, f"{name}.ini", text), "--out", str(out), *flags])
     return code, json.loads((out / "summary.json").read_text()), (out / "checkpoint.json").read_bytes()
+
+
+def outputs(out) -> list[bytes]:
+    return [(out / name).read_bytes() for name in OUTPUTS]
+
+
+def workload_config(tmp_path, name: str) -> str:
+    """The benchmark's workload ``name`` at workload seed 1, the IDX inputs it reads written under ``tmp_path``."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from workloads import WORKLOADS, derived_seeds, write_idx
+    finally:
+        sys.path.remove(PERFBENCH)
+    from bayesadmm.harness import gen_blobs
+
+    workload, seeds = WORKLOADS[name], derived_seeds(1)
+    if workload.needs_idx:
+        write_idx(str(tmp_path), seeds["data"], gen_blobs)
+    return workload.config(seeds, str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# outputs do not depend on the number of CPUs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["ridge_wide", "BLOBS full", "IVON_BLOWUP", "BLOBS ivon_admm", "ivon_mnist",
+                                  "full_logreg"])
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, capfd, recwarn, cpus, forked, case):
+    # On two CPUs: the workers forked, and the rounds checked beside the next round's engine.
+    text, flags, code, workers, beside = {
+        "ridge_wide": (workload_config(tmp_path, "ridge_wide"), (), 0, 0, 24),
+        # VON in lockstep: its checks stay on the calling thread.
+        "BLOBS full": (BLOBS_INI.replace("family = diag", "family = full"), (), 0, 0, 0),
+        # A NonFiniteMetric divergence from round 1 on, and all 20 rounds run; the overflows of its
+        # checks show no numpy warning.
+        "IVON_BLOWUP": (IVON_BLOWUP_INI, (), 2, 2, 20),
+        "BLOBS ivon_admm": (IVON_INI, (), 0, 2, 2),
+        # Five IVON clients queue on the two workers, and the second round takes them again.
+        "ivon_mnist": (workload_config(tmp_path, "ivon_mnist"), ("--rounds", "2"), 0, 2, 2),
+        "full_logreg": (workload_config(tmp_path, "full_logreg"), (), 0, 0, 0),
+    }[case]
+    sides = []
+    for count in (1, 2):
+        helpers = cpus(count)
+        forked.clear()
+        assert run_in_process(tmp_path, f"cpus-{count}", text, *flags)[0] == code
+        sides.append((outputs(tmp_path / f"cpus-{count}"), capfd.readouterr().err, len(forked), len(helpers)))
+    assert sides[0][:2] == sides[1][:2]
+    assert sides[0][2:] == (0, 0) and sides[1][2:] == (workers, beside)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_run_pinned_to_one_cpu_forks_nothing_and_checks_each_round_before_the_next(tmp_path, cpus):
+    cpus(1)
+    assert run_in_process(tmp_path, "in-process", IVON_INI)[0] == 0
+    proc, log, out = run_cli(tmp_path, IVON_INI, preexec_fn=lambda: os.sched_setaffinity(0, CPUS[:1]))
+    assert finished(proc)[0] == 0
+    assert logged(log, "fork") == [] and "round checks" not in logged(log, "thread")
+    assert outputs(out) == outputs(tmp_path / "in-process")
+
+
+def test_the_usable_cpus_are_the_processs_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert federation._usable_cpus() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert federation._usable_cpus() == 3
+    # macOS and Windows have no affinity set: one CPU.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert federation._usable_cpus() == 1
+
+
+# Forced into every pooled IVON solve before the fork: a numpy overflow, which the engine call's
+# error state keeps quiet in-process and in every worker forked inside it.  A forked worker's
+# warning reaches stderr only outside pytest, whose warning capture the worker inherits.
+FORCED_OVERFLOW = """
+import numpy as np
+from bayesadmm import federation
+
+solve_ivon = federation.solve_ivon
+
+def overflowing(loss, prior, loss_scale, v, u, cfg):
+    np.float64(1e308) * np.float64(10.0)
+    return solve_ivon(loss, prior, loss_scale, v, u, cfg)
+
+federation.solve_ivon = overflowing
+"""
+
+
+@forks
+def test_a_pooled_solves_warnings_show_as_they_do_in_process(tmp_path):
+    sides = []
+    for cpus in ("one", "all"):
+        (tmp_path / cpus).mkdir()
+        one = (lambda: os.sched_setaffinity(0, CPUS[:1])) if cpus == "one" else None
+        proc, log, out = run_cli(tmp_path / cpus, IVON_INI, FORCED_OVERFLOW, preexec_fn=one)
+        sides.append((finished(proc), outputs(out), len(logged(log, "fork"))))
+    assert sides[0][0] == sides[1][0] and sides[0][0][0] == 0 and sides[0][1] == sides[1][1]
+    assert sides[0][2] == 0 and sides[1][2] == min(len(CPUS), 4)
+    assert b"overflow encountered" not in sides[1][0][1]
+
+
+# ---------------------------------------------------------------------------
+# how a run ends
+# ---------------------------------------------------------------------------
 
 
 def test_a_failing_metric_ends_the_run_at_its_round_with_that_rounds_states(tmp_path, monkeypatch, cpus):
@@ -179,15 +189,9 @@ def test_a_failing_metric_ends_the_run_at_its_round_with_that_rounds_states(tmp_
     assert checkpoint == one[2]
 
 
-def test_an_interrupted_engine_leaves_the_round_before_it_in_the_trace(tmp_path, monkeypatch, cpus):
+def test_an_interrupted_engine_leaves_the_round_before_it_in_the_trace(tmp_path, monkeypatch, cpus, forked):
     helpers = cpus(2)
-    metrics, engine, started = cli.metrics, federation.ROUND_ENGINES["ivon_admm"], []
-    start = federation._Pool.start
-
-    def recording(pool, count):
-        running = start(pool, count)
-        started.extend(worker.pid for worker in pool.workers)
-        return running
+    metrics, engine = cli.metrics, federation.ROUND_ENGINES["ivon_admm"]
 
     def slow(*args, **kwargs):
         time.sleep(0.5)  # still checking round 0 when round 1's engine is interrupted
@@ -198,7 +202,6 @@ def test_an_interrupted_engine_leaves_the_round_before_it_in_the_trace(tmp_path,
             raise KeyboardInterrupt
         return engine(server, clients, cfg, rnd, base_seed)
 
-    monkeypatch.setattr(federation._Pool, "start", recording)
     monkeypatch.setattr(cli, "metrics", slow)
     monkeypatch.setitem(federation.ROUND_ENGINES, "ivon_admm", interrupted)
     out = tmp_path / "out"
@@ -207,7 +210,7 @@ def test_an_interrupted_engine_leaves_the_round_before_it_in_the_trace(tmp_path,
     lines = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
     assert [line["round"] for line in lines if line["type"] == "round"] == [0]
     assert len(helpers) == 1 and not any(t.name == "round checks" for t in threading.enumerate())
-    assert started and not any(alive(pid) for pid in started) and federation._pool.get() is None
+    assert forked and not any(alive(pid) for pid in forked) and federation._pool.get() is None
 
 
 def test_a_divergence_after_a_non_finite_metric_is_preceded_by_it(tmp_path, monkeypatch, cpus):

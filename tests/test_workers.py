@@ -1,7 +1,9 @@
 """The worker processes of a run's IVON solves: outputs, errors and lifetimes.
 
 A run forks its workers at the first round with two IVON clients, one per
-usable CPU, so the tests that need a fork skip on a one-CPU box.
+usable CPU, so the tests that need a fork skip on a one-CPU box.  Only the
+kill test starts a run in a subprocess (:func:`run_cli`); the others fork
+from the test's own process.
 """
 
 import json
@@ -29,57 +31,55 @@ from bayesadmm.solvers import IvonConfig
 from test_cli import BLOBS_INI, IVON_BLOWUP_INI, write
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bayesadmm.__file__)))
-PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
 CPUS = sorted(os.sched_getaffinity(0))
 forks = pytest.mark.skipif(len(CPUS) < 2, reason="a run forks workers only on two or more usable CPUs")
 
 IVON_INI = BLOBS_INI.replace("method = bayes_admm", "method = ivon_admm").replace("k = 2", "k = 4")
 
-# ``bayesadmm run`` that appends each pid it forks to the file argv[1] as it forks it.  When
-# argv[2] is not "-", the calling thread creates that file before the second round's engine and
-# then waits forever, with every worker idle: the first round's checks may run beside it.
-RECORDING = """
-import os, sys, time
+# ``bayesadmm run`` with the arguments from argv[3] on, after running argv[2] as Python source (a
+# patch, or "").  It appends to the file argv[1] "fork <pid>" for each process it forks and
+# "thread <name>" for each thread it starts.
+RUN = """
+import os, sys, threading
 import bayesadmm.cli as cli
-from bayesadmm import federation
 
-log = open(sys.argv[1], "a")
-fork = os.fork
+log, fork, start = open(sys.argv[1], "a"), os.fork, threading.Thread.start
 
 def recording_fork():
     pid = fork()
     if pid:
-        log.write(f"{pid}\\n")
-        log.flush()
+        print("fork", pid, file=log, flush=True)
     return pid
 
-os.fork = recording_fork
+def recording_start(thread):
+    print("thread", thread.name, file=log, flush=True)
+    start(thread)
 
-def stalling(engine):
-    def stalled(server, clients, cfg, rnd, base_seed):
-        if rnd == 1 and sys.argv[2] != "-":
-            open(sys.argv[2], "w").close()
-            time.sleep(600)
-        return engine(server, clients, cfg, rnd, base_seed)
-    return stalled
-
-for method, engine in list(federation.ROUND_ENGINES.items()):
-    federation.ROUND_ENGINES[method] = stalling(engine)
+os.fork, threading.Thread.start = recording_fork, recording_start
+exec(sys.argv[2])
 sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-def recording_run(tmp_path, text, stall="-", **popen):
-    """A started ``bayesadmm run`` of ``text``, the file of the pids it forks, and its output directory."""
-    pids, out = tmp_path / "pids", tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, "-c", RECORDING, str(pids), stall, "run", "--config", write(tmp_path, "run.ini", text),
+def run_cli(tmp_path, text, patch="", **popen):
+    """A started ``bayesadmm run`` of ``text`` under ``tmp_path``: the process, its log and its output directory."""
+    log, out = tmp_path / "log", tmp_path / "out"
+    cmd = [sys.executable, "-c", RUN, str(log), patch, "run", "--config", write(tmp_path, "run.ini", text),
            "--out", str(out)]
-    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, **popen), pids, out
+    proc = subprocess.Popen(cmd, env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, **popen)
+    return proc, log, out
 
 
-def forked(pids) -> list[int]:
-    return [int(line) for line in pids.read_text().split()] if pids.exists() else []
+def logged(log, kind: str) -> list[str]:
+    """The pids (``kind`` "fork") or thread names ("thread") a :func:`run_cli` run has logged."""
+    lines = log.read_text().splitlines() if log.exists() else []
+    return [line.split(" ", 1)[1] for line in lines if line.startswith(kind + " ")]
+
+
+def finished(proc) -> tuple[int, bytes]:
+    _, err = proc.communicate(timeout=300)
+    return proc.returncode, err
 
 
 def alive(pid: int) -> bool:
@@ -99,14 +99,27 @@ def still_alive(pids: list[int], seconds: float = 5.0) -> list[int]:
     return [pid for pid in pids if alive(pid)]
 
 
-def finished(proc) -> tuple[int, str]:
-    _, err = proc.communicate(timeout=300)
-    return proc.returncode, err.decode()
-
-
 # ---------------------------------------------------------------------------
 # no process outlives a run
 # ---------------------------------------------------------------------------
+
+
+# The calling thread creates the file {path} before the second round's engine and then waits, with
+# every worker idle: the first round's checks may run beside it.
+STALL = """
+import time
+from bayesadmm import federation
+
+engine = federation.ROUND_ENGINES["ivon_admm"]
+
+def stalled(server, clients, cfg, rnd, base_seed):
+    if rnd == 1:
+        open({path!r}, "w").close()
+        time.sleep(600)
+    return engine(server, clients, cfg, rnd, base_seed)
+
+federation.ROUND_ENGINES["ivon_admm"] = stalled
+"""
 
 
 @forks
@@ -115,10 +128,10 @@ def test_no_worker_outlives_a_killed_run(tmp_path, when):
     # Busy workers end when their result finds no reader; idle ones when their task pipe ends.
     text = IVON_INI.replace("rounds = 2", "rounds = 500").replace("ivon_steps = 20", "ivon_steps = 2000")
     stall = tmp_path / "stalled"
-    proc, pids, _ = recording_run(tmp_path, text, stall=str(stall) if when == "between rounds" else "-")
+    proc, log, _ = run_cli(tmp_path, text, STALL.format(path=str(stall)) if when == "between rounds" else "")
     try:
         deadline = time.monotonic() + 60
-        while len(forked(pids)) < min(len(CPUS), 4) or (when == "between rounds" and not stall.exists()):
+        while len(logged(log, "fork")) < min(len(CPUS), 4) or (when == "between rounds" and not stall.exists()):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.02)
         time.sleep(0.2)
@@ -126,7 +139,7 @@ def test_no_worker_outlives_a_killed_run(tmp_path, when):
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    workers = forked(pids)
+    workers = [int(pid) for pid in logged(log, "fork")]
     try:
         assert workers and still_alive(workers) == []
     finally:
@@ -136,18 +149,10 @@ def test_no_worker_outlives_a_killed_run(tmp_path, when):
 
 @forks
 @pytest.mark.parametrize("ending", ["completes", "diverges", "fails", "is interrupted"])
-def test_run_rounds_reaps_its_workers_on_every_way_out(tmp_path, monkeypatch, ending):
-    started = []
-    start = federation._Pool.start
-
-    def recording(pool, count):
-        running = start(pool, count)
-        started.extend(worker.pid for worker in pool.workers)
-        return running
-
-    monkeypatch.setattr(federation._Pool, "start", recording)
+def test_run_rounds_reaps_its_workers_on_every_way_out(tmp_path, monkeypatch, forked, ending):
     errors_before = np.geterr()
-    text, code = (IVON_BLOWUP_INI, 2) if ending == "diverges" else (IVON_INI, 0)
+    # Round 1's NonFiniteMetric makes the run's exit code 2.
+    text, code = (IVON_BLOWUP_INI.replace("rounds = 20", "rounds = 2"), 2) if ending == "diverges" else (IVON_INI, 0)
     if ending == "fails":
         solve_ivon, code = federation.solve_ivon, 1
 
@@ -174,60 +179,8 @@ def test_run_rounds_reaps_its_workers_on_every_way_out(tmp_path, monkeypatch, en
             cli.main(run)
     else:
         assert cli.main(run) == code
-    assert started and not any(alive(pid) for pid in started)
+    assert forked and not any(alive(pid) for pid in forked)
     assert federation._pool.get() is None and np.geterr() == errors_before
-
-
-# ---------------------------------------------------------------------------
-# outputs do not depend on the number of CPUs
-# ---------------------------------------------------------------------------
-
-
-def ivon_mnist_config(tmp_path) -> str:
-    """The benchmark's ``ivon_mnist`` config at workload seed 1, its IDX inputs written under ``tmp_path``."""
-    sys.path.insert(0, PERFBENCH)
-    try:
-        from workloads import WORKLOADS, derived_seeds, write_idx
-    finally:
-        sys.path.remove(PERFBENCH)
-    from bayesadmm.harness import gen_blobs
-
-    seeds, inputs = derived_seeds(1), tmp_path / "inputs"
-    inputs.mkdir()
-    write_idx(str(inputs), seeds["data"], gen_blobs)
-    return WORKLOADS["ivon_mnist"].config(seeds, str(inputs))
-
-
-@forks
-@pytest.mark.parametrize("case", ["BLOBS ivon_admm", "ivon_mnist"])
-def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, case):
-    text = IVON_INI if case == "BLOBS ivon_admm" else ivon_mnist_config(tmp_path)
-    outputs = []
-    for cpus in ("one", "all"):
-        side = tmp_path / cpus
-        side.mkdir()
-        one = (lambda: os.sched_setaffinity(0, CPUS[:1])) if cpus == "one" else None
-        proc, pids, out = recording_run(side, text, preexec_fn=one)
-        assert finished(proc)[0] == 0
-        assert len(forked(pids)) == (0 if cpus == "one" else min(len(CPUS), 4 if case == "BLOBS ivon_admm" else 5))
-        outputs.append([(out / name).read_bytes() for name in ("trace.jsonl", "summary.json", "checkpoint.json")])
-    assert outputs[0] == outputs[1]
-
-
-def workload_config(tmp_path, name: str) -> str:
-    sys.path.insert(0, PERFBENCH)
-    try:
-        from workloads import WORKLOADS, derived_seeds
-    finally:
-        sys.path.remove(PERFBENCH)
-    return WORKLOADS[name].config(derived_seeds(1), str(tmp_path))
-
-
-@pytest.mark.parametrize("name", ["full_logreg", "ridge_wide"])
-def test_runs_without_ivon_clients_fork_nothing(tmp_path, name):
-    proc, pids, _ = recording_run(tmp_path, workload_config(tmp_path, name))
-    assert finished(proc)[0] == 0
-    assert forked(pids) == []
 
 
 def test_a_round_outside_run_rounds_solves_in_process(monkeypatch):
@@ -292,7 +245,7 @@ def test_a_pooled_round_raises_its_lowest_failing_clients_error(tmp_path, monkey
 
 @forks
 @pytest.mark.parametrize("when", ["mid-task", "between rounds"])
-def test_a_worker_that_dies_fails_the_run_instead_of_hanging(tmp_path, monkeypatch, when):
+def test_a_worker_that_dies_fails_the_run_instead_of_hanging(tmp_path, monkeypatch, forked, when):
     if when == "mid-task":
         solve_ivon, parent, rnd = federation.solve_ivon, os.getpid(), 0
 
@@ -303,21 +256,15 @@ def test_a_worker_that_dies_fails_the_run_instead_of_hanging(tmp_path, monkeypat
 
         monkeypatch.setattr(federation, "solve_ivon", dying)
     else:
-        engine, start, pools, rnd = federation.ROUND_ENGINES["ivon_admm"], federation._Pool.start, [], 1
-
-        def recording(pool, count):
-            pools.append(pool)
-            return start(pool, count)
+        engine, rnd = federation.ROUND_ENGINES["ivon_admm"], 1
 
         def killing(server, clients, cfg, rnd, base_seed):
             # Before round 1 sends its first task, a worker is killed and left unreaped.
             if rnd == 1:
-                pid = pools[0].workers[0].pid
-                os.kill(pid, signal.SIGKILL)
-                assert still_alive([pid]) == []
+                os.kill(forked[0], signal.SIGKILL)
+                assert still_alive(forked[:1]) == []
             return engine(server, clients, cfg, rnd, base_seed)
 
-        monkeypatch.setattr(federation._Pool, "start", recording)
         monkeypatch.setitem(federation.ROUND_ENGINES, "ivon_admm", killing)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", write(tmp_path, "run.ini", IVON_INI), "--out", str(out)]) == 1
