@@ -437,7 +437,7 @@ MUTANTS = (
         "a checkpoint's client lam is not loaded",
         "src/bayesadmm/federation.py",
         "            client.lam = nat_from_jsonable(fam, rec[\"lam\"], xor=server.lam_g)\n",
-        "",
+        "            pass\n",
         ("tests/test_federation.py::test_checkpoint_roundtrip",
          "tests/test_cli.py::test_verify_rebuilds_the_run_residuals"),
     ),
@@ -560,7 +560,7 @@ MUTANTS = (
     Mutant(
         "decoding a client block skips the XOR",
         "src/bayesadmm/families.py",
-        "        words = words ^ np.ascontiguousarray(xor, dtype=\"<f8\").view(\"<u8\")[cut].ravel()\n",
+        "        words = words ^ _words(xor, cut).ravel()\n",
         "        words = words.copy()\n",
         ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[full-every-word]",),
     ),
@@ -599,7 +599,36 @@ MUTANTS = (
         """array_to_jsonable(lam.prec, fam.kind == FULL,
                                                          None)""",
         ("tests/test_families.py::test_xor_codec_round_trips_a_client_block_bit_for_bit[diag-every-word]",
-         "tests/test_federation.py::test_checkpoint_roundtrip[full]"),
+         "tests/test_federation.py::test_checkpoint_roundtrip[full-converged]"),
+    ),
+    Mutant(
+        "a block decoded against a guess skips its CRC-32 check",
+        "src/bayesadmm/families.py",
+        "    if crc is not None and (found := f\"{zlib.crc32(words.tobytes()):08x}\") != crc:\n",
+        "    if False:\n",
+        ("tests/test_federation.py::test_a_guess_rebuilt_one_ulp_off_fails_its_crc_naming_the_record_and_key",),
+    ),
+    Mutant(
+        "a client's dual is guessed as plus its natural gradient",
+        "src/bayesadmm/federation.py",
+        "            return dual_scale(-1.0, NaturalGradients(losses, [Delta()], server.fam).duals([client.lam])[0])\n",
+        "            return dual_scale(1.0, NaturalGradients(losses, [Delta()], server.fam).duals([client.lam])[0])\n",
+        ("tests/test_federation.py::test_a_converged_ridge_dual_is_stored_against_its_guess",),
+    ),
+    Mutant(
+        "every dual block is stored against its guess, shorter or not",
+        "src/bayesadmm/families.py",
+        " if len(coded) < len(plain) else plain\n",
+        " if True else plain\n",
+        ("tests/test_federation.py::test_checkpoint_roundtrip[full-unconverged]",
+         "tests/test_overlap.py::test_outputs_do_not_depend_on_the_cpu_count[ivon_mnist]"),
+    ),
+    Mutant(
+        "a guess with a word that is not finite is used",
+        "src/bayesadmm/families.py",
+        "    if guess is None or not np.isfinite(guess).all():\n",
+        "    if guess is None:\n",
+        ("tests/test_families.py::test_array_codec_round_trips_arbitrary_words_bit_for_bit",),
     ),
     Mutant(
         "IVON draws with variance N (h + delta), not its inverse",

@@ -734,7 +734,13 @@ def sample(lam: NatParam, count: int, seed=None) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def array_to_jsonable(a: Array, triangle: bool = False, xor: Array | None = None) -> str:
+# A block stored against a guess starts with this marker, then the CRC-32 of its own words
+# as eight hex digits and a colon; base64 has no colon.
+GUESS_MARK = "guess:"
+
+
+def array_to_jsonable(a: Array, triangle: bool = False, xor: Array | None = None,
+                      guess: Array | None = None) -> str:
     """``a``'s little-endian float64 words in C order as one base64 string, bit for bit.
 
     The words are stored as byte planes, byte 0 of every word, then byte 1,
@@ -744,29 +750,57 @@ def array_to_jsonable(a: Array, triangle: bool = False, xor: Array | None = None
     ``triangle``, a square ``a`` keeps only its upper triangle, row by row with
     the diagonal.  With ``xor``, an array of ``a``'s shape cut the same way,
     each word is XORed with ``xor``'s: near-copies of ``xor`` leave planes of
-    zero bits.  The string holds no shape; :func:`array_from_jsonable` is given it.
+    zero bits.  A ``guess`` is such an array that the reader must rebuild: where
+    it is finite and the string XORed with it is shorter, the result is
+    :data:`GUESS_MARK`, the CRC-32 of ``a``'s own words as eight hex digits, a
+    colon and that string.  The string holds no shape; :func:`array_from_jsonable` is given it.
     """
     a = np.ascontiguousarray(a, dtype="<f8")
     cut = _upper_indices(a.shape[0]) if triangle else ...
     words = a.view("<u8")[cut]
-    if xor is not None:
-        words = words ^ np.ascontiguousarray(xor, dtype="<f8").view("<u8")[cut]
+    plain = _deflated(words if xor is None else words ^ _words(xor, cut))
+    if guess is None or not np.isfinite(guess).all():
+        return plain
+    coded = _deflated(words ^ _words(guess, cut))
+    return f"{GUESS_MARK}{zlib.crc32(words.tobytes()):08x}:{coded}" if len(coded) < len(plain) else plain
+
+
+def _words(a: Array, cut) -> Array:
+    return np.ascontiguousarray(a, dtype="<f8").view("<u8")[cut]
+
+
+def _deflated(words: Array) -> str:
     planes = words.reshape(-1, 1).view(np.uint8).T.tobytes()
     deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
     return base64.b64encode(deflate.compress(planes) + deflate.flush()).decode("ascii")
 
 
+def is_guessed(data) -> bool:
+    """Whether ``data`` is a string :func:`array_to_jsonable` stored against a guess."""
+    return isinstance(data, str) and data.startswith(GUESS_MARK)
+
+
 def array_from_jsonable(data: str, shape: tuple[int, ...], triangle: bool = False,
-                        xor: Array | None = None) -> Array:
+                        xor: Array | None = None, guess: Array | None = None) -> Array:
     """Inverse of :func:`array_to_jsonable` for an array of ``shape``; a writable copy, bit for bit.
 
     ``triangle`` and ``xor`` must be the writer's; a ``triangle`` is mirrored
-    back into the lower half.  A value that is not a string, corrupt base64, a
-    corrupt or truncated deflate stream, or a byte count other than ``shape``'s
-    is a ``ValueError``; zlib's Adler-32 checksum guards the stream itself.
+    back into the lower half.  A string stored against a guess is XORed with
+    ``guess`` instead, and its words must then match its CRC-32.  A value that
+    is not a string, corrupt base64, a corrupt or truncated deflate stream, a
+    byte count other than ``shape``'s, a string stored against a guess with no
+    ``guess`` given, or words that fail their CRC-32 (a rebuilt ``guess`` that is
+    not the writer's) is a ``ValueError``; zlib's Adler-32 checksum guards the
+    stream itself.
     """
     if not isinstance(data, str):
         raise ValueError(f"expected a base64 string, got {type(data).__name__}")
+    crc = None
+    if is_guessed(data):
+        crc, _, data = data[len(GUESS_MARK):].partition(":")
+        if guess is None:
+            raise ValueError("stored against a guess, and no guess was rebuilt")
+        xor = guess
     try:
         raw = base64.b64decode(data, validate=True)
     except ValueError as exc:
@@ -782,7 +816,10 @@ def array_from_jsonable(data: str, shape: tuple[int, ...], triangle: bool = Fals
     words = np.frombuffer(planes, dtype=np.uint8).reshape(8, count).T.copy().view("<u8").ravel()
     cut = _upper_indices(shape[0]) if triangle else ...
     if xor is not None:
-        words = words ^ np.ascontiguousarray(xor, dtype="<f8").view("<u8")[cut].ravel()
+        words = words ^ _words(xor, cut).ravel()
+    if crc is not None and (found := f"{zlib.crc32(words.tobytes()):08x}") != crc:
+        raise ValueError(f"CRC-32 {found} of the words decoded against the rebuilt guess is not the stored "
+                         f"{crc}: the guess rebuilt here is not the writer's, or the block is corrupt")
     flat = words.view("<f8").astype(float, copy=False)
     if not triangle:
         return flat.reshape(shape)
@@ -794,10 +831,10 @@ def array_from_jsonable(data: str, shape: tuple[int, ...], triangle: bool = Fals
 
 
 def entry_from_jsonable(data: dict, key: str, shape: tuple[int, ...], triangle: bool = False,
-                        xor: Array | None = None) -> Array:
+                        xor: Array | None = None, guess: Array | None = None) -> Array:
     """The array :func:`array_to_jsonable` stored under ``data[key]``; a ``ValueError`` names ``key``."""
     try:
-        return array_from_jsonable(data[key], shape, triangle, xor)
+        return array_from_jsonable(data[key], shape, triangle, xor, guess)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
 
@@ -835,16 +872,25 @@ def nat_from_jsonable(fam: Family, data: dict, xor: NatParam | None = None) -> N
     return NatParam(fam, m)
 
 
-def dual_to_jsonable(dual: DualVec) -> dict:
-    out = {"v": array_to_jsonable(dual.b1)}
+def dual_to_jsonable(dual: DualVec, guess: DualVec | None = None) -> dict:
+    """``dual``'s ``v`` block, and its ``u`` or ``V``; with ``guess``, each stored against ``guess``'s
+    block under its key where that is shorter (:func:`array_to_jsonable`).
+
+    A checkpoint's guess for a client's dual is minus the natural gradient at
+    the client's own ``lam``: the dual it holds at the fixed point.
+    """
+    out = {"v": array_to_jsonable(dual.b1, guess=None if guess is None else guess.b1)}
     if dual.fam.two_block:
-        out[_JSON_KEYS[dual.fam.kind][1]] = array_to_jsonable(dual.u, dual.fam.kind == FULL)
+        out[_JSON_KEYS[dual.fam.kind][1]] = array_to_jsonable(dual.u, dual.fam.kind == FULL,
+                                                              guess=None if guess is None else guess.u)
     return out
 
 
-def dual_from_jsonable(fam: Family, data: dict) -> DualVec:
-    v = entry_from_jsonable(data, "v", (fam.dim,))
+def dual_from_jsonable(fam: Family, data: dict, guess: DualVec | None = None) -> DualVec:
+    """Inverse of :func:`dual_to_jsonable`; a block stored against a guess needs the writer's ``guess``."""
+    v = entry_from_jsonable(data, "v", (fam.dim,), guess=None if guess is None else guess.b1)
     if fam.two_block:
-        u = entry_from_jsonable(data, _JSON_KEYS[fam.kind][1], _second_shape(fam), fam.kind == FULL)
+        u = entry_from_jsonable(data, _JSON_KEYS[fam.kind][1], _second_shape(fam), fam.kind == FULL,
+                                guess=None if guess is None else guess.u)
         return DualVec(fam, v, -0.5 * u)
     return DualVec(fam, v)

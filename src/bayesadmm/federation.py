@@ -45,6 +45,7 @@ from typing import BinaryIO, NamedTuple
 import numpy as np
 
 from .errors import (
+    BayesAdmmError,
     CheckpointError,
     EstimatorUnsupported,
     FamilyMismatch,
@@ -73,6 +74,7 @@ from .families import (
     dual_zero,
     entry_from_jsonable,
     exp_sub,
+    is_guessed,
     nat_from_jsonable,
     nat_sub,
     nat_to_jsonable,
@@ -946,11 +948,27 @@ def run_rounds(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# Version of the checkpoint layout; format 5 stores every array as one string of
+# Version of the checkpoint layout; format 6 stores every array as one string of
 # ``families.array_to_jsonable``, its shape implied by the family or the rebuilt
-# state, a full family's ``S`` and ``V`` blocks as their upper triangles, and each
-# client's ``lam`` blocks XORed with the server's ``lam_g``.  No other format is read.
-CHECKPOINT_FORMAT = 5
+# state, a full family's ``S`` and ``V`` blocks as their upper triangles, each
+# client's ``lam`` blocks XORed with the server's ``lam_g``, and each client's
+# ``eta`` blocks XORed with minus its natural gradient where that is shorter.
+# No other format is read.
+CHECKPOINT_FORMAT = 6
+
+
+def _eta_guess(server: ServerState, client: ClientState) -> DualVec | None:
+    """Minus ``client``'s natural gradient at its own ``lam``, the dual it holds at the fixed point.
+
+    The natural gradient :func:`verify_fixed_point` sets against ``eta``, made
+    for this client alone; ``None`` where it raises.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            losses = [scale_loss(client.loss, server.tau)]
+            return dual_scale(-1.0, NaturalGradients(losses, [Delta()], server.fam).duals([client.lam])[0])
+    except (BayesAdmmError, ArithmeticError, ValueError):
+        return None
 
 
 def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], rounds_completed: int) -> dict:
@@ -958,7 +976,9 @@ def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], roun
 
     ``rounds_completed`` counts the rounds whose state this is (a run's
     :attr:`RunResult.rounds_committed`).  ``eta0`` is not stored: the
-    config's prior determines it, and no round changes it.
+    config's prior determines it, and no round changes it.  Each client's
+    ``eta`` block is stored against its guess, :func:`_eta_guess`, where
+    that string is shorter, and plain otherwise.
     """
     out: dict = {"format": CHECKPOINT_FORMAT, "rounds_completed": rounds_completed}
     if server.fam is not None:
@@ -969,9 +989,10 @@ def checkpoint_to_jsonable(server: ServerState, clients: list[ClientState], roun
     for c in clients:
         rec: dict = {"id": c.id}
         if c.lam is not None:
-            # At the fixed point every client's lam equals lam_g, so their XOR deflates to almost nothing.
+            # At the fixed point every client's lam equals lam_g, and its eta is minus its natural
+            # gradient, so their XORs deflate to almost nothing.
             rec["lam"] = nat_to_jsonable(c.lam, xor=server.lam_g)
-            rec["eta"] = dual_to_jsonable(c.eta)
+            rec["eta"] = dual_to_jsonable(c.eta, _eta_guess(server, c))
         if c.theta is not None:
             rec["theta"] = array_to_jsonable(c.theta)
             rec["v"] = array_to_jsonable(c.v)
@@ -992,8 +1013,12 @@ def checkpoint_from_jsonable(data: dict, server: ServerState, clients: list[Clie
     """Load :func:`checkpoint_to_jsonable`'s state into the server and clients a config built.
 
     Returns the stored ``rounds_completed``.  The server keeps the ``eta0`` it
-    was built with.  A malformed array is a :class:`CheckpointError` that
-    names its record and key.
+    was built with.  Every client's ``lam`` is decoded first; then a client
+    whose ``eta`` holds a block stored against its guess gets the guess
+    rebuilt from its loss and ``lam``.  A malformed array, or a block whose
+    words fail their CRC-32 because this machine does not rebuild the
+    writer's guess, is a :class:`CheckpointError` that names its record and
+    key.
     """
     require_checkpoint_format(data)
     done = data.get("rounds_completed")
@@ -1013,10 +1038,16 @@ def checkpoint_from_jsonable(data: dict, server: ServerState, clients: list[Clie
             where = f"clients[{client.id}]"
             if fam is not None:
                 client.lam = nat_from_jsonable(fam, rec["lam"], xor=server.lam_g)
-                client.eta = dual_from_jsonable(fam, rec["eta"])
             else:
                 client.theta = entry_from_jsonable(rec, "theta", client.theta.shape)
                 client.v = entry_from_jsonable(rec, "v", client.v.shape)
+        # Each guess is made at its client's decoded lam, so every lam is decoded and checked before
+        # any guess is made; a record with no guessed block makes none.
+        for client, rec in zip(clients, data["clients"]):
+            where = f"clients[{client.id}]"
+            if fam is not None:
+                guess = _eta_guess(server, client) if any(map(is_guessed, rec["eta"].values())) else None
+                client.eta = dual_from_jsonable(fam, rec["eta"], guess)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {where}: {exc}") from exc
     return done

@@ -34,6 +34,7 @@ from bayesadmm.families import (
     dual_to_jsonable,
     dual_zero,
     exp_sub,
+    is_guessed,
     kl,
     kl_grad_mu,
     log_density,
@@ -695,16 +696,29 @@ def float_words(shape):
     return words.map(lambda w: w.view(np.float64))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), d=st.integers(0, 5), triangle=st.booleans(), xor=st.booleans())
-def test_array_codec_round_trips_arbitrary_words_bit_for_bit(data, d, triangle, xor):
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(0, 5), triangle=st.booleans(), ref=st.sampled_from([None, "xor", "guess"]))
+def test_array_codec_round_trips_arbitrary_words_bit_for_bit(data, d, triangle, ref):
     shape = (d, d) if triangle else data.draw(st.sampled_from([(d,), (2, d)]))
     a = data.draw(float_words(shape))
     if triangle:  # a stored triangle holds a matrix that is symmetric bit for bit
         rows, cols = np.tril_indices(d, -1)
         a[rows, cols] = a[cols, rows]
-    ref = data.draw(float_words(shape)) if xor else None
-    back = array_from_jsonable(json.loads(json.dumps(array_to_jsonable(a, triangle, ref))), shape, triangle, ref)
+    # Arbitrary words, or ``a``'s own with low mantissa bits changed, as a good guess is.
+    near = hnp.arrays(np.uint64, shape, elements=st.integers(0, 2**20)).map(
+        lambda w: (a.view(np.uint64) ^ w).view(np.float64))
+    other = data.draw(st.one_of(float_words(shape), near)) if ref else None
+    xor, guess = (other, None) if ref == "xor" else (None, other)
+    text = json.loads(json.dumps(array_to_jsonable(a, triangle, xor, guess)))
+    if is_guessed(text):
+        assert np.isfinite(guess).all()
+        cut = np.triu_indices(d) if triangle else ...
+        crc = zlib.crc32(a.view(np.uint64)[cut].tobytes())
+        assert text == f"guess:{crc:08x}:{array_to_jsonable(a, triangle, xor=guess)}"
+    else:  # no guess, a guess with a word that is not finite, or one that saves nothing
+        assert guess is None or not np.isfinite(guess).all() or \
+            len(array_to_jsonable(a, triangle, xor=guess)) >= len(text)
+    back = array_from_jsonable(text, shape, triangle, xor, guess)
     assert back.shape == shape and np.array_equal(back.view(np.uint64), a.view(np.uint64))
 
 
@@ -718,6 +732,7 @@ def test_nat_param_codec_keeps_the_precision_and_its_factor(dual):
 
 
 THREE = array_to_jsonable(np.array([1.0, 2.0, 3.0]))
+GUESSED_THREE = array_to_jsonable(np.array([1.0, 2.0, 3.0]), guess=np.array([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize("data, message", [
@@ -731,7 +746,8 @@ THREE = array_to_jsonable(np.array([1.0, 2.0, 3.0]))
     (reencoded(THREE, lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])),
      "^corrupt or truncated deflate stream: .*incorrect data check"),
     (array_to_jsonable(np.zeros(4)), re.escape("array of shape (3,) needs 24 bytes, got 32")),
-], ids=["dict", "null", "bad-char", "bad-padding", "truncated", "header", "checksum", "byte-count"])
+    (GUESSED_THREE, "^stored against a guess, and no guess was rebuilt$"),
+], ids=["dict", "null", "bad-char", "bad-padding", "truncated", "header", "checksum", "byte-count", "no-guess"])
 def test_array_codec_rejects_what_it_did_not_write(data, message):
     with pytest.raises(ValueError, match=message):
         array_from_jsonable(data, (3,))

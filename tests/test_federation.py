@@ -10,11 +10,14 @@ from bayesadmm.families import (
     DualVec,
     Family,
     NatParam,
+    array_from_jsonable,
+    array_to_jsonable,
     dual_axpy,
     dual_inf_norm,
     dual_scale,
     dual_sum,
     dual_zero,
+    is_guessed,
     log_density,
     nat_sub,
     pair_with_stat,
@@ -750,18 +753,15 @@ def test_failing_verifier_ends_the_run_after_an_earlier_metric_event():
     # The state is the one round 1 committed, not round 0's.
     assert server.lam_g is seen[1]
 
+@pytest.mark.parametrize("gamma", [0.2, 0.5], ids=["unconverged", "converged"])
 @pytest.mark.parametrize("kind", ["isotropic", "diag", "full"])
-def test_checkpoint_roundtrip(kind):
+def test_checkpoint_roundtrip(kind, gamma):
     rng = np.random.default_rng(18)
     d, K = 2, 2
-    losses = []
-    for _ in range(K):
-        x = rng.standard_normal((8, d))
-        y = (rng.random(8) < 0.5).astype(float)
-        losses.append(Logistic(x, y))
+    losses, _ = ridge_problem(rng, K, d, 8)
     prior = NatParam(Family(kind, d), np.zeros(d), {"isotropic": None, "diag": np.ones(d), "full": np.eye(d)}[kind])
-    server, clients = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
-    cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver="von", estimator="delta"))
+    server, clients = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=gamma, tau=1.5)
+    cfg = MethodConfig("bayes_admm", inner=InnerConfig(solver="auto", estimator="delta"))
     bayes_admm_round(server, clients, cfg, 0)
     blob = json.dumps(checkpoint_to_jsonable(server, clients, 1))
     data = json.loads(blob)
@@ -769,7 +769,11 @@ def test_checkpoint_roundtrip(kind):
     # Every array is one string; its shape is the family's.
     records = [data["lam_g"]] + [c[part] for c in data["clients"] for part in ("lam", "eta")]
     assert all(isinstance(a, str) for rec in records for a in rec.values())
-    server2, clients2 = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=0.2, tau=1.5)
+    # With gamma = rho = 1/K one round takes each client's dual to minus its natural gradient, and
+    # every dual block is stored against that guess; a shorter dual step leaves some block plain.
+    guessed = [is_guessed(a) for c in data["clients"] for a in c["eta"].values()]
+    assert all(guessed) if gamma == 0.5 else not all(guessed)
+    server2, clients2 = init_bayes_states(prior, losses, [8] * K, rho=0.5, gamma=gamma, tau=1.5)
     eta0 = server2.eta0
     assert checkpoint_from_jsonable(json.loads(blob), server2, clients2) == 1
     assert server2.eta0 is eta0  # the prior's, rebuilt with the states
@@ -786,13 +790,62 @@ def test_checkpoint_roundtrip(kind):
     assert r1.max_residual == pytest.approx(r2.max_residual)
 
 
+def converged_ridge():
+    """A full-family ridge problem's server and clients after the one round that takes them to the fixed point."""
+    losses, _ = ridge_problem(np.random.default_rng(5), 3, 6, 20)
+    prior = NatParam(Family.full(6), np.zeros(6), np.eye(6))
+    server, clients = init_bayes_states(prior, losses, [20] * 3, rho=1 / 3)
+    bayes_admm_round(server, clients, MethodConfig("bayes_admm"), 0)
+    assert verify_fixed_point(server, clients).dual < 1e-12
+    return prior, losses, server, clients
+
+
+def test_a_converged_ridge_dual_is_stored_against_its_guess():
+    _, _, server, clients = converged_ridge()
+    data = checkpoint_to_jsonable(server, clients, 1)
+    for rec in data["clients"]:
+        eta = rec["eta"]
+        assert set(eta) == {"v", "V"} and all(map(is_guessed, eta.values()))
+        # The XOR leaves zero bits where the plain block's mantissas are noise.
+        assert len(eta["V"]) < len(array_to_jsonable(clients[rec["id"]].eta.u, triangle=True)) / 2
+        # The guess matches the dual to its low mantissa bits: the XORed words keep no sign or
+        # exponent bit, where plus the natural gradient would leave every sign bit set.
+        for key, shape in (("v", (6,)), ("V", (6, 6))):
+            xored = array_from_jsonable(eta[key].rpartition(":")[2], shape, key == "V")
+            assert not np.any(xored.view(np.uint64) >> np.uint64(52))
+
+
+@pytest.mark.parametrize("client, key", [(0, "v"), (2, "V")])
+def test_a_guess_rebuilt_one_ulp_off_fails_its_crc_naming_the_record_and_key(monkeypatch, client, key):
+    prior, losses, server, clients = converged_ridge()
+    data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients, 1)))
+    rebuilt = federation_mod._eta_guess
+
+    def one_ulp_off(server, c):
+        guess = rebuilt(server, c)
+        if c.id != client:
+            return guess
+        b1, b2 = guess.b1.copy(), guess.b2.copy()
+        if key == "v":
+            b1[3] = np.nextafter(b1[3], np.inf)
+        else:  # a diagonal word, so the block stays symmetric
+            b2[1, 1] = np.nextafter(b2[1, 1], np.inf)
+        return DualVec(guess.fam, b1, b2)
+
+    monkeypatch.setattr(federation_mod, "_eta_guess", one_ulp_off)
+    server2, clients2 = init_bayes_states(prior, losses, [20] * 3, rho=1 / 3)
+    with pytest.raises(CheckpointError, match=rf"^checkpoint clients\[{client}\]: {key}: CRC-32 [0-9a-f]{{8}} of the "
+                                              r"words decoded against the rebuilt guess is not the stored [0-9a-f]{8}"):
+        checkpoint_from_jsonable(data, server2, clients2)
+
+
 def test_point_checkpoint_roundtrip_is_bit_exact():
     rng = np.random.default_rng(3)
     losses, _ = ridge_problem(rng, 2, 3, 10)
     server, clients = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
     admm_round(server, clients, MethodConfig("admm"), 0)
     data = json.loads(json.dumps(checkpoint_to_jsonable(server, clients, 1)))
-    assert data["format"] == 5
+    assert data["format"] == 6
     assert isinstance(data["theta_g"], str)
     assert all(isinstance(rec[k], str) for rec in data["clients"] for k in ("theta", "v"))
     server2, clients2 = init_point_states(3, losses, [10, 10], rho=0.3, delta=1.0)
@@ -814,7 +867,7 @@ def test_a_point_checkpoints_corrupt_array_names_its_record_and_key(record, key)
         checkpoint_from_jsonable(data, server, clients)
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
 def test_checkpoint_of_another_format_is_rejected(fmt):
     rng = np.random.default_rng(3)
     losses, _ = ridge_problem(rng, 2, 3, 10)
@@ -824,7 +877,7 @@ def test_checkpoint_of_another_format_is_rejected(fmt):
         del data["format"]
     else:
         data["format"] = fmt
-    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 5"):
+    with pytest.raises(CheckpointError, match=f"checkpoint format {fmt!r} is not 6"):
         checkpoint_from_jsonable(data, server, clients)
 
 

@@ -21,6 +21,7 @@ import pytest
 import bayesadmm.cli as cli
 from bayesadmm import federation
 from bayesadmm.errors import ResultNotInFamily
+from bayesadmm.families import is_guessed
 
 from test_cli import BLOBS_INI, IVON_BLOWUP_INI, PROP2_INI, write
 from test_workers import CPUS, IVON_INI, alive, finished, forks, logged, run_cli
@@ -105,6 +106,23 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, capfd, recwarn, cpus, 
     assert sides[0][:2] == sides[1][:2]
     assert sides[0][2:] == (0, 0) and sides[1][2:] == (workers, beside)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    trace, summary, checkpoint = sides[0][0]
+    summary, checkpoint = json.loads(summary), json.loads(checkpoint)
+    if case == "IVON_BLOWUP":
+        # Client means reach about 6e7 at precisions near 800, where m*m + 1/s rounds to m*m, so the
+        # verifier's dual maps must not take m*m back out of m2.  The checkpoint's guesses are made
+        # on this blown-up state too, and the checks above see them warn nothing.
+        event = summary["event"]
+        assert summary["diverged"] and event["type"] == "divergence" and event["method"] == "ivon_admm"
+        assert event["reason"] and isinstance(event["round"], int)
+        assert len(checkpoint["clients"]) == 10
+        rounds = [json.loads(line) for line in trace.decode().splitlines()[1:]]
+        assert len(rounds) == summary["rounds_completed"] > event["round"]
+    if case == "ivon_mnist":
+        # 200 stochastic IVON steps leave each client's dual far from minus its natural gradient,
+        # so every dual block is stored plain.
+        blocks = [block for rec in checkpoint["clients"] for block in rec["eta"].values()]
+        assert len(blocks) == 10 and not any(map(is_guessed, blocks))
 
 
 def test_a_run_pinned_to_one_cpu_forks_nothing_and_checks_each_round_before_the_next(tmp_path, cpus):
